@@ -228,7 +228,6 @@ def cmd_train(args) -> int:
         config.hidden_sizes,
         config.seed,
         config.ensemble_size,
-        config.workers,
     )
 
     out = _out_dir(config)

@@ -49,6 +49,14 @@ class CsvDataConfig:
 
 @dataclass
 class RunConfig:
+    """Effective settings of one run, as parsed from the config file.
+
+    ``workers`` is accepted and ignored: training runs every ensemble
+    member in one stacked step, without a thread pool.  The key is still
+    parsed, validated (>= 1) and snapshotted unchanged, because
+    ``config.json`` is one of the run's byte-identical artifacts.
+    """
+
     seed: int
     out: str
     hierarchy: str = "default"

@@ -4,6 +4,11 @@ Rectifier hidden layers, K independent sigmoid output units, masked
 soft-target cross-entropy, hand-derived backprop, bias-corrected Adam,
 and per-layer freezing.  Everything runs in float64 so gradient checks
 and cross-run comparisons stay tight.
+
+A model's parameters are one flat vector with per-layer views.  The
+same ``Mlp`` over an (M, P) buffer is a member stack, which the forward
+pass, the loss and backprop accept with a leading member axis; Adam
+updates one member's flat row at a time.
 """
 
 from __future__ import annotations
@@ -63,7 +68,15 @@ def lr_schedule(config: OptimizerConfig, epoch: int) -> float:
 
 
 class Mlp:
-    """Rectifier MLP with sigmoid outputs and per-layer freeze flags."""
+    """Rectifier MLP with sigmoid outputs and per-layer freeze flags.
+
+    All parameters live in one float64 vector ``params``, laid out layer
+    by layer as W0, b0, W1, b1, ...; ``weights`` and ``biases`` are views
+    into it.  ``params`` may also carry a leading member axis, (M, P):
+    the model is then a stack of M same-shaped members trained together,
+    whose layer views are (M, in, out) and (M, out) and whose rows are
+    the members (see ``stack`` and ``member``).
+    """
 
     def __init__(
         self,
@@ -78,11 +91,44 @@ class Mlp:
                 raise ValueError(f"layer {i}: weight/bias shapes disagree")
             if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {i}: input dim does not chain")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        self.frozen = list(frozen) if frozen is not None else [False] * len(weights)
+        layer_sizes = [weights[0].shape[0], *(w.shape[1] for w in weights)]
+        self._attach(_pack(weights, biases), layer_sizes, frozen)
+
+    def _attach(self, params: np.ndarray, layer_sizes, frozen) -> None:
+        self.params = params
+        self.layer_sizes = tuple(layer_sizes)
+        views = layer_views(params, self.layer_sizes)
+        self.weights = [w for w, _ in views]
+        self.biases = [b for _, b in views]
+        self.frozen = list(frozen) if frozen is not None else [False] * len(views)
         if len(self.frozen) != len(self.weights):
             raise ValueError("need one frozen flag per layer")
+
+    @classmethod
+    def from_params(
+        cls,
+        params: np.ndarray,
+        layer_sizes: Sequence[int],
+        frozen: Sequence[bool] | None = None,
+    ) -> "Mlp":
+        """Model over an existing (P,) vector or (M, P) stack, without copying."""
+        model = cls.__new__(cls)
+        model._attach(params, layer_sizes, frozen)
+        return model
+
+    @classmethod
+    def stack(cls, models: Sequence["Mlp"]) -> "Mlp":
+        """Member stack holding a copy of each model's parameters as one row."""
+        sizes = models[0].layer_sizes
+        if any(m.layer_sizes != sizes for m in models):
+            raise ValueError("stacked members must share layer sizes")
+        return cls.from_params(
+            np.stack([m.params for m in models]), sizes, models[0].frozen
+        )
+
+    def member(self, k: int) -> "Mlp":
+        """Row k of a member stack, as a model sharing the stack's memory."""
+        return Mlp.from_params(self.params[k], self.layer_sizes, self.frozen)
 
     @classmethod
     def init(cls, layer_sizes: Sequence[int], seed: int) -> "Mlp":
@@ -106,23 +152,65 @@ class Mlp:
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.layer_sizes[0]
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.layer_sizes[-1]
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.frozen),
-        )
+        return Mlp.from_params(self.params.copy(), self.layer_sizes, self.frozen)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Probabilities in (0, 1) for a single (F,) input or an (N, F) batch."""
-        probs, _ = _forward_trace(self, np.asarray(x, dtype=np.float64))
-        return probs
+        x = np.asarray(x, dtype=np.float64)
+        check_finite(x)
+        single = x.ndim == 1
+        probs, _ = forward_trace(self, x[None, :] if single else x)
+        return probs[0] if single else probs
+
+
+def _pack(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-layer arrays concatenated into one flat float64 parameter vector."""
+    return np.concatenate(
+        [
+            np.ravel(np.asarray(a, dtype=np.float64))
+            for pair in zip(weights, biases)
+            for a in pair
+        ]
+    )
+
+
+def layer_views(
+    params: np.ndarray, layer_sizes: Sequence[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (W, b) views into a (P,) vector or each row of an (M, P) stack."""
+    lead = params.shape[:-1]
+    views = []
+    start = 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        stop = start + fan_in * fan_out
+        # splitting the unit-stride axis is always a view, never a copy
+        w = params[..., start:stop].reshape(*lead, fan_in, fan_out)
+        views.append((w, params[..., stop : stop + fan_out]))
+        start = stop + fan_out
+    return views
+
+
+def _trainable_spans(model: Mlp) -> list[tuple[int, int]]:
+    """Contiguous [start, stop) ranges of ``params`` in unfrozen layers."""
+    spans: list[tuple[int, int]] = []
+    start = 0
+    sizes = model.layer_sizes
+    for fan_in, fan_out, frozen in zip(sizes, sizes[1:], model.frozen):
+        stop = start + (fan_in + 1) * fan_out
+        if not frozen:
+            if spans and spans[-1][1] == start:
+                spans[-1] = (spans[-1][0], stop)
+            else:
+                spans.append((start, stop))
+        start = stop
+    return spans
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -135,34 +223,44 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_trace(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sigmoid outputs plus per-layer post-activation values for backprop."""
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
+def check_finite(x: np.ndarray) -> None:
+    """Reject inputs holding NaN or infinity."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input contains non-finite values")
+
+
+def forward_trace(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sigmoid outputs plus per-layer post-activation values for backprop.
+
+    ``x`` is (N, F) for a single model, or (M, N, F) for an (M, P) member
+    stack, where member k's rows meet only member k's layers.  A stacked
+    ``@`` computes each slice exactly as the 2-D product does, so every
+    member's slice is bit-equal to its own single-model pass.  Inputs are
+    not checked for finiteness: callers check once, before their loops.
+    """
+    if x.ndim != model.params.ndim + 1 or x.shape[-1] != model.input_dim:
         raise ValueError(
             f"input has shape {x.shape}, model expects (*, {model.input_dim})"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
     activations = [x]
     h = x
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
+        z = h @ w + b[..., None, :]
         h = _sigmoid(z) if i == model.n_layers - 1 else np.maximum(z, 0.0)
         activations.append(h)
-    probs = activations[-1]
-    return (probs[0], activations) if single else (probs, activations)
+    return h, activations
 
 
-def masked_bce(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
+def masked_bce(
+    probs: np.ndarray, targets: np.ndarray, mask: np.ndarray
+) -> float | np.ndarray:
     """Masked soft-target cross-entropy, averaged per example.
 
     Per example: -(1/|mask|) * sum over masked-in labels of
     y*ln(p) + (1-y)*ln(1-p), with p clamped to [PROB_CLAMP, 1-PROB_CLAMP];
     0 when the example's mask is empty.  Batches return the mean over
-    examples.
+    examples; (M, N, K) member-stacked batches return the (M,) per-member
+    means.
     """
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -177,96 +275,114 @@ def masked_bce(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> floa
         probs, targets, mask = probs[None], targets[None], mask[None]
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     terms = targets * np.log(p) + (1.0 - targets) * np.log1p(-p)
-    counts = mask.sum(axis=1)
+    counts = mask.sum(axis=-1)
     safe = np.maximum(counts, 1)
-    per_example = -np.where(mask, terms, 0.0).sum(axis=1) / safe
+    per_example = -np.where(mask, terms, 0.0).sum(axis=-1) / safe
     per_example[counts == 0] = 0.0
-    return float(per_example.mean())
+    loss = per_example.mean(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def backward(
-    model: Mlp, x: np.ndarray, targets: np.ndarray, mask: np.ndarray
+    model: Mlp,
+    x: np.ndarray,
+    targets: np.ndarray,
+    mask: np.ndarray,
+    trace: tuple[np.ndarray, list[np.ndarray]] | None = None,
+    out: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact gradients of masked_bce(forward(x)) w.r.t. every parameter.
 
     Frozen layers still get gradients; freezing acts at the update.
-    Returns [(dW, db)] matching model layers.
+    Returns [(dW, db)] matching model layers.  A member stack takes
+    (M, N, *) inputs and gives (M, in, out) and (M, out) gradients.
+    ``trace`` reuses a ``forward_trace`` result of the same inputs instead
+    of running the forward pass again; ``out`` names per-layer arrays
+    (such as ``layer_views`` of a gradient buffer) to write into.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if x.ndim == 1:
         x, targets, mask = x[None], targets[None], mask[None]
-    probs, activations = _forward_trace(model, x)
-    n = x.shape[0]
-    counts = mask.sum(axis=1)
-    scale = np.zeros(n)
+    if trace is None:
+        check_finite(x)
+        trace = forward_trace(model, x)
+    probs, activations = trace
+    n = x.shape[-2]
+    counts = mask.sum(axis=-1)
+    scale = np.zeros(counts.shape)
     nonzero = counts > 0
     scale[nonzero] = 1.0 / (counts[nonzero] * n)
 
     # d(loss)/d(logit): (p - y) inside the clamp band, 0 where clamped
     # (the clamped loss is flat there).
     unclamped = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
-    delta = np.where(mask & unclamped, probs - targets, 0.0) * scale[:, None]
+    delta = np.where(mask & unclamped, probs - targets, 0.0) * scale[..., None]
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * model.n_layers  # type: ignore
     for i in range(model.n_layers - 1, -1, -1):
-        h_in = activations[i]
-        grads[i] = (h_in.T @ delta, delta.sum(axis=0))
+        dw, db = out[i] if out is not None else (None, None)
+        grads[i] = (
+            np.matmul(activations[i].swapaxes(-1, -2), delta, out=dw),
+            np.sum(delta, axis=-2, out=db),
+        )
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
+            w_t = model.weights[i].swapaxes(-1, -2)
+            delta = (delta @ w_t) * (activations[i] > 0.0)
     return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus the step counter."""
+    """First/second moments in the layout of ``params``, plus the step count."""
 
-    m: list[tuple[np.ndarray, np.ndarray]]
-    v: list[tuple[np.ndarray, np.ndarray]]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def init(cls, model: Mlp) -> "AdamState":
-        zeros = lambda: [
-            (np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(model.weights, model.biases)
-        ]
-        return cls(m=zeros(), v=zeros())
+        return cls(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
 
 
 def adam_step(
     model: Mlp,
     state: AdamState,
-    grads: list[tuple[np.ndarray, np.ndarray]],
+    grads: list[tuple[np.ndarray, np.ndarray]] | np.ndarray,
     config: OptimizerConfig,
     lr: float,
 ) -> tuple[Mlp, AdamState]:
-    """One bias-corrected Adam update in place; frozen layers untouched."""
+    """One bias-corrected Adam update in place; frozen layers untouched.
+
+    ``grads`` is backward's [(dW, db)] list, or one flat vector in the
+    layout of ``model.params`` (a training-engine member's gradient row).
+    The update runs once per contiguous span of unfrozen layers, a few
+    vector operations however many layers the span covers.
+    """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
-    if len(grads) != model.n_layers:
-        raise ValueError("gradient list does not match model layers")
-    for dw, db in grads:
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise NumericError("non-finite gradient")
+    if not isinstance(grads, np.ndarray):
+        if len(grads) != model.n_layers:
+            raise ValueError("gradient list does not match model layers")
+        grads = _pack(*zip(*grads))
+    if not np.isfinite(grads).all():
+        raise NumericError("non-finite gradient")
     state.t += 1
     bc1 = 1.0 - config.beta1**state.t
     bc2 = 1.0 - config.beta2**state.t
-    for i in range(model.n_layers):
-        if model.frozen[i]:
-            continue
-        for params, moments1, moments2, g in (
-            (model.weights[i], state.m[i][0], state.v[i][0], grads[i][0]),
-            (model.biases[i], state.m[i][1], state.v[i][1], grads[i][1]),
-        ):
-            moments1 *= config.beta1
-            moments1 += (1.0 - config.beta1) * g
-            moments2 *= config.beta2
-            moments2 += (1.0 - config.beta2) * (g * g)
-            m_hat = moments1 / bc1
-            v_hat = moments2 / bc2
-            params -= lr * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    for start, stop in _trainable_spans(model):
+        params = model.params[start:stop]
+        moments1 = state.m[start:stop]
+        moments2 = state.v[start:stop]
+        g = grads[start:stop]
+        moments1 *= config.beta1
+        moments1 += (1.0 - config.beta1) * g
+        moments2 *= config.beta2
+        moments2 += (1.0 - config.beta2) * (g * g)
+        m_hat = moments1 / bc1
+        v_hat = moments2 / bc2
+        params -= lr * m_hat / (np.sqrt(v_hat) + config.epsilon)
     return model, state
 
 
@@ -294,18 +410,18 @@ def save_checkpoint(
 ) -> None:
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "layer_sizes": [model.input_dim]
-        + [w.shape[1] for w in model.weights],
+        "layer_sizes": list(model.layer_sizes),
         "frozen": list(model.frozen),
         "weights": [_array_to_lists(w) for w in model.weights],
         "biases": [_array_to_lists(b) for b in model.biases],
     }
     if state is not None:
-        payload["adam"] = {
-            "t": state.t,
-            "m": [[_array_to_lists(mw), _array_to_lists(mb)] for mw, mb in state.m],
-            "v": [[_array_to_lists(vw), _array_to_lists(vb)] for vw, vb in state.v],
-        }
+        payload["adam"] = {"t": state.t}
+        for key, flat in (("m", state.m), ("v", state.v)):
+            payload["adam"][key] = [
+                [_array_to_lists(w), _array_to_lists(b)]
+                for w, b in layer_views(flat, model.layer_sizes)
+            ]
     if extra:
         payload["extra"] = extra
     tmp = Path(str(path) + ".tmp")
@@ -334,14 +450,6 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, AdamState | None, dict]:
     if "adam" in payload:
         adam = payload["adam"]
         state = AdamState(
-            m=[
-                (np.array(mw, dtype=np.float64), np.array(mb, dtype=np.float64))
-                for mw, mb in adam["m"]
-            ],
-            v=[
-                (np.array(vw, dtype=np.float64), np.array(vb, dtype=np.float64))
-                for vw, vb in adam["v"]
-            ],
-            t=int(adam["t"]),
+            m=_pack(*zip(*adam["m"])), v=_pack(*zip(*adam["v"])), t=int(adam["t"])
         )
     return model, state, payload.get("extra", {})

@@ -7,12 +7,24 @@ conditional probabilities.  Stage 2 freezes everything but the last
 layer and retrains on the full dataset to recover unconditional parent
 behaviour.  Inference multiplies conditionals down the hierarchy and
 ensembles average the propagated outputs.
+
+One engine, ``_train_stage``, runs every training step.  It trains all
+M ensemble members at once as a member stack: an ``Mlp`` whose
+parameters are one (M, P) float64 buffer, with (M, P) gradients and
+Adam moments beside it.  Each step gathers every member's own shuffled
+batch as (M, B, F), runs one stacked forward pass, and feeds that same
+pass to ``masked_bce`` and ``backward``; ``adam_step`` then updates each
+member's contiguous row, skipping the frozen span.  A stacked ``@``
+gives each member exactly the bits of its own 2-D products and every
+reduction keeps its per-member order, so member k's weights and loss
+rows do not depend on the ensemble size or on member order.  Single
+models (``train_stage1``, ``train_stage2``, ``train_flat``) train as a
+one-member stack over their own parameter vector.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -28,11 +40,16 @@ from .model import (
     OptimizerConfig,
     adam_step,
     backward,
+    check_finite,
+    forward_trace,
     freeze_all_but_last,
+    layer_views,
     lr_schedule,
     masked_bce,
 )
 from .policy import UncertaintyPolicy, apply_policy
+
+LossLog = list[tuple[str, int, float]]
 
 
 @dataclass
@@ -64,7 +81,79 @@ class EnsembleModel:
             raise ValueError("ensemble members disagree on output dimension")
 
 
-def _run_training(
+def _train_stage(
+    stack: Mlp,
+    features: np.ndarray,
+    targets: np.ndarray,
+    mask: np.ndarray,
+    seeds: Sequence[int],
+    optimizer: OptimizerConfig,
+    iterations: int,
+    stage: str,
+    loss_logs: Sequence[LossLog],
+) -> None:
+    """Seed-deterministic mini-batch loop over a member stack, in place.
+
+    ``stack`` holds (M, P) parameters; ``targets`` and ``mask`` are
+    (M, N, K), one slice per member, and member k shuffles under
+    ``seeds[k]``.  The learning rate and shuffle order change at epoch
+    boundaries (epoch = ceil(N / batch_size) steps).  Appends (stage,
+    epoch, mean step loss) rows to each member's loss log.
+    """
+    n_members, n = mask.shape[:2]
+    if not mask.reshape(n_members, -1).any(axis=1).all():
+        raise ValueError(
+            f"{stage}: empty effective training signal (all cells masked out)"
+        )
+    check_finite(features)
+    batch = optimizer.batch_size
+    epoch_len = math.ceil(n / batch)
+    members = [stack.member(k) for k in range(n_members)]
+    grads = np.zeros_like(stack.params)
+    grad_views = layer_views(grads, stack.layer_sizes)
+    moments = np.zeros((2, *stack.params.shape))
+    states = [AdamState(m=moments[0, k], v=moments[1, k]) for k in range(n_members)]
+    member_axis = np.arange(n_members)[:, None]
+    orders = np.empty((n_members, n), dtype=np.int64)
+    losses = np.empty((n_members, epoch_len))
+    lr = optimizer.lr0
+    epoch = -1
+    done = 0  # steps taken in the current epoch
+
+    def flush():
+        if done:
+            for log, row in zip(loss_logs, losses):
+                log.append((stage, epoch, float(row[:done].mean())))
+
+    for step in range(iterations):
+        e, pos = divmod(step, epoch_len)
+        if e != epoch:
+            flush()
+            epoch = e
+            lr = lr_schedule(optimizer, e)
+            # keyed by epoch only: a flat run and a staged run over the
+            # same data walk identical batch sequences
+            for k, seed in enumerate(seeds):
+                orders[k] = seeding.stream(
+                    seeding.PURPOSE_SHUFFLE, seed, e
+                ).permutation(n)
+        rows = orders[:, pos * batch : (pos + 1) * batch]
+        x = features[rows]
+        t = targets[member_axis, rows]
+        m = mask[member_axis, rows]
+        trace = forward_trace(stack, x)
+        loss = masked_bce(trace[0], t, m)
+        if not np.isfinite(loss).all():
+            raise NumericError(f"{stage}: non-finite loss at step {step}")
+        backward(stack, x, t, m, trace, grad_views)
+        for member, state, g in zip(members, states, grads):
+            adam_step(member, state, g, optimizer, lr)
+        losses[:, pos] = loss
+        done = pos + 1
+    flush()
+
+
+def _train_one(
     model: Mlp,
     dataset: Dataset,
     targets: np.ndarray,
@@ -72,55 +161,14 @@ def _run_training(
     optimizer: OptimizerConfig,
     iterations: int,
     stage: str,
-    loss_log: list[tuple[str, int, float]] | None = None,
+    loss_log: LossLog | None,
 ) -> Mlp:
-    """Seed-deterministic mini-batch loop with per-epoch reshuffling.
-
-    The learning rate and shuffle order change at epoch boundaries
-    (epoch = ceil(N / batch_size) steps).  Appends (stage, epoch, mean
-    step loss) rows to loss_log.
-    """
-    if not mask.any():
-        raise ValueError(
-            f"{stage}: empty effective training signal (all cells masked out)"
-        )
-    n = dataset.n
-    features = dataset.features
-    batch = optimizer.batch_size
-    epoch_len = math.ceil(n / batch)
-    state = AdamState.init(model)
-    order = np.empty(0, dtype=np.int64)
-    lr = optimizer.lr0
-    epoch = -1
-    epoch_losses: list[float] = []
-
-    def flush():
-        if loss_log is not None and epoch_losses:
-            loss_log.append((stage, epoch, float(np.mean(epoch_losses))))
-
-    for step in range(iterations):
-        e, pos = divmod(step, epoch_len)
-        if e != epoch:
-            flush()
-            epoch_losses.clear()
-            epoch = e
-            lr = lr_schedule(optimizer, e)
-            # keyed by epoch only: a flat run and a staged run over the
-            # same data walk identical batch sequences
-            order = seeding.stream(
-                seeding.PURPOSE_SHUFFLE, optimizer.seed, e
-            ).permutation(n)
-        rows = order[pos * batch : (pos + 1) * batch]
-        x = features[rows]
-        t = targets[rows]
-        m = mask[rows]
-        loss = masked_bce(model.forward(x), t, m)
-        if not math.isfinite(loss):
-            raise NumericError(f"{stage}: non-finite loss at step {step}")
-        grads = backward(model, x, t, m)
-        adam_step(model, state, grads, optimizer, lr)
-        epoch_losses.append(loss)
-    flush()
+    """One model through the engine, as a one-member stack over its params."""
+    stack = Mlp.from_params(model.params[None], model.layer_sizes, model.frozen)
+    _train_stage(
+        stack, dataset.features, targets[None], mask[None], [optimizer.seed],
+        optimizer, iterations, stage, [[] if loss_log is None else loss_log],
+    )
     return model
 
 
@@ -129,14 +177,14 @@ def train_stage1(
     dataset: Dataset,
     tree: LabelTree,
     plan: TrainPlan,
-    loss_log: list[tuple[str, int, float]] | None = None,
+    loss_log: LossLog | None = None,
 ) -> Mlp:
     """Conditional pretraining: policy mask AND all-ancestors-positive mask."""
     targets, policy_mask = apply_policy(
         dataset.labels, plan.policy, plan.optimizer.seed
     )
     mask = policy_mask & conditional_mask(dataset.labels, tree)
-    return _run_training(
+    return _train_one(
         model, dataset, targets, mask, plan.optimizer,
         plan.stage1_iterations, "stage1", loss_log,
     )
@@ -146,7 +194,7 @@ def train_stage2(
     model: Mlp,
     dataset: Dataset,
     plan: TrainPlan,
-    loss_log: list[tuple[str, int, float]] | None = None,
+    loss_log: LossLog | None = None,
 ) -> Mlp:
     """Freeze all but the last layer, then retrain on the full dataset.
 
@@ -157,7 +205,7 @@ def train_stage2(
     targets, policy_mask = apply_policy(
         dataset.labels, plan.policy, plan.optimizer.seed
     )
-    return _run_training(
+    return _train_one(
         model, dataset, targets, policy_mask, plan.optimizer,
         plan.stage2_iterations, "stage2", loss_log,
     )
@@ -167,13 +215,13 @@ def train_flat(
     model: Mlp,
     dataset: Dataset,
     plan: TrainPlan,
-    loss_log: list[tuple[str, int, float]] | None = None,
+    loss_log: LossLog | None = None,
 ) -> Mlp:
     """Single-stage baseline: policy mask only, no hierarchy."""
     targets, policy_mask = apply_policy(
         dataset.labels, plan.policy, plan.optimizer.seed
     )
-    return _run_training(
+    return _train_one(
         model, dataset, targets, policy_mask, plan.optimizer,
         plan.optimizer.iterations, "flat", loss_log,
     )
@@ -185,7 +233,7 @@ class MemberResult:
 
     final: Mlp
     stage1: Mlp | None
-    loss_log: list[tuple[str, int, float]]
+    loss_log: LossLog
     seed: int
 
 
@@ -196,6 +244,48 @@ def member_seed(base_seed: int, index: int) -> int:
     )
 
 
+def train_members(
+    dataset: Dataset,
+    tree: LabelTree,
+    plan: TrainPlan,
+    hidden_sizes: Sequence[int],
+    seeds: Sequence[int],
+) -> list[MemberResult]:
+    """Train one member per seed from scratch, all in one member stack.
+
+    Member k initializes, draws its targets and shuffles under
+    ``seeds[k]`` alone (``plan.optimizer.seed`` is not used), so its
+    result is the same whichever seeds train beside it.  Each member's
+    targets are prepared once and shared by both stages.
+    """
+    layer_sizes = [dataset.features.shape[1], *hidden_sizes, tree.K]
+    stack = Mlp.stack([Mlp.init(layer_sizes, s) for s in seeds])
+    prepared = [apply_policy(dataset.labels, plan.policy, s) for s in seeds]
+    targets = np.stack([t for t, _ in prepared])
+    policy_mask = np.stack([m for _, m in prepared])
+    logs: list[LossLog] = [[] for _ in seeds]
+
+    def run(mask: np.ndarray, iterations: int, stage: str) -> None:
+        _train_stage(
+            stack, dataset.features, targets, mask, seeds, plan.optimizer,
+            iterations, stage, logs,
+        )
+
+    snapshots: list[Mlp | None] = [None] * len(seeds)
+    if plan.conditional:
+        stage1_mask = policy_mask & conditional_mask(dataset.labels, tree)
+        run(stage1_mask, plan.stage1_iterations, "stage1")
+        snapshots = [stack.member(k).copy() for k in range(len(seeds))]
+        freeze_all_but_last(stack)
+        run(policy_mask, plan.stage2_iterations, "stage2")
+    else:
+        run(policy_mask, plan.optimizer.iterations, "flat")
+    return [
+        MemberResult(stack.member(k), snapshots[k], logs[k], s)
+        for k, s in enumerate(seeds)
+    ]
+
+
 def train_member(
     dataset: Dataset,
     tree: LabelTree,
@@ -204,17 +294,7 @@ def train_member(
     seed: int,
 ) -> MemberResult:
     """Train one member from scratch under its own seed."""
-    plan = replace(plan, optimizer=replace(plan.optimizer, seed=seed))
-    layer_sizes = [dataset.features.shape[1], *hidden_sizes, tree.K]
-    model = Mlp.init(layer_sizes, seed)
-    loss_log: list[tuple[str, int, float]] = []
-    if plan.conditional:
-        model = train_stage1(model, dataset, tree, plan, loss_log)
-        stage1_snapshot = model.copy()
-        model = train_stage2(model, dataset, plan, loss_log)
-        return MemberResult(model, stage1_snapshot, loss_log, seed)
-    model = train_flat(model, dataset, plan, loss_log)
-    return MemberResult(model, None, loss_log, seed)
+    return train_members(dataset, tree, plan, hidden_sizes, [seed])[0]
 
 
 def train_ensemble(
@@ -224,24 +304,10 @@ def train_ensemble(
     hidden_sizes: Sequence[int],
     base_seed: int,
     size: int,
-    workers: int = 1,
 ) -> list[MemberResult]:
-    """Train ``size`` members with derived seeds, optionally in parallel.
-
-    Members are independent and individually deterministic, so the
-    worker count never changes results.
-    """
+    """Train ``size`` members with seeds derived from ``base_seed``."""
     seeds = [member_seed(base_seed, i) for i in range(size)]
-    if workers <= 1 or size == 1:
-        return [
-            train_member(dataset, tree, plan, hidden_sizes, s) for s in seeds
-        ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(train_member, dataset, tree, plan, hidden_sizes, s)
-            for s in seeds
-        ]
-        return [f.result() for f in futures]
+    return train_members(dataset, tree, plan, hidden_sizes, seeds)
 
 
 def predict_unconditional(
@@ -319,7 +385,20 @@ def hierarchical_ablation(
         tree=tree, theta=theta, feature_noise=feature_noise, feature_dim=feature_dim
     )
     leaf_indices = [tree.index_of(name) for name in tree.leaves]
-    flat_total = stage1_iterations + stage2_iterations
+    cond_plan = TrainPlan(
+        policy=smoothed_policy,
+        optimizer=optimizer,
+        stage1_iterations=stage1_iterations,
+        stage2_iterations=stage2_iterations,
+        conditional=True,
+    )
+    flat_plan = TrainPlan(
+        policy=hard_policy,
+        optimizer=replace(
+            optimizer, iterations=stage1_iterations + stage2_iterations
+        ),
+        conditional=False,
+    )
     cond_scores: list[float] = []
     flat_scores: list[float] = []
     for seed in seeds:
@@ -329,22 +408,10 @@ def hierarchical_ablation(
         train = inject_uncertainty(train, uncertainty_rate, seed)
         eval_binary = (held_out.labels == POS).astype(np.int64)
 
-        cond_plan = TrainPlan(
-            policy=smoothed_policy,
-            optimizer=replace(optimizer, seed=seed),
-            stage1_iterations=stage1_iterations,
-            stage2_iterations=stage2_iterations,
-            conditional=True,
-        )
         cond = train_member(train, tree, cond_plan, hidden_sizes, seed)
         cond_out = propagate(tree, cond.final.forward(held_out.features))
         cond_scores.append(_mean_leaf_auc(cond_out, eval_binary, leaf_indices))
 
-        flat_plan = TrainPlan(
-            policy=hard_policy,
-            optimizer=replace(optimizer, seed=seed, iterations=flat_total),
-            conditional=False,
-        )
         flat = train_member(train, tree, flat_plan, hidden_sizes, seed)
         flat_out = flat.final.forward(held_out.features)
         flat_scores.append(_mean_leaf_auc(flat_out, eval_binary, leaf_indices))

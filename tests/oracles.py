@@ -3,18 +3,28 @@
 Everything here recomputes results by a different method than the code
 under test: exhaustive enumeration over joint label assignments, O(n^2)
 pair counting, per-threshold confusion matrices, high-precision
-summation, central finite differences, and a standalone scalar Adam
-recurrence.
+summation, central finite differences, a standalone scalar Adam
+recurrence, and a one-model-at-a-time training loop.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from hiermlc.hierarchy import LabelTree, build_tree
-from hiermlc.model import Mlp, masked_bce
+from hiermlc import seeding
+from hiermlc.model import (
+    AdamState,
+    Mlp,
+    OptimizerConfig,
+    adam_step,
+    backward,
+    lr_schedule,
+    masked_bce,
+)
 
 
 def enumerate_marginals(tree: LabelTree, cond: np.ndarray) -> np.ndarray:
@@ -147,3 +157,40 @@ def scalar_adam(
         w -= lr * m_hat / (v_hat**0.5 + eps)
         history.append(w)
     return w, history
+
+
+def sequential_training(
+    model: Mlp,
+    features: np.ndarray,
+    targets: np.ndarray,
+    mask: np.ndarray,
+    optimizer: OptimizerConfig,
+    iterations: int,
+    seed: int,
+) -> list[tuple[int, float]]:
+    """One model, one batch at a time, through the public model API.
+
+    Runs the forward pass on its own and again inside ``backward``, and
+    hands Adam per-layer gradient lists.  Returns (epoch, mean step
+    loss) rows; the model is updated in place.
+    """
+    n = features.shape[0]
+    epoch_len = math.ceil(n / optimizer.batch_size)
+    state = AdamState.init(model)
+    rows_out: list[tuple[int, float]] = []
+    losses: list[float] = []
+    for step in range(iterations):
+        epoch, pos = divmod(step, epoch_len)
+        if pos == 0:
+            if losses:
+                rows_out.append((epoch - 1, float(np.mean(losses))))
+            losses = []
+            order = seeding.stream(seeding.PURPOSE_SHUFFLE, seed, epoch).permutation(n)
+        rows = order[pos * optimizer.batch_size : (pos + 1) * optimizer.batch_size]
+        x, t, m = features[rows], targets[rows], mask[rows]
+        losses.append(masked_bce(model.forward(x), t, m))
+        grads = backward(model, x, t, m)
+        adam_step(model, state, grads, optimizer, lr_schedule(optimizer, epoch))
+    if losses:
+        rows_out.append((epoch, float(np.mean(losses))))
+    return rows_out

@@ -14,6 +14,7 @@ from hiermlc.model import (
     OptimizerConfig,
     adam_step,
     backward,
+    forward_trace,
     freeze_all_but_last,
     load_checkpoint,
     lr_schedule,
@@ -303,6 +304,75 @@ class TestFreezing:
         assert (model.weights[1] != 0).any()  # last layer did move
 
 
+class TestMemberStack:
+    def test_stacked_matmul_slices_equal_2d(self):
+        # the engine's products: forward, weight gradient written into a
+        # strided gradient-buffer view, and the backward delta, for full
+        # and short batches; a numpy or BLAS build that breaks this breaks
+        # member independence from the ensemble size
+        rng = np.random.default_rng(0)
+        for m in (1, 2, 3, 6):
+            for b in (32, 16, 12, 1):
+                for f, h in ((16, 32), (32, 6)):
+                    x = rng.standard_normal((m, b, f))
+                    w = rng.standard_normal((m, f, h))
+                    d = rng.standard_normal((m, b, h))
+                    buf = np.zeros((m, 3 + f * h + 5))
+                    dw = buf[:, 3 : 3 + f * h].reshape(m, f, h)
+                    np.matmul(x.swapaxes(-1, -2), d, out=dw)
+                    fwd = x @ w
+                    dx = d @ w.swapaxes(-1, -2)
+                    for k in range(m):
+                        np.testing.assert_array_equal(fwd[k], x[k] @ w[k])
+                        np.testing.assert_array_equal(dw[k], x[k].T @ d[k])
+                        np.testing.assert_array_equal(dx[k], d[k] @ w[k].T)
+
+    def test_members_are_views_of_stack_rows(self):
+        models = [small_model(seed=s) for s in range(3)]
+        stack = Mlp.stack(models)
+        assert stack.params.shape == (3, models[0].params.size)
+        assert [w.shape for w in stack.weights] == [(3, 4, 5), (3, 5, 3)]
+        for k, model in enumerate(models):
+            np.testing.assert_array_equal(stack.member(k).params, model.params)
+        stack.member(1).weights[1][0, 0] += 1.0
+        assert stack.weights[1][1, 0, 0] == models[1].weights[1][0, 0] + 1.0
+        assert stack.weights[1][0, 0, 0] == models[0].weights[1][0, 0]
+
+    def test_stacked_pass_matches_each_member(self):
+        rng = np.random.default_rng(8)
+        models = [small_model(seed=s) for s in range(3)]
+        stack = Mlp.stack(models)
+        batches = [random_batch(rng, model, n=7) for model in models]
+        x, targets, mask = (np.stack(parts) for parts in zip(*batches))
+        trace = forward_trace(stack, x)
+        losses = masked_bce(trace[0], targets, mask)
+        grads = backward(stack, x, targets, mask, trace)
+        for k, (model, (xk, tk, mk)) in enumerate(zip(models, batches)):
+            np.testing.assert_array_equal(trace[0][k], model.forward(xk))
+            assert losses[k] == masked_bce(model.forward(xk), tk, mk)
+            for (dw, db), (dwk, dbk) in zip(grads, backward(model, xk, tk, mk)):
+                np.testing.assert_array_equal(dw[k], dwk)
+                np.testing.assert_array_equal(db[k], dbk)
+
+    def test_adam_flat_gradient_matches_layer_list(self):
+        rng = np.random.default_rng(2)
+        by_list = freeze_all_but_last(small_model(seed=1))
+        by_row = by_list.copy()
+        list_state, row_state = AdamState.init(by_list), AdamState.init(by_row)
+        for _ in range(4):
+            x, targets, mask = random_batch(rng, by_list)
+            grads = backward(by_list, x, targets, mask)
+            adam_step(by_list, list_state, grads, OptimizerConfig(), lr=0.05)
+            flat = np.concatenate([a.ravel() for pair in grads for a in pair])
+            adam_step(by_row, row_state, flat, OptimizerConfig(), lr=0.05)
+        np.testing.assert_array_equal(by_row.params, by_list.params)
+        np.testing.assert_array_equal(row_state.v, list_state.v)
+        with pytest.raises(NumericError, match="non-finite"):
+            adam_step(
+                by_row, row_state, np.full_like(flat, np.inf), OptimizerConfig(), 0.1
+            )
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -322,8 +392,8 @@ class TestCheckpoints:
         for a, b in zip(back.weights, model.weights):
             np.testing.assert_array_equal(a, b)
         assert back_state is not None and back_state.t == state.t
-        for (ma, _), (mb, _) in zip(back_state.m, state.m):
-            np.testing.assert_array_equal(ma, mb)
+        np.testing.assert_array_equal(back_state.m, state.m)
+        np.testing.assert_array_equal(back_state.v, state.v)
 
     def test_byte_stable(self, tmp_path):
         model = small_model(seed=2)

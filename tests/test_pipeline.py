@@ -1,15 +1,21 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hiermlc import model as model_mod
+from hiermlc import pipeline as pipeline_mod
 from hiermlc.data import (
     POS,
     SyntheticSpec,
+    conditional_mask,
     generate_synthetic,
     inject_uncertainty,
 )
 from hiermlc.evaluation import auc
 from hiermlc.hierarchy import build_tree, propagate
-from hiermlc.model import Mlp, OptimizerConfig
+from hiermlc.model import Mlp, OptimizerConfig, freeze_all_but_last
 from hiermlc.pipeline import (
     EnsembleModel,
     TrainPlan,
@@ -19,10 +25,12 @@ from hiermlc.pipeline import (
     train_ensemble,
     train_flat,
     train_member,
+    train_members,
     train_stage1,
     train_stage2,
 )
-from hiermlc.policy import make_policy
+from hiermlc.policy import apply_policy, make_policy
+from oracles import sequential_training
 
 PAIR = build_tree([("A", None, 0), ("B", "A", 1)])
 PAIR_SPEC = SyntheticSpec(
@@ -54,6 +62,18 @@ def fast_plan(**kwargs):
 
 def fresh_model(seed=0, hidden=(16,), tree=PAIR, feature_dim=8):
     return Mlp.init([feature_dim, *hidden, tree.K], seed)
+
+
+def assert_same_member(a, b):
+    assert a.seed == b.seed
+    assert a.final.frozen == b.final.frozen
+    np.testing.assert_array_equal(a.final.params, b.final.params)
+    if a.stage1 is None:
+        assert b.stage1 is None
+    else:
+        np.testing.assert_array_equal(a.stage1.params, b.stage1.params)
+    assert a.loss_log == b.loss_log
+    assert len(a.loss_log) > 0
 
 
 class TestPlanValidation:
@@ -201,15 +221,78 @@ class TestMembers:
         assert result.final.frozen == [False, False]
         assert {row[0] for row in result.loss_log} == {"flat"}
 
-    def test_worker_count_never_changes_results(self):
+    @pytest.mark.parametrize("conditional", [True, False], ids=["conditional", "flat"])
+    def test_members_independent_of_ensemble_size_and_order(self, conditional):
+        train, _ = pair_datasets(n_train=300, n_eval=1)
+        plan = fast_plan(
+            optimizer=replace(FAST_OPT, iterations=60),
+            stage1_iterations=40,
+            stage2_iterations=20,
+            conditional=conditional,
+        )
+        three = train_ensemble(train, PAIR, plan, (16,), base_seed=0, size=3)
+        five = train_ensemble(train, PAIR, plan, (16,), base_seed=0, size=5)
+        for k, result in enumerate(three):
+            assert_same_member(result, five[k])
+            alone = train_member(train, PAIR, plan, (16,), seed=member_seed(0, k))
+            assert_same_member(result, alone)
+        order = [3, 0, 4, 1, 2]
+        permuted = train_members(
+            train, PAIR, plan, (16,), [five[j].seed for j in order]
+        )
+        for result, j in zip(permuted, order):
+            assert_same_member(result, five[j])
+
+    def test_member_matches_sequential_reference(self):
         train, _ = pair_datasets(n_train=300, n_eval=1)
         plan = fast_plan(stage1_iterations=40, stage2_iterations=20)
-        serial = train_ensemble(train, PAIR, plan, (16,), base_seed=0, size=3, workers=1)
-        threaded = train_ensemble(train, PAIR, plan, (16,), base_seed=0, size=3, workers=3)
-        assert [r.seed for r in serial] == [r.seed for r in threaded]
-        for a, b in zip(serial, threaded):
-            for wa, wb in zip(a.final.weights, b.final.weights):
-                np.testing.assert_array_equal(wa, wb)
+        (result,) = train_members(train, PAIR, plan, (16,), [21])
+        targets, policy_mask = apply_policy(train.labels, plan.policy, 21)
+        model = Mlp.init([8, 16, PAIR.K], 21)
+        stage1_mask = policy_mask & conditional_mask(train.labels, PAIR)
+        rows = sequential_training(
+            model, train.features, targets, stage1_mask, plan.optimizer, 40, 21
+        )
+        np.testing.assert_array_equal(result.stage1.params, model.params)
+        freeze_all_but_last(model)
+        rows2 = sequential_training(
+            model, train.features, targets, policy_mask, plan.optimizer, 20, 21
+        )
+        np.testing.assert_array_equal(result.final.params, model.params)
+        expected = [("stage1", *r) for r in rows] + [("stage2", *r) for r in rows2]
+        assert result.loss_log == expected
+
+
+class TestFusedStep:
+    def test_one_forward_per_step_and_one_adam_step_per_member(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        trace = counted("forward_trace", model_mod.forward_trace)
+        monkeypatch.setattr(model_mod, "forward_trace", trace)
+        monkeypatch.setattr(pipeline_mod, "forward_trace", trace)
+        monkeypatch.setattr(Mlp, "forward", counted("Mlp.forward", Mlp.forward))
+        for name in ("apply_policy", "masked_bce", "backward", "adam_step"):
+            monkeypatch.setattr(
+                pipeline_mod, name, counted(name, getattr(pipeline_mod, name))
+            )
+        train, _ = pair_datasets(n_train=300, n_eval=1)
+        plan = fast_plan(stage1_iterations=40, stage2_iterations=20)
+        members = train_ensemble(train, PAIR, plan, (16,), base_seed=0, size=3)
+        steps = 40 + 20
+        assert len(members) == 3
+        assert calls["forward_trace"] == steps
+        assert calls["masked_bce"] == steps
+        assert calls["backward"] == steps
+        assert calls["Mlp.forward"] == 0
+        assert calls["adam_step"] == 3 * steps
+        assert calls["apply_policy"] == 3
 
 
 class TestPredictUnconditional:
