@@ -37,6 +37,7 @@ from .model import Mlp, load_checkpoint, save_checkpoint
 from .pipeline import (
     EnsembleModel,
     TrainPlan,
+    predict_flat,
     predict_unconditional,
     train_ensemble,
 )
@@ -233,6 +234,8 @@ def cmd_train(args) -> int:
     out = _out_dir(config)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
+    for stale in ckpt_dir.glob("member*.json"):  # from an earlier run
+        stale.unlink()
     for i, member in enumerate(members):
         meta = {"member": i, "seed": member.seed, "mode": config.mode}
         if member.stage1 is not None:
@@ -257,25 +260,43 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_ensemble(config: RunConfig) -> EnsembleModel:
+def _load_ensemble(config: RunConfig) -> tuple[EnsembleModel, str]:
+    """The config's ``ensemble_size`` final checkpoints and their training mode."""
     ckpt_dir = _out_dir(config, create=False) / "checkpoints"
-    paths = sorted(ckpt_dir.glob("member*_final.json"))
-    if not paths:
+    paths = [
+        ckpt_dir / f"member{i:02d}_final.json" for i in range(config.ensemble_size)
+    ]
+    missing = [path.name for path in paths if not path.exists()]
+    if len(missing) == len(paths):
         raise ConfigError(f"no final checkpoints under {ckpt_dir}; run train first")
+    if missing:
+        raise ConfigError(
+            f"ensemble_size is {config.ensemble_size} but {ckpt_dir} lacks "
+            f"{', '.join(missing)}; run train again"
+        )
     members: list[Mlp] = []
     for path in paths:
-        model, _, _ = load_checkpoint(path)
+        model, _, extra = load_checkpoint(path)
         members.append(model)
-    return EnsembleModel(members)
+    return EnsembleModel(members), extra.get("mode", "conditional")
+
+
+def _predict(
+    ensemble: EnsembleModel, mode: str, tree: LabelTree, features: np.ndarray
+) -> np.ndarray:
+    """Ensemble probabilities: propagated if conditional, raw if flat."""
+    if mode == "flat":
+        return predict_flat(ensemble, features)
+    return predict_unconditional(ensemble, tree, features)
 
 
 def cmd_predict(args) -> int:
-    """Write unconditional ensemble predictions for the eval rows."""
+    """Write ensemble predictions for the eval rows."""
     config = _effective_config(args)
     tree = config.load_tree()
-    ensemble = _load_ensemble(config)
+    ensemble, mode = _load_ensemble(config)
     dataset = _load_eval_dataset(config, tree)
-    probs = predict_unconditional(ensemble, tree, dataset.features)
+    probs = _predict(ensemble, mode, tree, dataset.features)
     out = _out_dir(config)
     eval_mod.write_predictions_csv(
         out / "predictions.csv", dataset.ids, probs, tree.names
@@ -321,8 +342,7 @@ def cmd_eval(args) -> int:
         cols = [names.index(n) for n in tree.names]
         probs = probs[:, cols]
     else:
-        ensemble = _load_ensemble(config)
-        probs = predict_unconditional(ensemble, tree, dataset.features)
+        probs = _predict(*_load_ensemble(config), tree, dataset.features)
 
     points = (
         eval_mod.load_operating_points(config.reader_points)

@@ -77,6 +77,8 @@ class RunConfig:
     csv_data: CsvDataConfig | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in ("conditional", "flat"):
             raise ConfigError(f"mode must be conditional or flat, got {self.mode!r}")
         if self.ensemble_size < 1:

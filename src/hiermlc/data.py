@@ -12,13 +12,14 @@ evaluation-only flows still work.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import seeding
+from . import csvio, seeding
 from .errors import DataFormatError
 from .hierarchy import LabelTree, propagate
 
@@ -29,7 +30,11 @@ UNC = np.int8(-1)
 MISSING = np.int8(-2)
 
 _CELL_TO_CODE = {1.0: POS, 0.0: NEG, -1.0: UNC}
-_CODE_TO_CELL = {int(POS): "1.0", int(NEG): "0.0", int(UNC): "-1.0", int(MISSING): ""}
+# Cell text by code + 2 (MISSING, UNC, NEG, POS).
+_CODE_TEXT = np.array(["", "-1.0", "0.0", "1.0"], dtype=object)
+# The cells this package writes, parsed without float(); any other cell
+# goes through _parse_cell.
+_CANONICAL_CELLS = {text: code - 2 for code, text in enumerate(_CODE_TEXT)}
 
 
 @dataclass(frozen=True)
@@ -145,28 +150,30 @@ def load_labels_csv(
             raise DataFormatError(
                 f"{path}: missing label column(s) {missing_cols}"
             )
-        label_pos = {name: header.index(name) for name in tree.names}
-        meta_cols = [c for c in header if c not in label_pos]
+        label_idx = [header.index(name) for name in tree.names]
+        meta_cols = [c for c in header if c not in tree.names]
         meta_idx = [header.index(c) for c in meta_cols]
 
-        rows: list[list[np.int8]] = []
+        canonical = _CANONICAL_CELLS
+        codes = array("b")  # one byte per cell, row after row
+        n_rows = 0
         meta_values: list[list[str]] = [[] for _ in meta_cols]
         for line, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataFormatError(
                     f"{path}:{line}: expected {len(header)} cells, got {len(row)}"
                 )
-            rows.append(
-                [
-                    _parse_cell(row[label_pos[name]], f"{path}:{line}")
-                    for name in tree.names
-                ]
-            )
+            cells = [row[i] for i in label_idx]
+            try:
+                codes.extend([canonical[cell] for cell in cells])
+            except KeyError:
+                codes.extend([_parse_cell(cell, f"{path}:{line}") for cell in cells])
+            n_rows += 1
             for j, idx in enumerate(meta_idx):
                 meta_values[j].append(row[idx])
-    if not rows:
+    if not n_rows:
         raise DataFormatError(f"{path}: no data rows")
-    labels = np.array(rows, dtype=np.int8)
+    labels = np.array(codes, dtype=np.int8).reshape(n_rows, tree.K)
     if missing_as_negative:
         labels[labels == MISSING] = NEG
     metadata = {c: tuple(v) for c, v in zip(meta_cols, meta_values)}
@@ -175,7 +182,7 @@ def load_labels_csv(
     elif "id" in metadata:
         ids = metadata["id"]
     else:
-        ids = tuple(f"row{i:05d}" for i in range(len(rows)))
+        ids = tuple(f"row{i:05d}" for i in range(n_rows))
     return labels, ids, metadata
 
 
@@ -187,17 +194,15 @@ def write_labels_csv(
     metadata: dict[str, tuple[str, ...]] | None = None,
 ) -> None:
     """Write a label CSV: metadata columns first, then labels in index order."""
-    path = Path(path)
     metadata = metadata or {}
     if ids is not None and "id" not in metadata and "Path" not in metadata:
         metadata = {"id": tuple(ids), **metadata}
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(metadata) + list(tree.names))
-        for i in range(labels.shape[0]):
-            row = [metadata[c][i] for c in metadata]
-            row += [_CODE_TO_CELL[int(v)] for v in labels[i]]
-            writer.writerow(row)
+    labels = np.asarray(labels)
+    if not np.isin(labels, (POS, NEG, UNC, MISSING)).all():
+        raise ValueError("label matrix contains an invalid code")
+    cells = _CODE_TEXT[labels + 2]
+    with csvio.open_with_header(path, list(metadata) + list(tree.names)) as fh:
+        csvio.write_rows(fh, list(metadata.values()), cells, ",".join)
 
 
 # Featurizer stub for label-only CSVs: a fixed 7-dim encoding of the
@@ -251,7 +256,7 @@ def load_features_csv(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
         if not header or header[0] != "id":
             raise DataFormatError(f"{path}: features file must start with an id column")
         ids = []
-        rows = []
+        values = array("d")  # row after row, without a float object per cell
         for line, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataFormatError(
@@ -259,22 +264,19 @@ def load_features_csv(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
                 )
             ids.append(row[0])
             try:
-                rows.append([float(v) for v in row[1:]])
+                values.extend(map(float, row[1:]))
             except ValueError:
                 raise DataFormatError(f"{path}:{line}: unparsable feature value") from None
-    if not rows:
+    if not ids:
         raise DataFormatError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64), tuple(ids)
+    return np.array(values).reshape(len(ids), len(header) - 1), tuple(ids)
 
 
 def write_features_csv(path: str | Path, features: np.ndarray, ids: Sequence[str]) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"f{j}" for j in range(features.shape[1])])
-        for i, row_id in enumerate(ids):
-            # repr round-trips float64 exactly, keeping files byte-stable
-            writer.writerow([row_id] + [repr(float(v)) for v in features[i]])
+    features = np.asarray(features, dtype=np.float64)
+    header = ["id"] + [f"f{j}" for j in range(features.shape[1])]
+    with csvio.open_with_header(path, header) as fh:
+        csvio.write_rows(fh, [ids], features)
 
 
 def load_dataset(features_path: str | Path, labels_path: str | Path, tree: LabelTree) -> Dataset:
@@ -384,8 +386,6 @@ def inject_uncertainty(dataset: Dataset, rate: float, seed: int) -> Dataset:
     labels = dataset.labels.copy()
     if rate > 0.0:
         n, k = labels.shape
-        for row in range(n):
-            u = seeding.row_uniforms(seeding.PURPOSE_UNC_INJECT, seed, row, k)
-            hit = (u < rate) & (labels[row] != MISSING)
-            labels[row, hit] = UNC
+        u = seeding.rows_uniforms(seeding.PURPOSE_UNC_INJECT, seed, np.arange(n), k)
+        labels[(u < rate) & (labels != MISSING)] = UNC
     return replace(dataset, labels=labels)

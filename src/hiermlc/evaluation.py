@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import csvio
 from .errors import DataFormatError
 
 # Default label subset for the summary mean: the five standard
@@ -201,12 +202,9 @@ def write_predictions_csv(
     probs: np.ndarray,
     label_names: Sequence[str],
 ) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + list(label_names))
-        for i, row_id in enumerate(ids):
-            writer.writerow([row_id] + [repr(float(p)) for p in probs[i]])
+    probs = np.asarray(probs, dtype=np.float64)
+    with csvio.open_with_header(path, ["id"] + list(label_names)) as fh:
+        csvio.write_rows(fh, [ids], probs)
 
 
 def load_predictions_csv(
@@ -261,13 +259,15 @@ def load_operating_points(path: str | Path) -> dict[str, list[OperatingPoint]]:
     return points
 
 
+def _roc_row(row: list) -> str:
+    fpr, tpr, cut = row
+    return f"{fpr!r},{tpr!r},{'' if cut != cut else repr(cut)}"  # NaN cut: blank
+
+
 def write_roc_points_csv(path: str | Path, curve: RocCurve) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for f, t, c in zip(curve.fpr, curve.tpr, curve.thresholds):
-            writer.writerow([repr(float(f)), repr(float(t)), "" if np.isnan(c) else repr(float(c))])
+    points = np.column_stack([curve.fpr, curve.tpr, curve.thresholds])
+    with csvio.open_with_header(path, ["fpr", "tpr", "threshold"]) as fh:
+        csvio.write_rows(fh, (), points, _roc_row)
 
 
 def write_report(report: EvalReport, txt_path: str | Path, csv_path: str | Path) -> None:

@@ -318,6 +318,11 @@ def predict_unconditional(
     return np.mean(outputs, axis=0)
 
 
+def predict_flat(ensemble: EnsembleModel, x: np.ndarray) -> np.ndarray:
+    """Mean over members of the raw outputs, as flat training means them."""
+    return np.mean([member.forward(x) for member in ensemble.members], axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Hierarchical ablation: conditional two-stage + smoothing + propagation
 # against the flat hard-ones baseline, averaged over seeds.

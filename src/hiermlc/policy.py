@@ -116,9 +116,10 @@ def apply_policy(
     else:
         lsr = policy.lsr
         assert lsr is not None
-        n_cols = labels.shape[1]
-        for row in np.flatnonzero(unc.any(axis=1)):
-            u = seeding.row_uniforms(seeding.PURPOSE_LSR, seed, int(row), n_cols)
-            cols = unc[row]
-            targets[row, cols] = lsr.lower + (lsr.upper - lsr.lower) * u[cols]
+        rows = np.flatnonzero(unc.any(axis=1))
+        u = seeding.rows_uniforms(seeding.PURPOSE_LSR, seed, rows, labels.shape[1])
+        row_idx, col_idx = np.nonzero(unc[rows])
+        targets[rows[row_idx], col_idx] = (
+            lsr.lower + (lsr.upper - lsr.lower) * u[row_idx, col_idx]
+        )
     return targets, mask

@@ -4,11 +4,13 @@ Everything here recomputes results by a different method than the code
 under test: exhaustive enumeration over joint label assignments, O(n^2)
 pair counting, per-threshold confusion matrices, high-precision
 summation, central finite differences, a standalone scalar Adam
-recurrence, and a one-model-at-a-time training loop.
+recurrence, a one-model-at-a-time training loop, one numpy stream per
+row for keyed draws, and one ``csv.writer.writerow`` call per CSV row.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -194,3 +196,80 @@ def sequential_training(
     if losses:
         rows_out.append((epoch, float(np.mean(losses))))
     return rows_out
+
+
+# ---------------------------------------------------------------------------
+# Keyed per-row draws, one SeedSequence/PCG64 stream per row
+
+
+def per_row_uniforms(purpose: int, seed: int, rows, n_cols: int) -> np.ndarray:
+    out = np.empty((len(rows), n_cols))
+    for i, row in enumerate(rows):
+        out[i] = seeding.stream(purpose, seed, int(row)).random(n_cols)
+    return out
+
+
+def per_row_lsr_targets(labels: np.ndarray, lower: float, upper: float, seed: int):
+    """Smoothed-policy targets for UNC cells, drawing row by row."""
+    targets = (labels == 1).astype(np.float64)
+    unc = labels == -1
+    for row in np.flatnonzero(unc.any(axis=1)):
+        u = seeding.stream(seeding.PURPOSE_LSR, seed, int(row)).random(labels.shape[1])
+        targets[row, unc[row]] = lower + (upper - lower) * u[unc[row]]
+    return targets
+
+
+def per_row_injection(labels: np.ndarray, rate: float, seed: int) -> np.ndarray:
+    labels = labels.copy()
+    u = per_row_uniforms(
+        seeding.PURPOSE_UNC_INJECT, seed, range(labels.shape[0]), labels.shape[1]
+    )
+    for row in range(labels.shape[0]):
+        labels[row, (u[row] < rate) & (labels[row] != -2)] = -1
+    return labels
+
+
+# ---------------------------------------------------------------------------
+# CSV writers, one csv.writer.writerow call per row
+
+
+def _writer(fh):
+    return csv.writer(fh, lineterminator="\n")
+
+
+def writerow_features_csv(path, features, ids) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = _writer(fh)
+        writer.writerow(["id"] + [f"f{j}" for j in range(features.shape[1])])
+        for i, row_id in enumerate(ids):
+            writer.writerow([row_id] + [repr(float(v)) for v in features[i]])
+
+
+def writerow_labels_csv(path, labels, tree, ids=None, metadata=None) -> None:
+    cell = {1: "1.0", 0: "0.0", -1: "-1.0", -2: ""}
+    metadata = metadata or {}
+    if ids is not None and "id" not in metadata and "Path" not in metadata:
+        metadata = {"id": tuple(ids), **metadata}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = _writer(fh)
+        writer.writerow(list(metadata) + list(tree.names))
+        for i in range(labels.shape[0]):
+            row = [metadata[c][i] for c in metadata]
+            writer.writerow(row + [cell[int(v)] for v in labels[i]])
+
+
+def writerow_predictions_csv(path, ids, probs, label_names) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = _writer(fh)
+        writer.writerow(["id"] + list(label_names))
+        for i, row_id in enumerate(ids):
+            writer.writerow([row_id] + [repr(float(p)) for p in probs[i]])
+
+
+def writerow_roc_points_csv(path, curve) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = _writer(fh)
+        writer.writerow(["fpr", "tpr", "threshold"])
+        for f, t, c in zip(curve.fpr, curve.tpr, curve.thresholds):
+            cut = "" if np.isnan(c) else repr(float(c))
+            writer.writerow([repr(float(f)), repr(float(t)), cut])

@@ -4,9 +4,15 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from hiermlc.cli import main
+from hiermlc.config import load_config
+from hiermlc.data import load_features_csv
+from hiermlc.evaluation import load_predictions_csv
+from hiermlc.model import load_checkpoint
+from hiermlc.pipeline import EnsembleModel, predict_unconditional
 
 CHAIN_CSV = "name,parent,index\nA,,0\nB,A,1\n"
 ROOTS_CSV = "name,parent,index\nA,,0\nB,,1\n"
@@ -73,6 +79,13 @@ class TestUsageErrors:
     def test_config_file_absent(self, workspace, capsys):
         assert main(["gen", "--config", str(workspace / "nope.json")]) == 1
         assert "not found" in capsys.readouterr().err
+
+
+    def test_negative_seed_override_exits_one(self, workspace, capsys):
+        config = write_config(workspace)
+        assert main(["gen", "--config", str(config), "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (workspace / "run").exists()
 
 
 class TestGen:
@@ -331,6 +344,53 @@ class TestDeterminismAndModes:
         report_c = (workspace / "out_c" / "report.csv").read_bytes()
         report_f = (workspace / "out_f" / "report.csv").read_bytes()
         assert report_c == report_f
+
+
+class TestEnsembleCheckpoints:
+    def test_flat_predictions_are_the_raw_ensemble_mean(self, tmp_path, configs_dir):
+        args = ["--config", str(configs_dir / "benchmark.json"), "--out", str(tmp_path)]
+        for command in ("gen", "train", "predict"):
+            assert main([command, *args, "--mode", "flat"]) == 0
+        features, _ = load_features_csv(tmp_path / "data" / "eval_features.csv")
+        members = [
+            load_checkpoint(tmp_path / "checkpoints" / f"member{i:02d}_final.json")[0]
+            for i in range(6)
+        ]
+        raw_mean = EnsembleModel(members)
+        expected = np.mean([m.forward(features) for m in raw_mean.members], axis=0)
+        _, probs, _ = load_predictions_csv(tmp_path / "predictions.csv")
+        np.testing.assert_array_equal(probs, expected)
+        tree = load_config(configs_dir / "benchmark.json").load_tree()
+        propagated = predict_unconditional(raw_mean, tree, features)
+        assert np.abs(probs - propagated).max() > 0.05
+
+    def test_retrain_smaller_ensemble_drops_stale_members(self, workspace):
+        big = write_config(workspace, name="big.json", ensemble_size=6)
+        small = write_config(workspace, name="small.json", ensemble_size=2)
+        clean = write_config(
+            workspace, name="clean.json", ensemble_size=2, out=str(workspace / "clean")
+        )
+        assert main(["gen", "--config", str(big)]) == 0
+        assert main(["train", "--config", str(big)]) == 0
+        for config in (small, clean):
+            if config is clean:
+                assert main(["gen", "--config", str(config)]) == 0
+            assert main(["train", "--config", str(config)]) == 0
+            assert main(["eval", "--config", str(config)]) == 0
+        names = sorted(p.name for p in (workspace / "run" / "checkpoints").iterdir())
+        assert names == sorted(
+            f"member{i:02d}_{stage}.json" for i in range(2) for stage in ("stage1", "final")
+        )
+        report = (workspace / "run" / "report.csv").read_bytes()
+        assert report == (workspace / "clean" / "report.csv").read_bytes()
+
+    def test_missing_member_checkpoint_exits_one(self, workspace, capsys):
+        small = write_config(workspace, name="small.json", ensemble_size=2)
+        big = write_config(workspace, name="big.json", ensemble_size=3)
+        assert main(["gen", "--config", str(small)]) == 0
+        assert main(["train", "--config", str(small)]) == 0
+        assert main(["eval", "--config", str(big)]) == 1
+        assert "lacks member02_final.json" in capsys.readouterr().err
 
 
 class TestConsoleScript:

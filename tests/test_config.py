@@ -180,6 +180,12 @@ class TestLoadConfig:
         assert config.hierarchy == "default"
         assert config.hierarchy_path() == default_hierarchy_path()
 
+    def test_negative_seed_is_a_config_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(minimal(seed=-1)))
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            load_config(path)
+
     def test_missing_hierarchy_file_reported(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(minimal(hierarchy="gone.csv")))

@@ -89,6 +89,27 @@ class TestLabelCsv:
         with pytest.raises(DataFormatError, match=match):
             load_labels_csv(path, CHAIN)
 
+    @pytest.mark.parametrize(
+        "cell,code",
+        [("1", POS), (" 1.0 ", POS), ("1.00", POS), ("0", NEG), ("-0.0", NEG),
+         ("-1", UNC), (" ", MISSING)],
+    )
+    def test_non_canonical_cells_parse(self, tmp_path, cell, code):
+        path = write(tmp_path, "l.csv", f"A,B,C\n1.0,0.0,-1.0\n1.0,{cell},\n")
+        labels, _, _ = load_labels_csv(path, CHAIN)
+        np.testing.assert_array_equal(
+            labels, [[POS, NEG, UNC], [POS, code, MISSING]]
+        )
+
+    @pytest.mark.parametrize(
+        "cell,match",
+        [("x", "unparsable label cell 'x'"), ("2.0", "label value '2.0' is not one of")],
+    )
+    def test_bad_cell_reports_its_line(self, tmp_path, cell, match):
+        path = write(tmp_path, "l.csv", f"A,B,C\n1.0,0.0,-1.0\n1.0,0.0,{cell}\n")
+        with pytest.raises(DataFormatError, match=rf"l\.csv:3: {match}"):
+            load_labels_csv(path, CHAIN)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         labels = rng.choice(
@@ -113,6 +134,23 @@ class TestFeatureCsv:
         # repr-formatted floats reload bit-exactly
         np.testing.assert_array_equal(back, features)
         assert back_ids == ids
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("id,f0\nr1,0.5\nr2,x\n", r"f\.csv:3: unparsable feature value"),
+            ("id,f0,f1\nr1,1.0\n", "expected 3 cells"),
+            ("id,f0\n", "no data rows"),
+        ],
+    )
+    def test_malformed_rejected(self, tmp_path, text, match):
+        with pytest.raises(DataFormatError, match=match):
+            load_features_csv(write(tmp_path, "f.csv", text))
+
+    def test_no_feature_columns(self, tmp_path):
+        write_features_csv(tmp_path / "f.csv", np.zeros((2, 0)), ("a", "b"))
+        back, ids = load_features_csv(tmp_path / "f.csv")
+        assert back.shape == (2, 0) and ids == ("a", "b")
 
     def test_id_column_required(self, tmp_path):
         path = write(tmp_path, "f.csv", "f0,f1\n1.0,2.0\n")
