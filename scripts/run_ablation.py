@@ -13,7 +13,6 @@ import json
 from pathlib import Path
 
 from hiermlc.config import load_config, synthetic_spec_theta
-from hiermlc.model import OptimizerConfig
 from hiermlc.pipeline import hierarchical_ablation
 from hiermlc.policy import make_policy
 
@@ -39,12 +38,6 @@ def main() -> int:
     tree = config.load_tree()
     syn = config.synthetic
     theta = synthetic_spec_theta(syn, tree)
-    optimizer = OptimizerConfig(
-        **{
-            **config.optimizer.__dict__,
-            "iterations": config.stage1_iterations + config.stage2_iterations,
-        }
-    )
     seeds = list(range(args.first_seed, args.first_seed + args.seeds))
 
     result = hierarchical_ablation(
@@ -56,7 +49,7 @@ def main() -> int:
         uncertainty_rate=syn.uncertainty_rate,
         smoothed_policy=make_policy("ones-lsr", config.lsr_ones, config.lsr_zeros),
         hard_policy=make_policy("ones"),
-        optimizer=optimizer,
+        optimizer=config.optimizer,
         stage1_iterations=config.stage1_iterations,
         stage2_iterations=config.stage2_iterations,
         hidden_sizes=config.hidden_sizes,

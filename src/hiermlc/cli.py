@@ -169,55 +169,38 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_train_dataset(config: RunConfig, tree: LabelTree) -> Dataset:
+def _load_split(config: RunConfig, tree: LabelTree, split: str) -> Dataset:
+    """The "train" or "eval" dataset: gen's CSVs, else regenerated
+    synthetic data, else the config's CSV files."""
     if config.synthetic is not None:
         data_dir = _data_dir(config)
-        if (data_dir / "train_labels.csv").exists():
+        labels_path = data_dir / f"{split}_labels.csv"
+        if labels_path.exists():
             return data_mod.load_dataset(
-                data_dir / "train_features.csv", data_dir / "train_labels.csv", tree
+                data_dir / f"{split}_features.csv", labels_path, tree
             )
-        train, _ = _generate_split(config, tree)
-        return train
+        train, held_out = _generate_split(config, tree)
+        return train if split == "train" else held_out
     csv_cfg = config.csv_data
     assert csv_cfg is not None
-    if not Path(csv_cfg.train_labels).exists():
-        raise ConfigError(f"training labels file not found: {csv_cfg.train_labels}")
-    if csv_cfg.train_features is not None:
-        return data_mod.load_dataset(csv_cfg.train_features, csv_cfg.train_labels, tree)
-    return data_mod.load_csv(
-        csv_cfg.train_labels, tree, config.missing_as_negative
-    )
-
-
-def _load_eval_dataset(config: RunConfig, tree: LabelTree) -> Dataset:
-    if config.synthetic is not None:
-        data_dir = _data_dir(config)
-        if (data_dir / "eval_labels.csv").exists():
-            return data_mod.load_dataset(
-                data_dir / "eval_features.csv", data_dir / "eval_labels.csv", tree
-            )
-        _, held_out = _generate_split(config, tree)
-        return held_out
-    csv_cfg = config.csv_data
-    assert csv_cfg is not None
-    if not Path(csv_cfg.eval_labels).exists():
-        raise ConfigError(f"eval labels file not found: {csv_cfg.eval_labels}")
-    if csv_cfg.eval_features is not None:
-        return data_mod.load_dataset(csv_cfg.eval_features, csv_cfg.eval_labels, tree)
-    return data_mod.load_csv(csv_cfg.eval_labels, tree, config.missing_as_negative)
+    labels = getattr(csv_cfg, f"{split}_labels")
+    features = getattr(csv_cfg, f"{split}_features")
+    if not Path(labels).exists():
+        what = "training" if split == "train" else "eval"
+        raise ConfigError(f"{what} labels file not found: {labels}")
+    if features is not None:
+        return data_mod.load_dataset(features, labels, tree)
+    return data_mod.load_csv(labels, tree, config.missing_as_negative)
 
 
 def cmd_train(args) -> int:
     """Train the ensemble (two-stage conditional or flat) and write checkpoints."""
     config = _effective_config(args)
     tree = config.load_tree()  # validate inputs before any writes
-    dataset = _load_train_dataset(config, tree)
+    dataset = _load_split(config, tree, "train")
     plan = TrainPlan(
         policy=config.policy(),
-        optimizer=replace(
-            config.optimizer,
-            iterations=config.stage1_iterations + config.stage2_iterations,
-        ),
+        optimizer=config.optimizer,
         stage1_iterations=config.stage1_iterations,
         stage2_iterations=config.stage2_iterations,
         conditional=config.mode == "conditional",
@@ -260,8 +243,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_ensemble(config: RunConfig) -> tuple[EnsembleModel, str]:
-    """The config's ``ensemble_size`` final checkpoints and their training mode."""
+def _load_ensemble(config: RunConfig) -> EnsembleModel:
+    """The config's ``ensemble_size`` final checkpoints, trained in its mode."""
     ckpt_dir = _out_dir(config, create=False) / "checkpoints"
     paths = [
         ckpt_dir / f"member{i:02d}_final.json" for i in range(config.ensemble_size)
@@ -276,9 +259,15 @@ def _load_ensemble(config: RunConfig) -> tuple[EnsembleModel, str]:
         )
     members: list[Mlp] = []
     for path in paths:
-        model, _, extra = load_checkpoint(path)
+        model, extra = load_checkpoint(path)
+        mode = extra.get("mode", "conditional")
+        if mode != config.mode:
+            raise ConfigError(
+                f"{path.name} was trained in {mode} mode but the config says "
+                f"{config.mode}; pass --mode {mode}"
+            )
         members.append(model)
-    return EnsembleModel(members), extra.get("mode", "conditional")
+    return EnsembleModel(members)
 
 
 def _predict(
@@ -294,9 +283,9 @@ def cmd_predict(args) -> int:
     """Write ensemble predictions for the eval rows."""
     config = _effective_config(args)
     tree = config.load_tree()
-    ensemble, mode = _load_ensemble(config)
-    dataset = _load_eval_dataset(config, tree)
-    probs = _predict(ensemble, mode, tree, dataset.features)
+    ensemble = _load_ensemble(config)
+    dataset = _load_split(config, tree, "eval")
+    probs = _predict(ensemble, config.mode, tree, dataset.features)
     out = _out_dir(config)
     eval_mod.write_predictions_csv(
         out / "predictions.csv", dataset.ids, probs, tree.names
@@ -325,7 +314,7 @@ def cmd_eval(args) -> int:
     """ROC/AUC report with optional reader operating-point comparison."""
     config = _effective_config(args)
     tree = config.load_tree()
-    dataset = _load_eval_dataset(config, tree)
+    dataset = _load_split(config, tree, "eval")
     truth = _binary_ground_truth(dataset, tree)
 
     if getattr(args, "predictions", None):
@@ -342,7 +331,7 @@ def cmd_eval(args) -> int:
         cols = [names.index(n) for n in tree.names]
         probs = probs[:, cols]
     else:
-        probs = _predict(*_load_ensemble(config), tree, dataset.features)
+        probs = _predict(_load_ensemble(config), config.mode, tree, dataset.features)
 
     points = (
         eval_mod.load_operating_points(config.reader_points)
@@ -361,8 +350,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(config)
     eval_mod.write_predictions_csv(out / "predictions.csv", dataset.ids, probs, tree.names)
     eval_mod.write_report(report, out / "report.txt", out / "report.csv")
-    for name in tree.names:
-        curve = eval_mod.roc_curve(scores_by_label[name], truth_by_label[name])
+    for name, curve in report.curves.items():
         eval_mod.write_roc_points_csv(out / f"roc_{_safe_name(name)}.csv", curve)
     snapshot_config(config, out)
     print(

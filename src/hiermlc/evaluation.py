@@ -64,13 +64,14 @@ class OperatingPoint:
 
 @dataclass
 class EvalReport:
-    """Per-label AUCs plus the subset mean and reader comparison counts."""
+    """Per-label AUCs and ROC curves, the subset mean and reader counts."""
 
     per_label_auc: dict[str, float]
     mean_auc_selected: float
     subset: tuple[str, ...]
     readers_below: dict[str, int]
     mean_readers_below: float
+    curves: dict[str, RocCurve] = field(default_factory=dict)
 
 
 def _binary_counts(
@@ -171,10 +172,11 @@ def reader_study(
         raise ValueError("scores and ground-truth label sets disagree")
     per_label_auc: dict[str, float] = {}
     below: dict[str, int] = {}
+    curves: dict[str, RocCurve] = {}
     for name in names:
-        curve = roc_curve(scores_by_label[name], labels_by_label[name])
+        curves[name] = roc_curve(scores_by_label[name], labels_by_label[name])
         per_label_auc[name] = auc(scores_by_label[name], labels_by_label[name])
-        below[name] = readers_below(curve, points_by_label.get(name, ()))
+        below[name] = readers_below(curves[name], points_by_label.get(name, ()))
     if subset is None:
         subset = (
             DEFAULT_AUC_SUBSET
@@ -187,6 +189,7 @@ def reader_study(
         subset=tuple(subset),
         readers_below=below,
         mean_readers_below=float(np.mean([below[name] for name in names])),
+        curves=curves,
     )
 
 

@@ -36,8 +36,10 @@ class OptimizerConfig:
 
     Defaults follow the usual Adam choices: beta1 0.9, beta2 0.999, base
     rate 1e-4 cut by 10x after each epoch, batch size 32.  ``iterations``
-    is the single-stage step budget; two-stage plans carry their own
-    per-stage counts.
+    and ``seed`` are parsed, validated and snapshotted into ``config.json``
+    but steer nothing: a flat plan runs ``stage1_iterations +
+    stage2_iterations`` steps, and every member seeds itself from the run
+    seed.
     """
 
     beta1: float = 0.9
@@ -398,30 +400,14 @@ def freeze_all_but_last(model: Mlp) -> Mlp:
 # are byte-stable and reload bit-exactly.
 
 
-def _array_to_lists(a: np.ndarray):
-    return a.tolist()
-
-
-def save_checkpoint(
-    path: str | Path,
-    model: Mlp,
-    state: AdamState | None = None,
-    extra: dict | None = None,
-) -> None:
+def save_checkpoint(path: str | Path, model: Mlp, extra: dict | None = None) -> None:
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "layer_sizes": list(model.layer_sizes),
         "frozen": list(model.frozen),
-        "weights": [_array_to_lists(w) for w in model.weights],
-        "biases": [_array_to_lists(b) for b in model.biases],
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
     }
-    if state is not None:
-        payload["adam"] = {"t": state.t}
-        for key, flat in (("m", state.m), ("v", state.v)):
-            payload["adam"][key] = [
-                [_array_to_lists(w), _array_to_lists(b)]
-                for w, b in layer_views(flat, model.layer_sizes)
-            ]
     if extra:
         payload["extra"] = extra
     tmp = Path(str(path) + ".tmp")
@@ -432,7 +418,7 @@ def save_checkpoint(
     tmp.replace(path)
 
 
-def load_checkpoint(path: str | Path) -> tuple[Mlp, AdamState | None, dict]:
+def load_checkpoint(path: str | Path) -> tuple[Mlp, dict]:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -445,11 +431,4 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, AdamState | None, dict]:
         )
     weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
     biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
-    model = Mlp(weights, biases, payload["frozen"])
-    state = None
-    if "adam" in payload:
-        adam = payload["adam"]
-        state = AdamState(
-            m=_pack(*zip(*adam["m"])), v=_pack(*zip(*adam["v"])), t=int(adam["t"])
-        )
-    return model, state, payload.get("extra", {})
+    return Mlp(weights, biases, payload["frozen"]), payload.get("extra", {})

@@ -17,9 +17,10 @@ pass to ``masked_bce`` and ``backward``; ``adam_step`` then updates each
 member's contiguous row, skipping the frozen span.  A stacked ``@``
 gives each member exactly the bits of its own 2-D products and every
 reduction keeps its per-member order, so member k's weights and loss
-rows do not depend on the ensemble size or on member order.  Single
-models (``train_stage1``, ``train_stage2``, ``train_flat``) train as a
-one-member stack over their own parameter vector.
+rows do not depend on the ensemble size or on member order.
+``train_members`` is the only entry to it and the only code that knows
+the recipe: stage-1 mask, freeze, stage 2, or one flat stage of
+``stage1_iterations + stage2_iterations`` steps.
 """
 
 from __future__ import annotations
@@ -54,7 +55,13 @@ LossLog = list[tuple[str, int, float]]
 
 @dataclass
 class TrainPlan:
-    """What one training run does: policy, optimizer, stage budgets."""
+    """What one training run does: policy, optimizer, stage budgets.
+
+    A conditional plan runs ``stage1_iterations`` masked steps, then
+    ``stage2_iterations`` steps of the last layer alone; a flat plan runs
+    one stage of ``stage1_iterations + stage2_iterations`` steps, so both
+    modes get the same update budget.
+    """
 
     policy: UncertaintyPolicy
     optimizer: OptimizerConfig
@@ -153,80 +160,6 @@ def _train_stage(
     flush()
 
 
-def _train_one(
-    model: Mlp,
-    dataset: Dataset,
-    targets: np.ndarray,
-    mask: np.ndarray,
-    optimizer: OptimizerConfig,
-    iterations: int,
-    stage: str,
-    loss_log: LossLog | None,
-) -> Mlp:
-    """One model through the engine, as a one-member stack over its params."""
-    stack = Mlp.from_params(model.params[None], model.layer_sizes, model.frozen)
-    _train_stage(
-        stack, dataset.features, targets[None], mask[None], [optimizer.seed],
-        optimizer, iterations, stage, [[] if loss_log is None else loss_log],
-    )
-    return model
-
-
-def train_stage1(
-    model: Mlp,
-    dataset: Dataset,
-    tree: LabelTree,
-    plan: TrainPlan,
-    loss_log: LossLog | None = None,
-) -> Mlp:
-    """Conditional pretraining: policy mask AND all-ancestors-positive mask."""
-    targets, policy_mask = apply_policy(
-        dataset.labels, plan.policy, plan.optimizer.seed
-    )
-    mask = policy_mask & conditional_mask(dataset.labels, tree)
-    return _train_one(
-        model, dataset, targets, mask, plan.optimizer,
-        plan.stage1_iterations, "stage1", loss_log,
-    )
-
-
-def train_stage2(
-    model: Mlp,
-    dataset: Dataset,
-    plan: TrainPlan,
-    loss_log: LossLog | None = None,
-) -> Mlp:
-    """Freeze all but the last layer, then retrain on the full dataset.
-
-    Optimizer moments and the learning-rate schedule start fresh; hidden
-    layers are bit-identical before and after.
-    """
-    freeze_all_but_last(model)
-    targets, policy_mask = apply_policy(
-        dataset.labels, plan.policy, plan.optimizer.seed
-    )
-    return _train_one(
-        model, dataset, targets, policy_mask, plan.optimizer,
-        plan.stage2_iterations, "stage2", loss_log,
-    )
-
-
-def train_flat(
-    model: Mlp,
-    dataset: Dataset,
-    plan: TrainPlan,
-    loss_log: LossLog | None = None,
-) -> Mlp:
-    """Single-stage baseline: policy mask only, no hierarchy."""
-    targets, policy_mask = apply_policy(
-        dataset.labels, plan.policy, plan.optimizer.seed
-    )
-    return _train_one(
-        model, dataset, targets, policy_mask, plan.optimizer,
-        plan.optimizer.iterations, "flat", loss_log,
-    )
-
-
 @dataclass
 class MemberResult:
     """One trained ensemble member plus its stage-1 snapshot and loss rows."""
@@ -254,9 +187,9 @@ def train_members(
     """Train one member per seed from scratch, all in one member stack.
 
     Member k initializes, draws its targets and shuffles under
-    ``seeds[k]`` alone (``plan.optimizer.seed`` is not used), so its
-    result is the same whichever seeds train beside it.  Each member's
-    targets are prepared once and shared by both stages.
+    ``seeds[k]`` alone, so its result is the same whichever seeds train
+    beside it.  Each member's targets are prepared once and shared by
+    both stages.
     """
     layer_sizes = [dataset.features.shape[1], *hidden_sizes, tree.K]
     stack = Mlp.stack([Mlp.init(layer_sizes, s) for s in seeds])
@@ -279,7 +212,7 @@ def train_members(
         freeze_all_but_last(stack)
         run(policy_mask, plan.stage2_iterations, "stage2")
     else:
-        run(policy_mask, plan.optimizer.iterations, "flat")
+        run(policy_mask, plan.stage1_iterations + plan.stage2_iterations, "flat")
     return [
         MemberResult(stack.member(k), snapshots[k], logs[k], s)
         for k, s in enumerate(seeds)
@@ -397,13 +330,7 @@ def hierarchical_ablation(
         stage2_iterations=stage2_iterations,
         conditional=True,
     )
-    flat_plan = TrainPlan(
-        policy=hard_policy,
-        optimizer=replace(
-            optimizer, iterations=stage1_iterations + stage2_iterations
-        ),
-        conditional=False,
-    )
+    flat_plan = replace(cond_plan, policy=hard_policy, conditional=False)
     cond_scores: list[float] = []
     flat_scores: list[float] = []
     for seed in seeds:

@@ -8,7 +8,6 @@ to get one pass/fail line per criterion.
 import hashlib
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,8 +167,8 @@ def test_criterion_05_stage2_freezes_hidden_layers(configs_dir, tmp_path):
         stage1_path = final_path.with_name(
             final_path.name.replace("_final", "_stage1")
         )
-        final, _, _ = load_checkpoint(final_path)
-        stage1, _, _ = load_checkpoint(stage1_path)
+        final, _ = load_checkpoint(final_path)
+        stage1, _ = load_checkpoint(stage1_path)
         for i in range(final.n_layers - 1):
             np.testing.assert_array_equal(final.weights[i], stage1.weights[i])
             np.testing.assert_array_equal(final.biases[i], stage1.biases[i])
@@ -200,10 +199,7 @@ def test_criterion_06_chain_marginal_recovery(configs_dir):
     train = inject_uncertainty(train, syn.uncertainty_rate, config.seed)
     plan = TrainPlan(
         policy=config.policy(),
-        optimizer=replace(
-            config.optimizer,
-            iterations=config.stage1_iterations + config.stage2_iterations,
-        ),
+        optimizer=config.optimizer,
         stage1_iterations=config.stage1_iterations,
         stage2_iterations=config.stage2_iterations,
     )
@@ -245,10 +241,7 @@ def test_criterion_07_hierarchy_ablation_direction(configs_dir):
         uncertainty_rate=syn.uncertainty_rate,
         smoothed_policy=make_policy("ones-lsr", config.lsr_ones, config.lsr_zeros),
         hard_policy=make_policy("ones"),
-        optimizer=replace(
-            config.optimizer,
-            iterations=config.stage1_iterations + config.stage2_iterations,
-        ),
+        optimizer=config.optimizer,
         stage1_iterations=config.stage1_iterations,
         stage2_iterations=config.stage2_iterations,
         hidden_sizes=config.hidden_sizes,

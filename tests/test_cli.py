@@ -7,6 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from hiermlc import evaluation as eval_mod
 from hiermlc.cli import main
 from hiermlc.config import load_config
 from hiermlc.data import load_features_csv
@@ -218,6 +219,26 @@ class TestEvalAndPredict:
         assert {r[0] for r in rows[1:]} >= {"A", "B"}
         assert "mean_auc_selected=" in capsys.readouterr().out
 
+    def test_eval_sweeps_each_label_once_for_its_curve(self, workspace, monkeypatch):
+        config = write_config(workspace)
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        curves = []
+        roc_curve = eval_mod.roc_curve
+
+        def recorded(scores, labels):
+            curves.append(roc_curve(scores, labels))
+            return curves[-1]
+
+        monkeypatch.setattr(eval_mod, "roc_curve", recorded)
+        assert main(["eval", "--config", str(config)]) == 0
+        assert len(curves) == 2  # labels A and B
+        for name, curve in zip("AB", curves):
+            written = workspace / "run" / f"roc_{name}.csv"
+            with written.open() as fh:
+                fpr = [float(row["fpr"]) for row in csv.DictReader(fh)]
+            np.testing.assert_array_equal(fpr, curve.fpr)
+
     def test_predict_writes_predictions_only(self, workspace):
         config = write_config(workspace)
         assert main(["gen", "--config", str(config)]) == 0
@@ -383,6 +404,20 @@ class TestEnsembleCheckpoints:
         )
         report = (workspace / "run" / "report.csv").read_bytes()
         assert report == (workspace / "clean" / "report.csv").read_bytes()
+
+    def test_mode_mismatch_exits_one(self, workspace, capsys):
+        config = write_config(workspace)
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--mode", "flat"]) == 0
+        snapshot = (workspace / "run" / "config.json").read_bytes()
+        assert json.loads(snapshot)["mode"] == "flat"
+        for command in ("eval", "predict"):
+            assert main([command, "--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert "flat" in err and "conditional" in err and "--mode flat" in err
+        assert (workspace / "run" / "config.json").read_bytes() == snapshot
+        assert not (workspace / "run" / "predictions.csv").exists()
+        assert main(["eval", "--config", str(config), "--mode", "flat"]) == 0
 
     def test_missing_member_checkpoint_exits_one(self, workspace, capsys):
         small = write_config(workspace, name="small.json", ensemble_size=2)

@@ -264,6 +264,18 @@ class TestReaderStudy:
         with pytest.raises(ValueError, match="disagree"):
             reader_study({"x": s}, {"y": y})
 
+    def test_keeps_each_label_curve(self):
+        rng = np.random.default_rng(5)
+        scores = {"x": rng.random(40).round(1), "q": STAIR_SCORES}
+        labels = {"x": rng.integers(0, 2, 40), "q": STAIR_LABELS}
+        report = reader_study(scores, labels)
+        assert list(report.curves) == ["x", "q"]
+        for name, curve in report.curves.items():
+            expected = roc_curve(scores[name], labels[name])
+            np.testing.assert_array_equal(curve.fpr, expected.fpr)
+            np.testing.assert_array_equal(curve.tpr, expected.tpr)
+            np.testing.assert_array_equal(curve.thresholds, expected.thresholds)
+
 
 class TestOperatingPoint:
     def test_unit_square_enforced(self):

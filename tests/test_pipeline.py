@@ -23,11 +23,8 @@ from hiermlc.pipeline import (
     member_seed,
     predict_unconditional,
     train_ensemble,
-    train_flat,
     train_member,
     train_members,
-    train_stage1,
-    train_stage2,
 )
 from hiermlc.policy import apply_policy, make_policy
 from oracles import sequential_training
@@ -90,12 +87,18 @@ class TestPlanValidation:
             EnsembleModel([fresh_model(), Mlp.init([8, 3], 0)])
 
 
+def stage1_model(dataset, plan):
+    """Stage-1 weights of a conditional member, without a stage-2 budget."""
+    plan = replace(plan, stage2_iterations=0)
+    return train_member(dataset, PAIR, plan, (16,), seed=0).stage1
+
+
 class TestStage1:
     def test_learns_conditional_rate(self):
         # B's head sees only parent-positive rows, so its sigmoid output
         # should approach theta_B|A on held-out parent-positive rows
         train, hold = pair_datasets()
-        model = train_stage1(fresh_model(), train, PAIR, fast_plan())
+        model = stage1_model(train, fast_plan())
         a_pos = hold.labels[:, 0] == POS
         assert a_pos.sum() > 300
         b_given_a = model.forward(hold.features[a_pos])[:, 1].mean()
@@ -107,22 +110,21 @@ class TestStage1:
         a_neg = corrupted.labels[:, 0] != POS
         corrupted.labels[a_neg, 1] = POS  # only masked-out cells change
         plan = fast_plan(stage1_iterations=300)
-        out_clean = train_stage1(fresh_model(), train, PAIR, plan)
-        out_corrupt = train_stage1(fresh_model(), corrupted, PAIR, plan)
-        for a, b in zip(out_clean.weights, out_corrupt.weights):
-            np.testing.assert_array_equal(a, b)
+        out_clean = stage1_model(train, plan)
+        out_corrupt = stage1_model(corrupted, plan)
+        np.testing.assert_array_equal(out_clean.params, out_corrupt.params)
 
     def test_empty_signal_rejected(self):
         train, _ = pair_datasets(n_train=50, n_eval=1)
         empty = train.take(np.arange(train.n))
         empty.labels[:] = -2  # everything missing
-        with pytest.raises(ValueError, match="empty effective training signal"):
-            train_stage1(fresh_model(), empty, PAIR, fast_plan())
+        with pytest.raises(ValueError, match="stage1: empty effective training signal"):
+            stage1_model(empty, fast_plan())
 
     def test_loss_log_rows(self):
         train, _ = pair_datasets(n_train=200, n_eval=1)
-        log = []
-        train_stage1(fresh_model(), train, PAIR, fast_plan(stage1_iterations=20), log)
+        plan = fast_plan(stage1_iterations=20, stage2_iterations=0)
+        log = train_member(train, PAIR, plan, (16,), seed=0).loss_log
         stages, epochs, losses = zip(*log)
         assert set(stages) == {"stage1"}
         assert list(epochs) == sorted(epochs)
@@ -131,11 +133,10 @@ class TestStage1:
 
 class TestStage2:
     def test_hidden_layers_bit_identical(self):
-        train, hold = pair_datasets()
-        plan = fast_plan()
-        model = train_stage1(fresh_model(), train, PAIR, plan)
-        before = model.copy()
-        after = train_stage2(model, train, plan)
+        train, _ = pair_datasets()
+        result = train_member(train, PAIR, fast_plan(), (16,), seed=0)
+        before, after = result.stage1, result.final
+        assert before.frozen == [False, False]
         assert after.frozen == [True, False]
         np.testing.assert_array_equal(after.weights[0], before.weights[0])
         np.testing.assert_array_equal(after.biases[0], before.biases[0])
@@ -144,21 +145,16 @@ class TestStage2:
     def test_zero_iterations_only_freezes(self):
         train, _ = pair_datasets(n_train=300, n_eval=1)
         plan = fast_plan(stage1_iterations=50, stage2_iterations=0)
-        model = train_stage1(fresh_model(), train, PAIR, plan)
-        before = model.copy()
-        after = train_stage2(model, train, plan)
-        assert after.frozen == [True, False]
-        for a, b in zip(after.weights, before.weights):
-            np.testing.assert_array_equal(a, b)
+        result = train_member(train, PAIR, plan, (16,), seed=0)
+        assert result.final.frozen == [True, False]
+        np.testing.assert_array_equal(result.final.params, result.stage1.params)
 
     def test_root_auc_survives_stage2(self):
         train, hold = pair_datasets()
-        plan = fast_plan()
-        model = train_stage1(fresh_model(), train, PAIR, plan)
+        result = train_member(train, PAIR, fast_plan(), (16,), seed=0)
         truth = (hold.labels[:, 0] == POS).astype(int)
-        auc_before = auc(model.forward(hold.features)[:, 0], truth)
-        train_stage2(model, train, plan)
-        auc_after = auc(model.forward(hold.features)[:, 0], truth)
+        auc_before = auc(result.stage1.forward(hold.features)[:, 0], truth)
+        auc_after = auc(result.final.forward(hold.features)[:, 0], truth)
         assert auc_before > 0.9
         assert auc_after >= auc_before - 0.02
 
@@ -172,18 +168,36 @@ class TestFlatEquivalence:
             tree=roots, theta=np.array([0.5, 0.4]), feature_noise=0.5, feature_dim=8
         )
         data, _ = generate_synthetic(spec, 500, 3)
-        opt = OptimizerConfig(
-            lr0=0.01, decay_factor=0.5, batch_size=32, iterations=120, seed=0
-        )
-        plan = TrainPlan(
-            policy=make_policy("ones"), optimizer=opt, stage1_iterations=120
-        )
-        staged = train_stage1(fresh_model(tree=roots), data, roots, plan)
-        flat = train_flat(fresh_model(tree=roots), data, plan)
-        for a, b in zip(staged.weights, flat.weights):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(staged.biases, flat.biases):
-            np.testing.assert_array_equal(a, b)
+        plan = fast_plan(stage1_iterations=120, stage2_iterations=0)
+        staged = train_member(data, roots, plan, (16,), seed=0)
+        flat = train_member(data, roots, replace(plan, conditional=False), (16,), 0)
+        np.testing.assert_array_equal(staged.stage1.params, flat.final.params)
+        np.testing.assert_array_equal(staged.final.params, flat.final.params)
+        assert [row[1:] for row in staged.loss_log] == [row[1:] for row in flat.loss_log]
+
+    def test_flat_budget_is_the_stage_sum(self, monkeypatch):
+        # optimizer.iterations is not a step budget: a flat plan takes
+        # stage1_iterations + stage2_iterations Adam steps per member
+        calls = Counter()
+        adam_step = pipeline_mod.adam_step
+
+        def counted(*args, **kwargs):
+            calls["adam_step"] += 1
+            return adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "adam_step", counted)
+        train, _ = pair_datasets(n_train=300, n_eval=1)
+        for iterations in (7, 500):
+            calls.clear()
+            plan = fast_plan(
+                optimizer=replace(FAST_OPT, iterations=iterations),
+                stage1_iterations=25,
+                stage2_iterations=15,
+                conditional=False,
+            )
+            members = train_ensemble(train, PAIR, plan, (16,), base_seed=0, size=2)
+            assert len(members) == 2
+            assert calls["adam_step"] == 2 * (25 + 15)
 
 
 class TestMembers:
@@ -208,14 +222,7 @@ class TestMembers:
 
     def test_flat_member_has_no_snapshot(self):
         train, _ = pair_datasets(n_train=300, n_eval=1)
-        plan = fast_plan(conditional=False)
-        plan = TrainPlan(
-            policy=plan.policy,
-            optimizer=OptimizerConfig(
-                lr0=0.01, decay_factor=0.5, batch_size=32, iterations=60, seed=0
-            ),
-            conditional=False,
-        )
+        plan = fast_plan(stage1_iterations=40, stage2_iterations=20, conditional=False)
         result = train_member(train, PAIR, plan, (16,), seed=5)
         assert result.stage1 is None
         assert result.final.frozen == [False, False]
@@ -225,7 +232,6 @@ class TestMembers:
     def test_members_independent_of_ensemble_size_and_order(self, conditional):
         train, _ = pair_datasets(n_train=300, n_eval=1)
         plan = fast_plan(
-            optimizer=replace(FAST_OPT, iterations=60),
             stage1_iterations=40,
             stage2_iterations=20,
             conditional=conditional,

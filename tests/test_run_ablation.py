@@ -1,0 +1,51 @@
+import importlib.util
+import json
+import sys
+
+from hiermlc.config import load_config, synthetic_spec_theta
+from hiermlc.pipeline import hierarchical_ablation
+from hiermlc.policy import make_policy
+
+
+def load_script(repo_root):
+    path = repo_root / "scripts" / "run_ablation.py"
+    spec = importlib.util.spec_from_file_location("run_ablation", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_script_matches_direct_ablation(tmp_path, monkeypatch, configs_dir):
+    config_path = configs_dir / "benchmark.json"
+    out = tmp_path / "abl.json"
+    monkeypatch.setattr(
+        sys, "argv",
+        ["run_ablation.py", "--config", str(config_path), "--seeds", "1", "--out", str(out)],
+    )
+    assert load_script(configs_dir.parent).main() == 0
+    payload = json.loads(out.read_text())
+
+    config = load_config(config_path)
+    tree = config.load_tree()
+    syn = config.synthetic
+    direct = hierarchical_ablation(
+        tree,
+        synthetic_spec_theta(syn, tree),
+        [0],
+        n_train=syn.n_train,
+        n_eval=syn.n_eval,
+        uncertainty_rate=syn.uncertainty_rate,
+        smoothed_policy=make_policy("ones-lsr", config.lsr_ones, config.lsr_zeros),
+        hard_policy=make_policy("ones"),
+        optimizer=config.optimizer,
+        stage1_iterations=config.stage1_iterations,
+        stage2_iterations=config.stage2_iterations,
+        hidden_sizes=config.hidden_sizes,
+        feature_dim=syn.feature_dim,
+        feature_noise=syn.feature_noise,
+    )
+    assert payload["seeds"] == [0]
+    assert payload["leaf_names"] == list(direct.leaf_names)
+    assert payload["conditional_by_seed"] == direct.conditional_by_seed
+    assert payload["flat_by_seed"] == direct.flat_by_seed
+    assert payload["delta"] == direct.delta
