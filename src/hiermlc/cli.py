@@ -13,7 +13,6 @@ failure during training.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -30,6 +29,7 @@ from .config import (
     snapshot_config,
     synthetic_spec_theta,
 )
+from .csvio import column_indices, write_table
 from .data import Dataset, SyntheticSpec, generate_synthetic, inject_uncertainty
 from .errors import ConfigError, DataFormatError, NumericError
 from .hierarchy import LabelTree, propagate
@@ -79,15 +79,8 @@ def _build_parser() -> _Parser:
 
 def _effective_config(args) -> RunConfig:
     config = load_config(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.mode is not None:
-        updates["mode"] = args.mode
-    if args.policy is not None:
-        updates["policy_name"] = args.policy
+    flags = dict(seed=args.seed, out=args.out, mode=args.mode, policy_name=args.policy)
+    updates = {field: value for field, value in flags.items() if value is not None}
     return replace(config, **updates) if updates else config
 
 
@@ -232,12 +225,13 @@ def cmd_train(args) -> int:
             member.final,
             extra={**meta, "stage": "final"},
         )
-    with (out / "loss_log.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["member", "stage", "epoch", "mean_loss"])
-        for i, member in enumerate(members):
-            for stage, epoch, loss in member.loss_log:
-                writer.writerow([i, stage, epoch, repr(loss)])
+    losses = [
+        [i, stage, epoch, repr(loss)]
+        for i, member in enumerate(members)
+        for stage, epoch, loss in member.loss_log
+    ]
+    header = ["member", "stage", "epoch", "mean_loss"]
+    write_table(out / "loss_log.csv", header, losses)
     snapshot_config(config, out)
     print(f"trained {len(members)} member(s); checkpoints in {ckpt_dir}")
     return EXIT_OK
@@ -319,16 +313,9 @@ def cmd_eval(args) -> int:
 
     if getattr(args, "predictions", None):
         ids, probs, names = eval_mod.load_predictions_csv(args.predictions)
-        missing = [n for n in tree.names if n not in names]
-        if missing:
-            raise DataFormatError(
-                f"predictions file lacks label column(s) {missing}"
-            )
+        cols = column_indices(args.predictions, names, tree.names, "label")
         if ids != dataset.ids:
-            raise DataFormatError(
-                "predictions row ids do not match the eval dataset"
-            )
-        cols = [names.index(n) for n in tree.names]
+            raise DataFormatError("predictions row ids do not match the eval dataset")
         probs = probs[:, cols]
     else:
         probs = _predict(_load_ensemble(config), config.mode, tree, dataset.features)

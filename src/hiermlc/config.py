@@ -1,5 +1,11 @@
 """Run configuration: one JSON file drives gen, train, predict, and eval.
 
+The dataclasses below are the schema: one recursive builder reads their
+annotations, rejects unknown keys and type-checks each value, naming the
+JSON path (``data.synthetic.n_train``) in its ``ConfigError``.  Only the
+renames are written out: ``policy`` fills ``policy_name``/``lsr_ones``/
+``lsr_zeros``, and ``data`` fills ``synthetic`` or ``csv_data``.
+
 The effective config (file plus any CLI overrides) is snapshotted into
 the output directory as canonical JSON.  The output directory itself is
 deliberately left out of the snapshot so identical runs into different
@@ -9,7 +15,10 @@ directories produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +34,13 @@ from .policy import (
 )
 
 
+def _at_least(config, bounds: dict, prefix: str = "") -> None:
+    for key, least in bounds.items():
+        value = getattr(config, key)
+        if value < least:
+            raise ConfigError(f"{prefix}{key} must be >= {least}, got {value}")
+
+
 @dataclass
 class SyntheticDataConfig:
     """Spec for generated data: per-node theta plus feature geometry."""
@@ -35,6 +51,15 @@ class SyntheticDataConfig:
     n_train: int = 2000
     n_eval: int = 2000
     uncertainty_rate: float = 0.0
+
+    def __post_init__(self):
+        bounds = dict(n_train=1, n_eval=1, feature_dim=1, feature_noise=0)
+        _at_least(self, bounds, prefix="data.synthetic.")
+        if not 0.0 <= self.uncertainty_rate <= 1.0:
+            raise ConfigError("data.synthetic.uncertainty_rate must lie in [0, 1]")
+        for name, value in self.theta.items():
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"theta for node {name!r} is {value}, outside [0, 1]")
 
 
 @dataclass
@@ -77,14 +102,12 @@ class RunConfig:
     csv_data: CsvDataConfig | None = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _at_least(self, dict(seed=0, stage1_iterations=0, stage2_iterations=0))
+        _at_least(self, dict(ensemble_size=1, workers=1))
         if self.mode not in ("conditional", "flat"):
             raise ConfigError(f"mode must be conditional or flat, got {self.mode!r}")
-        if self.ensemble_size < 1:
-            raise ConfigError("ensemble_size must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if self.eval_subset == ():
+            raise ConfigError("eval_subset must name at least one label")
         if self.synthetic is None and self.csv_data is None:
             raise ConfigError("config needs a data section (synthetic or csv)")
 
@@ -106,88 +129,79 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _take(raw: dict, allowed: set[str], where: str) -> None:
-    unknown = set(raw) - allowed
+# JSON ``policy`` key -> RunConfig field
+_POLICY = {"name": "policy_name", "lsr_ones": "lsr_ones", "lsr_zeros": "lsr_zeros"}
+# RunConfig fields that are not JSON keys: ``policy`` and ``data`` fill them.
+_RENAMED = {*_POLICY.values(), "synthetic", "csv_data"}
+_KIND = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+@cache
+def _hints(cls) -> dict[str, object]:
+    return typing.get_type_hints(cls)
+
+
+def _check_keys(keys, allowed, where: str) -> None:
+    unknown = set(keys) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {sorted(unknown)}")
 
 
-def _parse_optimizer(raw: dict) -> OptimizerConfig:
-    _take(raw, {f for f in OptimizerConfig.__dataclass_fields__}, "optimizer")
+def _value(tp, value, path: str):
+    """``value`` checked against the annotation ``tp``; arrays become tuples."""
+    if tp in _KIND:
+        if tp is float and type(value) is int:
+            return float(value)
+        if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):
+            raise ConfigError(f"{path} must be {_KIND[tp]}, got {value!r}")
+        return value
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _value(args[0], value, path)
+    if is_dataclass(tp) or origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a JSON object, got {value!r}")
+        if origin is dict:
+            return {k: _value(args[1], v, f"{path}.{k}") for k, v in value.items()}
+        return _build(tp, {k: (f"{path}.{k}", v) for k, v in value.items()}, path)
+    # tuple[X, ...] or tuple[X, Y]
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a JSON array, got {value!r}")
+    if args[-1] is Ellipsis:
+        args = args[:1] * len(value)
+    elif len(value) != len(args):
+        raise ConfigError(f"{path} must hold {len(args)} values, got {len(value)}")
+    items = enumerate(zip(args, value))
+    return tuple(_value(t, v, f"{path}[{i}]") for i, (t, v) in items)
+
+
+def _build(cls, items: dict[str, tuple[str, object]], where: str):
+    """``cls`` from field name -> (JSON path, JSON value) items."""
+    hints = _hints(cls)
+    _check_keys(items, hints, where)
+    kwargs = {name: _value(hints[name], v, path) for name, (path, v) in items.items()}
     try:
-        return OptimizerConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimizer config: {exc}") from exc
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:  # a missing key, or a value out of range
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    raw = dict(raw)
-    _take(
-        raw,
-        {
-            "seed", "out", "hierarchy", "mode", "policy", "optimizer",
-            "stage1_iterations", "stage2_iterations", "hidden_sizes",
-            "ensemble_size", "workers", "eval_subset", "reader_points",
-            "missing_as_negative", "data",
-        },
-        "config",
-    )
-    if "seed" not in raw:
-        raise ConfigError("config must set a seed")
-    kwargs: dict = {
-        "seed": int(raw["seed"]),
-        "out": str(raw.get("out", "run")),
-    }
-    for key in (
-        "hierarchy", "mode", "stage1_iterations", "stage2_iterations",
-        "ensemble_size", "workers", "reader_points", "missing_as_negative",
-    ):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "hidden_sizes" in raw:
-        kwargs["hidden_sizes"] = tuple(int(h) for h in raw["hidden_sizes"])
-    if "eval_subset" in raw and raw["eval_subset"] is not None:
-        kwargs["eval_subset"] = tuple(raw["eval_subset"])
-
-    pol = raw.get("policy", {})
-    if isinstance(pol, str):
-        pol = {"name": pol}
-    _take(pol, {"name", "lsr_ones", "lsr_zeros"}, "policy")
-    kwargs["policy_name"] = pol.get("name", "ones")
-    if "lsr_ones" in pol:
-        kwargs["lsr_ones"] = tuple(float(v) for v in pol["lsr_ones"])
-    if "lsr_zeros" in pol:
-        kwargs["lsr_zeros"] = tuple(float(v) for v in pol["lsr_zeros"])
-
-    if "optimizer" in raw:
-        kwargs["optimizer"] = _parse_optimizer(dict(raw["optimizer"]))
-
+    _check_keys(raw, _hints(RunConfig).keys() - _RENAMED | {"policy", "data"}, "config")
+    items = {"out": ("out", "run")}
+    items.update((k, (k, v)) for k, v in raw.items() if k not in ("policy", "data"))
+    policy = raw.get("policy", {})
+    if not isinstance(policy, dict):  # a bare policy name
+        policy = {"name": policy}
+    _check_keys(policy, _POLICY, "policy")
+    items.update((_POLICY[k], (f"policy.{k}", v)) for k, v in policy.items())
     data = raw.get("data")
-    if not isinstance(data, dict):
-        raise ConfigError("config needs a data section (synthetic or csv)")
-    if "synthetic" in data:
-        _take(data, {"synthetic"}, "data")
-        syn = dict(data["synthetic"])
-        _take(
-            syn,
-            {f for f in SyntheticDataConfig.__dataclass_fields__},
-            "data.synthetic",
-        )
-        if "theta" not in syn:
-            raise ConfigError("data.synthetic must map node names to theta values")
-        syn["theta"] = {str(k): float(v) for k, v in syn["theta"].items()}
-        try:
-            kwargs["synthetic"] = SyntheticDataConfig(**syn)
-        except TypeError as exc:
-            raise ConfigError(f"bad synthetic data config: {exc}") from exc
-    else:
-        _take(data, {f for f in CsvDataConfig.__dataclass_fields__}, "data")
-        try:
-            kwargs["csv_data"] = CsvDataConfig(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad csv data config: {exc}") from exc
-
-    return RunConfig(**kwargs)
+    if isinstance(data, dict) and "synthetic" in data:
+        _check_keys(data, {"synthetic"}, "data")
+        items["synthetic"] = ("data.synthetic", data["synthetic"])
+    elif data is not None:
+        items["csv_data"] = ("data", data)
+    return _build(RunConfig, items, "config")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -208,34 +222,20 @@ def load_config(path: str | Path) -> RunConfig:
     return config
 
 
+def _json_object(pairs) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
+
+
 def config_to_dict(config: RunConfig) -> dict:
     """Effective config as a plain dict, without the output directory."""
-    out: dict = {
-        "seed": config.seed,
-        "hierarchy": config.hierarchy,
-        "mode": config.mode,
-        "policy": {
-            "name": config.policy_name,
-            "lsr_ones": list(config.lsr_ones),
-            "lsr_zeros": list(config.lsr_zeros),
-        },
-        "optimizer": asdict(config.optimizer),
-        "stage1_iterations": config.stage1_iterations,
-        "stage2_iterations": config.stage2_iterations,
-        "hidden_sizes": list(config.hidden_sizes),
-        "ensemble_size": config.ensemble_size,
-        "workers": config.workers,
-        "eval_subset": list(config.eval_subset) if config.eval_subset else None,
-        "reader_points": config.reader_points,
-        "missing_as_negative": config.missing_as_negative,
-    }
-    if config.synthetic is not None:
-        out["data"] = {"synthetic": asdict(config.synthetic)}
+    out = asdict(config, dict_factory=_json_object)
+    del out["out"]
+    out["policy"] = {key: out.pop(name) for key, name in _POLICY.items()}
+    synthetic, csv_data = out.pop("synthetic"), out.pop("csv_data")
+    if synthetic is not None:
+        out["data"] = {"synthetic": synthetic}
     else:
-        assert config.csv_data is not None
-        out["data"] = {
-            k: v for k, v in asdict(config.csv_data).items() if v is not None
-        }
+        out["data"] = {k: v for k, v in csv_data.items() if v is not None}
     return out
 
 
@@ -253,11 +253,4 @@ def synthetic_spec_theta(config: SyntheticDataConfig, tree: LabelTree) -> np.nda
     unknown = [n for n in config.theta if n not in tree.names]
     if unknown:
         raise ConfigError(f"data.synthetic.theta names unknown node(s): {unknown}")
-    theta = np.array([config.theta[n] for n in tree.names], dtype=np.float64)
-    bad = np.flatnonzero((theta < 0.0) | (theta > 1.0))
-    if bad.size:
-        name = tree.names[int(bad[0])]
-        raise ConfigError(
-            f"theta for node {name!r} is {theta[int(bad[0])]}, outside [0, 1]"
-        )
-    return theta
+    return np.array([config.theta[n] for n in tree.names], dtype=np.float64)

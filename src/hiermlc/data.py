@@ -11,7 +11,6 @@ evaluation-only flows still work.
 
 from __future__ import annotations
 
-import csv
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import csvio, seeding
+from . import seeding
+from .csvio import column_indices, read_id_matrix, reader, write_rows
 from .errors import DataFormatError
 from .hierarchy import LabelTree, propagate
 
@@ -138,19 +138,8 @@ def load_labels_csv(
     present, else are positional.  ``missing_as_negative`` maps blank
     cells to NEG at load time instead of MISSING.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        missing_cols = [name for name in tree.names if name not in header]
-        if missing_cols:
-            raise DataFormatError(
-                f"{path}: missing label column(s) {missing_cols}"
-            )
-        label_idx = [header.index(name) for name in tree.names]
+    with reader(path) as (header, rows):
+        label_idx = column_indices(path, header, tree.names, "label")
         meta_cols = [c for c in header if c not in tree.names]
         meta_idx = [header.index(c) for c in meta_cols]
 
@@ -158,11 +147,7 @@ def load_labels_csv(
         codes = array("b")  # one byte per cell, row after row
         n_rows = 0
         meta_values: list[list[str]] = [[] for _ in meta_cols]
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{line}: expected {len(header)} cells, got {len(row)}"
-                )
+        for line, row in rows:
             cells = [row[i] for i in label_idx]
             try:
                 codes.extend([canonical[cell] for cell in cells])
@@ -201,8 +186,8 @@ def write_labels_csv(
     if not np.isin(labels, (POS, NEG, UNC, MISSING)).all():
         raise ValueError("label matrix contains an invalid code")
     cells = _CODE_TEXT[labels + 2]
-    with csvio.open_with_header(path, list(metadata) + list(tree.names)) as fh:
-        csvio.write_rows(fh, list(metadata.values()), cells, ",".join)
+    header = list(metadata) + list(tree.names)
+    write_rows(path, header, list(metadata.values()), cells, ",".join)
 
 
 # Featurizer stub for label-only CSVs: a fixed 7-dim encoding of the
@@ -246,37 +231,14 @@ def load_csv(
 
 
 def load_features_csv(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if not header or header[0] != "id":
-            raise DataFormatError(f"{path}: features file must start with an id column")
-        ids = []
-        values = array("d")  # row after row, without a float object per cell
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{line}: expected {len(header)} cells, got {len(row)}"
-                )
-            ids.append(row[0])
-            try:
-                values.extend(map(float, row[1:]))
-            except ValueError:
-                raise DataFormatError(f"{path}:{line}: unparsable feature value") from None
-    if not ids:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.array(values).reshape(len(ids), len(header) - 1), tuple(ids)
+    _, ids, features = read_id_matrix(path, "feature")
+    return features, ids
 
 
 def write_features_csv(path: str | Path, features: np.ndarray, ids: Sequence[str]) -> None:
     features = np.asarray(features, dtype=np.float64)
     header = ["id"] + [f"f{j}" for j in range(features.shape[1])]
-    with csvio.open_with_header(path, header) as fh:
-        csvio.write_rows(fh, [ids], features)
+    write_rows(path, header, [ids], features)
 
 
 def load_dataset(features_path: str | Path, labels_path: str | Path, tree: LabelTree) -> Dataset:

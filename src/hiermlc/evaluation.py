@@ -9,14 +9,13 @@ interpolated curve; ties sit on the curve and do not count.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import csvio
+from .csvio import column_indices, read_id_matrix, reader, write_rows, write_table
 from .errors import DataFormatError
 
 # Default label subset for the summary mean: the five standard
@@ -37,6 +36,9 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
     thresholds: np.ndarray  # score cut for each interior point, NaN at anchors
+    # Integer (tp, fp) counts behind each point, when swept from scores.
+    tp: np.ndarray | None = None
+    fp: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.fpr) < 0) or np.any(np.diff(self.tpr) < 0):
@@ -76,8 +78,8 @@ class EvalReport:
 
 def _binary_counts(
     scores: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Cumulative (tp, fp) after each tie group of descending scores."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cumulative (tp, fp) from (0, 0) over descending tie groups, and their scores."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -98,33 +100,34 @@ def _binary_counts(
     y = labels[order] == 1
     # last position of each tie group
     group_end = np.flatnonzero(np.append(s[1:] != s[:-1], True))
-    tp = np.cumsum(y)[group_end]
-    fp = np.cumsum(~y)[group_end]
-    return tp, fp, s[group_end], n_pos, n_neg
+    tp = np.concatenate(([0], np.cumsum(y)[group_end]))
+    fp = np.concatenate(([0], np.cumsum(~y)[group_end]))
+    return tp, fp, s[group_end]
 
 
-def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
-    """Sweep all distinct score thresholds, grouping ties."""
-    tp, fp, cuts, n_pos, n_neg = _binary_counts(scores, labels)
-    fpr = np.concatenate(([0.0], fp / n_neg))
-    tpr = np.concatenate(([0.0], tp / n_pos))
-    thresholds = np.concatenate(([np.nan], cuts))
-    return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
-
-
-def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Trapezoidal area under the ROC curve.
+def _count_auc(tp: np.ndarray, fp: np.ndarray) -> float:
+    """Trapezoidal area under counts running from (0, 0) to (n_neg, n_pos).
 
     Accumulated as twice the area in integer count space, then divided by
     2 * n_pos * n_neg, which makes the result equal to the pairwise
     statistic P(pos ranked above neg) + P(tie)/2 exactly.
     """
-    tp, fp, _, n_pos, n_neg = _binary_counts(scores, labels)
-    tp_prev = np.concatenate(([0], tp[:-1]))
-    fp_prev = np.concatenate(([0], fp[:-1]))
     # Python ints: exact
-    twice_area = int(np.sum((fp - fp_prev) * (tp + tp_prev), dtype=np.int64))
-    return twice_area / (2 * n_pos * n_neg)
+    twice_area = int(np.sum(np.diff(fp) * (tp[1:] + tp[:-1]), dtype=np.int64))
+    return twice_area / (2 * int(tp[-1]) * int(fp[-1]))
+
+
+def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
+    """Sweep all distinct score thresholds, grouping ties."""
+    tp, fp, cuts = _binary_counts(scores, labels)
+    thresholds = np.concatenate(([np.nan], cuts))
+    return RocCurve(fp / fp[-1], tp / tp[-1], thresholds, tp, fp)
+
+
+def auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Trapezoidal area under the ROC curve, exact (see ``_count_auc``)."""
+    tp, fp, _ = _binary_counts(scores, labels)
+    return _count_auc(tp, fp)
 
 
 def mean_auc(
@@ -174,9 +177,9 @@ def reader_study(
     below: dict[str, int] = {}
     curves: dict[str, RocCurve] = {}
     for name in names:
-        curves[name] = roc_curve(scores_by_label[name], labels_by_label[name])
-        per_label_auc[name] = auc(scores_by_label[name], labels_by_label[name])
-        below[name] = readers_below(curves[name], points_by_label.get(name, ()))
+        curve = curves[name] = roc_curve(scores_by_label[name], labels_by_label[name])
+        per_label_auc[name] = _count_auc(curve.tp, curve.fp)  # from the same sweep
+        below[name] = readers_below(curve, points_by_label.get(name, ()))
     if subset is None:
         subset = (
             DEFAULT_AUC_SUBSET
@@ -206,59 +209,32 @@ def write_predictions_csv(
     label_names: Sequence[str],
 ) -> None:
     probs = np.asarray(probs, dtype=np.float64)
-    with csvio.open_with_header(path, ["id"] + list(label_names)) as fh:
-        csvio.write_rows(fh, [ids], probs)
+    write_rows(path, ["id"] + list(label_names), [ids], probs)
 
 
 def load_predictions_csv(
     path: str | Path,
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
     """Returns (ids, probability matrix, label names)."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if not header or header[0] != "id":
-            raise DataFormatError(f"{path}: predictions file must start with an id column")
-        names = tuple(header[1:])
-        ids, rows = [], []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{line}: expected {len(header)} cells, got {len(row)}"
-                )
-            ids.append(row[0])
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise DataFormatError(f"{path}:{line}: unparsable probability") from None
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return tuple(ids), np.array(rows, dtype=np.float64), names
+    names, ids, probs = read_id_matrix(path, "prediction")
+    return ids, probs, names
 
 
 def load_operating_points(path: str | Path) -> dict[str, list[OperatingPoint]]:
     """Reader-points CSV: columns label, reader, fpr, tpr."""
-    path = Path(path)
     points: dict[str, list[OperatingPoint]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"label", "reader", "fpr", "tpr"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataFormatError(
-                f"{path}: reader-points file needs columns label,reader,fpr,tpr"
-            )
-        for line, row in enumerate(reader, start=2):
+    with reader(path) as (header, rows):
+        i_label, i_reader, i_fpr, i_tpr = column_indices(
+            path, header, ("label", "reader", "fpr", "tpr"), "reader-points"
+        )
+        for line, row in rows:
             try:
                 point = OperatingPoint(
-                    fpr=float(row["fpr"]), tpr=float(row["tpr"]), reader=row["reader"]
+                    fpr=float(row[i_fpr]), tpr=float(row[i_tpr]), reader=row[i_reader]
                 )
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{line}: {exc}") from exc
-            points.setdefault(row["label"], []).append(point)
+            points.setdefault(row[i_label], []).append(point)
     return points
 
 
@@ -269,8 +245,7 @@ def _roc_row(row: list) -> str:
 
 def write_roc_points_csv(path: str | Path, curve: RocCurve) -> None:
     points = np.column_stack([curve.fpr, curve.tpr, curve.thresholds])
-    with csvio.open_with_header(path, ["fpr", "tpr", "threshold"]) as fh:
-        csvio.write_rows(fh, (), points, _roc_row)
+    write_rows(path, ["fpr", "tpr", "threshold"], (), points, _roc_row)
 
 
 def write_report(report: EvalReport, txt_path: str | Path, csv_path: str | Path) -> None:
@@ -286,12 +261,10 @@ def write_report(report: EvalReport, txt_path: str | Path, csv_path: str | Path)
     lines.append(f"mean_readers_below: {report.mean_readers_below:.6f}")
     Path(txt_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    with Path(csv_path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "auc", "readers_below"])
-        for name in report.per_label_auc:
-            writer.writerow(
-                [name, repr(report.per_label_auc[name]), report.readers_below[name]]
-            )
-        writer.writerow(["mean_auc_selected", repr(report.mean_auc_selected), ""])
-        writer.writerow(["mean_readers_below", repr(report.mean_readers_below), ""])
+    rows = [
+        [name, repr(report.per_label_auc[name]), report.readers_below[name]]
+        for name in report.per_label_auc
+    ]
+    rows.append(["mean_auc_selected", repr(report.mean_auc_selected), ""])
+    rows.append(["mean_readers_below", repr(report.mean_readers_below), ""])
+    write_table(csv_path, ["label", "auc", "readers_below"], rows)

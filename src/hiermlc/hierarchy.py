@@ -9,13 +9,13 @@ per node of an arbitrary forest.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .csvio import column_indices, reader, write_table
 from .errors import DataFormatError
 
 
@@ -161,25 +161,19 @@ def propagate(tree: LabelTree, cond: np.ndarray) -> np.ndarray:
 
 def load_tree(path: str | Path) -> LabelTree:
     """Read a hierarchy spec file (CSV: name, parent, index)."""
-    path = Path(path)
     records: list[tuple[str, str | None, int]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"name", "parent", "index"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataFormatError(
-                f"{path}: hierarchy file needs columns name,parent,index, "
-                f"got {reader.fieldnames}"
-            )
-        for line, row in enumerate(reader, start=2):
-            name = row["name"].strip()
-            parent = row["parent"].strip() or None
+    with reader(path) as (header, rows):
+        i_name, i_parent, i_index = column_indices(
+            path, header, ("name", "parent", "index"), "hierarchy"
+        )
+        for line, row in rows:
+            name = row[i_name].strip()
+            parent = row[i_parent].strip() or None
             try:
-                index = int(row["index"])
+                index = int(row[i_index])
             except ValueError:
-                raise DataFormatError(
-                    f"{path}:{line}: index {row['index']!r} is not an integer"
-                ) from None
+                msg = f"{path}:{line}: index {row[i_index]!r} is not an integer"
+                raise DataFormatError(msg) from None
             if not name:
                 raise DataFormatError(f"{path}:{line}: empty label name")
             records.append((name, parent, index))
@@ -192,12 +186,8 @@ def load_tree(path: str | Path) -> LabelTree:
 
 
 def save_tree(tree: LabelTree, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "parent", "index"])
-        for node in tree.nodes:
-            writer.writerow([node.name, node.parent or "", node.index])
+    rows = [[node.name, node.parent or "", node.index] for node in tree.nodes]
+    write_table(path, ["name", "parent", "index"], rows)
 
 
 def default_hierarchy_path() -> Path:

@@ -56,6 +56,8 @@ class OptimizerConfig:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if self.lr0 <= 0.0:
             raise ValueError("lr0 must be positive")
+        if self.decay_factor <= 0.0:
+            raise ValueError("decay_factor must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.iterations < 0:
@@ -424,11 +426,16 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, dict]:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not a valid checkpoint: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: not a valid checkpoint: not a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataFormatError(
             f"{path}: unsupported checkpoint format version {version!r}"
         )
+    missing = [key for key in ("weights", "biases", "frozen") if key not in payload]
+    if missing:
+        raise DataFormatError(f"{path}: checkpoint lacks key(s) {missing}")
     weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
     biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
     return Mlp(weights, biases, payload["frozen"]), payload.get("extra", {})

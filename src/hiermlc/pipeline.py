@@ -138,6 +138,9 @@ def _train_stage(
             flush()
             epoch = e
             lr = lr_schedule(optimizer, e)
+            if lr == 0.0:
+                msg = f"{stage}: learning rate underflowed to 0 at epoch {e}"
+                raise NumericError(msg)
             # keyed by epoch only: a flat run and a staged run over the
             # same data walk identical batch sequences
             for k, seed in enumerate(seeds):

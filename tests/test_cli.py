@@ -441,3 +441,85 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert (workspace / "run" / "data" / "train_labels.csv").exists()
+
+
+def set_synthetic(**values):
+    return lambda raw: raw["data"]["synthetic"].update(values)
+
+
+def set_optimizer(**values):
+    return lambda raw: raw["optimizer"].update(values)
+
+
+class TestMalformedInput:
+    """Each malformed input reaches its exit code with a message naming
+    the key or the file and line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, mutate, message",
+        [
+            ("train", lambda raw: raw.update(ensemble_size="3"), "ensemble_size must be an integer"),
+            ("train", lambda raw: raw.update(stage1_iterations=2.5), "stage1_iterations must be an integer"),
+            ("train", lambda raw: raw.update(hidden_sizes="32"), "hidden_sizes must be a JSON array"),
+            ("train", lambda raw: raw.update(seed="x"), "seed must be an integer"),
+            ("train", lambda raw: raw.update(seed=1.0), "seed must be an integer"),
+            ("train", lambda raw: raw.update(missing_as_negative=1), "missing_as_negative must be"),
+            ("train", lambda raw: raw.update(stage1_iterations=-3), "stage1_iterations"),
+            ("train", lambda raw: raw.update(stage2_iterations=-1), "stage2_iterations"),
+            ("gen", set_synthetic(theta={"A": "0.6", "B": 0.7}), "data.synthetic.theta.A must be a number"),
+            ("gen", set_synthetic(n_train=0), "data.synthetic.n_train must be >= 1"),
+            ("gen", set_synthetic(n_eval=0), "data.synthetic.n_eval must be >= 1"),
+            ("gen", set_synthetic(feature_dim=0), "data.synthetic.feature_dim must be >= 1"),
+            ("gen", set_synthetic(feature_noise=-1.0), "data.synthetic.feature_noise must be >= 0"),
+            ("gen", set_synthetic(uncertainty_rate=1.5), "data.synthetic.uncertainty_rate"),
+            ("train", set_optimizer(decay_factor=0.0), "decay_factor must be positive"),
+        ],
+    )
+    def test_bad_config_exits_one(self, workspace, capsys, command, mutate, message):
+        config = write_config(workspace)
+        raw = json.loads(config.read_text())
+        mutate(raw)
+        config.write_text(json.dumps(raw))
+        assert main([command, "--config", str(config)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (workspace / "run").exists()
+
+    def test_learning_rate_underflow_exits_three(self, workspace, capsys):
+        # 200 rows in batches of 100: epoch 2 starts at step 4 with lr 1e-602
+        config = write_config(workspace, ensemble_size=1)
+        raw = json.loads(config.read_text())
+        raw["optimizer"].update(decay_factor=1e-300, batch_size=100)
+        config.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(config)]) == 3
+        assert "stage1: learning rate underflowed to 0 at epoch 2" in capsys.readouterr().err
+
+    def test_hierarchy_row_with_one_cell_exits_two(self, workspace, capsys):
+        config = write_config(workspace, hierarchy="name,parent,index\nA,,0\nb\n")
+        assert main(["gen", "--config", str(config)]) == 2
+        assert "h.csv:3: expected 3 cells, got 1" in capsys.readouterr().err
+
+    def test_reader_points_row_with_three_cells_exits_two(self, workspace, capsys):
+        config = write_config(workspace)
+        readers = workspace / "readers.csv"
+        readers.write_text("label,reader,fpr,tpr\nA,r1,0.1\n")
+        raw = json.loads(config.read_text())
+        raw["reader_points"] = str(readers)
+        config.write_text(json.dumps(raw))
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        assert main(["eval", "--config", str(config)]) == 2
+        assert "readers.csv:2: expected 4 cells, got 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["weights", "biases", "frozen"])
+    def test_checkpoint_without_key_exits_two(self, workspace, capsys, key):
+        config = write_config(workspace, ensemble_size=1)
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        path = workspace / "run" / "checkpoints" / "member00_final.json"
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        for command in ("predict", "eval"):
+            assert main([command, "--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert "member00_final.json" in err and f"['{key}']" in err

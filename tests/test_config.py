@@ -225,3 +225,125 @@ class TestSyntheticTheta:
     def test_out_of_range_names_node(self):
         with pytest.raises(ConfigError, match="'B'.*outside"):
             synthetic_spec_theta(self.spec({"A": 0.5, "B": 1.5}), self.TREE)
+
+
+class TestTypedSchema:
+    """Every value is checked against its field's annotation."""
+
+    @pytest.mark.parametrize(
+        "raw_update, path",
+        [
+            ({"seed": 1.0}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"seed": "x"}, "seed"),
+            ({"ensemble_size": "3"}, "ensemble_size"),
+            ({"stage1_iterations": 2.5}, "stage1_iterations"),
+            ({"hidden_sizes": "32"}, "hidden_sizes"),
+            ({"hidden_sizes": [8, 1.5]}, r"hidden_sizes\[1\]"),
+            ({"eval_subset": "Edema"}, "eval_subset"),
+            ({"missing_as_negative": 1}, "missing_as_negative"),
+            ({"mode": 3}, "mode"),
+            ({"reader_points": ["r.csv"]}, "reader_points"),
+            ({"optimizer": {"lr0": "0.1"}}, "optimizer.lr0"),
+            ({"optimizer": {"batch_size": 16.0}}, "optimizer.batch_size"),
+            ({"optimizer": [0.1]}, "optimizer"),
+            ({"policy": {"lsr_ones": [0.6]}}, "policy.lsr_ones"),
+            ({"policy": {"lsr_zeros": [0.0, "0.2"]}}, r"policy.lsr_zeros\[1\]"),
+            ({"policy": {"name": 1}}, "policy.name"),
+            ({"policy": 1}, "policy.name"),
+            ({"data": {"synthetic": {"theta": {"A": "0.5"}}}}, "data.synthetic.theta.A"),
+            ({"data": {"synthetic": {"theta": [0.5]}}}, "data.synthetic.theta"),
+            ({"data": {"synthetic": "x"}}, "data.synthetic"),
+            ({"data": {"synthetic": {"theta": {}, "n_train": 1.5}}}, "data.synthetic.n_train"),
+            ({"data": {"train_labels": 1, "eval_labels": "e.csv"}}, "data.train_labels"),
+        ],
+    )
+    def test_wrong_type_names_the_path(self, raw_update, path):
+        with pytest.raises(ConfigError, match=rf"^{path} must"):
+            config_from_dict(minimal(**raw_update))
+
+    @pytest.mark.parametrize(
+        "key", ["policy_name", "lsr_ones", "lsr_zeros", "synthetic", "csv_data"]
+    )
+    def test_field_names_that_are_not_json_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match=rf"unknown config key\(s\): \['{key}'\]"):
+            config_from_dict(minimal(**{key: None}))
+
+    def test_csv_data_key_unknown(self):
+        raw = minimal(data={"train_labels": "a", "eval_labels": "b", "extra": 1})
+        with pytest.raises(ConfigError, match=r"unknown data key\(s\): \['extra'\]"):
+            config_from_dict(raw)
+
+    def test_null_allowed_only_for_optional_fields(self):
+        assert config_from_dict(minimal(eval_subset=None)).eval_subset is None
+        with pytest.raises(ConfigError, match="^hierarchy must be a string"):
+            config_from_dict(minimal(hierarchy=None))
+
+    def test_integer_in_a_float_field_becomes_a_float(self):
+        config = config_from_dict(
+            minimal(optimizer={"decay_factor": 1}, policy={"lsr_ones": [0, 1]})
+        )
+        assert type(config.optimizer.decay_factor) is float
+        assert config.lsr_ones == (0.0, 1.0) and type(config.lsr_ones[0]) is float
+
+    @pytest.mark.parametrize(
+        "raw_update, match",
+        [
+            ({"stage1_iterations": -3}, "stage1_iterations"),
+            ({"stage2_iterations": -1}, "stage2_iterations"),
+            ({"eval_subset": []}, "eval_subset"),
+            ({"optimizer": {"decay_factor": 0.0}}, "decay_factor"),
+            ({"optimizer": {"decay_factor": -0.5}}, "decay_factor"),
+            ({"data": {"synthetic": {"theta": {}, "n_train": 0}}}, "data.synthetic.n_train"),
+            ({"data": {"synthetic": {"theta": {}, "n_eval": 0}}}, "data.synthetic.n_eval"),
+            ({"data": {"synthetic": {"theta": {}, "feature_dim": 0}}}, "data.synthetic.feature_dim"),
+            ({"data": {"synthetic": {"theta": {}, "feature_noise": -0.1}}}, "data.synthetic.feature_noise"),
+            ({"data": {"synthetic": {"theta": {}, "uncertainty_rate": 1.5}}}, "data.synthetic.uncertainty_rate"),
+            ({"data": {"synthetic": {"theta": {}, "uncertainty_rate": -0.1}}}, "data.synthetic.uncertainty_rate"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, raw_update, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(minimal(**raw_update))
+
+    def test_range_edges_accepted(self):
+        raw = minimal(
+            stage1_iterations=0,
+            stage2_iterations=0,
+            data={"synthetic": {"theta": {}, "n_train": 1, "n_eval": 1, "feature_dim": 1,
+                                "feature_noise": 0.0, "uncertainty_rate": 1.0}},
+        )
+        assert config_from_dict(raw).synthetic.uncertainty_rate == 1.0
+
+
+class TestFieldRoundTrip:
+    """One round trip per float-typed and tuple-typed field."""
+
+    @pytest.mark.parametrize(
+        "raw_update, read",
+        [
+            ({"optimizer": {"beta1": 0.5}}, lambda c: c.optimizer.beta1),
+            ({"optimizer": {"beta2": 0.25}}, lambda c: c.optimizer.beta2),
+            ({"optimizer": {"lr0": 0.125}}, lambda c: c.optimizer.lr0),
+            ({"optimizer": {"epsilon": 1e-6}}, lambda c: c.optimizer.epsilon),
+            ({"optimizer": {"decay_factor": 0.3}}, lambda c: c.optimizer.decay_factor),
+            ({"data": {"synthetic": {"theta": {"A": 0.1}}}}, lambda c: c.synthetic.theta),
+            ({"data": {"synthetic": {"theta": {}, "feature_noise": 2.5}}},
+             lambda c: c.synthetic.feature_noise),
+            ({"data": {"synthetic": {"theta": {}, "uncertainty_rate": 0.4}}},
+             lambda c: c.synthetic.uncertainty_rate),
+            ({"policy": {"lsr_ones": [0.6, 0.9]}}, lambda c: c.lsr_ones),
+            ({"policy": {"lsr_zeros": [0.05, 0.2]}}, lambda c: c.lsr_zeros),
+            ({"hidden_sizes": [8, 4, 2]}, lambda c: c.hidden_sizes),
+            ({"hidden_sizes": []}, lambda c: c.hidden_sizes),
+            ({"eval_subset": ["A", "B"]}, lambda c: c.eval_subset),
+        ],
+    )
+    def test_round_trip(self, tmp_path, raw_update, read):
+        config = config_from_dict(minimal(**raw_update))
+        snapshot_config(config, tmp_path)
+        back = config_from_dict(json.loads((tmp_path / "config.json").read_text()))
+        back.out = config.out
+        assert back == config
+        assert read(back) == read(config)
+        assert type(read(back)) is type(read(config))

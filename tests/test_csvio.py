@@ -1,4 +1,7 @@
-"""The row-joined CSV writers against one-writerow-per-row references."""
+"""The CSV layer: the checked reader and every loader built on it, and
+the writers against one-writerow-per-row references."""
+
+import csv
 
 import numpy as np
 import pytest
@@ -7,14 +10,26 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hiermlc import csvio
-from hiermlc.data import MISSING, NEG, POS, UNC, write_features_csv, write_labels_csv
+from hiermlc.data import (
+    MISSING,
+    NEG,
+    POS,
+    UNC,
+    load_features_csv,
+    load_labels_csv,
+    write_features_csv,
+    write_labels_csv,
+)
+from hiermlc.errors import DataFormatError
 from hiermlc.evaluation import (
     RocCurve,
+    load_operating_points,
+    load_predictions_csv,
     roc_curve,
     write_predictions_csv,
     write_roc_points_csv,
 )
-from hiermlc.hierarchy import build_tree
+from hiermlc.hierarchy import build_tree, load_tree
 from oracles import (
     writerow_features_csv,
     writerow_labels_csv,
@@ -178,3 +193,102 @@ class TestRocPoints:
             thresholds=np.where(np.arange(n) % 3 == 0, np.nan, ODD_FLOATS),
         )
         same_bytes(tmp_path, write_roc_points_csv, writerow_roc_points_csv, curve)
+
+
+def write_text(tmp_path, text, name="t.csv"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+class TestReader:
+    def test_header_and_numbered_rows(self, tmp_path):
+        path = write_text(tmp_path, 'a,b\n1,2\n"x\ny",3\n4,5\n')
+        with csvio.reader(path) as (header, rows):
+            assert header == ["a", "b"]
+            # a quoted line break: the row's number is its last line
+            assert list(rows) == [(2, ["1", "2"]), (4, ["x\ny", "3"]), (5, ["4", "5"])]
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = write_text(tmp_path, "a,b\n\n1,2\n\n\n3,4\n\n")
+        with csvio.reader(path) as (_, rows):
+            assert list(rows) == [(3, ["1", "2"]), (6, ["3", "4"])]
+
+    @pytest.mark.parametrize("row, got", [("1", 1), ("1,2,3", 3), (",,", 3)])
+    def test_cell_count_checked(self, tmp_path, row, got):
+        path = write_text(tmp_path, f"a,b\n1,2\n\n{row}\n")
+        with pytest.raises(DataFormatError, match=rf"t\.csv:4: expected 2 cells, got {got}$"):
+            with csvio.reader(path) as (_, rows):
+                list(rows)
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(DataFormatError, match=r"t\.csv: empty file"):
+            with csvio.reader(write_text(tmp_path, "")):
+                pass
+
+    def test_csv_errors_name_the_file(self, tmp_path):
+        path = write_text(tmp_path, "a,b\n1,2\n3," + "x" * 200_000 + "\n")
+        with pytest.raises(DataFormatError, match=r"t\.csv: unreadable near line 3: field larger"):
+            with csvio.reader(path) as (_, rows):
+                list(rows)
+
+    def test_read_id_matrix(self, tmp_path):
+        path = write_text(tmp_path, "id,p,q\nr1,0.5,1e-05\n\nr2,-0.0,3\n")
+        names, ids, matrix = csvio.read_id_matrix(path, "thing")
+        assert names == ("p", "q") and ids == ("r1", "r2")
+        assert matrix.dtype == np.float64
+        np.testing.assert_array_equal(matrix, [[0.5, 1e-05], [-0.0, 3.0]])
+        with pytest.raises(DataFormatError, match=r"t\.csv:3: unparsable thing value"):
+            csvio.read_id_matrix(write_text(tmp_path, "id,p\nr1,1\nr2,\n"), "thing")
+
+
+class TestLoadersShareTheReader:
+    """Blank lines, short rows and empty files behave alike in every loader."""
+
+    LOADERS = {
+        "labels": ("id,A,B,C\n", "r1,1.0,0.0,\n", lambda p: load_labels_csv(p, CHAIN)),
+        "features": ("id,f0,f1\n", "r1,0.5,1.5\n", load_features_csv),
+        "predictions": ("id,A,B\n", "r1,0.5,0.25\n", load_predictions_csv),
+        "hierarchy": ("name,parent,index\n", "A,,0\n", lambda p: load_tree(p).nodes),
+        "readers": ("label,reader,fpr,tpr\n", "A,r1,0.1,0.5\n", load_operating_points),
+    }
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_blank_lines_skipped(self, tmp_path, kind):
+        header, row, load = self.LOADERS[kind]
+        plain = load(write_text(tmp_path, header + row, "plain.csv"))
+        blank = load(write_text(tmp_path, header + "\n" + row + "\n\n", "blank.csv"))
+        assert repr(blank) == repr(plain)
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_short_row_names_file_and_line(self, tmp_path, kind):
+        header, row, load = self.LOADERS[kind]
+        path = write_text(tmp_path, header + row + "\n" + row.split(",")[0] + "\n")
+        with pytest.raises(DataFormatError, match=r"t\.csv:4: expected \d cells, got 1"):
+            load(path)
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_invalid_utf8(self, tmp_path, kind):
+        header, row, load = self.LOADERS[kind]
+        path = tmp_path / "t.csv"
+        path.write_bytes((header + row).encode() + b"\xff\n")
+        with pytest.raises(DataFormatError, match=r"t\.csv: unreadable .*utf-8"):
+            load(path)
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_empty_file(self, tmp_path, kind):
+        with pytest.raises(DataFormatError, match="empty file"):
+            self.LOADERS[kind][2](write_text(tmp_path, ""))
+
+
+class TestWriteTable:
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        header = ["name", "note, free"]
+        rows = [[text, i] for i, text in enumerate(ODD_TEXT)] + [["", ""], [1.5, None]]
+        csvio.write_table(tmp_path / "new.csv", header, rows)
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(row)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

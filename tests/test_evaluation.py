@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermlc import evaluation as eval_mod
 from hiermlc.errors import DataFormatError
 from hiermlc.evaluation import (
     DEFAULT_AUC_SUBSET,
@@ -42,6 +43,12 @@ class TestRocCurve:
     def test_perfect_separation(self):
         curve = roc_curve(np.array([0.9, 0.8, 0.2, 0.1]), np.array([1, 1, 0, 0]))
         assert curve.points == [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
+
+    def test_keeps_integer_counts(self):
+        curve = roc_curve(STAIR_SCORES, STAIR_LABELS)
+        assert curve.tp.tolist() == [0, 1, 2, 2, 3, 3, 3]
+        assert curve.fp.tolist() == [0, 0, 0, 1, 1, 2, 3]
+        np.testing.assert_array_equal(curve.tpr, curve.tp / 3)
 
     def test_reversed_scores(self):
         curve = roc_curve(np.array([0.1, 0.9]), np.array([1, 0]))
@@ -275,6 +282,24 @@ class TestReaderStudy:
             np.testing.assert_array_equal(curve.fpr, expected.fpr)
             np.testing.assert_array_equal(curve.tpr, expected.tpr)
             np.testing.assert_array_equal(curve.thresholds, expected.thresholds)
+
+
+    def test_sweeps_each_label_once(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        scores = {n: rng.random(60).round(1) for n in "xyz"}  # tie-prone
+        labels = {n: rng.integers(0, 2, 60) for n in "xyz"}
+        expected = {n: auc(scores[n], labels[n]) for n in "xyz"}
+        sweeps = []
+        sweep = eval_mod._binary_counts
+
+        def counted(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(eval_mod, "_binary_counts", counted)
+        report = reader_study(scores, labels)
+        assert len(sweeps) == 3
+        assert report.per_label_auc == expected  # bit for bit
 
 
 class TestOperatingPoint:

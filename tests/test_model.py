@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -54,6 +55,8 @@ class TestOptimizerConfig:
             {"lr0": 0.0},
             {"batch_size": 0},
             {"iterations": -1},
+            {"decay_factor": 0.0},
+            {"decay_factor": -0.1},
         ],
     )
     def test_validation(self, kwargs):
@@ -405,6 +408,22 @@ class TestCheckpoints:
         text = path.read_text().replace('"format_version":1', '"format_version":99')
         path.write_text(text)
         with pytest.raises(DataFormatError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["weights", "biases", "frozen"])
+    def test_missing_key_named(self, tmp_path, key):
+        path = tmp_path / "m.json"
+        save_checkpoint(path, small_model())
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=rf"m\.json: checkpoint lacks key\(s\) \['{key}'\]"):
+            load_checkpoint(path)
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DataFormatError, match="not a valid checkpoint"):
             load_checkpoint(path)
 
     def test_invalid_json_rejected(self, tmp_path):

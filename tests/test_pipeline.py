@@ -13,6 +13,7 @@ from hiermlc.data import (
     generate_synthetic,
     inject_uncertainty,
 )
+from hiermlc.errors import NumericError
 from hiermlc.evaluation import auc
 from hiermlc.hierarchy import build_tree, propagate
 from hiermlc.model import Mlp, OptimizerConfig, freeze_all_but_last
@@ -120,6 +121,15 @@ class TestStage1:
         empty.labels[:] = -2  # everything missing
         with pytest.raises(ValueError, match="stage1: empty effective training signal"):
             stage1_model(empty, fast_plan())
+
+    def test_learning_rate_underflow_is_numeric(self):
+        # 64 rows in batches of 32: epoch 2 begins at step 4, with lr 1e-602
+        train, _ = pair_datasets(n_train=64, n_eval=1)
+        optimizer = replace(FAST_OPT, decay_factor=1e-300)
+        plan = fast_plan(optimizer=optimizer, stage1_iterations=4)
+        stage1_model(train, plan)  # epochs 0 and 1 only
+        with pytest.raises(NumericError, match="stage1: learning rate underflowed to 0 at epoch 2"):
+            stage1_model(train, replace(plan, stage1_iterations=5))
 
     def test_loss_log_rows(self):
         train, _ = pair_datasets(n_train=200, n_eval=1)
