@@ -308,6 +308,16 @@ def cmd_eval(args) -> int:
     """ROC/AUC report with optional reader operating-point comparison."""
     config = _effective_config(args)
     tree = config.load_tree()
+    points = (
+        eval_mod.load_operating_points(config.reader_points)
+        if config.reader_points
+        else {}
+    )
+    unknown = sorted(set(points) - set(tree.names))
+    if unknown:
+        raise DataFormatError(
+            f"{config.reader_points}: reader points for unknown label(s) {unknown}"
+        )
     dataset = _load_split(config, tree, "eval")
     truth = _binary_ground_truth(dataset, tree)
 
@@ -320,11 +330,6 @@ def cmd_eval(args) -> int:
     else:
         probs = _predict(_load_ensemble(config), config.mode, tree, dataset.features)
 
-    points = (
-        eval_mod.load_operating_points(config.reader_points)
-        if config.reader_points
-        else {}
-    )
     scores_by_label = {name: probs[:, tree.index_of(name)] for name in tree.names}
     truth_by_label = {name: truth[:, tree.index_of(name)] for name in tree.names}
     try:

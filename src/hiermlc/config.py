@@ -120,7 +120,11 @@ class RunConfig:
         path = self.hierarchy_path()
         if not path.exists():
             raise ConfigError(f"hierarchy file not found: {path}")
-        return load_tree(path)
+        tree = load_tree(path)
+        unknown = [n for n in self.eval_subset or () if n not in tree.names]
+        if unknown:
+            raise ConfigError(f"eval_subset names unknown label(s): {unknown}")
+        return tree
 
     def policy(self) -> UncertaintyPolicy:
         try:

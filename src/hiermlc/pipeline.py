@@ -8,26 +8,32 @@ layer and retrains on the full dataset to recover unconditional parent
 behaviour.  Inference multiplies conditionals down the hierarchy and
 ensembles average the propagated outputs.
 
-One engine, ``_train_stage``, runs every training step.  It trains all
-M ensemble members at once as a member stack: an ``Mlp`` whose
-parameters are one (M, P) float64 buffer, with (M, P) gradients and
-Adam moments beside it.  Each step gathers every member's own shuffled
-batch as (M, B, F), runs one stacked forward pass, and feeds that same
-pass to ``masked_bce`` and ``backward``; ``adam_step`` then updates each
-member's contiguous row, skipping the frozen span.  A stacked ``@``
-gives each member exactly the bits of its own 2-D products and every
-reduction keeps its per-member order, so member k's weights and loss
-rows do not depend on the ensemble size or on member order.
-``train_members`` is the only entry to it and the only code that knows
-the recipe: stage-1 mask, freeze, stage 2, or one flat stage of
-``stage1_iterations + stage2_iterations`` steps.
+One engine, ``_train_stack``, runs every training step over a member
+stack: an ``Mlp`` whose parameters are one (M, P) float64 buffer, with
+(M, P) gradients and Adam moments beside it.  Members may differ in
+dataset, plan and seed, and share the row count, the optimizer and the
+step budget ``stage1_iterations + stage2_iterations``, which they walk in
+lockstep.  A conditional member enters stage 2 at ``stage1_iterations``
+alone: snapshot, policy mask, frozen hidden layers, fresh Adam moments,
+epochs counted from 0 again.  Epochs, learning rates, shuffle orders and
+loss rows are per member.  Each step gathers every member's own batch as
+(M, B, F), one fancy index per dataset, runs one stacked forward pass
+for ``masked_bce`` and ``backward``, and one ``adam_step`` per member row.
+An epoch's last batch is short when the batch size does not divide N, so
+at a ragged step, where members' batch lengths differ, one pass runs per
+length: padding would change the loss divisor and the reduction lengths.
+A stacked ``@`` gives each member the bits of its own 2-D products and
+every reduction keeps its per-member order, so member k's weights and
+loss rows do not depend on which members train beside it.
+``train_members`` is the only entry to the engine and the only code that
+knows the recipe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,79 +94,146 @@ class EnsembleModel:
             raise ValueError("ensemble members disagree on output dimension")
 
 
-def _train_stage(
+class _Phase(NamedTuple):
+    """Part of one member's run: stage name, first global step, (N, K)
+    loss mask, and whether entering it snapshots and freezes the member."""
+
+    stage: str
+    start: int
+    mask: np.ndarray
+    freeze: bool = False
+
+
+def _train_stack(
     stack: Mlp,
-    features: np.ndarray,
+    features: Sequence[np.ndarray],
+    source_of: np.ndarray,
     targets: np.ndarray,
-    mask: np.ndarray,
+    phases: Sequence[Sequence[_Phase]],
     seeds: Sequence[int],
     optimizer: OptimizerConfig,
-    iterations: int,
-    stage: str,
-    loss_logs: Sequence[LossLog],
-) -> None:
+    budget: int,
+) -> tuple[list[Mlp], list[Mlp | None], list[LossLog]]:
     """Seed-deterministic mini-batch loop over a member stack, in place.
 
-    ``stack`` holds (M, P) parameters; ``targets`` and ``mask`` are
-    (M, N, K), one slice per member, and member k shuffles under
-    ``seeds[k]``.  The learning rate and shuffle order change at epoch
-    boundaries (epoch = ceil(N / batch_size) steps).  Appends (stage,
-    epoch, mean step loss) rows to each member's loss log.
+    Member k trains on ``features[source_of[k]]`` against ``targets[k]``
+    for ``budget`` steps through ``phases[k]``; its learning rate and
+    shuffle order change at its own epoch boundaries (epoch =
+    ceil(N / batch_size) steps).  Returns the members, their snapshots
+    and their (stage, epoch, mean step loss) rows.
     """
-    n_members, n = mask.shape[:2]
-    if not mask.reshape(n_members, -1).any(axis=1).all():
-        raise ValueError(
-            f"{stage}: empty effective training signal (all cells masked out)"
-        )
-    check_finite(features)
+    n_members, n = targets.shape[:2]
     batch = optimizer.batch_size
     epoch_len = math.ceil(n / batch)
     members = [stack.member(k) for k in range(n_members)]
+    snapshots: list[Mlp | None] = [None] * n_members
+    logs: list[LossLog] = [[] for _ in range(n_members)]
+    mask = np.empty(targets.shape, dtype=bool)
     grads = np.zeros_like(stack.params)
     grad_views = layer_views(grads, stack.layer_sizes)
     moments = np.zeros((2, *stack.params.shape))
     states = [AdamState(m=moments[0, k], v=moments[1, k]) for k in range(n_members)]
-    member_axis = np.arange(n_members)[:, None]
     orders = np.empty((n_members, n), dtype=np.int64)
     losses = np.empty((n_members, epoch_len))
-    lr = optimizer.lr0
-    epoch = -1
-    done = 0  # steps taken in the current epoch
+    pending = [list(p) for p in phases]
+    stage = [""] * n_members
+    start = [0] * n_members  # global step the current phase began at
+    epoch = [-1] * n_members
+    lr = [0.0] * n_members
+    pos = np.zeros(n_members, dtype=np.intp)  # steps taken in the current epoch
 
-    def flush():
-        if done:
-            for log, row in zip(loss_logs, losses):
-                log.append((stage, epoch, float(row[:done].mean())))
+    def flush(k: int) -> None:
+        if epoch[k] >= 0 and pos[k]:
+            logs[k].append((stage[k], epoch[k], float(losses[k, : pos[k]].mean())))
 
-    for step in range(iterations):
-        e, pos = divmod(step, epoch_len)
-        if e != epoch:
-            flush()
-            epoch = e
-            lr = lr_schedule(optimizer, e)
-            if lr == 0.0:
-                msg = f"{stage}: learning rate underflowed to 0 at epoch {e}"
-                raise NumericError(msg)
-            # keyed by epoch only: a flat run and a staged run over the
-            # same data walk identical batch sequences
-            for k, seed in enumerate(seeds):
-                orders[k] = seeding.stream(
-                    seeding.PURPOSE_SHUFFLE, seed, e
-                ).permutation(n)
-        rows = orders[:, pos * batch : (pos + 1) * batch]
-        x = features[rows]
-        t = targets[member_axis, rows]
-        m = mask[member_axis, rows]
-        trace = forward_trace(stack, x)
+    def enter(k: int, step: int) -> None:
+        phase = pending[k].pop(0)
+        flush(k)
+        if phase.freeze:
+            snapshots[k] = members[k].copy()
+            freeze_all_but_last(members[k])
+            # the stack's layer counts as frozen only once every member's is
+            stack.frozen = [all(f) for f in zip(*(m.frozen for m in members))]
+        if not phase.mask.any():
+            raise ValueError(
+                f"{phase.stage}: empty effective training signal (all cells masked out)"
+            )
+        mask[k] = phase.mask
+        moments[:, k] = 0.0
+        states[k].t = 0
+        stage[k], start[k], epoch[k] = phase.stage, step, -1
+
+    def run_pass(group: list[int], idx: np.ndarray, cols: np.ndarray, step: int) -> None:
+        """One stacked step of the members ``group`` (``idx`` as an (M, 1)
+        array), whose batches are columns ``cols`` of their shuffle orders."""
+        rows = orders[idx, cols]
+        model, g, views = stack, grads, grad_views
+        if len(group) < n_members:
+            model = Mlp.from_params(stack.params[group], stack.layer_sizes, stack.frozen)
+            g = np.empty_like(model.params)
+            views = layer_views(g, model.layer_sizes)
+        if len(features) == 1:
+            x = features[0][rows]
+        else:  # one gather per dataset into one (M, B, F) buffer
+            x = np.empty((*rows.shape, features[0].shape[1]))
+            for j, f in enumerate(features):
+                sel = source_of[group] == j
+                x[sel] = f[rows[sel]]
+        t = targets[idx, rows]
+        m = mask[idx, rows]
+        trace = forward_trace(model, x)
         loss = masked_bce(trace[0], t, m)
         if not np.isfinite(loss).all():
-            raise NumericError(f"{stage}: non-finite loss at step {step}")
-        backward(stack, x, t, m, trace, grad_views)
-        for member, state, g in zip(members, states, grads):
-            adam_step(member, state, g, optimizer, lr)
-        losses[:, pos] = loss
-        done = pos + 1
-    flush()
+            k = group[int(np.argmin(np.isfinite(loss)))]
+            raise NumericError(f"{stage[k]}: non-finite loss at step {step - start[k]}")
+        backward(model, x, t, m, trace, views)
+        for j, k in enumerate(group):
+            adam_step(members[k], states[k], g[j], optimizer, lr[k])
+        losses[idx, pos[idx]] = loss[:, None]
+        cols += batch
+
+    # Members enter a phase or an epoch, or take a short last batch, only
+    # at events; in between, every group steps on through its orders.
+    groups: list[tuple[list[int], np.ndarray, np.ndarray]] = []
+    next_event = 0
+    for step in range(budget + 1):
+        if step == next_event:
+            for k in range(n_members):
+                while pending[k] and pending[k][0].start == step:
+                    enter(k, step)
+            if step == budget:
+                break
+            next_event = budget
+            lengths = [0] * n_members
+            for k in range(n_members):
+                e, p = divmod(step - start[k], epoch_len)
+                if e != epoch[k]:
+                    flush(k)
+                    epoch[k], lr[k] = e, lr_schedule(optimizer, e)
+                    if lr[k] == 0.0:
+                        msg = f"{stage[k]}: learning rate underflowed to 0 at epoch {e}"
+                        raise NumericError(msg)
+                    # keyed by epoch only: a flat run and a staged run over
+                    # the same data walk identical batch sequences
+                    orders[k] = seeding.stream(
+                        seeding.PURPOSE_SHUFFLE, seeds[k], e
+                    ).permutation(n)
+                pos[k], lengths[k] = p, min(batch, n - p * batch)
+                # the member's next event: its next phase or epoch, or the
+                # short last batch of this epoch when batch does not divide N
+                left = epoch_len - p - (n % batch > 0 and p < epoch_len - 1)
+                next_event = min(next_event, step + left, *(f.start for f in pending[k]))
+            groups = []
+            for length in sorted(set(lengths)):
+                group = [k for k in range(n_members) if lengths[k] == length]
+                idx = np.array(group)[:, None]
+                groups.append((group, idx, pos[idx] * batch + np.arange(length)))
+        for group, idx, cols in groups:
+            run_pass(group, idx, cols, step)
+        pos += 1
+    for k in range(n_members):
+        flush(k)
+    return members, snapshots, logs
 
 
 @dataclass
@@ -181,44 +254,60 @@ def member_seed(base_seed: int, index: int) -> int:
 
 
 def train_members(
-    dataset: Dataset,
+    dataset: Dataset | Sequence[Dataset],
     tree: LabelTree,
-    plan: TrainPlan,
+    plan: TrainPlan | Sequence[TrainPlan],
     hidden_sizes: Sequence[int],
     seeds: Sequence[int],
 ) -> list[MemberResult]:
     """Train one member per seed from scratch, all in one member stack.
 
-    Member k initializes, draws its targets and shuffles under
-    ``seeds[k]`` alone, so its result is the same whichever seeds train
-    beside it.  Each member's targets are prepared once and shared by
-    both stages.
+    ``dataset`` and ``plan`` are shared by every member or list one per
+    seed; the members must share the feature matrix shape, the optimizer
+    and the step budget.  Member k initializes, draws its targets and
+    shuffles under ``seeds[k]`` alone, so its result is the same whichever
+    members train beside it.  Each member's targets are prepared once and
+    shared by both stages.
     """
-    layer_sizes = [dataset.features.shape[1], *hidden_sizes, tree.K]
-    stack = Mlp.stack([Mlp.init(layer_sizes, s) for s in seeds])
-    prepared = [apply_policy(dataset.labels, plan.policy, s) for s in seeds]
-    targets = np.stack([t for t, _ in prepared])
-    policy_mask = np.stack([m for _, m in prepared])
-    logs: list[LossLog] = [[] for _ in seeds]
+    n_members = len(seeds)
+    datasets = [dataset] * n_members if isinstance(dataset, Dataset) else list(dataset)
+    plans = [plan] * n_members if isinstance(plan, TrainPlan) else list(plan)
+    if len(datasets) != n_members or len(plans) != n_members:
+        raise ValueError("need one dataset and one plan per seed")
+    if not seeds:
+        return []
+    budget = plans[0].stage1_iterations + plans[0].stage2_iterations
+    shape = datasets[0].features.shape
+    if any(d.features.shape != shape for d in datasets):
+        raise ValueError("stacked members must share the feature matrix shape")
+    if any(p.optimizer != plans[0].optimizer for p in plans):
+        raise ValueError("stacked members must share the optimizer settings")
+    if any(p.stage1_iterations + p.stage2_iterations != budget for p in plans):
+        raise ValueError("stacked members must share the step budget")
+    sources = list({id(d): d for d in datasets}.values())  # distinct, by identity
+    source_of = np.array([[id(s) for s in sources].index(id(d)) for d in datasets])
+    for source in sources:
+        check_finite(source.features)
 
-    def run(mask: np.ndarray, iterations: int, stage: str) -> None:
-        _train_stage(
-            stack, dataset.features, targets, mask, seeds, plan.optimizer,
-            iterations, stage, logs,
-        )
-
-    snapshots: list[Mlp | None] = [None] * len(seeds)
-    if plan.conditional:
-        stage1_mask = policy_mask & conditional_mask(dataset.labels, tree)
-        run(stage1_mask, plan.stage1_iterations, "stage1")
-        snapshots = [stack.member(k).copy() for k in range(len(seeds))]
-        freeze_all_but_last(stack)
-        run(policy_mask, plan.stage2_iterations, "stage2")
-    else:
-        run(policy_mask, plan.stage1_iterations + plan.stage2_iterations, "flat")
+    stack = Mlp.stack([Mlp.init([shape[1], *hidden_sizes, tree.K], s) for s in seeds])
+    targets = np.empty((n_members, shape[0], tree.K))
+    phases: list[list[_Phase]] = []
+    for k, (d, p, s) in enumerate(zip(datasets, plans, seeds)):
+        targets[k], policy_mask = apply_policy(d.labels, p.policy, s)
+        if p.conditional:
+            stage1_mask = policy_mask & conditional_mask(d.labels, tree)
+            phases.append([
+                _Phase("stage1", 0, stage1_mask),
+                _Phase("stage2", p.stage1_iterations, policy_mask, freeze=True),
+            ])
+        else:
+            phases.append([_Phase("flat", 0, policy_mask)])
+    members, snapshots, logs = _train_stack(
+        stack, [d.features for d in sources], source_of, targets, phases, seeds,
+        plans[0].optimizer, budget,
+    )
     return [
-        MemberResult(stack.member(k), snapshots[k], logs[k], s)
-        for k, s in enumerate(seeds)
+        MemberResult(members[k], snapshots[k], logs[k], s) for k, s in enumerate(seeds)
     ]
 
 
@@ -316,9 +405,10 @@ def hierarchical_ablation(
     """Leaf-label AUC of both training recipes on fresh data per seed.
 
     Each seed draws a train/eval split from the same generator, injects
-    uncertainty into the training labels only, trains one model per arm,
-    and scores held-out leaves: the conditional arm by propagated
-    outputs, the flat arm by raw sigmoid outputs.
+    uncertainty into the training labels only, and scores held-out
+    leaves: the conditional arm by propagated outputs, the flat arm by raw
+    sigmoid outputs.  Both arms of every seed train together as one
+    member stack.
     """
     from .data import POS, SyntheticSpec
 
@@ -334,22 +424,29 @@ def hierarchical_ablation(
         conditional=True,
     )
     flat_plan = replace(cond_plan, policy=hard_policy, conditional=False)
+
+    def split(seed: int) -> tuple[Dataset, np.ndarray, np.ndarray]:
+        """Training set, held-out features and held-out binary truth."""
+        full, _ = generate_synthetic(spec, n_train + n_eval, seed)
+        train = inject_uncertainty(full.take(np.arange(n_train)), uncertainty_rate, seed)
+        held_out = full.take(np.arange(n_train, n_train + n_eval))
+        return train, held_out.features, held_out.labels == POS
+
+    splits = [split(seed) for seed in seeds]
+    results = train_members(
+        [train for train, _, _ in splits for _ in range(2)],
+        tree,
+        [cond_plan, flat_plan] * len(seeds),
+        hidden_sizes,
+        [seed for seed in seeds for _ in range(2)],
+    )
     cond_scores: list[float] = []
     flat_scores: list[float] = []
-    for seed in seeds:
-        full, _ = generate_synthetic(spec, n_train + n_eval, seed)
-        train = full.take(np.arange(n_train))
-        held_out = full.take(np.arange(n_train, n_train + n_eval))
-        train = inject_uncertainty(train, uncertainty_rate, seed)
-        eval_binary = (held_out.labels == POS).astype(np.int64)
-
-        cond = train_member(train, tree, cond_plan, hidden_sizes, seed)
-        cond_out = propagate(tree, cond.final.forward(held_out.features))
-        cond_scores.append(_mean_leaf_auc(cond_out, eval_binary, leaf_indices))
-
-        flat = train_member(train, tree, flat_plan, hidden_sizes, seed)
-        flat_out = flat.final.forward(held_out.features)
-        flat_scores.append(_mean_leaf_auc(flat_out, eval_binary, leaf_indices))
+    for (_, x, truth), cond, flat in zip(splits, results[::2], results[1::2]):
+        cond_out = propagate(tree, cond.final.forward(x))
+        cond_scores.append(_mean_leaf_auc(cond_out, truth, leaf_indices))
+        flat_out = flat.final.forward(x)
+        flat_scores.append(_mean_leaf_auc(flat_out, truth, leaf_indices))
     return AblationResult(
         leaf_names=tree.leaves,
         conditional_by_seed=cond_scores,

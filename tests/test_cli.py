@@ -473,6 +473,8 @@ class TestMalformedInput:
             ("gen", set_synthetic(feature_noise=-1.0), "data.synthetic.feature_noise must be >= 0"),
             ("gen", set_synthetic(uncertainty_rate=1.5), "data.synthetic.uncertainty_rate"),
             ("train", set_optimizer(decay_factor=0.0), "decay_factor must be positive"),
+            ("gen", lambda raw: raw.update(eval_subset=["lef"]), "eval_subset names unknown label(s): ['lef']"),
+            ("eval", lambda raw: raw.update(eval_subset=["A", "lef"]), "eval_subset names unknown label(s): ['lef']"),
         ],
     )
     def test_bad_config_exits_one(self, workspace, capsys, command, mutate, message):
@@ -509,6 +511,32 @@ class TestMalformedInput:
         assert main(["train", "--config", str(config)]) == 0
         assert main(["eval", "--config", str(config)]) == 2
         assert "readers.csv:2: expected 4 cells, got 3" in capsys.readouterr().err
+
+    def test_reader_points_for_unknown_label_exit_two(self, workspace, capsys):
+        config = write_config(workspace)
+        readers = workspace / "readers.csv"
+        readers.write_text("label,reader,fpr,tpr\nB,r1,0.5,0.1\nleaff,r1,0.9,0.1\n")
+        raw = json.loads(config.read_text())
+        raw["reader_points"] = str(readers)
+        config.write_text(json.dumps(raw))
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "readers.csv" in err and "unknown label(s) ['leaff']" in err
+        assert not (workspace / "run" / "report.txt").exists()
+
+    def test_eval_subset_checked_before_data_is_read(self, workspace, capsys):
+        config = write_config(workspace)
+        assert main(["gen", "--config", str(config)]) == 0
+        (workspace / "run" / "data" / "eval_labels.csv").write_text("not,a,labels,file\n")
+        raw = json.loads(config.read_text())
+        raw["eval_subset"] = ["lef"]
+        config.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 1
+        assert "eval_subset names unknown label(s): ['lef']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["weights", "biases", "frozen"])
     def test_checkpoint_without_key_exits_two(self, workspace, capsys, key):

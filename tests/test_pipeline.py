@@ -382,3 +382,147 @@ class TestAblation:
         data, _ = generate_synthetic(PAIR_SPEC, 400, 9)
         noisy = inject_uncertainty(data, 0.5, 9)
         assert (noisy.labels == -1).sum() > 0
+
+
+def count_stacked_passes(monkeypatch):
+    """Count the engine's stacked forward passes (scoring uses Mlp.forward)."""
+    calls = Counter()
+    trace = pipeline_mod.forward_trace
+
+    def counted(*args, **kwargs):
+        calls["forward_trace"] += 1
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "forward_trace", counted)
+    return calls
+
+
+class TestMixedStacks:
+    # 300 rows in batches of 32: epochs of 10 steps, the last one 12 rows.
+    # A 43-step stage 1 puts stage 2's short batches 3 steps off the flat
+    # members', so some steps need one stacked pass per batch length.
+    def mixed(self, **budget):
+        data0, _ = pair_datasets(n_train=300, n_eval=1, seed=0)
+        data1, _ = pair_datasets(n_train=300, n_eval=1, seed=1)
+        data1 = inject_uncertainty(data1, 0.3, 1)
+        cond = fast_plan(
+            policy=make_policy("ones-lsr"),
+            **(dict(stage1_iterations=43, stage2_iterations=27) | budget),
+        )
+        flat = replace(cond, policy=make_policy("ones"), conditional=False)
+        datasets = [data0, data1, data0, data1]
+        plans = [cond, flat, flat, cond]
+        seeds = [5, 5, 6, 7]
+        return datasets, plans, seeds
+
+    @pytest.mark.parametrize(
+        "budget",
+        [{}, {"stage1_iterations": 0}, {"stage2_iterations": 0}],
+        ids=["ragged", "no-stage1", "no-stage2"],
+    )
+    def test_member_equals_itself_trained_alone(self, monkeypatch, budget):
+        datasets, plans, seeds = self.mixed(**budget)
+        calls = count_stacked_passes(monkeypatch)
+        stacked = train_members(datasets, PAIR, plans, (16,), seeds)
+        steps = 43 + 27 - sum(budget.values())
+        if not budget:
+            assert steps < calls["forward_trace"] < 2 * steps  # ragged passes ran
+        for result, data, plan, seed in zip(stacked, datasets, plans, seeds):
+            alone = train_member(data, PAIR, plan, (16,), seed)
+            assert_same_member(result, alone)
+            if plan.conditional:
+                assert result.final.frozen == [True, False]
+                assert result.stage1.frozen == [False, False]
+            else:
+                assert result.final.frozen == [False, False]
+
+    def test_zero_length_stages_keep_the_snapshot(self):
+        datasets, plans, seeds = self.mixed(stage1_iterations=0)
+        first = train_members(datasets, PAIR, plans, (16,), seeds)[0]
+        init = Mlp.init([8, 16, PAIR.K], seeds[0])
+        np.testing.assert_array_equal(first.stage1.params, init.params)
+        assert {row[0] for row in first.loss_log} == {"stage2"}
+        datasets, plans, seeds = self.mixed(stage2_iterations=0)
+        first = train_members(datasets, PAIR, plans, (16,), seeds)[0]
+        np.testing.assert_array_equal(first.stage1.params, first.final.params)
+        assert {row[0] for row in first.loss_log} == {"stage1"}
+
+    @pytest.mark.parametrize("budget", [{"stage1_iterations": 0}, {"stage2_iterations": 0}])
+    def test_empty_signal_still_rejected(self, budget):
+        datasets, plans, seeds = self.mixed(**budget)
+        empty = datasets[3].take(np.arange(datasets[3].n))
+        empty.labels[:] = -2  # everything missing
+        with pytest.raises(ValueError, match="stage1: empty effective training signal"):
+            train_members(datasets[:3] + [empty], PAIR, plans, (16,), seeds)
+        with pytest.raises(ValueError, match="flat: empty effective training signal"):
+            train_members([datasets[0], empty], PAIR, plans[:2], (16,), seeds[:2])
+
+    def test_stack_must_share_rows_optimizer_and_budget(self):
+        datasets, plans, seeds = self.mixed()
+        short = datasets[0].take(np.arange(200))
+        cases = [
+            ([short] + datasets[1:], plans, "feature matrix shape"),
+            (datasets, plans[:3] + [replace(plans[3], optimizer=replace(FAST_OPT, lr0=0.02))], "optimizer"),
+            (datasets, plans[:3] + [replace(plans[3], stage2_iterations=5)], "step budget"),
+            (datasets, plans[:3], "one dataset and one plan per seed"),
+        ]
+        for data, plan, message in cases:
+            with pytest.raises(ValueError, match=message):
+                train_members(data, PAIR, plan, (16,), seeds)
+
+
+ABLATION_ARGS = dict(
+    n_train=300,
+    n_eval=300,
+    uncertainty_rate=0.2,
+    smoothed_policy=make_policy("ones-lsr"),
+    hard_policy=make_policy("ones"),
+    optimizer=FAST_OPT,
+    stage1_iterations=65,
+    stage2_iterations=30,
+    hidden_sizes=(8,),
+    feature_dim=8,
+    feature_noise=1.0,
+)
+
+
+class TestAblationStack:
+    def test_equals_per_arm_training(self):
+        result = hierarchical_ablation(PAIR, PAIR_SPEC.theta, (0, 1), **ABLATION_ARGS)
+        args = ABLATION_ARGS
+        spec = replace(PAIR_SPEC, feature_noise=1.0)
+        cond_plan = TrainPlan(
+            policy=args["smoothed_policy"],
+            optimizer=args["optimizer"],
+            stage1_iterations=65,
+            stage2_iterations=30,
+        )
+        flat_plan = replace(cond_plan, policy=args["hard_policy"], conditional=False)
+        cond_scores, flat_scores = [], []
+        for seed in (0, 1):
+            full, _ = generate_synthetic(spec, 600, seed)
+            train = inject_uncertainty(full.take(np.arange(300)), 0.2, seed)
+            held_out = full.take(np.arange(300, 600))
+            truth = (held_out.labels[:, 1] == POS).astype(int)
+            cond = train_member(train, PAIR, cond_plan, (8,), seed).final
+            flat = train_member(train, PAIR, flat_plan, (8,), seed).final
+            cond_out = propagate(PAIR, cond.forward(held_out.features))
+            cond_scores.append(float(np.mean([auc(cond_out[:, 1], truth)])))
+            flat_out = flat.forward(held_out.features)
+            flat_scores.append(float(np.mean([auc(flat_out[:, 1], truth)])))
+        assert result.conditional_by_seed == cond_scores
+        assert result.flat_by_seed == flat_scores
+
+    def test_one_stacked_pass_per_step(self, monkeypatch):
+        # every seed and both arms train as one stack: one pass per step,
+        # plus one more at each step where the arms' batch lengths differ
+        calls = count_stacked_passes(monkeypatch)
+        hierarchical_ablation(PAIR, PAIR_SPEC.theta, (0, 1), **ABLATION_ARGS)
+        steps, epoch_len = 65 + 30, 10
+        ragged = sum(
+            1
+            for step in range(65, steps)
+            if (step % epoch_len == epoch_len - 1) != ((step - 65) % epoch_len == epoch_len - 1)
+        )
+        assert ragged > 0
+        assert calls["forward_trace"] == steps + ragged
