@@ -140,16 +140,8 @@ def cmd_gen(args) -> int:
     data_mod.write_labels_csv(
         data_dir / "eval_labels.csv", held_out.labels, tree, held_out.ids
     )
-    syn = config.synthetic
     provenance = {
-        "seed": config.seed,
-        "hierarchy": config.hierarchy,
-        "theta": {name: syn.theta[name] for name in tree.names},
-        "feature_dim": syn.feature_dim,
-        "feature_noise": syn.feature_noise,
-        "n_train": syn.n_train,
-        "n_eval": syn.n_eval,
-        "uncertainty_rate": syn.uncertainty_rate,
+        **_data_identity(config, tree),
         "true_marginals": {
             name: float(marginals[tree.index_of(name)]) for name in tree.names
         },
@@ -158,20 +150,63 @@ def cmd_gen(args) -> int:
         json.dumps(provenance, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     snapshot_config(config, out)
+    syn = config.synthetic
     print(f"wrote {syn.n_train} train / {syn.n_eval} eval rows to {data_dir}")
     return EXIT_OK
+
+
+def _data_identity(config: RunConfig, tree: LabelTree) -> dict:
+    """The config keys that decide gen's data, as ``provenance.json`` holds them."""
+    syn = config.synthetic
+    assert syn is not None
+    return {
+        "seed": config.seed,
+        "hierarchy": config.hierarchy,
+        "theta": {name: syn.theta[name] for name in tree.names},
+        "feature_dim": syn.feature_dim,
+        "feature_noise": syn.feature_noise,
+        "n_train": syn.n_train,
+        "n_eval": syn.n_eval,
+        "uncertainty_rate": syn.uncertainty_rate,
+    }
+
+
+def _gen_csvs(
+    config: RunConfig, tree: LabelTree, split: str
+) -> tuple[Path, Path] | None:
+    """gen's (features, labels) CSVs of a split, or None if gen wrote none.
+
+    CSVs written under another config, or without a ``provenance.json``,
+    raise ``ConfigError``: a run must not mix data and config.
+    """
+    data_dir = _data_dir(config)
+    paths = (data_dir / f"{split}_features.csv", data_dir / f"{split}_labels.csv")
+    if not any(path.exists() for path in paths):
+        return None
+    provenance = data_dir / "provenance.json"
+    try:
+        recorded = json.loads(provenance.read_text(encoding="utf-8"))
+    except (FileNotFoundError, json.JSONDecodeError):
+        recorded = None
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"{provenance} is missing or unreadable; run gen again")
+    expected = _data_identity(config, tree)
+    differing = [key for key in expected if recorded.get(key) != expected[key]]
+    if differing:
+        raise ConfigError(
+            f"{data_dir} was generated with different {', '.join(differing)} "
+            "than the config; run gen again"
+        )
+    return paths
 
 
 def _load_split(config: RunConfig, tree: LabelTree, split: str) -> Dataset:
     """The "train" or "eval" dataset: gen's CSVs, else regenerated
     synthetic data, else the config's CSV files."""
     if config.synthetic is not None:
-        data_dir = _data_dir(config)
-        labels_path = data_dir / f"{split}_labels.csv"
-        if labels_path.exists():
-            return data_mod.load_dataset(
-                data_dir / f"{split}_features.csv", labels_path, tree
-            )
+        paths = _gen_csvs(config, tree, split)
+        if paths is not None:
+            return data_mod.load_dataset(*paths, tree)
         train, held_out = _generate_split(config, tree)
         return train if split == "train" else held_out
     csv_cfg = config.csv_data
@@ -184,6 +219,21 @@ def _load_split(config: RunConfig, tree: LabelTree, split: str) -> Dataset:
     if features is not None:
         return data_mod.load_dataset(features, labels, tree)
     return data_mod.load_csv(labels, tree, config.missing_as_negative)
+
+
+def _eval_features(
+    config: RunConfig, tree: LabelTree
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Features and row ids of the eval split, read without its labels
+    whenever a features file holds them."""
+    if config.synthetic is not None:
+        paths = _gen_csvs(config, tree, "eval")
+        if paths is not None:
+            return data_mod.load_features_csv(paths[0])
+    elif config.csv_data is not None and config.csv_data.eval_features is not None:
+        return data_mod.load_features_csv(config.csv_data.eval_features)
+    dataset = _load_split(config, tree, "eval")
+    return dataset.features, dataset.ids
 
 
 def cmd_train(args) -> int:
@@ -278,13 +328,11 @@ def cmd_predict(args) -> int:
     config = _effective_config(args)
     tree = config.load_tree()
     ensemble = _load_ensemble(config)
-    dataset = _load_split(config, tree, "eval")
-    probs = _predict(ensemble, config.mode, tree, dataset.features)
+    features, ids = _eval_features(config, tree)
+    probs = _predict(ensemble, config.mode, tree, features)
     out = _out_dir(config)
-    eval_mod.write_predictions_csv(
-        out / "predictions.csv", dataset.ids, probs, tree.names
-    )
-    print(f"wrote predictions for {dataset.n} rows to {out / 'predictions.csv'}")
+    eval_mod.write_predictions_csv(out / "predictions.csv", ids, probs, tree.names)
+    print(f"wrote predictions for {len(ids)} rows to {out / 'predictions.csv'}")
     return EXIT_OK
 
 

@@ -39,19 +39,24 @@ _CANONICAL_CELLS = {text: code - 2 for code, text in enumerate(_CODE_TEXT)}
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix, label matrix, row ids, and preserved metadata columns."""
+    """Feature matrix, label matrix, row ids, and preserved metadata columns.
+
+    ``ids`` is None for rows that are only trained and scored in memory,
+    never written or matched by id.
+    """
 
     features: np.ndarray  # (N, F) float64
     labels: np.ndarray  # (N, K) int8
-    ids: tuple[str, ...]
+    ids: tuple[str, ...] | None
     metadata: dict[str, tuple[str, ...]]
 
     def __post_init__(self):
         n = self.labels.shape[0]
-        if self.features.shape[0] != n or len(self.ids) != n:
+        n_ids = n if self.ids is None else len(self.ids)
+        if self.features.shape[0] != n or n_ids != n:
             raise ValueError(
                 f"row counts disagree: features {self.features.shape[0]}, "
-                f"labels {n}, ids {len(self.ids)}"
+                f"labels {n}, ids {n_ids}"
             )
         for col, values in self.metadata.items():
             if len(values) != n:
@@ -66,7 +71,7 @@ class Dataset:
         return Dataset(
             features=self.features[rows],
             labels=self.labels[rows],
-            ids=tuple(self.ids[i] for i in rows),
+            ids=None if self.ids is None else tuple(self.ids[i] for i in rows),
             metadata={
                 col: tuple(vals[i] for i in rows)
                 for col, vals in self.metadata.items()

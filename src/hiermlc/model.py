@@ -9,12 +9,20 @@ A model's parameters are one flat vector with per-layer views.  The
 same ``Mlp`` over an (M, P) buffer is a member stack, which the forward
 pass, the loss and backprop accept with a leading member axis; Adam
 updates one member's flat row at a time.
+
+Training runs thousands of steps on arrays of a few thousand cells, so
+numpy's cost per call, not arithmetic, sets the step time.  The step
+kernels therefore work in place and avoid boolean gathers, but perform
+each formula's floating-point operations in the same order as its plain
+form: sigmoid, loss, gradients and Adam updates are bit-equal to the
+reference formulations in ``tests/oracles.py``, signed zeros included.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -201,30 +209,43 @@ def layer_views(
     return views
 
 
-def _trainable_spans(model: Mlp) -> list[tuple[int, int]]:
-    """Contiguous [start, stop) ranges of ``params`` in unfrozen layers."""
+@functools.cache
+def _trainable_spans(
+    layer_sizes: tuple[int, ...], frozen: tuple[bool, ...]
+) -> tuple[slice, ...]:
+    """Contiguous slices of ``params`` covering the unfrozen layers."""
     spans: list[tuple[int, int]] = []
     start = 0
-    sizes = model.layer_sizes
-    for fan_in, fan_out, frozen in zip(sizes, sizes[1:], model.frozen):
+    for fan_in, fan_out, is_frozen in zip(layer_sizes, layer_sizes[1:], frozen):
         stop = start + (fan_in + 1) * fan_out
-        if not frozen:
+        if not is_frozen:
             if spans and spans[-1][1] == start:
                 spans[-1] = (spans[-1][0], stop)
             else:
                 spans.append((start, stop))
         start = stop
-    return spans
+    return tuple(slice(a, b) for a, b in spans)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # split by sign to avoid exp overflow
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow or branches.
+
+    With e = exp(-|z|) and d = 1 + e it is 1/d where z >= 0 and e/d
+    elsewhere: the operations of 1/(1 + exp(-z)) for z >= 0 and
+    exp(z)/(1 + exp(z)) below, so the result is bit-equal to that split
+    by sign.  -|z| is taken as min(z, -z), which keeps a NaN's sign bit
+    as the split's exp(z) does.
+    """
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    return np.where(z >= 0.0, 1.0 / d, e / d)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """Masked-in cells per row, as exact float64 integers."""
+    return mask @ np.ones(mask.shape[-1])
 
 
 def check_finite(x: np.ndarray) -> None:
@@ -248,9 +269,11 @@ def forward_trace(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
         )
     activations = [x]
     h = x
+    last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b[..., None, :]
-        h = _sigmoid(z) if i == model.n_layers - 1 else np.maximum(z, 0.0)
+        z = h @ w
+        z += b[..., None, :]
+        h = _sigmoid(z) if i == last else np.maximum(z, 0.0, out=z)
         activations.append(h)
     return h, activations
 
@@ -274,16 +297,23 @@ def masked_bce(
             f"shape mismatch: probs {probs.shape}, targets {targets.shape}, "
             f"mask {mask.shape}"
         )
-    single = probs.ndim == 1
-    if single:
+    if probs.ndim == 1:
         probs, targets, mask = probs[None], targets[None], mask[None]
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    terms = targets * np.log(p) + (1.0 - targets) * np.log1p(-p)
-    counts = mask.sum(axis=-1)
-    safe = np.maximum(counts, 1)
-    per_example = -np.where(mask, terms, 0.0).sum(axis=-1) / safe
-    per_example[counts == 0] = 0.0
-    loss = per_example.mean(axis=-1)
+    p = np.maximum(probs, PROB_CLAMP)
+    np.minimum(p, 1.0 - PROB_CLAMP, out=p)
+    terms = np.log(p)
+    terms *= targets
+    np.negative(p, out=p)
+    np.log1p(p, out=p)
+    p *= 1.0 - targets
+    terms += p
+    np.putmask(terms, ~mask, 0.0)
+    counts = _row_counts(mask)
+    per_example = np.add.reduce(terms, axis=-1)
+    np.negative(per_example, out=per_example)
+    per_example /= np.maximum(counts, 1.0)
+    per_example[counts == 0.0] = 0.0
+    loss = np.add.reduce(per_example, axis=-1) / per_example.shape[-1]  # the mean
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -314,26 +344,29 @@ def backward(
         trace = forward_trace(model, x)
     probs, activations = trace
     n = x.shape[-2]
-    counts = mask.sum(axis=-1)
-    scale = np.zeros(counts.shape)
-    nonzero = counts > 0
-    scale[nonzero] = 1.0 / (counts[nonzero] * n)
+    # an empty row's delta is all zeros, so its scale only has to be finite
+    scale = 1.0 / (np.maximum(_row_counts(mask), 1.0) * n)
 
     # d(loss)/d(logit): (p - y) inside the clamp band, 0 where clamped
-    # (the clamped loss is flat there).
-    unclamped = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
-    delta = np.where(mask & unclamped, probs - targets, 0.0) * scale[..., None]
+    # (the clamped loss is flat there) or masked out.
+    delta = probs - targets
+    kept = probs > PROB_CLAMP
+    kept &= probs < 1.0 - PROB_CLAMP
+    kept &= mask
+    np.putmask(delta, ~kept, 0.0)
+    delta *= scale[..., None]
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * model.n_layers  # type: ignore
     for i in range(model.n_layers - 1, -1, -1):
         dw, db = out[i] if out is not None else (None, None)
         grads[i] = (
             np.matmul(activations[i].swapaxes(-1, -2), delta, out=dw),
-            np.sum(delta, axis=-2, out=db),
+            np.add.reduce(delta, axis=-2, out=db),
         )
         if i > 0:
-            w_t = model.weights[i].swapaxes(-1, -2)
-            delta = (delta @ w_t) * (activations[i] > 0.0)
+            delta = delta @ model.weights[i].swapaxes(-1, -2)
+            # the ReLU gate as 1.0/0.0: a float factor skips a cast per call
+            delta *= np.greater(activations[i], 0.0, out=np.empty_like(delta))
     return grads
 
 
@@ -362,7 +395,10 @@ def adam_step(
     ``grads`` is backward's [(dW, db)] list, or one flat vector in the
     layout of ``model.params`` (a training-engine member's gradient row).
     The update runs once per contiguous span of unfrozen layers, a few
-    vector operations however many layers the span covers.
+    vector operations however many layers the span covers, written in
+    place or into two scratch vectors.  Its results are bit-equal to the
+    textbook form m_hat = m / (1 - beta1**t), v_hat = v / (1 - beta2**t),
+    params -= lr * m_hat / (sqrt(v_hat) + epsilon).
     """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
@@ -373,20 +409,25 @@ def adam_step(
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient")
     state.t += 1
-    bc1 = 1.0 - config.beta1**state.t
-    bc2 = 1.0 - config.beta2**state.t
-    for start, stop in _trainable_spans(model):
-        params = model.params[start:stop]
-        moments1 = state.m[start:stop]
-        moments2 = state.v[start:stop]
-        g = grads[start:stop]
-        moments1 *= config.beta1
-        moments1 += (1.0 - config.beta1) * g
-        moments2 *= config.beta2
-        moments2 += (1.0 - config.beta2) * (g * g)
-        m_hat = moments1 / bc1
-        v_hat = moments2 / bc2
-        params -= lr * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    beta1, beta2 = config.beta1, config.beta2
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    for span in _trainable_spans(model.layer_sizes, tuple(model.frozen)):
+        m, v, g = state.m[span], state.v[span], grads[span]
+        step = np.multiply(1.0 - beta1, g)
+        m *= beta1
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - beta2
+        v *= beta2
+        v += step
+        np.divide(m, bc1, out=step)  # m_hat
+        step *= lr
+        denom = v / bc2  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += config.epsilon
+        step /= denom
+        model.params[span] -= step
     return model, state
 
 

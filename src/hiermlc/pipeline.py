@@ -428,6 +428,7 @@ def hierarchical_ablation(
     def split(seed: int) -> tuple[Dataset, np.ndarray, np.ndarray]:
         """Training set, held-out features and held-out binary truth."""
         full, _ = generate_synthetic(spec, n_train + n_eval, seed)
+        full = replace(full, ids=None)  # no row leaves memory, so none needs an id
         train = inject_uncertainty(full.take(np.arange(n_train)), uncertainty_rate, seed)
         held_out = full.take(np.arange(n_train, n_train + n_eval))
         return train, held_out.features, held_out.labels == POS

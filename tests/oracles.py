@@ -4,8 +4,9 @@ Everything here recomputes results by a different method than the code
 under test: exhaustive enumeration over joint label assignments, O(n^2)
 pair counting, per-threshold confusion matrices, high-precision
 summation, central finite differences, a standalone scalar Adam
-recurrence, a one-model-at-a-time training loop, one numpy stream per
-row for keyed draws, and one ``csv.writer.writerow`` call per CSV row.
+recurrence, a one-model-at-a-time training loop, the step kernels in
+their plain allocating forms, one numpy stream per row for keyed draws,
+and one ``csv.writer.writerow`` call per CSV row.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from hiermlc.hierarchy import LabelTree, build_tree
 from hiermlc import seeding
 from hiermlc.model import (
+    PROB_CLAMP,
     AdamState,
     Mlp,
     OptimizerConfig,
@@ -196,6 +198,82 @@ def sequential_training(
     if losses:
         rows_out.append((epoch, float(np.mean(losses))))
     return rows_out
+
+
+# ---------------------------------------------------------------------------
+# Step kernels in their plain forms: a sigmoid split by sign with boolean
+# gathers, np.where masking, a fresh array for every intermediate.
+
+
+def split_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def plain_forward_trace(model: Mlp, x: np.ndarray):
+    activations = [x]
+    h = x
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w + b[..., None, :]
+        h = split_sigmoid(z) if i == model.n_layers - 1 else np.maximum(z, 0.0)
+        activations.append(h)
+    return h, activations
+
+
+def where_masked_bce(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray):
+    if probs.ndim == 1:
+        probs, targets, mask = probs[None], targets[None], mask[None]
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    terms = targets * np.log(p) + (1.0 - targets) * np.log1p(-p)
+    counts = mask.sum(axis=-1)
+    safe = np.maximum(counts, 1)
+    per_example = -np.where(mask, terms, 0.0).sum(axis=-1) / safe
+    per_example[counts == 0] = 0.0
+    return per_example.mean(axis=-1)
+
+
+def where_backward(model: Mlp, targets: np.ndarray, mask: np.ndarray, trace):
+    """Gradients from a forward trace, masking the delta with np.where."""
+    probs, activations = trace
+    n = probs.shape[-2]
+    counts = mask.sum(axis=-1)
+    scale = np.zeros(counts.shape)
+    nonzero = counts > 0
+    scale[nonzero] = 1.0 / (counts[nonzero] * n)
+    unclamped = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
+    delta = np.where(mask & unclamped, probs - targets, 0.0) * scale[..., None]
+    grads = [None] * model.n_layers
+    for i in range(model.n_layers - 1, -1, -1):
+        grads[i] = (activations[i].swapaxes(-1, -2) @ delta, np.sum(delta, axis=-2))
+        if i > 0:
+            w_t = model.weights[i].swapaxes(-1, -2)
+            delta = (delta @ w_t) * (activations[i] > 0.0)
+    return grads
+
+
+def allocating_adam_step(
+    model: Mlp, state: AdamState, grads: np.ndarray, config: OptimizerConfig, lr: float
+) -> None:
+    """The textbook update on each unfrozen layer, one fresh array per term."""
+    state.t += 1
+    bc1 = 1.0 - config.beta1**state.t
+    bc2 = 1.0 - config.beta2**state.t
+    start = 0
+    sizes = model.layer_sizes
+    for fan_in, fan_out, frozen in zip(sizes, sizes[1:], model.frozen):
+        stop = start + (fan_in + 1) * fan_out
+        if not frozen:
+            g, m, v = grads[start:stop], state.m[start:stop], state.v[start:stop]
+            m[:] = config.beta1 * m + (1.0 - config.beta1) * g
+            v[:] = config.beta2 * v + (1.0 - config.beta2) * (g * g)
+            m_hat = m / bc1
+            v_hat = v / bc2
+            model.params[start:stop] -= lr * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        start = stop
 
 
 # ---------------------------------------------------------------------------

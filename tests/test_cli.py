@@ -367,6 +367,60 @@ class TestDeterminismAndModes:
         assert report_c == report_f
 
 
+class TestStaleData:
+    """train, predict and eval use gen's CSVs only under the config that
+    wrote them, as ``data/provenance.json`` records it."""
+
+    def test_train_refuses_data_of_another_seed(self, tmp_path, configs_dir, capsys):
+        config, out = str(configs_dir / "chain.json"), str(tmp_path / "run")
+        assert main(["gen", "--config", config, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--out", out, "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert "different seed than the config; run gen again" in err
+        assert not (tmp_path / "run" / "checkpoints").exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    def test_differing_keys_are_named(self, workspace, capsys, command):
+        config = write_config(workspace, ensemble_size=1)
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        raw = json.loads(config.read_text())
+        raw["data"]["synthetic"].update(feature_noise=0.9, n_eval=81)
+        config.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 1
+        assert "different feature_noise, n_eval than the config" in capsys.readouterr().err
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        assert main([command, "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize("text", [None, "", "[1, 2]\n"])
+    def test_csvs_without_readable_provenance_are_refused(self, workspace, capsys, text):
+        config = write_config(workspace)
+        assert main(["gen", "--config", str(config)]) == 0
+        provenance = workspace / "run" / "data" / "provenance.json"
+        if text is None:
+            provenance.unlink()
+        else:
+            provenance.write_text(text)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 1
+        assert "provenance.json is missing or unreadable; run gen again" in capsys.readouterr().err
+
+    def test_predict_reads_no_eval_labels(self, workspace):
+        config = write_config(workspace, ensemble_size=1)
+        for command in ("gen", "train", "predict"):
+            assert main([command, "--config", str(config)]) == 0
+        predictions = workspace / "run" / "predictions.csv"
+        before = predictions.read_bytes()
+        predictions.unlink()
+        (workspace / "run" / "data" / "eval_labels.csv").write_text("not,a,labels,file\n")
+        assert main(["predict", "--config", str(config)]) == 0
+        assert predictions.read_bytes() == before
+        assert main(["eval", "--config", str(config)]) == 2
+
+
 class TestEnsembleCheckpoints:
     def test_flat_predictions_are_the_raw_ensemble_mean(self, tmp_path, configs_dir):
         args = ["--config", str(configs_dir / "benchmark.json"), "--out", str(tmp_path)]

@@ -208,6 +208,12 @@ class TestDataset:
         assert sub.ids == ("c", "a")
         assert sub.metadata["m"] == ("r", "p")
 
+    def test_rows_without_ids(self):
+        ds = Dataset(np.zeros((3, 1)), np.zeros((3, 2), dtype=np.int8), None, {})
+        assert ds.take([2, 0]).ids is None
+        with pytest.raises(ValueError, match="ids 3"):
+            Dataset(np.zeros((2, 1)), np.zeros((2, 2), dtype=np.int8), ("a",) * 3, {})
+
 
 class TestConditionalMask:
     def test_chain_cases(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hiermlc.errors import DataFormatError, NumericError
 from hiermlc.model import (
     PROB_CLAMP,
+    _sigmoid,
     AdamState,
     Mlp,
     OptimizerConfig,
@@ -17,15 +18,21 @@ from hiermlc.model import (
     backward,
     forward_trace,
     freeze_all_but_last,
+    layer_views,
     load_checkpoint,
     lr_schedule,
     masked_bce,
     save_checkpoint,
 )
 from oracles import (
+    allocating_adam_step,
     finite_difference_grads,
     max_relative_gradient_error,
+    plain_forward_trace,
     scalar_adam,
+    split_sigmoid,
+    where_backward,
+    where_masked_bce,
 )
 
 
@@ -374,6 +381,133 @@ class TestMemberStack:
             adam_step(
                 by_row, row_state, np.full_like(flat, np.inf), OptimizerConfig(), 0.1
             )
+
+
+def assert_bits_equal(actual, expected):
+    """Equal float64 bit patterns: signed zeros and NaN payloads count."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+def clamp_edge_probs(rng, shape):
+    """Probabilities with cells exactly at and just inside the clamp band."""
+    probs = rng.random(shape)
+    edges = [0.0, PROB_CLAMP, 1.0 - PROB_CLAMP, 1.0,
+             np.nextafter(PROB_CLAMP, 1.0), np.nextafter(1.0 - PROB_CLAMP, 0.0)]
+    flat = probs.reshape(-1)
+    flat[: len(edges)] = edges
+    flat[-len(edges):] = edges
+    return probs
+
+
+class TestKernelsBitEqual:
+    """The in-place step kernels against their plain forms in ``oracles``."""
+
+    def test_sigmoid(self):
+        special = np.array([0.0, -0.0, 700.0, -700.0, 1e308, -1e308, np.nan,
+                            -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 37.0, -37.0])
+        rng = np.random.default_rng(0)
+        for z in (special, rng.standard_normal((3, 8, 5)) * 30.0):
+            assert_bits_equal(_sigmoid(z), split_sigmoid(z))
+        assert list(_sigmoid(np.array([-0.0, 0.0]))) == [0.5, 0.5]
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_forward_trace(self, lead):
+        rng = np.random.default_rng(1)
+        models = [small_model(seed=s, sizes=(4, 6, 5, 3)) for s in range(3)]
+        model = Mlp.stack(models) if lead else models[0]
+        x = rng.standard_normal((*lead, 9, 4)) * 4.0
+        probs, activations = forward_trace(model, x)
+        plain_probs, plain_activations = plain_forward_trace(model, x)
+        assert_bits_equal(probs, plain_probs)
+        assert len(activations) == len(plain_activations) == 4
+        for a, b in zip(activations, plain_activations):
+            assert_bits_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 7), (4, 5, 7)])
+    def test_masked_bce(self, shape):
+        rng = np.random.default_rng(2)
+        probs = clamp_edge_probs(rng, shape)
+        targets = rng.random(shape)
+        targets.reshape(-1)[::5] = 0.0
+        targets.reshape(-1)[1::5] = 1.0
+        mask = rng.random(shape) < 0.6
+        if len(shape) > 1:
+            mask[..., 1, :] = False  # rows with an empty mask
+        assert_bits_equal(masked_bce(probs, targets, mask),
+                          where_masked_bce(probs, targets, mask))
+        empty = np.zeros(shape, dtype=bool)
+        assert_bits_equal(masked_bce(probs, targets, empty),
+                          where_masked_bce(probs, targets, empty))
+        # non-finite probabilities in masked-out cells leave the loss alone
+        out_cells = np.flatnonzero(~mask)[:3]
+        probs.reshape(-1)[out_cells] = [np.nan, np.inf, -np.inf][: len(out_cells)]
+        loss = masked_bce(probs, targets, mask)
+        assert np.isfinite(loss).all()
+        assert_bits_equal(loss, where_masked_bce(probs, targets, mask))
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_backward(self, lead):
+        rng = np.random.default_rng(3)
+        models = [small_model(seed=s, sizes=(4, 6, 5, 3)) for s in range(3)]
+        model = Mlp.stack(models) if lead else models[0]
+        x = rng.standard_normal((*lead, 11, 4)) * 2.0
+        mask = rng.random((*lead, 11, 3)) < 0.6
+        mask[..., 2, :] = False  # an empty row
+
+        def check(targets, mask, probs_edit=None):
+            probs, activations = forward_trace(model, x)
+            if probs_edit is not None:
+                probs = probs.copy()
+                probs[..., :4, :] = probs_edit
+                probs[..., 5, 0], probs[..., 6, 1] = np.nan, np.inf  # no gradient
+            trace = (probs, activations)
+            expected = where_backward(model, targets, mask, trace)
+            buffer = np.zeros_like(model.params)
+            for out in (None, layer_views(buffer, model.layer_sizes)):
+                grads = backward(model, x, targets, mask, trace, out)
+                for (dw, db), (dw_ref, db_ref) in zip(grads, expected):
+                    assert_bits_equal(dw, dw_ref)
+                    assert_bits_equal(db, db_ref)
+            return expected
+
+        check(rng.random((*lead, 11, 3)), mask, clamp_edge_probs(rng, (*lead, 4, 3)))
+        # a hidden unit dead on every row, whose gated deltas are all -0.0
+        # (zero targets make every output delta > 0, its outgoing weights
+        # are < 0): its gradients are zeros, compared with their signs
+        model.biases[1][..., 0] = -1e3
+        model.weights[2][..., 0, :] = -np.abs(model.weights[2][..., 0, :])
+        expected = check(np.zeros((*lead, 11, 3)), np.ones_like(mask))
+        assert (expected[1][1][..., 0] == 0.0).all()
+        assert (expected[1][0][..., 0] == 0.0).all()
+        # an infinite weight out of the dead unit: its 0 * inf delta is NaN,
+        # and the gate multiplies it by 0.0 instead of overwriting it
+        model.weights[2][..., 0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            expected = check(np.zeros((*lead, 11, 3)), np.ones_like(mask))
+        assert np.isnan(expected[1][1][..., 0]).all()
+
+    def test_adam_with_frozen_layers(self):
+        rng = np.random.default_rng(4)
+        cfg = OptimizerConfig()
+        model = small_model(seed=5, sizes=(4, 6, 5, 3))
+        plain = model.copy()
+        state, plain_state = AdamState.init(model), AdamState.init(plain)
+        patterns = [[False, False, False], [False, True, False], [True, True, False]]
+        for step in range(50):
+            model.frozen = plain.frozen = patterns[step * len(patterns) // 50]
+            scale = 10.0 ** rng.integers(-9, 3)
+            grads = rng.standard_normal(model.params.shape) * scale
+            grads[::7] = 0.0
+            grads[1::7] = -0.0
+            lr = 0.05 * 0.5 ** (step // 20)
+            adam_step(model, state, grads, cfg, lr)
+            allocating_adam_step(plain, plain_state, grads, cfg, lr)
+        assert state.t == plain_state.t == 50
+        assert_bits_equal(model.params, plain.params)
+        assert_bits_equal(state.m, plain_state.m)
+        assert_bits_equal(state.v, plain_state.v)
 
 
 class TestCheckpoints:

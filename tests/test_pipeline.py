@@ -526,3 +526,17 @@ class TestAblationStack:
         )
         assert ragged > 0
         assert calls["forward_trace"] == steps + ragged
+
+    def test_trains_on_datasets_without_row_ids(self, monkeypatch):
+        # the ablation writes no rows, so it holds no id strings through training
+        seen = []
+        train_members = pipeline_mod.train_members
+
+        def spy(datasets, *args):
+            seen.extend(datasets)
+            return train_members(datasets, *args)
+
+        monkeypatch.setattr(pipeline_mod, "train_members", spy)
+        hierarchical_ablation(PAIR, PAIR_SPEC.theta, (0, 1), **ABLATION_ARGS)
+        assert len(seen) == 4 and all(d.ids is None for d in seen)
+
