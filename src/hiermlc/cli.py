@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,7 +31,7 @@ from .config import (
 from .csvio import column_indices, write_table
 from .data import Dataset, SyntheticSpec, generate_synthetic, inject_uncertainty
 from .errors import ConfigError, DataFormatError, NumericError
-from .hierarchy import LabelTree, propagate
+from .hierarchy import LabelTree, propagate, safe_name
 from .model import Mlp, load_checkpoint, save_checkpoint
 from .pipeline import (
     EnsembleModel,
@@ -119,6 +118,24 @@ def _generate_split(config: RunConfig, tree: LabelTree) -> tuple[Dataset, Datase
     return train, held_out
 
 
+# What train, predict and eval derive from gen's data.  gen deletes them
+# with the data they came from, so no run directory mixes the two.
+_DERIVED_FROM_DATA = (
+    "checkpoints/member*.json",
+    "loss_log.csv",
+    "predictions.csv",
+    "report.txt",
+    "report.csv",
+    "roc_*.csv",
+)
+
+
+def _remove_stale(out: Path, patterns) -> None:
+    for pattern in patterns:
+        for stale in out.glob(pattern):
+            stale.unlink()
+
+
 def cmd_gen(args) -> int:
     """Write a synthetic dataset (features+labels CSV pairs) plus provenance."""
     config = _effective_config(args)
@@ -130,6 +147,7 @@ def cmd_gen(args) -> int:
     marginals = propagate(tree, spec.theta)
 
     out = _out_dir(config)
+    _remove_stale(out, _DERIVED_FROM_DATA)
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
     data_mod.write_features_csv(data_dir / "train_features.csv", train.features, train.ids)
@@ -260,8 +278,7 @@ def cmd_train(args) -> int:
     out = _out_dir(config)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
-    for stale in ckpt_dir.glob("member*.json"):  # from an earlier run
-        stale.unlink()
+    _remove_stale(ckpt_dir, ["member*.json"])  # from an earlier run
     for i, member in enumerate(members):
         meta = {"member": i, "seed": member.seed, "mode": config.mode}
         if member.stage1 is not None:
@@ -348,10 +365,6 @@ def _binary_ground_truth(dataset: Dataset, tree: LabelTree) -> np.ndarray:
     return (labels == data_mod.POS).astype(np.int64)
 
 
-def _safe_name(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
-
-
 def cmd_eval(args) -> int:
     """ROC/AUC report with optional reader operating-point comparison."""
     config = _effective_config(args)
@@ -391,7 +404,7 @@ def cmd_eval(args) -> int:
     eval_mod.write_predictions_csv(out / "predictions.csv", dataset.ids, probs, tree.names)
     eval_mod.write_report(report, out / "report.txt", out / "report.csv")
     for name, curve in report.curves.items():
-        eval_mod.write_roc_points_csv(out / f"roc_{_safe_name(name)}.csv", curve)
+        eval_mod.write_roc_points_csv(out / f"roc_{safe_name(name)}.csv", curve)
     snapshot_config(config, out)
     print(
         f"mean_auc_selected={report.mean_auc_selected:.6f} "

@@ -2,12 +2,18 @@
 
 ``reader`` yields a file's header and its numbered data rows; it raises
 ``DataFormatError`` for an empty file or a row whose cell count differs
-from the header's, and skips blank lines.  Files are written with the
-excel dialect and ``"\\n"`` line endings: small tables through
-``csv.writer``, large numeric ones as ``",".join`` rows over
-``ndarray.tolist()`` chunks.  Numeric cells never need quoting, and text
-fields that do are quoted by ``csv.writer`` itself, so the bytes are
-always ``csv.writer``'s.
+from the header's, and skips blank lines.  ``read_id_matrix`` reads the
+``id,<name>...`` float files (features, predictions) by blocks of whole
+lines with ``np.loadtxt`` where ``csv.reader`` would split them at
+commas alone, and through the checked row loop ``read_id_rows``
+otherwise, so its results and its error messages are the loop's.
+
+Files are written with the excel dialect and ``"\\n"`` line endings:
+small tables through ``csv.writer``, large numeric ones as ``",".join``
+rows over ``ndarray.tolist()`` chunks, and columns of preformatted text
+(the ROC points) by ``write_fields``.  Numeric cells never need quoting,
+and text fields that do are quoted by ``csv.writer`` itself, so the bytes
+are always ``csv.writer``'s.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import warnings
 from array import array
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
@@ -25,6 +32,8 @@ from .errors import DataFormatError
 
 # Rows formatted per write; bounds the Python objects alive at once.
 CHUNK_ROWS = 64
+# Characters of whole lines parsed per block; bounds the text alive at once.
+BLOCK_CHARS = 1 << 16
 
 _MAY_NEED_QUOTING = re.compile(r'[,"\r\n]').search
 
@@ -74,7 +83,83 @@ def column_indices(path, header: Sequence[str], names, what: str) -> list[int]:
 
 
 def read_id_matrix(path, what: str) -> tuple[tuple, tuple, np.ndarray]:
-    """``(column names, row ids, float64 matrix)`` of an ``id,<name>...`` file."""
+    """``(column names, row ids, float64 matrix)`` of an ``id,<name>...`` file.
+
+    Plain files are parsed a block of lines at a time by ``np.loadtxt``;
+    any file the block parser cannot vouch for is read again from the
+    start by ``read_id_rows``, which alone decides what is an error.
+    """
+    try:
+        parsed = _read_id_blocks(path)
+    except UnicodeDecodeError:
+        parsed = None
+    return read_id_rows(path, what) if parsed is None else parsed
+
+
+def _read_id_blocks(path) -> tuple[tuple, tuple, np.ndarray] | None:
+    """``read_id_matrix``'s result, or None where ``read_id_rows`` must decide.
+
+    Each block must pass ``_plain``, and ``np.loadtxt`` must read one row
+    per line from it without an error or a warning.  A line short of a
+    comma fails ``usecols``, so ``_plain``'s total comma count makes every
+    line's exact; the row count keeps ids and rows aligned should
+    ``loadtxt`` skip a line.  ``loadtxt`` accepts no cell that ``float()``
+    rejects, and gives the same bits; cells it rejects but ``float()``
+    takes (``1_0``, non-ASCII digits) send the file to the checked loop.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not (header.startswith("id,") and _plain([header], header.count(","))):
+            return None
+        names = header.rstrip("\n").split(",")
+        width = len(names)
+        ids: list[str] = []
+        values = array("d")  # grown in place: no block arrays left on the heap
+        while lines := fh.readlines(BLOCK_CHARS):
+            lines = [line for line in lines if line != "\n"]  # csv skips blank lines
+            if not _plain(lines, width - 1):
+                return None
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    block = np.loadtxt(
+                        lines,
+                        delimiter=",",
+                        comments=None,
+                        usecols=range(1, width),
+                        ndmin=2,
+                        dtype=np.float64,
+                    )
+            except (ValueError, Warning):
+                return None
+            if block.shape[0] != len(lines):
+                return None
+            ids += [line[: line.index(",")] for line in lines]
+            values.frombytes(block.tobytes())
+    if not ids:
+        return None
+    matrix = np.array(values).reshape(len(ids), width - 1)
+    return tuple(names[1:]), tuple(ids), matrix
+
+
+def _plain(lines: list[str], commas: int) -> bool:
+    """Whether ``csv.reader`` would split ``lines`` at their commas alone,
+    and they hold ``commas`` commas a line in all.
+
+    True when they have no quote and no carriage return, and no line is
+    longer than ``csv.field_size_limit()``.
+    """
+    text = "".join(lines)
+    return (
+        '"' not in text
+        and "\r" not in text
+        and text.count(",") == len(lines) * commas
+        and max(map(len, lines), default=0) <= csv.field_size_limit()
+    )
+
+
+def read_id_rows(path, what: str) -> tuple[tuple, tuple, np.ndarray]:
+    """``read_id_matrix`` through the checked row loop of ``reader``."""
     with reader(path) as (header, rows):
         if header[:1] != ["id"]:
             raise DataFormatError(f"{path}: {what} file must start with an id column")
@@ -127,3 +212,18 @@ def write_rows(
             heads = lead[start : start + CHUNK_ROWS] if quoted else [""] * len(block)
             lines = [head + sep + row_text(row) for head, row in zip(heads, block)]
             fh.write("".join((line or '""') + "\n" for line in lines))
+
+
+def write_fields(
+    path, header: Sequence[str], blocks: Iterable[Sequence[Sequence[str]]]
+) -> None:
+    """Write ``header`` and, for each block of text columns, one line per row.
+
+    Each block holds at least one row; the fields need no quoting, and a
+    row has at least two of them, so that no row is one empty field: the
+    bytes are ``csv.writer``'s.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for columns in blocks:
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")

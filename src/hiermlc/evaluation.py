@@ -15,7 +15,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .csvio import column_indices, read_id_matrix, reader, write_rows, write_table
+from .csvio import (
+    column_indices, read_id_matrix, reader, write_fields, write_rows, write_table
+)
 from .errors import DataFormatError
 
 # Default label subset for the summary mean: the five standard
@@ -27,6 +29,10 @@ DEFAULT_AUC_SUBSET = (
     "Edema",
     "Pleural Effusion",
 )
+
+
+# ROC points formatted at once; bounds the texts alive while writing.
+ROC_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,8 @@ class RocCurve:
     fp: np.ndarray | None = None
 
     def __post_init__(self):
+        if not len(self.fpr) == len(self.tpr) == len(self.thresholds):
+            raise ValueError("ROC fpr, tpr and thresholds must be of one length")
         if np.any(np.diff(self.fpr) < 0) or np.any(np.diff(self.tpr) < 0):
             raise ValueError("ROC points must be non-decreasing in both axes")
 
@@ -238,14 +246,33 @@ def load_operating_points(path: str | Path) -> dict[str, list[OperatingPoint]]:
     return points
 
 
-def _roc_row(row: list) -> str:
-    fpr, tpr, cut = row
-    return f"{fpr!r},{tpr!r},{'' if cut != cut else repr(cut)}"  # NaN cut: blank
+def _run_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each value, formatted once per run of equal bits.
+
+    Comparing bits keeps ``-0.0`` apart from ``0.0``.  At each step of a
+    swept curve fpr or tpr holds still, so its two columns take about one
+    ``repr`` per point instead of two.
+    """
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([bits.size > 0], bits[1:] != bits[:-1])))
+    texts = np.array(list(map(repr, values[starts].tolist())), dtype=object)
+    return np.repeat(texts, np.diff(starts, append=bits.size)).tolist()
 
 
 def write_roc_points_csv(path: str | Path, curve: RocCurve) -> None:
-    points = np.column_stack([curve.fpr, curve.tpr, curve.thresholds])
-    write_rows(path, ["fpr", "tpr", "threshold"], (), points, _roc_row)
+    """One ``fpr,tpr,threshold`` row per point; a NaN threshold is blank."""
+    fpr, tpr, cuts = (
+        np.asarray(values, dtype=np.float64)
+        for values in (curve.fpr, curve.tpr, curve.thresholds)
+    )
+
+    def blocks():
+        for start in range(0, cuts.size, ROC_BLOCK_ROWS):
+            rows = slice(start, start + ROC_BLOCK_ROWS)
+            cut_texts = ["" if cut != cut else repr(cut) for cut in cuts[rows].tolist()]
+            yield _run_texts(fpr[rows]), _run_texts(tpr[rows]), cut_texts
+
+    write_fields(path, ["fpr", "tpr", "threshold"], blocks())
 
 
 def write_report(report: EvalReport, txt_path: str | Path, csv_path: str | Path) -> None:

@@ -9,6 +9,7 @@ per node of an arbitrary forest.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -180,9 +181,24 @@ def load_tree(path: str | Path) -> LabelTree:
     if not records:
         raise DataFormatError(f"{path}: hierarchy file has no node records")
     try:
-        return build_tree(records)
+        tree = build_tree(records)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    by_file_name: dict[str, str] = {}
+    for name in tree.names:
+        file_name = safe_name(name)
+        if file_name in by_file_name:
+            raise DataFormatError(
+                f"{path}: labels {by_file_name[file_name]!r} and {name!r} share "
+                f"the file name {file_name!r}"
+            )
+        by_file_name[file_name] = name
+    return tree
+
+
+def safe_name(label: str) -> str:
+    """A label as it appears in file names, such as ``roc_<label>.csv``."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
 
 def save_tree(tree: LabelTree, path: str | Path) -> None:

@@ -408,6 +408,24 @@ class TestStaleData:
         assert main(["train", "--config", str(config)]) == 1
         assert "provenance.json is missing or unreadable; run gen again" in capsys.readouterr().err
 
+    def test_gen_drops_outputs_of_earlier_data(self, tmp_path, configs_dir, capsys):
+        config, out = str(configs_dir / "chain.json"), tmp_path / "run"
+        for command in ("gen", "train", "eval"):
+            assert main([command, "--config", config, "--out", str(out)]) == 0
+        derived = ["loss_log.csv", "predictions.csv", "report.txt", "report.csv"]
+        assert all((out / name).exists() for name in derived)
+        assert list(out.glob("roc_*.csv")) and list(out.glob("checkpoints/member*"))
+        (out / "notes.txt").write_text("kept\n")
+        args = ["--config", config, "--out", str(out), "--seed", "7"]
+        assert main(["gen", *args]) == 0
+        assert not any((out / name).exists() for name in derived)
+        assert not list(out.glob("roc_*.csv")) + list(out.glob("checkpoints/*"))
+        assert (out / "notes.txt").read_text() == "kept\n"
+        capsys.readouterr()
+        for command in ("predict", "eval"):
+            assert main([command, *args]) == 1
+            assert "run train first" in capsys.readouterr().err
+
     def test_predict_reads_no_eval_labels(self, workspace):
         config = write_config(workspace, ensemble_size=1)
         for command in ("gen", "train", "predict"):
@@ -553,6 +571,12 @@ class TestMalformedInput:
         config = write_config(workspace, hierarchy="name,parent,index\nA,,0\nb\n")
         assert main(["gen", "--config", str(config)]) == 2
         assert "h.csv:3: expected 3 cells, got 1" in capsys.readouterr().err
+
+    def test_labels_sharing_a_file_name_exit_two_before_training(self, workspace, capsys):
+        config = write_config(workspace, hierarchy="name,parent,index\na b,,0\na_b,,1\n")
+        assert main(["train", "--config", str(config)]) == 2
+        assert "labels 'a b' and 'a_b' share the file name 'a_b'" in capsys.readouterr().err
+        assert not (workspace / "run").exists()
 
     def test_reader_points_row_with_three_cells_exits_two(self, workspace, capsys):
         config = write_config(workspace)

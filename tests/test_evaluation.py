@@ -99,6 +99,11 @@ class TestRocCurve:
                 thresholds=np.array([np.nan, 0.5, 0.2]),
             )
 
+    def test_curve_type_rejects_ragged_points(self):
+        # the ROC writer formats each column apart, so this is its guard
+        with pytest.raises(ValueError, match="of one length"):
+            RocCurve(fpr=np.zeros(3), tpr=np.zeros(3), thresholds=np.zeros(2))
+
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 60))
     @settings(max_examples=60, deadline=None)
     def test_monotone_and_anchored(self, seed, n):

@@ -165,6 +165,10 @@ class TestTreeFiles:
             ("name,parent,index\nA,,x\n", "not an integer"),
             ("name,parent,index\n,,0\n", "empty label name"),
             ("name,parent,index\nA,B,0\n", "unknown parent"),
+            (
+                "name,parent,index\na b,,0\na_b,,1\n",
+                "labels 'a b' and 'a_b' share the file name 'a_b'",
+            ),
         ],
     )
     def test_malformed_files_rejected(self, tmp_path, text, match):
