@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,20 +24,23 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from .config import (
     RunConfig,
+    config_to_dict,
     load_config,
     snapshot_config,
     synthetic_spec_theta,
 )
 from .csvio import column_indices, write_table
+# unused here: the benchmark's perfbench/tracer.py wraps the last two names in cli
 from .data import Dataset, SyntheticSpec, generate_synthetic, inject_uncertainty
 from .errors import ConfigError, DataFormatError, NumericError
 from .hierarchy import LabelTree, propagate, safe_name
-from .model import Mlp, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .pipeline import (
     EnsembleModel,
     TrainPlan,
     predict_flat,
     predict_unconditional,
+    synthetic_split,
     train_ensemble,
 )
 
@@ -90,44 +93,36 @@ def _out_dir(config: RunConfig, create: bool = True) -> Path:
     return out
 
 
-def _data_dir(config: RunConfig) -> Path:
-    return _out_dir(config, create=False) / "data"
-
-
 def _synthetic_spec(config: RunConfig, tree: LabelTree) -> SyntheticSpec:
     syn = config.synthetic
     assert syn is not None
     theta = synthetic_spec_theta(syn, tree)
-    return SyntheticSpec(
-        tree=tree,
-        theta=theta,
-        feature_noise=syn.feature_noise,
-        feature_dim=syn.feature_dim,
-    )
+    return SyntheticSpec(tree, theta, syn.feature_noise, syn.feature_dim)
 
 
-def _generate_split(config: RunConfig, tree: LabelTree) -> tuple[Dataset, Dataset]:
-    """Train/eval datasets from one generator pass, sharing feature semantics."""
+def _named_split(config: RunConfig, spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
+    """The config's synthetic split, its rows named ``row00000``, ... in
+    generator order, as gen writes them."""
     syn = config.synthetic
     assert syn is not None
-    spec = _synthetic_spec(config, tree)
-    full, _ = generate_synthetic(spec, syn.n_train + syn.n_eval, config.seed)
-    train = full.take(np.arange(syn.n_train))
-    held_out = full.take(np.arange(syn.n_train, syn.n_train + syn.n_eval))
-    train = inject_uncertainty(train, syn.uncertainty_rate, config.seed)
-    return train, held_out
+    train, held_out = synthetic_split(
+        spec, syn.n_train, syn.n_eval, syn.uncertainty_rate, config.seed
+    )
+    ids = data_mod.row_ids(syn.n_train + syn.n_eval)
+    return replace(train, ids=ids[: syn.n_train]), replace(held_out, ids=ids[syn.n_train :])
 
 
-# What train, predict and eval derive from gen's data.  gen deletes them
-# with the data they came from, so no run directory mixes the two.
-_DERIVED_FROM_DATA = (
+# What predict and eval derive from the checkpoints, and what train,
+# predict and eval derive from gen's data.  train and gen delete them with
+# what they came from, so no run directory mixes the two.
+_DERIVED_FROM_MODELS = (
     "checkpoints/member*.json",
-    "loss_log.csv",
     "predictions.csv",
     "report.txt",
     "report.csv",
     "roc_*.csv",
 )
+_DERIVED_FROM_DATA = (*_DERIVED_FROM_MODELS, "loss_log.csv")
 
 
 def _remove_stale(out: Path, patterns) -> None:
@@ -143,23 +138,19 @@ def cmd_gen(args) -> int:
         raise ConfigError("gen requires a data.synthetic section")
     tree = config.load_tree()
     spec = _synthetic_spec(config, tree)
-    train, held_out = _generate_split(config, tree)
+    train, held_out = _named_split(config, spec)
     marginals = propagate(tree, spec.theta)
 
     out = _out_dir(config)
     _remove_stale(out, _DERIVED_FROM_DATA)
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
-    data_mod.write_features_csv(data_dir / "train_features.csv", train.features, train.ids)
-    data_mod.write_labels_csv(data_dir / "train_labels.csv", train.labels, tree, train.ids)
-    data_mod.write_features_csv(
-        data_dir / "eval_features.csv", held_out.features, held_out.ids
-    )
-    data_mod.write_labels_csv(
-        data_dir / "eval_labels.csv", held_out.labels, tree, held_out.ids
-    )
+    for split, dataset in (("train", train), ("eval", held_out)):
+        ids = dataset.ids
+        data_mod.write_features_csv(data_dir / f"{split}_features.csv", dataset.features, ids)
+        data_mod.write_labels_csv(data_dir / f"{split}_labels.csv", dataset.labels, tree, ids)
     provenance = {
-        **_data_identity(config, tree),
+        **_data_identity(config),
         "true_marginals": {
             name: float(marginals[tree.index_of(name)]) for name in tree.names
         },
@@ -173,43 +164,54 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _data_identity(config: RunConfig, tree: LabelTree) -> dict:
-    """The config keys that decide gen's data, as ``provenance.json`` holds them."""
-    syn = config.synthetic
-    assert syn is not None
-    return {
-        "seed": config.seed,
-        "hierarchy": config.hierarchy,
-        "theta": {name: syn.theta[name] for name in tree.names},
-        "feature_dim": syn.feature_dim,
-        "feature_noise": syn.feature_noise,
-        "n_train": syn.n_train,
-        "n_eval": syn.n_eval,
-        "uncertainty_rate": syn.uncertainty_rate,
-    }
+def _data_identity(config: RunConfig) -> dict:
+    """The config keys that decide gen's data, as ``provenance.json`` holds
+    them: the seed, the hierarchy and the ``data.synthetic`` section."""
+    assert config.synthetic is not None
+    return {"seed": config.seed, "hierarchy": config.hierarchy, **asdict(config.synthetic)}
 
 
-def _gen_csvs(
-    config: RunConfig, tree: LabelTree, split: str
-) -> tuple[Path, Path] | None:
+def _flat(record: dict, prefix: str = "") -> dict:
+    """``record`` with its nested objects spelled as dotted keys."""
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _differing(recorded: dict, expected: dict, ignore=()) -> list[str]:
+    """The dotted keys, other than ``ignore``, whose values differ."""
+    a, b = _flat(recorded), _flat(expected)
+    return sorted(k for k in (a.keys() | b.keys()) - set(ignore) if a.get(k) != b.get(k))
+
+
+def _recorded(path: Path, remedy: str) -> dict:
+    """The JSON object a run recorded in ``path``."""
+    try:
+        recorded = json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        recorded = None
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"{path} is missing or unreadable; {remedy}")
+    return recorded
+
+
+def _gen_csvs(config: RunConfig, split: str) -> tuple[Path, Path] | None:
     """gen's (features, labels) CSVs of a split, or None if gen wrote none.
 
     CSVs written under another config, or without a ``provenance.json``,
     raise ``ConfigError``: a run must not mix data and config.
     """
-    data_dir = _data_dir(config)
+    data_dir = _out_dir(config, create=False) / "data"
     paths = (data_dir / f"{split}_features.csv", data_dir / f"{split}_labels.csv")
     if not any(path.exists() for path in paths):
         return None
-    provenance = data_dir / "provenance.json"
-    try:
-        recorded = json.loads(provenance.read_text(encoding="utf-8"))
-    except (FileNotFoundError, json.JSONDecodeError):
-        recorded = None
-    if not isinstance(recorded, dict):
-        raise ConfigError(f"{provenance} is missing or unreadable; run gen again")
-    expected = _data_identity(config, tree)
-    differing = [key for key in expected if recorded.get(key) != expected[key]]
+    recorded = _recorded(data_dir / "provenance.json", "run gen again")
+    expected = _data_identity(config)
+    differing = _differing({key: recorded.get(key) for key in expected}, expected)
     if differing:
         raise ConfigError(
             f"{data_dir} was generated with different {', '.join(differing)} "
@@ -220,23 +222,30 @@ def _gen_csvs(
 
 def _load_split(config: RunConfig, tree: LabelTree, split: str) -> Dataset:
     """The "train" or "eval" dataset: gen's CSVs, else regenerated
-    synthetic data, else the config's CSV files."""
-    if config.synthetic is not None:
-        paths = _gen_csvs(config, tree, split)
-        if paths is not None:
-            return data_mod.load_dataset(*paths, tree)
-        train, held_out = _generate_split(config, tree)
-        return train if split == "train" else held_out
-    csv_cfg = config.csv_data
-    assert csv_cfg is not None
-    labels = getattr(csv_cfg, f"{split}_labels")
-    features = getattr(csv_cfg, f"{split}_features")
-    if not Path(labels).exists():
-        what = "training" if split == "train" else "eval"
-        raise ConfigError(f"{what} labels file not found: {labels}")
-    if features is not None:
-        return data_mod.load_dataset(features, labels, tree)
-    return data_mod.load_csv(labels, tree, config.missing_as_negative)
+    synthetic data, else the config's CSV files.  Under
+    ``missing_as_negative`` its blank label cells are negatives."""
+    paths = _gen_csvs(config, split) if config.synthetic is not None else None
+    if paths is not None:
+        dataset = data_mod.load_dataset(*paths, tree)
+    elif config.synthetic is not None:
+        train, held_out = _named_split(config, _synthetic_spec(config, tree))
+        dataset = train if split == "train" else held_out
+    else:
+        csv_cfg = config.csv_data
+        assert csv_cfg is not None
+        labels = getattr(csv_cfg, f"{split}_labels")
+        features = getattr(csv_cfg, f"{split}_features")
+        if not Path(labels).exists():
+            what = "training" if split == "train" else "eval"
+            raise ConfigError(f"{what} labels file not found: {labels}")
+        if features is not None:
+            dataset = data_mod.load_dataset(features, labels, tree)
+        else:
+            dataset = data_mod.load_csv(labels, tree)
+    if config.missing_as_negative:
+        missing = dataset.labels == data_mod.MISSING
+        dataset = replace(dataset, labels=np.where(missing, data_mod.NEG, dataset.labels))
+    return dataset
 
 
 def _eval_features(
@@ -245,7 +254,7 @@ def _eval_features(
     """Features and row ids of the eval split, read without its labels
     whenever a features file holds them."""
     if config.synthetic is not None:
-        paths = _gen_csvs(config, tree, "eval")
+        paths = _gen_csvs(config, "eval")
         if paths is not None:
             return data_mod.load_features_csv(paths[0])
     elif config.csv_data is not None and config.csv_data.eval_features is not None:
@@ -278,20 +287,13 @@ def cmd_train(args) -> int:
     out = _out_dir(config)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
-    _remove_stale(ckpt_dir, ["member*.json"])  # from an earlier run
+    _remove_stale(out, _DERIVED_FROM_MODELS)  # from an earlier run
     for i, member in enumerate(members):
         meta = {"member": i, "seed": member.seed, "mode": config.mode}
-        if member.stage1 is not None:
-            save_checkpoint(
-                ckpt_dir / f"member{i:02d}_stage1.json",
-                member.stage1,
-                extra={**meta, "stage": "stage1"},
-            )
-        save_checkpoint(
-            ckpt_dir / f"member{i:02d}_final.json",
-            member.final,
-            extra={**meta, "stage": "final"},
-        )
+        for stage, model in (("stage1", member.stage1), ("final", member.final)):
+            if model is not None:
+                path = ckpt_dir / f"member{i:02d}_{stage}.json"
+                save_checkpoint(path, model, extra={**meta, "stage": stage})
     losses = [
         [i, stage, epoch, repr(loss)]
         for i, member in enumerate(members)
@@ -304,12 +306,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+# Keys that steer only eval, so checkpoints serve any value of them.
+_EVAL_ONLY = ("eval_subset", "reader_points", "data.eval_labels", "data.eval_features")
+# The flag that overrides a key, for the hint on a mismatch.
+_FLAGS = {"seed": "--seed", "mode": "--mode", "policy.name": "--policy"}
+
+
 def _load_ensemble(config: RunConfig) -> EnsembleModel:
-    """The config's ``ensemble_size`` final checkpoints, trained in its mode."""
-    ckpt_dir = _out_dir(config, create=False) / "checkpoints"
-    paths = [
-        ckpt_dir / f"member{i:02d}_final.json" for i in range(config.ensemble_size)
-    ]
+    """The config's ``ensemble_size`` final checkpoints, if ``train`` wrote
+    them under the same config but for the eval-only keys."""
+    out = _out_dir(config, create=False)
+    ckpt_dir = out / "checkpoints"
+    paths = [ckpt_dir / f"member{i:02d}_final.json" for i in range(config.ensemble_size)]
     missing = [path.name for path in paths if not path.exists()]
     if len(missing) == len(paths):
         raise ConfigError(f"no final checkpoints under {ckpt_dir}; run train first")
@@ -318,17 +326,16 @@ def _load_ensemble(config: RunConfig) -> EnsembleModel:
             f"ensemble_size is {config.ensemble_size} but {ckpt_dir} lacks "
             f"{', '.join(missing)}; run train again"
         )
-    members: list[Mlp] = []
-    for path in paths:
-        model, extra = load_checkpoint(path)
-        mode = extra.get("mode", "conditional")
-        if mode != config.mode:
-            raise ConfigError(
-                f"{path.name} was trained in {mode} mode but the config says "
-                f"{config.mode}; pass --mode {mode}"
-            )
-        members.append(model)
-    return EnsembleModel(members)
+    trained = _recorded(out / "config.json", "run train again")
+    expected = config_to_dict(config)
+    differing = _differing(trained, expected, _EVAL_ONLY)
+    if differing:
+        was, now = _flat(trained), _flat(expected)
+        values = "; ".join(f"{k} {was.get(k)!r}, not {now.get(k)!r}" for k in differing)
+        flags = " ".join(f"{_FLAGS[k]} {was.get(k)}" for k in differing if k in _FLAGS)
+        remedy = f"pass {flags} or run train again" if flags else "run train again"
+        raise ConfigError(f"{ckpt_dir} was trained under another config: {values}; {remedy}")
+    return EnsembleModel([load_checkpoint(path)[0] for path in paths])
 
 
 def _predict(
@@ -344,9 +351,8 @@ def cmd_predict(args) -> int:
     """Write ensemble predictions for the eval rows."""
     config = _effective_config(args)
     tree = config.load_tree()
-    ensemble = _load_ensemble(config)
     features, ids = _eval_features(config, tree)
-    probs = _predict(ensemble, config.mode, tree, features)
+    probs = _predict(_load_ensemble(config), config.mode, tree, features)
     out = _out_dir(config)
     eval_mod.write_predictions_csv(out / "predictions.csv", ids, probs, tree.names)
     print(f"wrote predictions for {len(ids)} rows to {out / 'predictions.csv'}")
@@ -382,7 +388,7 @@ def cmd_eval(args) -> int:
     dataset = _load_split(config, tree, "eval")
     truth = _binary_ground_truth(dataset, tree)
 
-    if getattr(args, "predictions", None):
+    if args.predictions:
         ids, probs, names = eval_mod.load_predictions_csv(args.predictions)
         cols = column_indices(args.predictions, names, tree.names, "label")
         if ids != dataset.ids:
@@ -405,7 +411,8 @@ def cmd_eval(args) -> int:
     eval_mod.write_report(report, out / "report.txt", out / "report.csv")
     for name, curve in report.curves.items():
         eval_mod.write_roc_points_csv(out / f"roc_{safe_name(name)}.csv", curve)
-    snapshot_config(config, out)
+    if not args.predictions:  # a scored file skips the config check: keep config.json
+        snapshot_config(config, out)
     print(
         f"mean_auc_selected={report.mean_auc_selected:.6f} "
         f"mean_readers_below={report.mean_readers_below:.6f} -> {out / 'report.txt'}"

@@ -21,7 +21,7 @@ import numpy as np
 from . import seeding
 from .csvio import column_indices, read_id_matrix, reader, write_rows
 from .errors import DataFormatError
-from .hierarchy import LabelTree, propagate
+from .hierarchy import LabelTree
 
 # Label codes (int8 storage)
 POS = np.int8(1)
@@ -41,8 +41,8 @@ _CANONICAL_CELLS = {text: code - 2 for code, text in enumerate(_CODE_TEXT)}
 class Dataset:
     """Feature matrix, label matrix, row ids, and preserved metadata columns.
 
-    ``ids`` is None for rows that are only trained and scored in memory,
-    never written or matched by id.
+    ``ids`` is None for rows that are never written or matched by id, such
+    as fresh synthetic rows.
     """
 
     features: np.ndarray  # (N, F) float64
@@ -133,15 +133,19 @@ def _parse_cell(raw: str, where: str) -> np.int8:
         ) from None
 
 
+def row_ids(n: int) -> tuple[str, ...]:
+    """Positional row ids ``row00000``, ``row00001``, ..."""
+    return tuple(f"row{i:05d}" for i in range(n))
+
+
 def load_labels_csv(
-    path: str | Path, tree: LabelTree, missing_as_negative: bool = False
+    path: str | Path, tree: LabelTree
 ) -> tuple[np.ndarray, tuple[str, ...], dict[str, tuple[str, ...]]]:
     """Parse a label CSV into (labels, ids, metadata).
 
     Every tree label must appear as a column; all other columns are kept
     as metadata.  Row ids come from a ``Path`` or ``id`` column when
-    present, else are positional.  ``missing_as_negative`` maps blank
-    cells to NEG at load time instead of MISSING.
+    present, else are positional.
     """
     with reader(path) as (header, rows):
         label_idx = column_indices(path, header, tree.names, "label")
@@ -164,15 +168,13 @@ def load_labels_csv(
     if not n_rows:
         raise DataFormatError(f"{path}: no data rows")
     labels = np.array(codes, dtype=np.int8).reshape(n_rows, tree.K)
-    if missing_as_negative:
-        labels[labels == MISSING] = NEG
     metadata = {c: tuple(v) for c, v in zip(meta_cols, meta_values)}
     if "Path" in metadata:
         ids = metadata["Path"]
     elif "id" in metadata:
         ids = metadata["id"]
     else:
-        ids = tuple(f"row{i:05d}" for i in range(n_rows))
+        ids = row_ids(n_rows)
     return labels, ids, metadata
 
 
@@ -226,11 +228,9 @@ def featurize_metadata(metadata: dict[str, tuple[str, ...]], n: int) -> np.ndarr
     return features
 
 
-def load_csv(
-    path: str | Path, tree: LabelTree, missing_as_negative: bool = False
-) -> Dataset:
+def load_csv(path: str | Path, tree: LabelTree) -> Dataset:
     """Load a label-only CSV, stubbing features from metadata columns."""
-    labels, ids, metadata = load_labels_csv(path, tree, missing_as_negative)
+    labels, ids, metadata = load_labels_csv(path, tree)
     features = featurize_metadata(metadata, labels.shape[0])
     return Dataset(features=features, labels=labels, ids=ids, metadata=metadata)
 
@@ -258,7 +258,7 @@ def load_dataset(features_path: str | Path, labels_path: str | Path, tree: Label
 
 
 # ---------------------------------------------------------------------------
-# Ground truth and masking
+# Conditional masking
 
 
 def conditional_mask(labels: np.ndarray, tree: LabelTree) -> np.ndarray:
@@ -281,39 +281,18 @@ def conditional_mask(labels: np.ndarray, tree: LabelTree) -> np.ndarray:
     return mask
 
 
-def majority_vote(annotations: np.ndarray) -> np.ndarray:
-    """Per-label majority of an odd panel of binary annotators.
-
-    ``annotations`` is (R, K) with entries POS/NEG only.  Returns the
-    (K,) ground-truth row: POS where more than half the annotators said
-    POS.
-    """
-    annotations = np.asarray(annotations)
-    if annotations.ndim != 2:
-        raise ValueError("annotation stack must be 2-D (R, K)")
-    r = annotations.shape[0]
-    if r % 2 == 0:
-        raise ValueError(f"annotator panel must be odd, got R={r}")
-    if not np.isin(annotations, (POS, NEG)).all():
-        raise ValueError("annotations must be POS/NEG only (no UNC or MISSING)")
-    counts = (annotations == POS).sum(axis=0)
-    return np.where(counts * 2 > r, POS, NEG).astype(np.int8)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic generation
 
 
-def generate_synthetic(
-    spec: SyntheticSpec, n: int, seed: int
-) -> tuple[Dataset, np.ndarray]:
+def generate_synthetic(spec: SyntheticSpec, n: int, seed: int) -> Dataset:
     """Sample n rows top-down from the hierarchy plus noisy linear features.
 
     Roots fire with rate theta[k]; a child fires with rate theta[k] only
     under a positive parent.  Features are W @ y + sigma * gaussian with
     W a fixed (F, K) matrix derived from the same seed, so datasets drawn
     with one seed share feature semantics and row i's content depends
-    only on (seed, i).  Also returns the exact per-label marginals.
+    only on (seed, i).  The rows carry no ids.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -336,10 +315,7 @@ def generate_synthetic(
         ).standard_normal(n)
 
     features = pos.astype(np.float64) @ mixing.T + spec.feature_noise * noise
-    ids = tuple(f"row{i:05d}" for i in range(n))
-    dataset = Dataset(features=features, labels=labels, ids=ids, metadata={})
-    true_marginals = propagate(tree, spec.theta)
-    return dataset, true_marginals
+    return Dataset(features=features, labels=labels, ids=None, metadata={})
 
 
 def inject_uncertainty(dataset: Dataset, rate: float, seed: int) -> Dataset:

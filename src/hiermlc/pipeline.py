@@ -1,5 +1,5 @@
-"""Training orchestration: conditional two-stage runs, flat baseline,
-ensembling, and the hierarchical ablation harness.
+"""Training orchestration: the synthetic split, conditional two-stage
+runs, flat baseline, ensembling, and the hierarchical ablation harness.
 
 Stage 1 trains every label only on rows where all its ancestor labels
 are positive (per-label loss masking), so sigmoid heads estimate
@@ -38,7 +38,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import seeding
-from .data import Dataset, conditional_mask, generate_synthetic, inject_uncertainty
+from .data import (
+    POS,
+    Dataset,
+    SyntheticSpec,
+    conditional_mask,
+    generate_synthetic,
+    inject_uncertainty,
+)
 from .errors import NumericError
 from .hierarchy import LabelTree, propagate
 from .model import (
@@ -57,6 +64,20 @@ from .model import (
 from .policy import UncertaintyPolicy, apply_policy
 
 LossLog = list[tuple[str, int, float]]
+
+
+def synthetic_split(
+    spec: SyntheticSpec, n_train: int, n_eval: int, uncertainty_rate: float, seed: int
+) -> tuple[Dataset, Dataset]:
+    """Train and held-out rows of one generator pass, without row ids.
+
+    The first ``n_train`` rows train, with uncertainty injected into their
+    labels; the next ``n_eval`` are held out untouched.  ``gen``, ``train``
+    and the ablation harness all draw their synthetic data here.
+    """
+    full = generate_synthetic(spec, n_train + n_eval, seed)
+    train = inject_uncertainty(full.take(np.arange(n_train)), uncertainty_rate, seed)
+    return train, full.take(np.arange(n_train, n_train + n_eval))
 
 
 @dataclass
@@ -404,17 +425,12 @@ def hierarchical_ablation(
 ) -> AblationResult:
     """Leaf-label AUC of both training recipes on fresh data per seed.
 
-    Each seed draws a train/eval split from the same generator, injects
-    uncertainty into the training labels only, and scores held-out
-    leaves: the conditional arm by propagated outputs, the flat arm by raw
-    sigmoid outputs.  Both arms of every seed train together as one
-    member stack.
+    Each seed draws its split from ``synthetic_split``, as ``gen`` does,
+    and scores held-out leaves: the conditional arm by propagated outputs,
+    the flat arm by raw sigmoid outputs.  Both arms of every seed train
+    together as one member stack.
     """
-    from .data import POS, SyntheticSpec
-
-    spec = SyntheticSpec(
-        tree=tree, theta=theta, feature_noise=feature_noise, feature_dim=feature_dim
-    )
+    spec = SyntheticSpec(tree, theta, feature_noise, feature_dim)
     leaf_indices = [tree.index_of(name) for name in tree.leaves]
     cond_plan = TrainPlan(
         policy=smoothed_policy,
@@ -424,18 +440,11 @@ def hierarchical_ablation(
         conditional=True,
     )
     flat_plan = replace(cond_plan, policy=hard_policy, conditional=False)
-
-    def split(seed: int) -> tuple[Dataset, np.ndarray, np.ndarray]:
-        """Training set, held-out features and held-out binary truth."""
-        full, _ = generate_synthetic(spec, n_train + n_eval, seed)
-        full = replace(full, ids=None)  # no row leaves memory, so none needs an id
-        train = inject_uncertainty(full.take(np.arange(n_train)), uncertainty_rate, seed)
-        held_out = full.take(np.arange(n_train, n_train + n_eval))
-        return train, held_out.features, held_out.labels == POS
-
-    splits = [split(seed) for seed in seeds]
+    splits = [
+        synthetic_split(spec, n_train, n_eval, uncertainty_rate, seed) for seed in seeds
+    ]
     results = train_members(
-        [train for train, _, _ in splits for _ in range(2)],
+        [train for train, _ in splits for _ in range(2)],
         tree,
         [cond_plan, flat_plan] * len(seeds),
         hidden_sizes,
@@ -443,7 +452,8 @@ def hierarchical_ablation(
     )
     cond_scores: list[float] = []
     flat_scores: list[float] = []
-    for (_, x, truth), cond, flat in zip(splits, results[::2], results[1::2]):
+    for (_, held_out), cond, flat in zip(splits, results[::2], results[1::2]):
+        x, truth = held_out.features, held_out.labels == POS
         cond_out = propagate(tree, cond.final.forward(x))
         cond_scores.append(_mean_leaf_auc(cond_out, truth, leaf_indices))
         flat_out = flat.final.forward(x)

@@ -20,8 +20,6 @@ from hiermlc.data import (
     POS,
     UNC,
     SyntheticSpec,
-    generate_synthetic,
-    inject_uncertainty,
 )
 from hiermlc.evaluation import DEFAULT_AUC_SUBSET, OperatingPoint, auc, reader_study
 from hiermlc.hierarchy import build_tree, propagate
@@ -31,6 +29,7 @@ from hiermlc.pipeline import (
     TrainPlan,
     hierarchical_ablation,
     predict_unconditional,
+    synthetic_split,
     train_ensemble,
 )
 from hiermlc.policy import apply_policy, make_policy
@@ -193,10 +192,9 @@ def test_criterion_06_chain_marginal_recovery(configs_dir):
         feature_noise=syn.feature_noise,
         feature_dim=syn.feature_dim,
     )
-    full, _ = generate_synthetic(spec, syn.n_train + syn.n_eval, config.seed)
-    train = full.take(np.arange(syn.n_train))
-    held_out = full.take(np.arange(syn.n_train, syn.n_train + syn.n_eval))
-    train = inject_uncertainty(train, syn.uncertainty_rate, config.seed)
+    train, held_out = synthetic_split(
+        spec, syn.n_train, syn.n_eval, syn.uncertainty_rate, config.seed
+    )
     plan = TrainPlan(
         policy=config.policy(),
         optimizer=config.optimizer,

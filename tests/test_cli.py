@@ -134,6 +134,14 @@ class TestGen:
         assert "'B'" in capsys.readouterr().err
         assert not (workspace / "run").exists()  # failed before any writes
 
+    def test_rows_named_in_generator_order(self, workspace):
+        config = write_config(workspace)
+        assert main(["gen", "--config", str(config)]) == 0
+        data_dir = workspace / "run" / "data"
+        _, train_ids = load_features_csv(data_dir / "train_features.csv")
+        _, eval_ids = load_features_csv(data_dir / "eval_features.csv")
+        assert train_ids + eval_ids == tuple(f"row{i:05d}" for i in range(280))
+
     def test_seed_override_lands_in_snapshot(self, workspace):
         config = write_config(workspace)
         assert main(["gen", "--config", str(config), "--seed", "5"]) == 0
@@ -498,6 +506,139 @@ class TestEnsembleCheckpoints:
         assert main(["train", "--config", str(small)]) == 0
         assert main(["eval", "--config", str(big)]) == 1
         assert "lacks member02_final.json" in capsys.readouterr().err
+
+    def test_train_drops_outputs_of_earlier_members(self, workspace):
+        config = write_config(workspace, ensemble_size=1)
+        for command in ("gen", "train", "eval"):
+            assert main([command, "--config", str(config)]) == 0
+        run = workspace / "run"
+        derived = ["predictions.csv", "report.txt", "report.csv", "roc_A.csv", "roc_B.csv"]
+        assert all((run / name).exists() for name in derived)
+        (run / "notes.txt").write_text("kept\n")
+        assert main(["train", "--config", str(config), "--mode", "flat"]) == 0
+        assert not any((run / name).exists() for name in derived)
+        assert [p.name for p in (run / "checkpoints").iterdir()] == ["member00_final.json"]
+        assert json.loads((run / "config.json").read_text())["mode"] == "flat"
+        assert (run / "notes.txt").read_text() == "kept\n"
+
+
+class TestTrainedConfig:
+    """predict and eval run checkpoints only under the config that trained
+    them, as train records it in ``config.json``; eval-only keys may differ."""
+
+    def test_eval_refuses_checkpoints_of_another_seed(self, workspace, capsys):
+        config = write_config(workspace, ensemble_size=1)
+        # no gen: train and eval draw the synthetic split in memory
+        assert main(["train", "--config", str(config), "--seed", "3"]) == 0
+        snapshot = (workspace / "run" / "config.json").read_bytes()
+        capsys.readouterr()
+        for command in ("predict", "eval"):
+            assert main([command, "--config", str(config), "--seed", "7"]) == 1
+            err = capsys.readouterr().err
+            assert "trained under another config: seed 3, not 7; pass --seed 3 or" in err
+        assert (workspace / "run" / "config.json").read_bytes() == snapshot
+        assert not (workspace / "run" / "predictions.csv").exists()
+        assert not (workspace / "run" / "report.txt").exists()
+        assert main(["eval", "--config", str(config), "--seed", "3"]) == 0
+
+    def test_differing_keys_are_named(self, workspace, capsys):
+        config = write_config(workspace, ensemble_size=1)
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        raw = json.loads(config.read_text())
+        raw["optimizer"]["lr0"] = 0.02
+        raw["hidden_sizes"] = [4]
+        config.write_text(json.dumps(raw))
+        capsys.readouterr()
+        for command in ("predict", "eval"):
+            assert main([command, "--config", str(config), "--policy", "zeros"]) == 1
+            err = capsys.readouterr().err
+            assert (
+                "trained under another config: hidden_sizes [8], not [4]; "
+                "optimizer.lr0 0.01, not 0.02; policy.name 'ones-lsr', not 'zeros'; "
+                "pass --policy ones-lsr or run train again"
+            ) in err
+        assert not (workspace / "run" / "predictions.csv").exists()
+
+    def test_eval_only_keys_may_differ(self, workspace):
+        config = write_config(workspace, ensemble_size=1)
+        for command in ("gen", "train", "eval"):
+            assert main([command, "--config", str(config)]) == 0
+        readers = workspace / "readers.csv"
+        readers.write_text("label,reader,fpr,tpr\nA,r1,0.5,0.1\n")
+        raw = json.loads(config.read_text())
+        raw.update(eval_subset=["B"], reader_points=str(readers))
+        config.write_text(json.dumps(raw))
+        for command in ("predict", "eval"):
+            assert main([command, "--config", str(config)]) == 0
+        snapshot = json.loads((workspace / "run" / "config.json").read_text())
+        assert snapshot["eval_subset"] == ["B"]
+
+    def test_scoring_a_predictions_file_runs_no_checkpoints(self, workspace):
+        config = write_config(workspace, ensemble_size=1)
+        for command in ("gen", "train", "predict"):
+            assert main([command, "--config", str(config)]) == 0
+        run = workspace / "run"
+        scored = workspace / "scored.csv"
+        shutil.copy(run / "predictions.csv", scored)
+        snapshot = (run / "config.json").read_bytes()
+        args = ["--predictions", str(scored), "--policy", "zeros"]
+        assert main(["eval", "--config", str(config), *args]) == 0
+        assert (run / "config.json").read_bytes() == snapshot
+
+    def test_checkpoints_without_a_readable_config_are_refused(self, workspace, capsys):
+        config = write_config(workspace, ensemble_size=1)
+        assert main(["train", "--config", str(config)]) == 0
+        (workspace / "run" / "config.json").unlink()
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 1
+        assert "config.json is missing or unreadable; run train again" in capsys.readouterr().err
+
+
+def write_label_files(workspace, blank):
+    """Train and eval label CSVs of 40 rows with 20 blank cells each (or
+    ``0.0`` in their place), plus feature CSVs with the same ids."""
+    rng = np.random.default_rng(4)
+    paths = {}
+    for split in ("train", "eval"):
+        a = np.arange(40) % 2
+        b = a * (np.arange(40) % 4 == 1)  # a child positive only under A
+        cells = np.array([[str(float(x)) for x in row] for row in zip(a, b)], dtype=object)
+        cells.ravel()[rng.choice(80, size=20, replace=False)] = blank
+        ids = [f"{split}{i}" for i in range(40)]
+        labels = workspace / f"{split}_labels_{blank or 'blank'}.csv"
+        labels.write_text("id,Sex,Age,A,B\n" + "".join(
+            f"{i},{'Male' if n % 3 else 'Female'},{20 + n},{row[0]},{row[1]}\n"
+            for n, (i, row) in enumerate(zip(ids, cells))
+        ))
+        features = workspace / f"{split}_features.csv"
+        features.write_text("id,f0,f1\n" + "".join(
+            f"{i},{x},{y}\n" for i, (x, y) in zip(ids, rng.standard_normal((40, 2)).tolist())
+        ))
+        paths.update({f"{split}_labels": str(labels), f"{split}_features": str(features)})
+    return paths
+
+
+class TestMissingAsNegative:
+    """``missing_as_negative`` reads blank label cells as negatives in every
+    split, whether or not the config names features files."""
+
+    @pytest.mark.parametrize("with_features", [False, True], ids=["labels-only", "features"])
+    def test_blank_cells_train_and_score_as_zeros(self, workspace, with_features):
+        runs = {}
+        for blank, flag in (("", True), ("0.0", False)):
+            data = write_label_files(workspace, blank)
+            if not with_features:
+                data = {k: v for k, v in data.items() if k.endswith("labels")}
+            out = workspace / f"run_{flag}"
+            config = write_config(
+                workspace, name=f"{flag}.json", out=str(out), ensemble_size=1,
+                policy={"name": "ones"}, missing_as_negative=flag, data=data,
+            )
+            for command in ("train", "eval"):
+                assert main([command, "--config", str(config)]) == 0
+            runs[flag] = {k: v for k, v in checksums(out).items() if k != "config.json"}
+        assert "report.csv" in runs[True] and runs[True] == runs[False]
 
 
 class TestConsoleScript:

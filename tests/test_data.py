@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from hiermlc.data import (
     MISSING,
@@ -20,7 +19,6 @@ from hiermlc.data import (
     load_dataset,
     load_features_csv,
     load_labels_csv,
-    majority_vote,
     write_features_csv,
     write_labels_csv,
 )
@@ -52,9 +50,11 @@ class TestLabelCsv:
         assert metadata == {}
 
     def test_missing_as_negative(self, tmp_path):
+        # the reader keeps blank cells MISSING; the CLI applies
+        # missing_as_negative to every split it loads
         path = write(tmp_path, "l.csv", "A,B,C\n,1.0,\n")
-        labels, _, _ = load_labels_csv(path, CHAIN, missing_as_negative=True)
-        np.testing.assert_array_equal(labels, [[NEG, POS, NEG]])
+        labels, _, _ = load_labels_csv(path, CHAIN)
+        np.testing.assert_array_equal(labels, [[MISSING, POS, MISSING]])
 
     def test_metadata_and_path_ids(self, tmp_path):
         path = write(
@@ -267,51 +267,19 @@ class TestConditionalMask:
                 assert mask[i, node] == expected
 
 
-class TestMajorityVote:
-    def test_majority_of_three(self):
-        votes = np.array(
-            [[POS, NEG, POS], [POS, POS, NEG], [NEG, NEG, NEG]], dtype=np.int8
-        )
-        np.testing.assert_array_equal(majority_vote(votes), [POS, NEG, NEG])
-
-    def test_single_annotator(self):
-        votes = np.array([[POS, NEG]], dtype=np.int8)
-        np.testing.assert_array_equal(majority_vote(votes), [POS, NEG])
-
-    def test_even_panel_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            majority_vote(np.array([[POS], [NEG]], dtype=np.int8))
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError, match="POS/NEG"):
-            majority_vote(np.array([[UNC]], dtype=np.int8))
-
-    @given(data=st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_matches_count_threshold(self, data):
-        r = data.draw(st.sampled_from([1, 3, 5, 7]))
-        k = data.draw(st.integers(1, 5))
-        votes = data.draw(
-            hnp.arrays(np.int8, (r, k), elements=st.sampled_from([0, 1]))
-        )
-        out = majority_vote(votes)
-        expected = (votes.sum(axis=0) > r / 2).astype(np.int8)
-        np.testing.assert_array_equal(out, expected)
-
-
 class TestGenerateSynthetic:
     def spec(self, theta=(0.6, 0.7, 0.5)):
         return SyntheticSpec(tree=CHAIN, theta=np.array(theta))
 
     def test_shapes_and_ids(self):
-        ds, marginals = generate_synthetic(self.spec(), 50, seed=0)
+        # generated rows carry no ids until a caller writes or matches them
+        ds = generate_synthetic(self.spec(), 50, seed=0)
         assert ds.features.shape == (50, 16)
         assert ds.labels.shape == (50, 3)
-        assert ds.ids[0] == "row00000" and ds.ids[-1] == "row00049"
-        np.testing.assert_allclose(marginals, [0.6, 0.42, 0.21])
+        assert ds.ids is None and ds.metadata == {}
 
     def test_labels_binary_and_hierarchical(self):
-        ds, _ = generate_synthetic(self.spec(), 300, seed=1)
+        ds = generate_synthetic(self.spec(), 300, seed=1)
         assert np.isin(ds.labels, (POS, NEG)).all()
         pos = ds.labels == POS
         # a positive child implies a positive parent by construction
@@ -319,18 +287,20 @@ class TestGenerateSynthetic:
         assert not (pos[:, 2] & ~pos[:, 1]).any()
 
     def test_deterministic_and_prefix_stable(self):
-        a, _ = generate_synthetic(self.spec(), 40, seed=3)
-        b, _ = generate_synthetic(self.spec(), 40, seed=3)
+        a = generate_synthetic(self.spec(), 40, seed=3)
+        b = generate_synthetic(self.spec(), 40, seed=3)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
         # row i depends only on (seed, i): longer draws extend, not reshuffle
-        big, _ = generate_synthetic(self.spec(), 60, seed=3)
+        big = generate_synthetic(self.spec(), 60, seed=3)
         np.testing.assert_array_equal(big.features[:40], a.features)
         np.testing.assert_array_equal(big.labels[:40], a.labels)
 
     def test_marginal_frequencies(self):
         n = 50_000
-        ds, marginals = generate_synthetic(self.spec(), n, seed=11)
+        ds = generate_synthetic(self.spec(), n, seed=11)
+        marginals = propagate(CHAIN, self.spec().theta)
+        np.testing.assert_allclose(marginals, [0.6, 0.42, 0.21])
         freq = (ds.labels == POS).mean(axis=0)
         sigma = np.sqrt(marginals * (1 - marginals) / n)
         assert (np.abs(freq - marginals) < 4 * sigma + 1e-9).all()
@@ -341,19 +311,10 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="shape"):
             SyntheticSpec(tree=CHAIN, theta=np.array([0.5, 0.5]))
 
-    def test_marginals_match_propagate(self):
-        rng = np.random.default_rng(8)
-        tree = random_forest(rng, 5)
-        theta = rng.random(5)
-        _, marginals = generate_synthetic(
-            SyntheticSpec(tree=tree, theta=theta), 1, seed=0
-        )
-        np.testing.assert_array_equal(marginals, propagate(tree, theta))
-
 
 class TestInjectUncertainty:
     def base(self, n=400):
-        ds, _ = generate_synthetic(
+        ds = generate_synthetic(
             SyntheticSpec(tree=CHAIN, theta=np.array([0.6, 0.7, 0.5])), n, seed=0
         )
         return ds

@@ -1,4 +1,5 @@
-"""Layering guard: ``csvio`` is the package's one CSV layer."""
+"""Layering guards: ``csvio`` is the package's one CSV layer, and
+``pipeline.synthetic_split`` its one synthetic-data path."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,53 @@ def test_guard_sees_each_form():
     assert scan("from csv import reader") == (["from csv"], False)
     assert scan("from csv import DictReader") == (["from csv"], True)
     assert scan("from .csvio import reader\nimport csvio") == ([], False)
+
+
+SYNTHETIC = {"generate_synthetic", "inject_uncertainty"}
+
+
+def synthetic_uses(source: str) -> set[tuple[str, str]]:
+    """(top-level function or class, name) for each use of the synthetic
+    generators in a module other than an import; "<module>" for uses
+    outside any function or class."""
+    uses = set()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in SYNTHETIC:
+                uses.add((owner, name))
+    return uses
+
+
+def test_only_synthetic_split_generates():
+    found = {
+        name: uses for name, source in modules().items() if (uses := synthetic_uses(source))
+    }
+    assert found == {
+        "pipeline.py": {
+            ("synthetic_split", "generate_synthetic"),
+            ("synthetic_split", "inject_uncertainty"),
+        }
+    }
+
+
+def test_synthetic_guard_sees_each_use():
+    source = (
+        "from .data import generate_synthetic, inject_uncertainty\n"
+        "def synthetic_split(spec, n, seed):\n"
+        "    return generate_synthetic(spec, n, seed)\n"
+        "def ablation(spec, seeds):\n"
+        "    def split(seed):\n"
+        "        return data_mod.inject_uncertainty(split, 0.3, seed)\n"
+        "    return [split(seed) for seed in seeds]\n"
+        "class Runner:\n"
+        "    make = staticmethod(generate_synthetic)\n"
+        "FRESH = generate_synthetic(SPEC, 10, 0)\n"
+    )
+    assert synthetic_uses(source) == {
+        ("synthetic_split", "generate_synthetic"),
+        ("ablation", "inject_uncertainty"),
+        ("Runner", "generate_synthetic"),
+        ("<module>", "generate_synthetic"),
+    }

@@ -43,7 +43,7 @@ FAST_OPT = OptimizerConfig(
 
 
 def pair_datasets(n_train=3000, n_eval=1500, seed=0):
-    full, _ = generate_synthetic(PAIR_SPEC, n_train + n_eval, seed)
+    full = generate_synthetic(PAIR_SPEC, n_train + n_eval, seed)
     return full.take(np.arange(n_train)), full.take(np.arange(n_train, n_train + n_eval))
 
 
@@ -177,7 +177,7 @@ class TestFlatEquivalence:
         spec = SyntheticSpec(
             tree=roots, theta=np.array([0.5, 0.4]), feature_noise=0.5, feature_dim=8
         )
-        data, _ = generate_synthetic(spec, 500, 3)
+        data = generate_synthetic(spec, 500, 3)
         plan = fast_plan(stage1_iterations=120, stage2_iterations=0)
         staged = train_member(data, roots, plan, (16,), seed=0)
         flat = train_member(data, roots, replace(plan, conditional=False), (16,), 0)
@@ -379,7 +379,7 @@ class TestAblation:
 
     def test_uncertainty_injection_feeds_through(self):
         # sanity on the helper the ablation relies on
-        data, _ = generate_synthetic(PAIR_SPEC, 400, 9)
+        data = generate_synthetic(PAIR_SPEC, 400, 9)
         noisy = inject_uncertainty(data, 0.5, 9)
         assert (noisy.labels == -1).sum() > 0
 
@@ -500,7 +500,7 @@ class TestAblationStack:
         flat_plan = replace(cond_plan, policy=args["hard_policy"], conditional=False)
         cond_scores, flat_scores = [], []
         for seed in (0, 1):
-            full, _ = generate_synthetic(spec, 600, seed)
+            full = generate_synthetic(spec, 600, seed)
             train = inject_uncertainty(full.take(np.arange(300)), 0.2, seed)
             held_out = full.take(np.arange(300, 600))
             truth = (held_out.labels[:, 1] == POS).astype(int)
