@@ -13,6 +13,7 @@ failure during training.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
@@ -118,6 +119,7 @@ def _named_split(config: RunConfig, spec: SyntheticSpec) -> tuple[Dataset, Datas
 _DERIVED_FROM_MODELS = (
     "checkpoints/member*.json",
     "predictions.csv",
+    "predictions.json",
     "report.txt",
     "report.csv",
     "roc_*.csv",
@@ -185,7 +187,16 @@ def _flat(record: dict, prefix: str = "") -> dict:
 def _differing(recorded: dict, expected: dict, ignore=()) -> list[str]:
     """The dotted keys, other than ``ignore``, whose values differ."""
     a, b = _flat(recorded), _flat(expected)
-    return sorted(k for k in (a.keys() | b.keys()) - set(ignore) if a.get(k) != b.get(k))
+    keys = (a.keys() | b.keys()) - set(ignore)
+    return sorted(k for k in keys if _compared(k, a.get(k)) != _compared(k, b.get(k)))
+
+
+def _compared(key: str, value):
+    """A recorded value as compared: a hierarchy file by its resolved path,
+    so one file reached by two paths is one hierarchy."""
+    if key == "hierarchy" and isinstance(value, str) and value != "default":
+        return Path(value).resolve()
+    return value
 
 
 def _recorded(path: Path, remedy: str) -> dict:
@@ -220,47 +231,58 @@ def _gen_csvs(config: RunConfig, split: str) -> tuple[Path, Path] | None:
     return paths
 
 
+def _split_files(
+    config: RunConfig, split: str
+) -> tuple[str | Path | None, str | Path] | None:
+    """The "train" or "eval" split's (features file or None, labels file),
+    or None for the config's synthetic split drawn in memory."""
+    if config.synthetic is not None:
+        return _gen_csvs(config, split)
+    csv_cfg = config.csv_data
+    assert csv_cfg is not None
+    labels = getattr(csv_cfg, f"{split}_labels")
+    if not Path(labels).exists():
+        what = "training" if split == "train" else "eval"
+        raise ConfigError(f"{what} labels file not found: {labels}")
+    return getattr(csv_cfg, f"{split}_features"), labels
+
+
 def _load_split(config: RunConfig, tree: LabelTree, split: str) -> Dataset:
     """The "train" or "eval" dataset: gen's CSVs, else regenerated
-    synthetic data, else the config's CSV files.  Under
-    ``missing_as_negative`` its blank label cells are negatives."""
-    paths = _gen_csvs(config, split) if config.synthetic is not None else None
-    if paths is not None:
-        dataset = data_mod.load_dataset(*paths, tree)
-    elif config.synthetic is not None:
+    synthetic data, else the config's CSV files."""
+    files = _split_files(config, split)
+    if files is None:
         train, held_out = _named_split(config, _synthetic_spec(config, tree))
         dataset = train if split == "train" else held_out
+    elif files[0] is not None:
+        dataset = data_mod.load_dataset(*files, tree)
     else:
-        csv_cfg = config.csv_data
-        assert csv_cfg is not None
-        labels = getattr(csv_cfg, f"{split}_labels")
-        features = getattr(csv_cfg, f"{split}_features")
-        if not Path(labels).exists():
-            what = "training" if split == "train" else "eval"
-            raise ConfigError(f"{what} labels file not found: {labels}")
-        if features is not None:
-            dataset = data_mod.load_dataset(features, labels, tree)
-        else:
-            dataset = data_mod.load_csv(labels, tree)
-    if config.missing_as_negative:
-        missing = dataset.labels == data_mod.MISSING
-        dataset = replace(dataset, labels=np.where(missing, data_mod.NEG, dataset.labels))
-    return dataset
+        dataset = data_mod.load_csv(files[1], tree)
+    return replace(dataset, labels=_scored_labels(config, dataset.labels))
+
+
+def _scored_labels(config: RunConfig, labels: np.ndarray) -> np.ndarray:
+    """Labels with blank cells as negatives under ``missing_as_negative``."""
+    if not config.missing_as_negative:
+        return labels
+    return np.where(labels == data_mod.MISSING, data_mod.NEG, labels)
 
 
 def _eval_features(
     config: RunConfig, tree: LabelTree
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Features and row ids of the eval split, read without its labels
-    whenever a features file holds them."""
+) -> tuple[np.ndarray, tuple[str, ...], str | Path | None]:
+    """Features and row ids of the eval split, and the file they came
+    from: read without the labels whenever a features file holds them."""
     if config.synthetic is not None:
         paths = _gen_csvs(config, "eval")
-        if paths is not None:
-            return data_mod.load_features_csv(paths[0])
-    elif config.csv_data is not None and config.csv_data.eval_features is not None:
-        return data_mod.load_features_csv(config.csv_data.eval_features)
+        path = None if paths is None else paths[0]
+    else:
+        assert config.csv_data is not None
+        path = config.csv_data.eval_features
+    if path is not None:
+        return (*data_mod.load_features_csv(path), path)
     dataset = _load_split(config, tree, "eval")
-    return dataset.features, dataset.ids
+    return dataset.features, dataset.ids, None
 
 
 def cmd_train(args) -> int:
@@ -312,7 +334,7 @@ _EVAL_ONLY = ("eval_subset", "reader_points", "data.eval_labels", "data.eval_fea
 _FLAGS = {"seed": "--seed", "mode": "--mode", "policy.name": "--policy"}
 
 
-def _load_ensemble(config: RunConfig) -> EnsembleModel:
+def _final_checkpoints(config: RunConfig) -> list[Path]:
     """The config's ``ensemble_size`` final checkpoints, if ``train`` wrote
     them under the same config but for the eval-only keys."""
     out = _out_dir(config, create=False)
@@ -335,37 +357,95 @@ def _load_ensemble(config: RunConfig) -> EnsembleModel:
         flags = " ".join(f"{_FLAGS[k]} {was.get(k)}" for k in differing if k in _FLAGS)
         remedy = f"pass {flags} or run train again" if flags else "run train again"
         raise ConfigError(f"{ckpt_dir} was trained under another config: {values}; {remedy}")
-    return EnsembleModel([load_checkpoint(path)[0] for path in paths])
+    return paths
 
 
 def _predict(
-    ensemble: EnsembleModel, mode: str, tree: LabelTree, features: np.ndarray
+    checkpoints: list[Path], mode: str, tree: LabelTree, features: np.ndarray
 ) -> np.ndarray:
     """Ensemble probabilities: propagated if conditional, raw if flat."""
+    ensemble = EnsembleModel([load_checkpoint(path)[0] for path in checkpoints])
     if mode == "flat":
         return predict_flat(ensemble, features)
     return predict_unconditional(ensemble, tree, features)
+
+
+def _sha256(path) -> str:
+    """The hex sha256 of a file, read 64 KiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _binding(checkpoints: list[Path], features, tree: LabelTree, mode: str) -> dict:
+    """What ensemble predictions are a function of, by content: the final
+    checkpoints, the eval features file, the tree and the mode."""
+    return {
+        "checkpoints": {path.name: _sha256(path) for path in checkpoints},
+        "eval_features": _sha256(features),
+        "tree": {"names": list(tree.names), "parents": tree.parent_index.tolist()},
+        "mode": mode,
+    }
+
+
+def _write_predictions(
+    out: Path, ids, probs: np.ndarray, tree: LabelTree, binding: dict | None
+) -> None:
+    """Write ``predictions.csv`` and, given the ``binding`` of the inputs
+    it came from, ``predictions.json``: that binding plus the file's hash.
+    Predictions bound to nothing leave no record."""
+    record, path = out / "predictions.json", out / "predictions.csv"
+    eval_mod.write_predictions_csv(path, ids, probs, tree.names)
+    if binding is None:
+        record.unlink(missing_ok=True)
+    else:
+        payload = json.dumps({**binding, "predictions": _sha256(path)}, sort_keys=True, indent=2)
+        record.write_text(payload + "\n", encoding="utf-8")
+
+
+def _bound_predictions(
+    out: Path, checkpoints: list[Path], features, tree: LabelTree, mode: str, ids
+) -> np.ndarray | None:
+    """The probabilities in ``predictions.csv`` if ``predictions.json``
+    binds it, unchanged, to these inputs, and it holds the rows ``ids``
+    and the columns of ``tree`` in order; else None.  The record is read
+    first: without one, nothing is hashed."""
+    record, path = out / "predictions.json", out / "predictions.csv"
+    try:
+        recorded = json.loads(record.read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return None
+    binding = _binding(checkpoints, features, tree, mode)
+    if not path.exists() or recorded != {**binding, "predictions": _sha256(path)}:
+        return None
+    written_ids, probs, names = eval_mod.load_predictions_csv(path)
+    return probs if written_ids == ids and names == tree.names else None
 
 
 def cmd_predict(args) -> int:
     """Write ensemble predictions for the eval rows."""
     config = _effective_config(args)
     tree = config.load_tree()
-    features, ids = _eval_features(config, tree)
-    probs = _predict(_load_ensemble(config), config.mode, tree, features)
+    features, ids, features_path = _eval_features(config, tree)
+    checkpoints = _final_checkpoints(config)
+    probs = _predict(checkpoints, config.mode, tree, features)
+    binding = None
+    if features_path is not None:
+        binding = _binding(checkpoints, features_path, tree, config.mode)
     out = _out_dir(config)
-    eval_mod.write_predictions_csv(out / "predictions.csv", ids, probs, tree.names)
+    _write_predictions(out, ids, probs, tree, binding)
     print(f"wrote predictions for {len(ids)} rows to {out / 'predictions.csv'}")
     return EXIT_OK
 
 
-def _binary_ground_truth(dataset: Dataset, tree: LabelTree) -> np.ndarray:
-    labels = dataset.labels
+def _binary_ground_truth(labels: np.ndarray, ids, tree: LabelTree) -> np.ndarray:
     bad = ~np.isin(labels, (data_mod.POS, data_mod.NEG))
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise DataFormatError(
-            f"ground truth must be binary; row {dataset.ids[row]!r} label "
+            f"ground truth must be binary; row {ids[row]!r} label "
             f"{tree.names[col]!r} is not 1.0/0.0"
         )
     return (labels == data_mod.POS).astype(np.int64)
@@ -385,17 +465,38 @@ def cmd_eval(args) -> int:
         raise DataFormatError(
             f"{config.reader_points}: reader points for unknown label(s) {unknown}"
         )
-    dataset = _load_split(config, tree, "eval")
-    truth = _binary_ground_truth(dataset, tree)
+    # The labels alone where a features file holds the rows' features:
+    # predictions bound to that file spare reading it.
+    files = _split_files(config, "eval")
+    features_path = None
+    if args.predictions or files is None or files[0] is None:
+        dataset = _load_split(config, tree, "eval")
+        features, labels, ids = dataset.features, dataset.labels, dataset.ids
+    else:
+        features, features_path = None, files[0]
+        labels, ids, _ = data_mod.load_labels_csv(files[1], tree)
+        labels = _scored_labels(config, labels)
+    truth = _binary_ground_truth(labels, ids, tree)
 
+    binding, probs, reused = None, None, False
     if args.predictions:
-        ids, probs, names = eval_mod.load_predictions_csv(args.predictions)
+        written_ids, probs, names = eval_mod.load_predictions_csv(args.predictions)
         cols = column_indices(args.predictions, names, tree.names, "label")
-        if ids != dataset.ids:
+        if written_ids != ids:
             raise DataFormatError("predictions row ids do not match the eval dataset")
         probs = probs[:, cols]
     else:
-        probs = _predict(_load_ensemble(config), config.mode, tree, dataset.features)
+        checkpoints = _final_checkpoints(config)
+        if features_path is not None:
+            run_dir = _out_dir(config, create=False)
+            probs = _bound_predictions(run_dir, checkpoints, features_path, tree, config.mode, ids)
+            reused = probs is not None
+            if not reused:
+                features, feat_ids = data_mod.load_features_csv(features_path)
+                data_mod.check_row_ids(feat_ids, ids, *files)
+                binding = _binding(checkpoints, features_path, tree, config.mode)
+        if not reused:
+            probs = _predict(checkpoints, config.mode, tree, features)
 
     scores_by_label = {name: probs[:, tree.index_of(name)] for name in tree.names}
     truth_by_label = {name: truth[:, tree.index_of(name)] for name in tree.names}
@@ -407,7 +508,8 @@ def cmd_eval(args) -> int:
         raise DataFormatError(str(exc)) from exc
 
     out = _out_dir(config)
-    eval_mod.write_predictions_csv(out / "predictions.csv", dataset.ids, probs, tree.names)
+    if not reused:
+        _write_predictions(out, ids, probs, tree, binding)
     eval_mod.write_report(report, out / "report.txt", out / "report.csv")
     for name, curve in report.curves.items():
         eval_mod.write_roc_points_csv(out / f"roc_{safe_name(name)}.csv", curve)

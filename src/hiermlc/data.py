@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import seeding
-from .csvio import column_indices, read_id_matrix, reader, write_rows
+from .csvio import column_indices, read_coded_rows, read_id_matrix, reader, write_rows
 from .errors import DataFormatError
 from .hierarchy import LabelTree
 
@@ -145,17 +145,33 @@ def load_labels_csv(
 
     Every tree label must appear as a column; all other columns are kept
     as metadata.  Row ids come from a ``Path`` or ``id`` column when
-    present, else are positional.
+    present, else are positional.  Files of the cells this package writes
+    are parsed by ``read_coded_rows``; any other file is read again by
+    the checked row loop, which alone writes the error messages.
     """
+    parsed = read_coded_rows(path, tree.names, _CANONICAL_CELLS)
+    labels, metadata = _read_label_rows(path, tree) if parsed is None else parsed
+    if "Path" in metadata:
+        ids = metadata["Path"]
+    elif "id" in metadata:
+        ids = metadata["id"]
+    else:
+        ids = row_ids(labels.shape[0])
+    return labels, ids, metadata
+
+
+def _read_label_rows(
+    path: str | Path, tree: LabelTree
+) -> tuple[np.ndarray, dict[str, tuple[str, ...]]]:
+    """``read_coded_rows``'s result through the checked row loop of ``reader``."""
     with reader(path) as (header, rows):
         label_idx = column_indices(path, header, tree.names, "label")
-        meta_cols = [c for c in header if c not in tree.names]
-        meta_idx = [header.index(c) for c in meta_cols]
+        meta_idx = {c: header.index(c) for c in header if c not in tree.names}
 
         canonical = _CANONICAL_CELLS
         codes = array("b")  # one byte per cell, row after row
         n_rows = 0
-        meta_values: list[list[str]] = [[] for _ in meta_cols]
+        meta_values: dict[str, list[str]] = {c: [] for c in meta_idx}
         for line, row in rows:
             cells = [row[i] for i in label_idx]
             try:
@@ -163,19 +179,12 @@ def load_labels_csv(
             except KeyError:
                 codes.extend([_parse_cell(cell, f"{path}:{line}") for cell in cells])
             n_rows += 1
-            for j, idx in enumerate(meta_idx):
-                meta_values[j].append(row[idx])
+            for c, idx in meta_idx.items():
+                meta_values[c].append(row[idx])
     if not n_rows:
         raise DataFormatError(f"{path}: no data rows")
     labels = np.array(codes, dtype=np.int8).reshape(n_rows, tree.K)
-    metadata = {c: tuple(v) for c, v in zip(meta_cols, meta_values)}
-    if "Path" in metadata:
-        ids = metadata["Path"]
-    elif "id" in metadata:
-        ids = metadata["id"]
-    else:
-        ids = row_ids(n_rows)
-    return labels, ids, metadata
+    return labels, {c: tuple(v) for c, v in meta_values.items()}
 
 
 def write_labels_csv(
@@ -250,11 +259,16 @@ def load_dataset(features_path: str | Path, labels_path: str | Path, tree: Label
     """Load a synthetic features/labels CSV pair, matching rows by order."""
     features, feat_ids = load_features_csv(features_path)
     labels, ids, metadata = load_labels_csv(labels_path, tree)
+    check_row_ids(feat_ids, ids, features_path, labels_path)
+    return Dataset(features=features, labels=labels, ids=ids, metadata=metadata)
+
+
+def check_row_ids(feat_ids, ids, features_path, labels_path) -> None:
+    """Raise unless a features file and a labels file hold the same rows."""
     if feat_ids != ids:
         raise DataFormatError(
             f"row ids disagree between {features_path} and {labels_path}"
         )
-    return Dataset(features=features, labels=labels, ids=ids, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------

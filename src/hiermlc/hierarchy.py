@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .csvio import column_indices, reader, write_table
+from .csvio import column_indices, reader
 from .errors import DataFormatError
 
 
@@ -201,15 +201,6 @@ def safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
 
-def save_tree(tree: LabelTree, path: str | Path) -> None:
-    rows = [[node.name, node.parent or "", node.index] for node in tree.nodes]
-    write_table(path, ["name", "parent", "index"], rows)
-
-
 def default_hierarchy_path() -> Path:
     """Path of the shipped 14-label chest-observation hierarchy."""
     return Path(__file__).parent / "resources" / "default_hierarchy.csv"
-
-
-def load_default_tree() -> LabelTree:
-    return load_tree(default_hierarchy_path())

@@ -3,10 +3,13 @@ import hashlib
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hiermlc import cli
+from hiermlc import data as data_mod
 from hiermlc import evaluation as eval_mod
 from hiermlc.cli import main
 from hiermlc.config import load_config
@@ -434,6 +437,59 @@ class TestStaleData:
             assert main([command, *args]) == 1
             assert "run train first" in capsys.readouterr().err
 
+    def chain_config(self, tmp_path, configs_dir, name="chain.json", **overrides):
+        """``configs/chain.json`` at a small size, with its hierarchy file
+        beside it under the relative name it ships with."""
+        shutil.copy(configs_dir / "chain_hierarchy.csv", tmp_path)
+        raw = json.loads((configs_dir / "chain.json").read_text())
+        raw.update(stage1_iterations=20, stage2_iterations=10, **overrides)
+        raw["data"]["synthetic"].update(n_train=100, n_eval=50)
+        (tmp_path / name).write_text(json.dumps(raw))
+        return tmp_path / name
+
+    def test_one_hierarchy_reached_by_two_paths(self, tmp_path, configs_dir, monkeypatch):
+        config = self.chain_config(tmp_path, configs_dir)
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--config", str(config.resolve())]) == 0
+        for command in ("train", "predict", "eval"):
+            assert main([command, "--config", "chain.json"]) == 0
+        assert json.loads(Path("runs/chain/config.json").read_text())["hierarchy"] == (
+            "chain_hierarchy.csv"
+        )
+
+    def test_relative_hierarchy_is_taken_from_the_working_directory(
+        self, tmp_path, configs_dir, monkeypatch, capsys
+    ):
+        """A config reached by a relative path records its hierarchy path
+        relative to the directory the command ran from: a later command
+        run from elsewhere cannot tell it is the same file."""
+        config = self.chain_config(tmp_path, configs_dir)
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--config", "chain.json", "--out", str(tmp_path / "run")]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        assert "different hierarchy than the config" in capsys.readouterr().err
+
+    def test_another_hierarchy_file_is_another_hierarchy(
+        self, tmp_path, configs_dir, monkeypatch, capsys
+    ):
+        config = self.chain_config(tmp_path, configs_dir)
+        shutil.copy(tmp_path / "chain_hierarchy.csv", tmp_path / "copy.csv")
+        other = self.chain_config(tmp_path, configs_dir, "other.json", hierarchy="copy.csv")
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(other)]) == 1
+        assert "different hierarchy than the config" in capsys.readouterr().err
+        # no gen: train and eval draw the synthetic split in memory
+        assert main(["train", "--config", str(config), "--out", "mem"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(other), "--out", "mem"]) == 1
+        assert "trained under another config: hierarchy" in capsys.readouterr().err
+
     def test_predict_reads_no_eval_labels(self, workspace):
         config = write_config(workspace, ensemble_size=1)
         for command in ("gen", "train", "predict"):
@@ -593,6 +649,160 @@ class TestTrainedConfig:
         capsys.readouterr()
         assert main(["eval", "--config", str(config)]) == 1
         assert "config.json is missing or unreadable; run train again" in capsys.readouterr().err
+
+
+class TestPredictionsReuse:
+    """eval scores the ``predictions.csv`` that predict wrote when
+    ``predictions.json`` binds it to eval's inputs, and otherwise runs the
+    ensemble; either way it writes the same bytes."""
+
+    SCORED = ("predictions.csv", "report.txt", "report.csv", "roc_A.csv", "roc_B.csv")
+
+    def two_runs(self, workspace, **overrides):
+        """Configs of two run directories, trained alike; only "run" has
+        run predict."""
+        configs = {
+            out: write_config(
+                workspace, name=f"{out}.json", out=str(workspace / out),
+                ensemble_size=2, **overrides,
+            )
+            for out in ("run", "canon")
+        }
+        for out, config in configs.items():
+            if "synthetic" in json.loads(config.read_text())["data"]:
+                assert main(["gen", "--config", str(config)]) == 0
+            assert main(["train", "--config", str(config)]) == 0
+        assert main(["predict", "--config", str(configs["run"])]) == 0
+        assert (workspace / "run" / "predictions.json").exists()
+        return configs
+
+    def scored(self, run):
+        return {name: (run / name).read_bytes() for name in self.SCORED}
+
+    def checkpoint_loads(self, monkeypatch):
+        loads = []
+        load = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or load(path))
+        return loads
+
+    def test_eval_scores_what_predict_wrote(self, workspace, monkeypatch):
+        configs = self.two_runs(workspace)
+        assert main(["eval", "--config", str(configs["canon"])]) == 0
+
+        def forbidden(*args):
+            raise AssertionError("eval ran the ensemble")
+
+        monkeypatch.setattr(cli, "load_checkpoint", forbidden)
+        monkeypatch.setattr(data_mod, "load_features_csv", forbidden)
+        record = (workspace / "run" / "predictions.json").read_bytes()
+        assert main(["eval", "--config", str(configs["run"])]) == 0
+        assert self.scored(workspace / "run") == self.scored(workspace / "canon")
+        assert (workspace / "run" / "predictions.json").read_bytes() == record
+
+    def edit_checkpoint(self, workspace, configs):
+        path = workspace / "run" / "checkpoints" / "member01_final.json"
+        path.write_text(path.read_text() + " \n")
+
+    def edit_probability(self, workspace, configs):
+        path = workspace / "run" / "predictions.csv"
+        lines = path.read_text().split("\n")
+        cells = lines[5].split(",")
+        lines[5] = ",".join([cells[0], "0.5", *cells[2:]])
+        path.write_text("\n".join(lines))
+
+    def delete_record(self, workspace, configs):
+        (workspace / "run" / "predictions.json").unlink()
+
+    def swap_hierarchy(self, workspace, configs):
+        (workspace / "h.csv").write_text(ROOTS_CSV)
+
+    @pytest.mark.parametrize(
+        "edit", ["edit_checkpoint", "edit_probability", "delete_record", "swap_hierarchy"]
+    )
+    def test_a_changed_input_runs_the_ensemble(self, workspace, monkeypatch, edit):
+        configs = self.two_runs(workspace)
+        getattr(self, edit)(workspace, configs)
+        assert main(["eval", "--config", str(configs["canon"])]) == 0
+        loads = self.checkpoint_loads(monkeypatch)
+        assert main(["eval", "--config", str(configs["run"])]) == 0
+        assert len(loads) == 2
+        assert self.scored(workspace / "run") == self.scored(workspace / "canon")
+        loads.clear()
+        assert main(["eval", "--config", str(configs["run"])]) == 0  # now bound again
+        assert loads == []
+
+    def test_other_eval_features_run_the_ensemble(self, workspace, monkeypatch):
+        data = write_label_files(workspace, "0.0")
+        configs = self.two_runs(workspace, data=data, policy={"name": "ones"})
+        other = workspace / "other_features.csv"
+        lines = (workspace / "eval_features.csv").read_text().splitlines()
+        other.write_text("\n".join(lines[:1] + [row + "1" for row in lines[1:]]) + "\n")
+        for config in configs.values():
+            raw = json.loads(config.read_text())
+            raw["data"]["eval_features"] = str(other)
+            config.write_text(json.dumps(raw))
+        assert main(["eval", "--config", str(configs["canon"])]) == 0
+        loads = self.checkpoint_loads(monkeypatch)
+        assert main(["eval", "--config", str(configs["run"])]) == 0
+        assert len(loads) == 2
+        assert self.scored(workspace / "run") == self.scored(workspace / "canon")
+
+    def test_only_bound_predictions_leave_a_record(self, workspace):
+        configs = self.two_runs(workspace)
+        record = workspace / "run" / "predictions.json"
+        assert main(["train", "--config", str(configs["run"])]) == 0
+        assert not record.exists()
+        assert main(["predict", "--config", str(configs["run"])]) == 0
+        scored = workspace / "scored.csv"
+        shutil.copy(workspace / "run" / "predictions.csv", scored)
+        assert main(["eval", "--config", str(configs["run"]), "--predictions", str(scored)]) == 0
+        assert not record.exists()
+        assert main(["predict", "--config", str(configs["run"])]) == 0
+        assert main(["gen", "--config", str(configs["run"])]) == 0
+        assert not record.exists()
+
+
+class TestEvalReadsFeatures:
+    """Every eval that does not score bound predictions reads the eval
+    features file and checks its row ids against the labels'."""
+
+    def renamed_row(self, workspace):
+        path = workspace / "run" / "data" / "eval_features.csv"
+        lines = path.read_text().split("\n")
+        lines[3] = "zebra" + lines[3][lines[3].index(",") :]
+        path.write_text("\n".join(lines))
+
+    def test_without_predict(self, workspace, capsys):
+        config = write_config(workspace, ensemble_size=1)
+        for command in ("gen", "train"):
+            assert main([command, "--config", str(config)]) == 0
+        self.renamed_row(workspace)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 2
+        assert "row ids disagree between" in capsys.readouterr().err
+        assert not (workspace / "run" / "predictions.csv").exists()
+
+    def test_after_predict_on_the_same_file(self, workspace, capsys):
+        config = write_config(workspace, ensemble_size=1)
+        for command in ("gen", "train"):
+            assert main([command, "--config", str(config)]) == 0
+        self.renamed_row(workspace)
+        assert main(["predict", "--config", str(config)]) == 0  # reads no labels
+        assert (workspace / "run" / "predictions.json").exists()
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 2
+        assert "row ids disagree between" in capsys.readouterr().err
+
+    def test_with_supplied_predictions(self, workspace, capsys):
+        config = write_config(workspace, ensemble_size=1)
+        for command in ("gen", "train", "predict"):
+            assert main([command, "--config", str(config)]) == 0
+        scored = workspace / "scored.csv"
+        shutil.copy(workspace / "run" / "predictions.csv", scored)
+        (workspace / "run" / "data" / "eval_features.csv").write_text("id,f0\nr1,x\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--predictions", str(scored)]) == 2
+        assert "eval_features.csv:2" in capsys.readouterr().err
 
 
 def write_label_files(workspace, blank):

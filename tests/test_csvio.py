@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hiermlc import csvio
+from hiermlc import data as data_mod
 from hiermlc.data import (
     MISSING,
     NEG,
@@ -33,6 +34,7 @@ from hiermlc.evaluation import (
 )
 from hiermlc.hierarchy import build_tree, load_tree
 from oracles import (
+    random_forest,
     writerow_features_csv,
     writerow_labels_csv,
     writerow_predictions_csv,
@@ -433,6 +435,115 @@ class TestIdMatrixReader:
         path = write_text(tmp_path, f"id,p\nr1,{cell}\n")
         with pytest.raises(DataFormatError, match=r"t\.csv: unreadable near line 2: field larger"):
             csvio.read_id_matrix(path, "feature")
+
+
+def label_outcome(path, tree, block=True):
+    """What ``load_labels_csv`` makes of a label file, by the block path
+    where it vouches for the file (``block``) or by the checked loop
+    alone: its result, code bytes included, or its error message."""
+    read = csvio.read_coded_rows if block else no_block_path
+    with mock.patch.object(data_mod, "read_coded_rows", read):
+        try:
+            labels, ids, metadata = data_mod.load_labels_csv(path, tree)
+        except DataFormatError as exc:
+            return str(exc)
+    return labels.dtype, labels.shape, labels.tobytes(), ids, metadata
+
+
+def no_block_path(*args):
+    return None
+
+
+LABEL_CELLS = ("1.0", "0.0", "-1.0", "")
+META_TEXT = st.text("abcXYZ019 ._-#'\\\u00e9", max_size=6)
+
+
+@st.composite
+def canonical_label_files(draw):
+    """A label file of canonical cells: the tree's labels in any column
+    order among metadata columns (an id, a Path, others, a repeated
+    name), blank lines and a missing last newline; and a block size."""
+    k = draw(st.integers(1, 4))
+    tree = random_forest(np.random.default_rng(draw(st.integers(0, 99))), k)
+    meta = draw(st.lists(st.sampled_from(["id", "Path", "Sex", "note", "id"]), max_size=3))
+    header = draw(st.permutations([*tree.names, *meta]))
+    cells = {c: st.sampled_from(LABEL_CELLS) if c in tree.names else META_TEXT for c in header}
+    rows = [[draw(cells[c]) for c in header] for _ in range(draw(st.integers(1, 12)))]
+    if len(header) == 1:  # a lone empty cell is a blank line, which csv skips
+        rows = [row for row in rows if row != [""]] or [["1.0"]]
+    lines = [",".join(row) + "\n" for row in [header, *rows]]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "\n")
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\n")
+    return tree, "".join(lines), draw(st.sampled_from([1, 16, 64, csvio.LABEL_BLOCK_CHARS]))
+
+
+class TestLabelBlockReader:
+    """``load_labels_csv`` parses the files this package writes through
+    ``read_coded_rows`` and any other file through the checked loop; the
+    result is the checked loop's, or its ``DataFormatError`` message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(file=canonical_label_files())
+    def test_canonical_files_take_the_block_path(self, tmp_path_factory, file):
+        tree, text, block_chars = file
+        path = write_text(tmp_path_factory.mktemp("l"), text)
+        with mock.patch.object(csvio, "LABEL_BLOCK_CHARS", block_chars):
+            assert csvio.read_coded_rows(path, tree.names, data_mod._CANONICAL_CELLS)
+            assert label_outcome(path, tree) == label_outcome(path, tree, block=False)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'id,A,B,C\n"r1",1.0,0.0,\nr2,"1.0",0.0,-1.0\n',  # quoted cells
+            'id,A,B,C\nr1,1.0,0.0,\n"r2",0.0,0.0,\n',  # a quoted id
+            "id,A,B,C\r\nr1,1.0,0.0,\r\nr2,0.0,,-1.0\r\n",  # CRLF line ends
+            "A,B,C,id\n1.0,0.0,,r1\r\n0.0,0.0,0.0,r2\n",
+            "id,A,B,C\n\nr1,1.0,0.0,\n\n\nr2,0.0,,-1.0\n\n",  # blank lines
+            "id,A,B,C\nr1, 1.0,0.0,\n",
+            "id,A,B,C\nr1,1,0.0,\n",
+            "id,A,B,C\nr1,1.00,0.0,\n",
+            "id,A,B,C\nr1,-1,0.0,\n",
+            "id,A,B,C\nr1,1.0,2.0,\n",
+            "id,A,B,C\nr1,1.0,x,\n",
+            "id,A,B,C\nr1,1.0,0.0,\nr2,1.0,0.0\n",  # a short row
+            "id,A,B,C\nr1,1.0,0.0,,\n",  # a long row
+            "id,A,B,C\nr1,1.0,0.0,,\nr2,1.0,0.0\n",  # both, with the header's comma count
+            "A,B,C\n1.0,0.0,,0.0\n1.0,0.0\n",  # as above, every cell a code
+            b"id,A,B,C\nr1,1.0,0.0,\nr2,0.0\xff,0.0,\n",  # not UTF-8
+            "C,id,A,B\n,r1,1.0,0.0\n-1.0,r2,0.0,0.0\n",  # labels out of tree order
+            "B,A,Path,Sex,C\n0.0,1.0,p/1.png,Male,\n",
+            "A,B,C\n1.0,0.0,\n0.0,0.0,0.0\n",  # no id column
+            "id,Path,A,B,C,Age\nr1,p/1.png,1.0,0.0,,61\n",
+            "Sex,id,A,Sex,B,C\nMale,r1,1.0,Female,0.0,\n",  # a repeated name
+            "id,A,B\nr1,1.0,0.0\n",  # a missing label column
+            "id,A,B,C\n",  # no data rows
+            "id,A,B,C",
+            "\nid,A,B,C\nr1,1.0,0.0,\n",
+            "",
+        ],
+    )
+    @pytest.mark.parametrize("block_chars", [1, csvio.LABEL_BLOCK_CHARS])
+    def test_same_as_checked_loop(self, tmp_path, text, block_chars):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with mock.patch.object(csvio, "LABEL_BLOCK_CHARS", block_chars):
+            assert label_outcome(path, CHAIN) == label_outcome(path, CHAIN, block=False)
+
+    def test_package_files_take_the_block_path(self, tmp_path, monkeypatch):
+        codes = np.array([POS, NEG, UNC, MISSING], dtype=np.int8)
+        labels = codes[np.random.default_rng(5).integers(0, 4, size=(4000, 3))]
+        ids = [f"row{i:05d}" for i in range(4000)]
+        write_labels_csv(tmp_path / "l.csv", labels, CHAIN, ids)
+        expected = label_outcome(tmp_path / "l.csv", CHAIN, block=False)
+
+        def forbidden(path, tree):
+            raise AssertionError(f"{path} went to the checked loop")
+
+        monkeypatch.setattr(data_mod, "_read_label_rows", forbidden)
+        got = label_outcome(tmp_path / "l.csv", CHAIN)
+        assert got == expected and got[2] == labels.tobytes() and got[3] == tuple(ids)
 
 
 class TestLoadersShareTheReader:

@@ -8,10 +8,9 @@ from hiermlc.hierarchy import (
     LabelNode,
     LabelTree,
     build_tree,
-    load_default_tree,
+    default_hierarchy_path,
     load_tree,
     propagate,
-    save_tree,
 )
 from oracles import enumerate_marginals, random_forest
 
@@ -148,15 +147,6 @@ class TestPropagate:
 
 
 class TestTreeFiles:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        tree = random_forest(rng, 7)
-        path = tmp_path / "tree.csv"
-        save_tree(tree, path)
-        back = load_tree(path)
-        assert back.names == tree.names
-        np.testing.assert_array_equal(back.parent_index, tree.parent_index)
-
     @pytest.mark.parametrize(
         "text,match",
         [
@@ -182,7 +172,7 @@ class TestDefaultHierarchy:
     """The shipped label set: 14 observations, two branches of depth > 1."""
 
     def test_loads_and_validates(self):
-        tree = load_default_tree()
+        tree = load_tree(default_hierarchy_path())
         assert tree.K == 14
         assert tree.ancestors("Pneumonia") == ["Lung Opacity", "Consolidation"]
         assert tree.ancestors("Cardiomegaly") == ["Enlarged Cardiomediastinum"]
@@ -196,5 +186,5 @@ class TestDefaultHierarchy:
             assert name in tree.names
 
     def test_indices_dense(self):
-        tree = load_default_tree()
+        tree = load_tree(default_hierarchy_path())
         assert sorted(n.index for n in tree.nodes) == list(range(14))
