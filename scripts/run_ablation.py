@@ -20,6 +20,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO_ROOT / "configs" / "benchmark.json"
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -27,7 +34,9 @@ def main() -> int:
         default=str(DEFAULT_CONFIG),
         help="benchmark config supplying hierarchy, theta, and optimizer",
     )
-    parser.add_argument("--seeds", type=int, default=10, help="number of seeds")
+    parser.add_argument(
+        "--seeds", type=positive_int, default=10, help="number of seeds (>= 1)"
+    )
     parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--out", help="optional JSON results file")
     args = parser.parse_args()

@@ -106,8 +106,14 @@ class RunConfig:
         _at_least(self, dict(ensemble_size=1, workers=1))
         if self.mode not in ("conditional", "flat"):
             raise ConfigError(f"mode must be conditional or flat, got {self.mode!r}")
+        for i, size in enumerate(self.hidden_sizes):
+            if size < 1:
+                raise ConfigError(f"hidden_sizes[{i}] must be >= 1, got {size}")
         if self.eval_subset == ():
             raise ConfigError("eval_subset must name at least one label")
+        if self.eval_subset and len(set(self.eval_subset)) < len(self.eval_subset):
+            twice = sorted({n for n in self.eval_subset if self.eval_subset.count(n) > 1})
+            raise ConfigError(f"eval_subset names label(s) more than once: {twice}")
         if self.synthetic is None and self.csv_data is None:
             raise ConfigError("config needs a data section (synthetic or csv)")
 

@@ -64,6 +64,8 @@ class OptimizerConfig:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if self.lr0 <= 0.0:
             raise ValueError("lr0 must be positive")
+        if self.epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
         if self.decay_factor <= 0.0:
             raise ValueError("decay_factor must be positive")
         if self.batch_size < 1:
@@ -278,8 +280,34 @@ def forward_trace(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return h, activations
 
 
+def _output_delta(
+    probs: np.ndarray,
+    targets: np.ndarray,
+    mask: np.ndarray,
+    safe_counts: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """d(masked_bce)/d(logit) into ``out``, from the loss's ``max(counts, 1)``.
+
+    (p - y) / (max(counts, 1) * N) inside the clamp band, 0 where clamped
+    (the clamped loss is flat there) or masked out.  The band test is
+    ``PROB_CLAMP < p < 1 - PROB_CLAMP``, so a NaN probability is zeroed too.
+    """
+    np.subtract(probs, targets, out=out)
+    kept = probs > PROB_CLAMP
+    kept &= probs < 1.0 - PROB_CLAMP
+    kept &= mask
+    np.putmask(out, ~kept, 0.0)
+    # an empty row's delta is all zeros, so its scale only has to be finite
+    out *= (1.0 / (safe_counts * probs.shape[-2]))[..., None]
+    return out
+
+
 def masked_bce(
-    probs: np.ndarray, targets: np.ndarray, mask: np.ndarray
+    probs: np.ndarray,
+    targets: np.ndarray,
+    mask: np.ndarray,
+    delta: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Masked soft-target cross-entropy, averaged per example.
 
@@ -287,18 +315,24 @@ def masked_bce(
     y*ln(p) + (1-y)*ln(1-p), with p clamped to [PROB_CLAMP, 1-PROB_CLAMP];
     0 when the example's mask is empty.  Batches return the mean over
     examples; (M, N, K) member-stacked batches return the (M,) per-member
-    means.
+    means.  ``delta``, an array of ``probs``' shape, receives the gradient
+    of the returned loss with respect to the output logits, which
+    ``backward`` takes instead of deriving it again.
     """
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    if probs.shape != targets.shape or probs.shape != mask.shape:
+    if probs.shape != targets.shape or probs.shape != mask.shape or (
+        delta is not None and delta.shape != probs.shape
+    ):
         raise ValueError(
             f"shape mismatch: probs {probs.shape}, targets {targets.shape}, "
             f"mask {mask.shape}"
+            + ("" if delta is None else f", delta {delta.shape}")
         )
     if probs.ndim == 1:
         probs, targets, mask = probs[None], targets[None], mask[None]
+        delta = None if delta is None else delta[None]
     p = np.maximum(probs, PROB_CLAMP)
     np.minimum(p, 1.0 - PROB_CLAMP, out=p)
     terms = np.log(p)
@@ -309,11 +343,14 @@ def masked_bce(
     terms += p
     np.putmask(terms, ~mask, 0.0)
     counts = _row_counts(mask)
+    safe_counts = np.maximum(counts, 1.0)
     per_example = np.add.reduce(terms, axis=-1)
     np.negative(per_example, out=per_example)
-    per_example /= np.maximum(counts, 1.0)
+    per_example /= safe_counts
     per_example[counts == 0.0] = 0.0
     loss = np.add.reduce(per_example, axis=-1) / per_example.shape[-1]  # the mean
+    if delta is not None:
+        _output_delta(probs, targets, mask, safe_counts, delta)
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -324,6 +361,7 @@ def backward(
     mask: np.ndarray,
     trace: tuple[np.ndarray, list[np.ndarray]] | None = None,
     out: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    delta: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact gradients of masked_bce(forward(x)) w.r.t. every parameter.
 
@@ -333,28 +371,27 @@ def backward(
     ``trace`` reuses a ``forward_trace`` result of the same inputs instead
     of running the forward pass again; ``out`` names per-layer arrays
     (such as ``layer_views`` of a gradient buffer) to write into.
+    ``delta`` is the output delta ``masked_bce`` wrote for this trace,
+    targets and mask; given it, backward reads neither and only
+    backpropagates it, leaving it unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if x.ndim == 1:
-        x, targets, mask = x[None], targets[None], mask[None]
+    single = x.ndim == 1
+    if single:
+        x = x[None]
     if trace is None:
         check_finite(x)
         trace = forward_trace(model, x)
     probs, activations = trace
-    n = x.shape[-2]
-    # an empty row's delta is all zeros, so its scale only has to be finite
-    scale = 1.0 / (np.maximum(_row_counts(mask), 1.0) * n)
-
-    # d(loss)/d(logit): (p - y) inside the clamp band, 0 where clamped
-    # (the clamped loss is flat there) or masked out.
-    delta = probs - targets
-    kept = probs > PROB_CLAMP
-    kept &= probs < 1.0 - PROB_CLAMP
-    kept &= mask
-    np.putmask(delta, ~kept, 0.0)
-    delta *= scale[..., None]
+    if delta is None:
+        targets = np.asarray(targets, dtype=np.float64)
+        mask = np.asarray(mask, dtype=bool)
+        if single:
+            targets, mask = targets[None], mask[None]
+        safe_counts = np.maximum(_row_counts(mask), 1.0)
+        delta = _output_delta(probs, targets, mask, safe_counts, np.empty_like(probs))
+    elif single:
+        delta = delta[None]
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * model.n_layers  # type: ignore
     for i in range(model.n_layers - 1, -1, -1):

@@ -17,8 +17,10 @@ lockstep.  A conditional member enters stage 2 at ``stage1_iterations``
 alone: snapshot, policy mask, frozen hidden layers, fresh Adam moments,
 epochs counted from 0 again.  Epochs, learning rates, shuffle orders and
 loss rows are per member.  Each step gathers every member's own batch as
-(M, B, F), one fancy index per dataset, runs one stacked forward pass
-for ``masked_bce`` and ``backward``, and one ``adam_step`` per member row.
+(M, B, F) with one ``take`` from the (S, N, F) stack of the distinct
+feature matrices, runs one stacked forward pass, one ``masked_bce`` that
+also writes the output delta, one ``backward`` that propagates it, and
+one ``adam_step`` per member row.
 An epoch's last batch is short when the batch size does not divide N, so
 at a ragged step, where members' batch lengths differ, one pass runs per
 length: padding would change the loss divisor and the reduction lengths.
@@ -127,7 +129,7 @@ class _Phase(NamedTuple):
 
 def _train_stack(
     stack: Mlp,
-    features: Sequence[np.ndarray],
+    features: np.ndarray,
     source_of: np.ndarray,
     targets: np.ndarray,
     phases: Sequence[Sequence[_Phase]],
@@ -137,10 +139,11 @@ def _train_stack(
 ) -> tuple[list[Mlp], list[Mlp | None], list[LossLog]]:
     """Seed-deterministic mini-batch loop over a member stack, in place.
 
-    Member k trains on ``features[source_of[k]]`` against ``targets[k]``
-    for ``budget`` steps through ``phases[k]``; its learning rate and
-    shuffle order change at its own epoch boundaries (epoch =
-    ceil(N / batch_size) steps).  Returns the members, their snapshots
+    Member k trains on ``features[source_of[k]]``, one matrix of the
+    (S, N, F) stack ``features``, against ``targets[k]`` for ``budget``
+    steps through ``phases[k]``; its learning rate and shuffle order
+    change at its own epoch boundaries (epoch = ceil(N / batch_size)
+    steps).  Returns the members, their snapshots
     and their (stage, epoch, mean step loss) rows.
     """
     n_members, n = targets.shape[:2]
@@ -154,7 +157,14 @@ def _train_stack(
     grad_views = layer_views(grads, stack.layer_sizes)
     moments = np.zeros((2, *stack.params.shape))
     states = [AdamState(m=moments[0, k], v=moments[1, k]) for k in range(n_members)]
+    # Batches are gathered by ``take`` from 2-D views.  Member k's row r
+    # is row k*n + r of the flat targets and mask, which its shuffle order
+    # holds, and row source_of[k]*n + r of the flat features: + shift[k].
     orders = np.empty((n_members, n), dtype=np.int64)
+    shift = (source_of - np.arange(n_members)) * n
+    flat_features = features.reshape(-1, features.shape[-1])
+    flat_targets = targets.reshape(-1, targets.shape[-1])
+    flat_mask = mask.reshape(-1, mask.shape[-1])
     losses = np.empty((n_members, epoch_len))
     pending = [list(p) for p in phases]
     stage = [""] * n_members
@@ -193,21 +203,16 @@ def _train_stack(
             model = Mlp.from_params(stack.params[group], stack.layer_sizes, stack.frozen)
             g = np.empty_like(model.params)
             views = layer_views(g, model.layer_sizes)
-        if len(features) == 1:
-            x = features[0][rows]
-        else:  # one gather per dataset into one (M, B, F) buffer
-            x = np.empty((*rows.shape, features[0].shape[1]))
-            for j, f in enumerate(features):
-                sel = source_of[group] == j
-                x[sel] = f[rows[sel]]
-        t = targets[idx, rows]
-        m = mask[idx, rows]
+        x = flat_features.take(rows + shift[idx], axis=0)
+        t = flat_targets.take(rows, axis=0)
+        m = flat_mask.take(rows, axis=0)
         trace = forward_trace(model, x)
-        loss = masked_bce(trace[0], t, m)
+        delta = np.empty_like(trace[0])
+        loss = masked_bce(trace[0], t, m, delta)
         if not np.isfinite(loss).all():
             k = group[int(np.argmin(np.isfinite(loss)))]
             raise NumericError(f"{stage[k]}: non-finite loss at step {step - start[k]}")
-        backward(model, x, t, m, trace, views)
+        backward(model, x, t, m, trace, views, delta)
         for j, k in enumerate(group):
             adam_step(members[k], states[k], g[j], optimizer, lr[k])
         losses[idx, pos[idx]] = loss[:, None]
@@ -239,6 +244,7 @@ def _train_stack(
                     orders[k] = seeding.stream(
                         seeding.PURPOSE_SHUFFLE, seeds[k], e
                     ).permutation(n)
+                    orders[k] += k * n
                 pos[k], lengths[k] = p, min(batch, n - p * batch)
                 # the member's next event: its next phase or epoch, or the
                 # short last batch of this epoch when batch does not divide N
@@ -323,9 +329,13 @@ def train_members(
             ])
         else:
             phases.append([_Phase("flat", 0, policy_mask)])
+    # one source is a view, so the stack costs no copy of a large matrix
+    if len(sources) == 1:
+        features = sources[0].features[None]
+    else:
+        features = np.stack([s.features for s in sources])
     members, snapshots, logs = _train_stack(
-        stack, [d.features for d in sources], source_of, targets, phases, seeds,
-        plans[0].optimizer, budget,
+        stack, features, source_of, targets, phases, seeds, plans[0].optimizer, budget
     )
     return [
         MemberResult(members[k], snapshots[k], logs[k], s) for k, s in enumerate(seeds)
@@ -430,6 +440,8 @@ def hierarchical_ablation(
     the flat arm by raw sigmoid outputs.  Both arms of every seed train
     together as one member stack.
     """
+    if not seeds:
+        raise ValueError("the ablation needs at least one seed")
     spec = SyntheticSpec(tree, theta, feature_noise, feature_dim)
     leaf_indices = [tree.index_of(name) for name in tree.leaves]
     cond_plan = TrainPlan(

@@ -236,16 +236,22 @@ def where_masked_bce(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     return per_example.mean(axis=-1)
 
 
-def where_backward(model: Mlp, targets: np.ndarray, mask: np.ndarray, trace):
-    """Gradients from a forward trace, masking the delta with np.where."""
-    probs, activations = trace
+def where_output_delta(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray):
+    """The loss's gradient w.r.t. the (N, K) or (M, N, K) output logits,
+    masked with np.where."""
     n = probs.shape[-2]
     counts = mask.sum(axis=-1)
     scale = np.zeros(counts.shape)
     nonzero = counts > 0
     scale[nonzero] = 1.0 / (counts[nonzero] * n)
     unclamped = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
-    delta = np.where(mask & unclamped, probs - targets, 0.0) * scale[..., None]
+    return np.where(mask & unclamped, probs - targets, 0.0) * scale[..., None]
+
+
+def where_backward(model: Mlp, targets: np.ndarray, mask: np.ndarray, trace):
+    """Gradients from a forward trace, masking the delta with np.where."""
+    probs, activations = trace
+    delta = where_output_delta(probs, targets, mask)
     grads = [None] * model.n_layers
     for i in range(model.n_layers - 1, -1, -1):
         grads[i] = (activations[i].swapaxes(-1, -2) @ delta, np.sum(delta, axis=-2))

@@ -889,6 +889,11 @@ class TestMalformedInput:
             ("train", lambda raw: raw.update(missing_as_negative=1), "missing_as_negative must be"),
             ("train", lambda raw: raw.update(stage1_iterations=-3), "stage1_iterations"),
             ("train", lambda raw: raw.update(stage2_iterations=-1), "stage2_iterations"),
+            ("train", lambda raw: raw.update(hidden_sizes=[0]), "hidden_sizes[0] must be >= 1, got 0"),
+            ("train", lambda raw: raw.update(hidden_sizes=[-3]), "hidden_sizes[0] must be >= 1, got -3"),
+            ("train", set_optimizer(epsilon=-1.0), "epsilon must be positive"),
+            ("train", set_optimizer(epsilon=0.0), "optimizer: epsilon must be positive"),
+            ("eval", lambda raw: raw.update(eval_subset=["A", "A"]), "eval_subset names label(s) more than once: ['A']"),
             ("gen", set_synthetic(theta={"A": "0.6", "B": 0.7}), "data.synthetic.theta.A must be a number"),
             ("gen", set_synthetic(n_train=0), "data.synthetic.n_train must be >= 1"),
             ("gen", set_synthetic(n_eval=0), "data.synthetic.n_eval must be >= 1"),

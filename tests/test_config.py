@@ -300,6 +300,11 @@ class TestTypedSchema:
             ({"data": {"synthetic": {"theta": {}, "feature_noise": -0.1}}}, "data.synthetic.feature_noise"),
             ({"data": {"synthetic": {"theta": {}, "uncertainty_rate": 1.5}}}, "data.synthetic.uncertainty_rate"),
             ({"data": {"synthetic": {"theta": {}, "uncertainty_rate": -0.1}}}, "data.synthetic.uncertainty_rate"),
+            ({"eval_subset": ["A", "B", "A"]}, r"more than once: \['A'\]"),
+            ({"hidden_sizes": [0]}, r"hidden_sizes\[0\] must be >= 1, got 0"),
+            ({"hidden_sizes": [8, -3]}, r"hidden_sizes\[1\] must be >= 1, got -3"),
+            ({"optimizer": {"epsilon": 0.0}}, "epsilon must be positive"),
+            ({"optimizer": {"epsilon": -1.0}}, "epsilon must be positive"),
         ],
     )
     def test_out_of_range_values_rejected(self, raw_update, match):

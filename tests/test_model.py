@@ -33,6 +33,7 @@ from oracles import (
     split_sigmoid,
     where_backward,
     where_masked_bce,
+    where_output_delta,
 )
 
 
@@ -64,6 +65,8 @@ class TestOptimizerConfig:
             {"iterations": -1},
             {"decay_factor": 0.0},
             {"decay_factor": -0.1},
+            {"epsilon": 0.0},
+            {"epsilon": -1.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -447,6 +450,30 @@ class TestKernelsBitEqual:
         assert np.isfinite(loss).all()
         assert_bits_equal(loss, where_masked_bce(probs, targets, mask))
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 7), (4, 5, 7)])
+    def test_masked_bce_delta(self, shape):
+        rng = np.random.default_rng(5)
+        probs = clamp_edge_probs(rng, shape)
+        targets = rng.random(shape)
+        targets.reshape(-1)[::5] = 0.0
+        targets.reshape(-1)[1::5] = 1.0
+        mask = rng.random(shape) < 0.6
+        if len(shape) > 1:
+            mask[..., 1, :] = False  # rows with an empty mask
+            mask[..., 0, :] = np.arange(shape[-1]) == 6  # and with one label
+        # non-finite probabilities in masked-out and in masked-in cells
+        for cells in (np.flatnonzero(~mask)[:3], np.flatnonzero(mask)[2:5]):
+            probs.reshape(-1)[cells] = [np.nan, np.inf, -np.inf][: len(cells)]
+        lead = (lambda a: a[None]) if len(shape) == 1 else (lambda a: a)
+        for m in (mask, np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)):
+            delta = np.full(shape, 7.0)  # every cell is written
+            loss = masked_bce(probs, targets, m, delta)
+            assert_bits_equal(loss, masked_bce(probs, targets, m))
+            expected = where_output_delta(lead(probs), lead(targets), lead(m))
+            assert_bits_equal(lead(delta), expected)
+        with pytest.raises(ValueError, match="delta"):
+            masked_bce(probs, targets, mask, np.empty((*shape, 1)))
+
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_backward(self, lead):
         rng = np.random.default_rng(3)
@@ -464,12 +491,17 @@ class TestKernelsBitEqual:
                 probs[..., 5, 0], probs[..., 6, 1] = np.nan, np.inf  # no gradient
             trace = (probs, activations)
             expected = where_backward(model, targets, mask, trace)
+            delta = np.empty_like(probs)
+            masked_bce(probs, targets, mask, delta)
+            written = delta.copy()
             buffer = np.zeros_like(model.params)
             for out in (None, layer_views(buffer, model.layer_sizes)):
-                grads = backward(model, x, targets, mask, trace, out)
-                for (dw, db), (dw_ref, db_ref) in zip(grads, expected):
-                    assert_bits_equal(dw, dw_ref)
-                    assert_bits_equal(db, db_ref)
+                for given in (None, delta):
+                    grads = backward(model, x, targets, mask, trace, out, given)
+                    for (dw, db), (dw_ref, db_ref) in zip(grads, expected):
+                        assert_bits_equal(dw, dw_ref)
+                        assert_bits_equal(db, db_ref)
+            assert_bits_equal(delta, written)  # backward leaves the delta as it is
             return expected
 
         check(rng.random((*lead, 11, 3)), mask, clamp_edge_probs(rng, (*lead, 4, 3)))
@@ -487,6 +519,19 @@ class TestKernelsBitEqual:
         with np.errstate(invalid="ignore"):
             expected = check(np.zeros((*lead, 11, 3)), np.ones_like(mask))
         assert np.isnan(expected[1][1][..., 0]).all()
+
+    def test_backward_single_example_with_delta(self):
+        rng = np.random.default_rng(6)
+        model = small_model(seed=7, sizes=(4, 6, 5, 3))
+        x, targets = rng.standard_normal(4), rng.random(3)
+        mask = np.array([True, False, True])
+        delta = np.empty(3)
+        masked_bce(model.forward(x), targets, mask, delta)
+        standalone = backward(model, x, targets, mask)
+        fed = backward(model, x, None, None, delta=delta)
+        for (dw, db), (dw_ref, db_ref) in zip(fed, standalone):
+            assert_bits_equal(dw, dw_ref)
+            assert_bits_equal(db, db_ref)
 
     def test_adam_with_frozen_layers(self):
         rng = np.random.default_rng(4)

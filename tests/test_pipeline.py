@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 from dataclasses import replace
 
@@ -282,10 +283,16 @@ class TestMembers:
 class TestFusedStep:
     def test_one_forward_per_step_and_one_adam_step_per_member(self, monkeypatch):
         calls = Counter()
+        deltas = {"masked_bce": [], "backward": []}
 
         def counted(name, fn):
+            signature = inspect.signature(fn)
+
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name in deltas:
+                    bound = signature.bind(*args, **kwargs).arguments
+                    deltas[name].append(bound.get("delta"))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -309,6 +316,10 @@ class TestFusedStep:
         assert calls["Mlp.forward"] == 0
         assert calls["adam_step"] == 3 * steps
         assert calls["apply_policy"] == 3
+        # backward propagates the very delta array masked_bce wrote
+        assert len(deltas["masked_bce"]) == len(deltas["backward"]) == steps
+        pairs = zip(deltas["masked_bce"], deltas["backward"])
+        assert all(a is not None and a is b for a, b in pairs)
 
 
 class TestPredictUnconditional:

@@ -2,6 +2,8 @@ import importlib.util
 import json
 import sys
 
+import pytest
+
 from hiermlc.config import load_config, synthetic_spec_theta
 from hiermlc.pipeline import hierarchical_ablation
 from hiermlc.policy import make_policy
@@ -49,3 +51,34 @@ def test_script_matches_direct_ablation(tmp_path, monkeypatch, configs_dir):
     assert payload["conditional_by_seed"] == direct.conditional_by_seed
     assert payload["flat_by_seed"] == direct.flat_by_seed
     assert payload["delta"] == direct.delta
+
+
+def test_no_seeds_rejected(tmp_path, monkeypatch, capsys, configs_dir):
+    out = tmp_path / "abl.json"
+    for seeds in ("0", "-2"):
+        monkeypatch.setattr(
+            sys, "argv", ["run_ablation.py", "--seeds", seeds, "--out", str(out)]
+        )
+        with pytest.raises(SystemExit) as exc:
+            load_script(configs_dir.parent).main()
+        assert exc.value.code == 2
+        assert "--seeds: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+    config = load_config(configs_dir / "benchmark.json")
+    tree = config.load_tree()
+    syn = config.synthetic
+    with pytest.raises(ValueError, match="at least one seed"):
+        hierarchical_ablation(
+            tree,
+            synthetic_spec_theta(syn, tree),
+            [],
+            n_train=syn.n_train,
+            n_eval=syn.n_eval,
+            uncertainty_rate=syn.uncertainty_rate,
+            smoothed_policy=make_policy("ones-lsr"),
+            hard_policy=make_policy("ones"),
+            optimizer=config.optimizer,
+            stage1_iterations=1,
+            stage2_iterations=1,
+        )
