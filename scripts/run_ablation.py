@@ -20,11 +20,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO_ROOT / "configs" / "benchmark.json"
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def main() -> int:
@@ -35,9 +40,11 @@ def main() -> int:
         help="benchmark config supplying hierarchy, theta, and optimizer",
     )
     parser.add_argument(
-        "--seeds", type=positive_int, default=10, help="number of seeds (>= 1)"
+        "--seeds", type=at_least(1), default=10, help="number of seeds (>= 1)"
     )
-    parser.add_argument("--first-seed", type=int, default=0)
+    parser.add_argument(
+        "--first-seed", type=at_least(0), default=0, help="first seed (>= 0)"
+    )
     parser.add_argument("--out", help="optional JSON results file")
     args = parser.parse_args()
 

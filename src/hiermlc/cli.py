@@ -13,7 +13,6 @@ failure during training.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
@@ -30,7 +29,7 @@ from .config import (
     snapshot_config,
     synthetic_spec_theta,
 )
-from .csvio import column_indices, write_table
+from .csvio import column_indices, sha256_file, write_table
 # unused here: the benchmark's perfbench/tracer.py wraps the last two names in cli
 from .data import Dataset, SyntheticSpec, generate_synthetic, inject_uncertainty
 from .errors import ConfigError, DataFormatError, NumericError
@@ -119,6 +118,7 @@ def _named_split(config: RunConfig, spec: SyntheticSpec) -> tuple[Dataset, Datas
 _DERIVED_FROM_MODELS = (
     "checkpoints/member*.json",
     "predictions.csv",
+    "predictions.csv.npy",
     "predictions.json",
     "report.txt",
     "report.csv",
@@ -370,21 +370,12 @@ def _predict(
     return predict_unconditional(ensemble, tree, features)
 
 
-def _sha256(path) -> str:
-    """The hex sha256 of a file, read 64 KiB at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 16):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _binding(checkpoints: list[Path], features, tree: LabelTree, mode: str) -> dict:
     """What ensemble predictions are a function of, by content: the final
     checkpoints, the eval features file, the tree and the mode."""
     return {
-        "checkpoints": {path.name: _sha256(path) for path in checkpoints},
-        "eval_features": _sha256(features),
+        "checkpoints": {path.name: sha256_file(path) for path in checkpoints},
+        "eval_features": sha256_file(features),
         "tree": {"names": list(tree.names), "parents": tree.parent_index.tolist()},
         "mode": mode,
     }
@@ -401,7 +392,8 @@ def _write_predictions(
     if binding is None:
         record.unlink(missing_ok=True)
     else:
-        payload = json.dumps({**binding, "predictions": _sha256(path)}, sort_keys=True, indent=2)
+        payload = {**binding, "predictions": sha256_file(path)}
+        payload = json.dumps(payload, sort_keys=True, indent=2)
         record.write_text(payload + "\n", encoding="utf-8")
 
 
@@ -418,7 +410,7 @@ def _bound_predictions(
     except (FileNotFoundError, ValueError):
         return None
     binding = _binding(checkpoints, features, tree, mode)
-    if not path.exists() or recorded != {**binding, "predictions": _sha256(path)}:
+    if not path.exists() or recorded != {**binding, "predictions": sha256_file(path)}:
         return None
     written_ids, probs, names = eval_mod.load_predictions_csv(path)
     return probs if written_ids == ids and names == tree.names else None

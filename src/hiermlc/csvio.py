@@ -3,31 +3,39 @@
 ``reader`` yields a file's header and its numbered data rows; it raises
 ``DataFormatError`` for an empty file or a row whose cell count differs
 from the header's, and skips blank lines.  ``read_id_matrix`` reads the
-``id,<name>...`` float files (features, predictions) by blocks of whole
-lines with ``np.loadtxt`` where ``csv.reader`` would split them at
-commas alone, and through the checked row loop ``read_id_rows``
-otherwise, so its results and its error messages are the loop's.
+``id,<name>...`` float files (features, predictions) by the first of
+three paths that vouches for the file: the ``<file>.npy`` sidecar that
+``write_id_matrix`` left beside it, while its sha256 of the file, its
+dtype and its shape still match; then blocks of whole lines parsed with
+``np.loadtxt`` where ``csv.reader`` would split them at commas alone;
+then the checked row loop ``read_id_rows``.  Each gives the loop's
+results and its error messages, so a deleted sidecar costs only time.
+This module alone saves and loads ``.npy`` files.
 ``read_coded_rows`` splits label files a block of lines at a time, each
 column a slice of the block's cells mapped to codes; where it cannot
 vouch for a file it returns None, and the caller's checked loop reads it.
 
 Files are written with the excel dialect and ``"\\n"`` line endings:
 small tables through ``csv.writer``, large numeric ones as ``",".join``
-rows over ``ndarray.tolist()`` chunks, and columns of preformatted text
-(the ROC points) by ``write_fields``.  Numeric cells never need quoting,
-and text fields that do are quoted by ``csv.writer`` itself, so the bytes
-are always ``csv.writer``'s.
+rows over ``ndarray.tolist()`` chunks, hashed as they are written for the
+sidecar, and columns of preformatted text (the ROC points) by
+``write_fields``.  Numeric cells never need quoting, and text fields that
+do are quoted by ``csv.writer`` itself, so the bytes are always
+``csv.writer``'s.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import os
 import re
 import warnings
 from array import array
 from contextlib import contextmanager
 from itertools import repeat
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -91,15 +99,74 @@ def column_indices(path, header: Sequence[str], names, what: str) -> list[int]:
 def read_id_matrix(path, what: str) -> tuple[tuple, tuple, np.ndarray]:
     """``(column names, row ids, float64 matrix)`` of an ``id,<name>...`` file.
 
-    Plain files are parsed a block of lines at a time by ``np.loadtxt``;
-    any file the block parser cannot vouch for is read again from the
-    start by ``read_id_rows``, which alone decides what is an error.
+    A file ``write_id_matrix`` wrote is read from its sidecar when the
+    sidecar still matches it.  Plain files are parsed a block of lines at
+    a time by ``np.loadtxt``; any file the block parser cannot vouch for
+    is read again from the start by ``read_id_rows``, which alone decides
+    what is an error.
     """
+    parsed = _read_sidecar(path)
+    if parsed is not None:
+        return parsed
     try:
         parsed = _read_id_blocks(path)
     except UnicodeDecodeError:
         parsed = None
     return read_id_rows(path, what) if parsed is None else parsed
+
+
+def sidecar_path(path) -> Path:
+    """Where ``write_id_matrix`` keeps the parsed form of the file at ``path``."""
+    return Path(f"{os.fspath(path)}.npy")
+
+
+def sha256_file(path) -> str:
+    """The hex sha256 of a file, read 64 KiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _read_sidecar(path) -> tuple[tuple, tuple, np.ndarray] | None:
+    """``read_id_matrix``'s result from the sidecar of the file at
+    ``path``, or None where there is no sidecar or it does not match.
+
+    The sidecar must hold three arrays and nothing more: the sha256 of
+    the file, which is checked last and only if the rest holds, a 1-D
+    array of ids, and a C-order float64 matrix of one row per id and one
+    column per header name after ``id``.  No field may exceed
+    ``csv.field_size_limit()``, which the parser would reject; 24
+    characters is the longest ``repr`` of a float64.
+    """
+    try:
+        with open(sidecar_path(path), "rb") as fh:
+            digest, ids, matrix = (np.load(fh, allow_pickle=False) for _ in range(3))
+            complete = fh.read(1) == b""
+        with reader(path) as (header, _):
+            pass
+    except Exception:
+        # A missing, truncated or foreign sidecar: numpy's loader raises
+        # ValueError, EOFError, SyntaxError, BadZipFile or MemoryError,
+        # among others, for such files, and the parser decides each one.
+        return None
+    if not (
+        complete
+        and all(type(array) is np.ndarray for array in (digest, ids, matrix))
+        and digest.shape == ()
+        and digest.dtype.kind == ids.dtype.kind == "U"
+        and ids.ndim == 1
+        and ids.size > 0
+        and matrix.dtype == np.float64
+        and matrix.flags.c_contiguous
+        and matrix.shape == (ids.size, len(header) - 1)
+        and header[:1] == ["id"]
+        and max(ids.dtype.itemsize // 4, 24) <= csv.field_size_limit()
+        and digest.item() == sha256_file(path)
+    ):
+        return None
+    return tuple(header[1:]), tuple(ids.tolist()), matrix
 
 
 def _read_id_blocks(path) -> tuple[tuple, tuple, np.ndarray] | None:
@@ -250,8 +317,9 @@ def write_rows(
     text_columns: Sequence[Sequence[str]],
     cells: np.ndarray,
     row_text: Callable[[list], str] = float_row,
-) -> None:
-    """Write ``header`` and one line per row of ``cells``, led by the text columns.
+) -> str:
+    """Write ``header`` and one line per row of ``cells``, led by the text
+    columns; return the hex sha256 of the bytes written.
 
     Text fields (ids, metadata) are quoted as ``csv.writer`` quotes them;
     ``row_text`` must produce fields that need no quoting.  A row made of
@@ -260,13 +328,52 @@ def write_rows(
     quoted = [list(map(_text_field, column)) for column in text_columns]
     lead = [",".join(fields) for fields in zip(*quoted)]
     sep = "," if quoted and cells.shape[1] else ""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+    header_line = io.StringIO()
+    csv.writer(header_line, lineterminator="\n").writerow(header)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def put(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        put(header_line.getvalue())
         for start in range(0, cells.shape[0], CHUNK_ROWS):
             block = cells[start : start + CHUNK_ROWS].tolist()
             heads = lead[start : start + CHUNK_ROWS] if quoted else [""] * len(block)
             lines = [head + sep + row_text(row) for head, row in zip(heads, block)]
-            fh.write("".join((line or '""') + "\n" for line in lines))
+            put("".join((line or '""') + "\n" for line in lines))
+    return digest.hexdigest()
+
+
+def write_id_matrix(path, header: Sequence[str], ids: Sequence[str], matrix: np.ndarray) -> None:
+    """Write an ``id,<name>...`` file of float64 ``matrix`` rows, then
+    atomically its sidecar: the file's sha256, the ids and the matrix as
+    the parser returns it (every NaN as ``float("nan")``).
+
+    A file without rows, or with an id or a column name that needs
+    quoting or holds a NUL, gets no sidecar, and loses any it had: the
+    parser reads such files.  (``csv.writer`` leaves a carriage return
+    unquoted, and ``csv.reader`` ends the row there.)
+    """
+    digest = write_rows(path, header, [ids], matrix)
+    sidecar = sidecar_path(path)
+    joined = "".join(header) + "".join(ids)
+    if not len(ids) or _MAY_NEED_QUOTING(joined) or "\0" in joined:
+        sidecar.unlink(missing_ok=True)
+        return
+    nan = np.isnan(matrix)
+    parsed = np.where(nan, np.nan, matrix) if nan.any() else matrix
+    partial = sidecar.with_name(sidecar.name + ".tmp")
+    try:
+        with open(partial, "wb") as fh:
+            for array in (np.array(digest), np.array(ids, dtype=str), parsed):
+                np.save(fh, array, allow_pickle=False)
+        os.replace(partial, sidecar)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def write_fields(

@@ -19,7 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from . import seeding
-from .csvio import column_indices, read_coded_rows, read_id_matrix, reader, write_rows
+from .csvio import (
+    column_indices,
+    read_coded_rows,
+    read_id_matrix,
+    reader,
+    write_id_matrix,
+    write_rows,
+)
 from .errors import DataFormatError
 from .hierarchy import LabelTree
 
@@ -252,7 +259,7 @@ def load_features_csv(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
 def write_features_csv(path: str | Path, features: np.ndarray, ids: Sequence[str]) -> None:
     features = np.asarray(features, dtype=np.float64)
     header = ["id"] + [f"f{j}" for j in range(features.shape[1])]
-    write_rows(path, header, [ids], features)
+    write_id_matrix(path, header, ids, features)
 
 
 def load_dataset(features_path: str | Path, labels_path: str | Path, tree: LabelTree) -> Dataset:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .csvio import (
-    column_indices, read_id_matrix, reader, write_fields, write_rows, write_table
+    column_indices, read_id_matrix, reader, write_fields, write_id_matrix, write_table
 )
 from .errors import DataFormatError
 
@@ -217,7 +217,7 @@ def write_predictions_csv(
     label_names: Sequence[str],
 ) -> None:
     probs = np.asarray(probs, dtype=np.float64)
-    write_rows(path, ["id"] + list(label_names), [ids], probs)
+    write_id_matrix(path, ["id"] + list(label_names), ids, probs)
 
 
 def load_predictions_csv(

@@ -152,6 +152,9 @@ class Mlp:
         """
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
+        for i, size in enumerate(layer_sizes):
+            if size < 1:
+                raise ValueError(f"layer_sizes[{i}] must be >= 1, got {size}")
         rng = seeding.stream(seeding.PURPOSE_INIT, seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiermlc import cli
+from hiermlc import cli, csvio
 from hiermlc import data as data_mod
 from hiermlc import evaluation as eval_mod
 from hiermlc.cli import main
@@ -423,7 +423,9 @@ class TestStaleData:
         config, out = str(configs_dir / "chain.json"), tmp_path / "run"
         for command in ("gen", "train", "eval"):
             assert main([command, "--config", config, "--out", str(out)]) == 0
-        derived = ["loss_log.csv", "predictions.csv", "report.txt", "report.csv"]
+        derived = [
+            "loss_log.csv", "predictions.csv", "predictions.csv.npy", "report.txt", "report.csv"
+        ]
         assert all((out / name).exists() for name in derived)
         assert list(out.glob("roc_*.csv")) and list(out.glob("checkpoints/member*"))
         (out / "notes.txt").write_text("kept\n")
@@ -436,6 +438,15 @@ class TestStaleData:
         for command in ("predict", "eval"):
             assert main([command, *args]) == 1
             assert "run train first" in capsys.readouterr().err
+
+    def test_train_drops_predictions_and_their_sidecar(self, workspace):
+        config = str(write_config(workspace, ensemble_size=1))
+        for command in ("gen", "train", "predict"):
+            assert main([command, "--config", config]) == 0
+        derived = ["predictions.csv", "predictions.csv.npy", "predictions.json"]
+        assert all((workspace / "run" / name).exists() for name in derived)
+        assert main(["train", "--config", config]) == 0
+        assert not any((workspace / "run" / name).exists() for name in derived)
 
     def chain_config(self, tmp_path, configs_dir, name="chain.json", **overrides):
         """``configs/chain.json`` at a small size, with its hierarchy file
@@ -501,6 +512,46 @@ class TestStaleData:
         assert main(["predict", "--config", str(config)]) == 0
         assert predictions.read_bytes() == before
         assert main(["eval", "--config", str(config)]) == 2
+
+
+class TestSidecars:
+    """gen and predict leave a parsed copy beside each features and
+    predictions file; the commands read it in place of the file, and
+    deleting it changes no output."""
+
+    def test_commands_read_the_sidecars(self, workspace, monkeypatch):
+        config = str(write_config(workspace, ensemble_size=1))
+        assert main(["gen", "--config", config]) == 0
+        data_dir = workspace / "run" / "data"
+        assert sorted(p.name for p in data_dir.glob("*.npy")) == [
+            "eval_features.csv.npy", "train_features.csv.npy"
+        ]
+
+        def parsed(path, *args):
+            raise AssertionError(f"{path} was parsed")
+
+        monkeypatch.setattr(csvio, "_read_id_blocks", parsed)
+        monkeypatch.setattr(csvio, "read_id_rows", parsed)
+        for command in ("train", "predict", "eval"):
+            assert main([command, "--config", config]) == 0
+        args = ["--config", config, "--predictions", str(workspace / "run" / "predictions.csv")]
+        assert main(["eval", *args]) == 0
+
+    def test_outputs_do_not_depend_on_them(self, workspace):
+        runs = {}
+        for kept in (True, False):
+            out = workspace / f"out_{kept}"
+            config = str(write_config(workspace, name=f"{kept}.json", out=str(out)))
+            for command in ("gen", "train", "predict", "eval"):
+                if not kept:
+                    for sidecar in out.rglob("*.npy"):
+                        sidecar.unlink()
+                assert main([command, "--config", config]) == 0
+            runs[kept] = {
+                k: v for k, v in checksums(out).items()
+                if k != "config.json" and not k.endswith(".npy")
+            }
+        assert runs[True] == runs[False]
 
 
 class TestEnsembleCheckpoints:

@@ -2,6 +2,7 @@
 the writers against one-writerow-per-row references."""
 
 import csv
+import pickle
 import warnings
 from unittest import mock
 
@@ -275,6 +276,12 @@ class TestReader:
             csvio.read_id_matrix(write_text(tmp_path, "id,p\nr1,1\nr2,\n"), "thing")
 
 
+def drop_sidecars(directory):
+    """Delete the sidecars in ``directory``, so its files are parsed."""
+    for sidecar in directory.glob("*.npy"):
+        sidecar.unlink()
+
+
 def id_matrix_outcome(read, path):
     """What ``read`` makes of an id-matrix file: its result, matrix bits
     included, or the message of the ``DataFormatError`` it raises."""
@@ -382,6 +389,7 @@ class TestIdMatrixReader:
         names = ("Atelectasis", "Lung Opacity", "Support Devices", "No Finding")
         write_features_csv(tmp_path / "f.csv", values, ids)
         write_predictions_csv(tmp_path / "p.csv", ids, values, names)
+        drop_sidecars(tmp_path)
         expected = values.view(np.int64)
         self.checked_loop_forbidden(monkeypatch)
         features, feature_ids = load_features_csv(tmp_path / "f.csv")
@@ -397,6 +405,7 @@ class TestIdMatrixReader:
         values = rng.standard_normal((n, 10))
         path = tmp_path / "big.csv"
         write_features_csv(path, values, [f"r{i}" for i in range(n)])
+        drop_sidecars(tmp_path)
         return path, values
 
     def test_file_of_several_blocks(self, tmp_path, monkeypatch):
@@ -435,6 +444,206 @@ class TestIdMatrixReader:
         path = write_text(tmp_path, f"id,p\nr1,{cell}\n")
         with pytest.raises(DataFormatError, match=r"t\.csv: unreadable near line 2: field larger"):
             csvio.read_id_matrix(path, "feature")
+
+
+FLOAT_BITS = st.integers(0, 2**64 - 1) | st.sampled_from(
+    [
+        0,  # +0.0
+        1 << 63,  # -0.0
+        0x7FF0000000000000,  # +inf
+        0xFFF0000000000000,  # -inf
+        1,  # the least subnormal
+        (1 << 52) - 1,  # the greatest subnormal
+        0x8000000000000001,
+        0x7FF8000000000000,  # the parser's NaN
+        0xFFF8000000000000,
+        0x7FF0000000000001,  # signalling
+        0xFFFFFFFFFFFFFFFF,
+    ]
+)
+SIDECAR_IDS = st.text("abcXYZ019 ._-#'\\\u00e9\u2028", max_size=6) | text
+
+
+class TestSidecar:
+    """``write_id_matrix`` leaves a sidecar beside each file it can vouch
+    for, and ``read_id_matrix`` returns it only while it matches the file:
+    the same names, ids and bits as the parser, or the parser's error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bits=hnp.arrays(
+            np.uint64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8),
+            elements=FLOAT_BITS,
+        ),
+        data=st.data(),
+    )
+    @example(bits=np.zeros((3, 0), dtype=np.uint64), data=None)
+    def test_same_as_the_parser(self, tmp_path_factory, bits, data):
+        matrix = bits.view(np.float64)
+        n, width = matrix.shape
+        ids = data.draw(st.lists(SIDECAR_IDS, min_size=n, max_size=n)) if data else ["a"] * n
+        path = tmp_path_factory.mktemp("s") / "m.csv"
+        names = [f"f{j}" for j in range(width)]
+        with mock.patch.object(csvio, "CHUNK_ROWS", 3):  # files of several chunks
+            if data and data.draw(st.booleans()):
+                names = data.draw(st.lists(text, min_size=width, max_size=width))
+                write_predictions_csv(path, ids, matrix, names)
+            else:
+                write_features_csv(path, matrix, ids)
+        sidecar = csvio.sidecar_path(path)
+        plain = not any(set(field) & set(',"\r\n\0') for field in [*ids, *names])
+        assert sidecar.exists() == (n > 0 and plain)
+        if sidecar.exists():
+            with mock.patch.object(csvio, "_read_id_blocks", forbidden_parse), \
+                    mock.patch.object(csvio, "read_id_rows", forbidden_parse):
+                got = id_matrix_outcome(csvio.read_id_matrix, path)
+        else:
+            got = id_matrix_outcome(csvio.read_id_matrix, path)
+        sidecar.unlink(missing_ok=True)
+        assert got == id_matrix_outcome(csvio.read_id_matrix, path)
+
+    def written(self, tmp_path, name="m.csv", values=((0.5, -1.25), (3.0, np.nan))):
+        path = tmp_path / name
+        write_features_csv(path, np.array(values), [f"r{i}" for i in range(len(values))])
+        return path
+
+    def save(self, sidecar, *arrays, **kwargs):
+        with open(sidecar, "wb") as fh:
+            for array in arrays:
+                np.save(fh, array, **kwargs)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "edited cell", "unparsable cell", "edited id", "short row", "empty sidecar",
+            "truncated sidecar", "sidecar header only", "garbage", "pickle", "object array",
+            "other file's sidecar", "trailing byte", "extra array", "two arrays",
+            "narrow matrix", "float32 matrix", "fortran order", "2-D ids", "one id short",
+            "bytes ids", "bytes digest", "npz", "directory",
+        ],
+    )
+    def test_damage_takes_the_parse_path(self, tmp_path, damage):
+        path = self.written(tmp_path)
+        sidecar = csvio.sidecar_path(path)
+        digest, ids = np.array(csvio.sha256_file(path)), np.array(["r0", "r1"])
+        matrix = np.array([[0.5, -1.25], [3.0, np.nan]])
+        edits = {
+            "edited cell": (b"0.5", b"0.7"),
+            "unparsable cell": (b"0.5", b"0.x"),
+            "edited id": (b"r0", b"q0"),
+            "short row": (b",-1.25", b""),
+        }
+        if damage in edits:
+            path.write_bytes(path.read_bytes().replace(*edits[damage]))
+        elif damage == "empty sidecar":
+            sidecar.write_bytes(b"")
+        elif damage == "truncated sidecar":
+            sidecar.write_bytes(sidecar.read_bytes()[:-9])
+        elif damage == "sidecar header only":
+            sidecar.write_bytes(sidecar.read_bytes()[:128])
+        elif damage == "garbage":
+            sidecar.write_bytes(bytes(range(256)) * 3)
+        elif damage == "pickle":
+            sidecar.write_bytes(pickle.dumps((digest, ids, matrix)))
+        elif damage == "object array":
+            self.save(sidecar, digest, ids.astype(object), matrix, allow_pickle=True)
+        elif damage == "other file's sidecar":
+            other = self.written(tmp_path, "other.csv", ((0.5, -1.25), (3.0, 4.0)))
+            sidecar.write_bytes(csvio.sidecar_path(other).read_bytes())
+        elif damage == "trailing byte":
+            sidecar.write_bytes(sidecar.read_bytes() + b"\0")
+        elif damage == "extra array":
+            self.save(sidecar, digest, ids, matrix, matrix)
+        elif damage == "two arrays":
+            self.save(sidecar, digest, ids)
+        elif damage == "narrow matrix":
+            self.save(sidecar, digest, ids, matrix[:, :1])
+        elif damage == "float32 matrix":
+            self.save(sidecar, digest, ids, matrix.astype(np.float32))
+        elif damage == "fortran order":
+            self.save(sidecar, digest, ids, np.asfortranarray(matrix))
+        elif damage == "2-D ids":
+            self.save(sidecar, digest, ids[:, None], matrix)
+        elif damage == "one id short":
+            self.save(sidecar, digest, ids[:1], matrix)
+        elif damage == "bytes ids":
+            self.save(sidecar, digest, ids.astype(bytes), matrix)
+        elif damage == "bytes digest":
+            self.save(sidecar, digest.astype(bytes), ids, matrix)
+        elif damage == "npz":
+            np.savez(sidecar, digest, ids, matrix)
+            sidecar.with_name(sidecar.name + ".npz").replace(sidecar)
+        elif damage == "directory":
+            sidecar.unlink()
+            sidecar.mkdir()
+        got = id_matrix_outcome(csvio.read_id_matrix, path)
+        assert got == id_matrix_outcome(csvio.read_id_rows, path)
+        if damage not in edits:
+            assert got[1] == ("r0", "r1")
+            assert got[3] == matrix.view(np.int64).tobytes()
+
+    def test_hashed_only_beside_a_sidecar(self, tmp_path, monkeypatch):
+        path = self.written(tmp_path)
+        hashed, sha256_file = [], csvio.sha256_file
+        monkeypatch.setattr(csvio, "sha256_file", lambda p: hashed.append(p) or sha256_file(p))
+        monkeypatch.setattr(csvio, "_read_id_blocks", forbidden_parse)
+        csvio.read_id_matrix(path, "feature")
+        assert hashed == [path]
+        csvio.sidecar_path(path).unlink()
+        monkeypatch.undo()
+        monkeypatch.setattr(csvio, "sha256_file", forbidden_parse)
+        names, ids, _ = csvio.read_id_matrix(path, "feature")
+        assert names == ("f0", "f1") and ids == ("r0", "r1")
+
+    def test_rewrite_without_a_sidecar_removes_the_old_one(self, tmp_path):
+        path = tmp_path / "m.csv"
+        sidecar = csvio.sidecar_path(path)
+        for ids, kept in [(["a"], True), (["a,b"], False), (["a"], True), (["\0"], False),
+                          (["a"], True), ([], False)]:
+            write_features_csv(path, np.ones((len(ids), 2)), ids)
+            assert sidecar.exists() == kept
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+    def test_no_sidecar_beside_a_header_the_reader_splits(self, tmp_path):
+        # csv.writer leaves the carriage return unquoted; csv.reader ends
+        # the header there, so the parser rejects the file
+        path = tmp_path / "p.csv"
+        write_predictions_csv(path, ["a"], np.zeros((1, 1)), ["\r0"])
+        assert not csvio.sidecar_path(path).exists()
+        with pytest.raises(DataFormatError, match=r"p\.csv:2: expected 2 cells, got 1"):
+            load_predictions_csv(path)
+
+    def test_same_bytes_on_every_write(self, tmp_path):
+        first = csvio.sidecar_path(self.written(tmp_path, "a.csv")).read_bytes()
+        again = csvio.sidecar_path(self.written(tmp_path, "b.csv")).read_bytes()
+        assert first == again
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.csv", "a.csv.npy", "b.csv", "b.csv.npy"
+        ]
+
+    def test_failed_sidecar_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        def full(*args):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(csvio.os, "replace", full)
+        with pytest.raises(OSError, match="no space left"):
+            self.written(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+    def test_long_id_past_the_field_limit(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_features_csv(path, np.ones((1, 1)), ["x" * 40])
+        limit = csv.field_size_limit(30)
+        try:
+            with pytest.raises(DataFormatError, match="field larger than field limit"):
+                csvio.read_id_matrix(path, "feature")
+        finally:
+            csv.field_size_limit(limit)
+
+
+def forbidden_parse(*args):
+    raise AssertionError("the file was parsed or hashed")
 
 
 def label_outcome(path, tree, block=True):

@@ -1,5 +1,6 @@
-"""Layering guards: ``csvio`` is the package's one CSV layer, and
-``pipeline.synthetic_split`` its one synthetic-data path."""
+"""Layering guards: ``csvio`` is the package's one CSV layer and the one
+module that saves or loads ``.npy`` files, and ``pipeline.synthetic_split``
+its one synthetic-data path."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,50 @@ def test_guard_sees_each_form():
     assert scan("from csv import reader") == (["from csv"], False)
     assert scan("from csv import DictReader") == (["from csv"], True)
     assert scan("from .csvio import reader\nimport csvio") == ([], False)
+
+
+NPY_CALLS = {"save", "load"}
+
+
+def npy_uses(source: str) -> list[str]:
+    """Each ``numpy.save`` or ``numpy.load`` a module reaches, by any alias."""
+    tree = ast.parse(source)
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.name == "numpy"
+    }
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "numpy":
+            uses += [f"from numpy import {a.name}" for a in node.names if a.name in NPY_CALLS]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in NPY_CALLS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            uses.append(f"{node.value.id}.{node.attr}")
+    return uses
+
+
+def test_only_csvio_saves_or_loads_npy():
+    offenders = {
+        name: uses
+        for name, source in modules().items()
+        if name != "csvio.py" and (uses := npy_uses(source))
+    }
+    assert offenders == {}
+    assert sorted(set(npy_uses(modules()["csvio.py"]))) == ["np.load", "np.save"]
+
+
+def test_npy_guard_sees_each_form():
+    assert npy_uses("import numpy as np\nnp.load(fh)") == ["np.load"]
+    assert npy_uses("import numpy\nnumpy.save(fh, a)") == ["numpy.save"]
+    assert npy_uses("from numpy import load") == ["from numpy import load"]
+    assert npy_uses("import numpy as np\nimport json\njson.load(fh)\nnp.savez(f)") == []
 
 
 SYNTHETIC = {"generate_synthetic", "inject_uncertainty"}

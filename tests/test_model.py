@@ -95,6 +95,12 @@ class TestMlp:
         with pytest.raises(ValueError, match="at least"):
             Mlp.init([4], seed=0)
 
+    @pytest.mark.parametrize("sizes, layer", [([3, 0, 2], 1), ([3, -2, 2], 1), ([0, 2], 0)])
+    def test_init_rejects_empty_layers(self, sizes, layer):
+        message = rf"layer_sizes\[{layer}\] must be >= 1, got {sizes[layer]}$"
+        with pytest.raises(ValueError, match=message):
+            Mlp.init(sizes, seed=0)
+
     def test_init_deterministic(self):
         a, b = small_model(seed=3), small_model(seed=3)
         for wa, wb in zip(a.weights, b.weights):

@@ -65,6 +65,15 @@ def test_no_seeds_rejected(tmp_path, monkeypatch, capsys, configs_dir):
         assert "--seeds: must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
+    monkeypatch.setattr(
+        sys, "argv", ["run_ablation.py", "--seeds", "1", "--first-seed", "-1", "--out", str(out)]
+    )
+    with pytest.raises(SystemExit) as exc:
+        load_script(configs_dir.parent).main()
+    assert exc.value.code == 2
+    assert "--first-seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
     config = load_config(configs_dir / "benchmark.json")
     tree = config.load_tree()
     syn = config.synthetic
