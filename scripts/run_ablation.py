@@ -10,9 +10,11 @@ signed delta.
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from hiermlc.config import load_config, synthetic_spec_theta
+from hiermlc.errors import ConfigError, DataFormatError
 from hiermlc.pipeline import hierarchical_ablation
 from hiermlc.policy import make_policy
 
@@ -48,12 +50,19 @@ def main() -> int:
     parser.add_argument("--out", help="optional JSON results file")
     args = parser.parse_args()
 
-    config = load_config(args.config)
-    if config.synthetic is None:
-        parser.error("ablation needs a config with a synthetic data section")
-    tree = config.load_tree()
-    syn = config.synthetic
-    theta = synthetic_spec_theta(syn, tree)
+    try:
+        config = load_config(args.config)
+        if config.synthetic is None:
+            parser.error("ablation needs a config with a synthetic data section")
+        tree = config.load_tree()
+        syn = config.synthetic
+        theta = synthetic_spec_theta(syn, tree)
+    except ConfigError as exc:  # exit codes as hiermlc's
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except DataFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     seeds = list(range(args.first_seed, args.first_seed + args.seeds))
 
     result = hierarchical_ablation(

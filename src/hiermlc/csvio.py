@@ -3,13 +3,11 @@
 ``reader`` yields a file's header and its numbered data rows; it raises
 ``DataFormatError`` for an empty file or a row whose cell count differs
 from the header's, and skips blank lines.  ``read_id_matrix`` reads the
-``id,<name>...`` float files (features, predictions) by the first of
-three paths that vouches for the file: the ``<file>.npy`` sidecar that
-``write_id_matrix`` left beside it, while its sha256 of the file, its
-dtype and its shape still match; then blocks of whole lines parsed with
-``np.loadtxt`` where ``csv.reader`` would split them at commas alone;
-then the checked row loop ``read_id_rows``.  Each gives the loop's
-results and its error messages, so a deleted sidecar costs only time.
+``id,<name>...`` float files (features, predictions) from the
+``<file>.npy`` sidecar that ``write_id_matrix`` left beside it, while
+its sha256 of the file, its dtype and its shape still match, and
+otherwise by the checked row loop ``read_id_rows``.  The sidecar gives
+the loop's results, so a deleted sidecar costs only time.
 This module alone saves and loads ``.npy`` files.
 ``read_coded_rows`` splits label files a block of lines at a time, each
 column a slice of the block's cells mapped to codes; where it cannot
@@ -31,7 +29,6 @@ import hashlib
 import io
 import os
 import re
-import warnings
 from array import array
 from contextlib import contextmanager
 from itertools import repeat
@@ -44,8 +41,6 @@ from .errors import DataFormatError
 
 # Rows formatted per write; bounds the Python objects alive at once.
 CHUNK_ROWS = 64
-# Characters of whole lines parsed per block; bounds the text alive at once.
-BLOCK_CHARS = 1 << 16
 # Characters of label lines split per block: each cell is a Python string.
 LABEL_BLOCK_CHARS = 1 << 13
 
@@ -100,18 +95,10 @@ def read_id_matrix(path, what: str) -> tuple[tuple, tuple, np.ndarray]:
     """``(column names, row ids, float64 matrix)`` of an ``id,<name>...`` file.
 
     A file ``write_id_matrix`` wrote is read from its sidecar when the
-    sidecar still matches it.  Plain files are parsed a block of lines at
-    a time by ``np.loadtxt``; any file the block parser cannot vouch for
-    is read again from the start by ``read_id_rows``, which alone decides
-    what is an error.
+    sidecar still matches it; any other file by ``read_id_rows``, which
+    alone decides what is an error.
     """
     parsed = _read_sidecar(path)
-    if parsed is not None:
-        return parsed
-    try:
-        parsed = _read_id_blocks(path)
-    except UnicodeDecodeError:
-        parsed = None
     return read_id_rows(path, what) if parsed is None else parsed
 
 
@@ -137,7 +124,7 @@ def _read_sidecar(path) -> tuple[tuple, tuple, np.ndarray] | None:
     the file, which is checked last and only if the rest holds, a 1-D
     array of ids, and a C-order float64 matrix of one row per id and one
     column per header name after ``id``.  No field may exceed
-    ``csv.field_size_limit()``, which the parser would reject; 24
+    ``csv.field_size_limit()``, which the checked loop would reject; 24
     characters is the longest ``repr`` of a float64.
     """
     try:
@@ -149,7 +136,7 @@ def _read_sidecar(path) -> tuple[tuple, tuple, np.ndarray] | None:
     except Exception:
         # A missing, truncated or foreign sidecar: numpy's loader raises
         # ValueError, EOFError, SyntaxError, BadZipFile or MemoryError,
-        # among others, for such files, and the parser decides each one.
+        # among others, for such files, and the checked loop decides each one.
         return None
     if not (
         complete
@@ -167,52 +154,6 @@ def _read_sidecar(path) -> tuple[tuple, tuple, np.ndarray] | None:
     ):
         return None
     return tuple(header[1:]), tuple(ids.tolist()), matrix
-
-
-def _read_id_blocks(path) -> tuple[tuple, tuple, np.ndarray] | None:
-    """``read_id_matrix``'s result, or None where ``read_id_rows`` must decide.
-
-    Each block must pass ``_plain``, and ``np.loadtxt`` must read one row
-    per line from it without an error or a warning.  A line short of a
-    comma fails ``usecols``, so ``_plain``'s total comma count makes every
-    line's exact; the row count keeps ids and rows aligned should
-    ``loadtxt`` skip a line.  ``loadtxt`` accepts no cell that ``float()``
-    rejects, and gives the same bits; cells it rejects but ``float()``
-    takes (``1_0``, non-ASCII digits) send the file to the checked loop.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not (header.startswith("id,") and _plain([header], header.count(","))):
-            return None
-        names = header.rstrip("\n").split(",")
-        width = len(names)
-        ids: list[str] = []
-        values = array("d")  # grown in place: no block arrays left on the heap
-        while lines := fh.readlines(BLOCK_CHARS):
-            lines = [line for line in lines if line != "\n"]  # csv skips blank lines
-            if not _plain(lines, width - 1):
-                return None
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    block = np.loadtxt(
-                        lines,
-                        delimiter=",",
-                        comments=None,
-                        usecols=range(1, width),
-                        ndmin=2,
-                        dtype=np.float64,
-                    )
-            except (ValueError, Warning):
-                return None
-            if block.shape[0] != len(lines):
-                return None
-            ids += [line[: line.index(",")] for line in lines]
-            values.frombytes(block.tobytes())
-    if not ids:
-        return None
-    matrix = np.array(values).reshape(len(ids), width - 1)
-    return tuple(names[1:]), tuple(ids), matrix
 
 
 def _plain(lines: list[str], commas: int) -> bool:
@@ -350,11 +291,11 @@ def write_rows(
 def write_id_matrix(path, header: Sequence[str], ids: Sequence[str], matrix: np.ndarray) -> None:
     """Write an ``id,<name>...`` file of float64 ``matrix`` rows, then
     atomically its sidecar: the file's sha256, the ids and the matrix as
-    the parser returns it (every NaN as ``float("nan")``).
+    the checked loop returns it (every NaN as ``float("nan")``).
 
     A file without rows, or with an id or a column name that needs
     quoting or holds a NUL, gets no sidecar, and loses any it had: the
-    parser reads such files.  (``csv.writer`` leaves a carriage return
+    checked loop reads such files.  (``csv.writer`` leaves a carriage return
     unquoted, and ``csv.reader`` ends the row there.)
     """
     digest = write_rows(path, header, [ids], matrix)

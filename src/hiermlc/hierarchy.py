@@ -184,6 +184,8 @@ def load_tree(path: str | Path) -> LabelTree:
         tree = build_tree(records)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    if "id" in tree.names:
+        raise DataFormatError(f"{path}: label 'id' is the name of the label files' id column")
     by_file_name: dict[str, str] = {}
     for name in tree.names:
         file_name = safe_name(name)

@@ -1,4 +1,5 @@
 import csv
+import fnmatch
 import hashlib
 import json
 import shutil
@@ -67,6 +68,17 @@ def checksums(root):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def chain_config(tmp_path, configs_dir, name="chain.json", **overrides):
+    """``configs/chain.json`` at a small size, with its hierarchy file
+    beside it under the relative name it ships with."""
+    shutil.copy(configs_dir / "chain_hierarchy.csv", tmp_path)
+    raw = json.loads((configs_dir / "chain.json").read_text())
+    raw.update(stage1_iterations=20, stage2_iterations=10, **overrides)
+    raw["data"]["synthetic"].update(n_train=100, n_eval=50)
+    (tmp_path / name).write_text(json.dumps(raw))
+    return tmp_path / name
 
 
 class TestUsageErrors:
@@ -448,18 +460,8 @@ class TestStaleData:
         assert main(["train", "--config", config]) == 0
         assert not any((workspace / "run" / name).exists() for name in derived)
 
-    def chain_config(self, tmp_path, configs_dir, name="chain.json", **overrides):
-        """``configs/chain.json`` at a small size, with its hierarchy file
-        beside it under the relative name it ships with."""
-        shutil.copy(configs_dir / "chain_hierarchy.csv", tmp_path)
-        raw = json.loads((configs_dir / "chain.json").read_text())
-        raw.update(stage1_iterations=20, stage2_iterations=10, **overrides)
-        raw["data"]["synthetic"].update(n_train=100, n_eval=50)
-        (tmp_path / name).write_text(json.dumps(raw))
-        return tmp_path / name
-
     def test_one_hierarchy_reached_by_two_paths(self, tmp_path, configs_dir, monkeypatch):
-        config = self.chain_config(tmp_path, configs_dir)
+        config = chain_config(tmp_path, configs_dir)
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "--config", str(config.resolve())]) == 0
         for command in ("train", "predict", "eval"):
@@ -474,7 +476,7 @@ class TestStaleData:
         """A config reached by a relative path records its hierarchy path
         relative to the directory the command ran from: a later command
         run from elsewhere cannot tell it is the same file."""
-        config = self.chain_config(tmp_path, configs_dir)
+        config = chain_config(tmp_path, configs_dir)
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "--config", "chain.json", "--out", str(tmp_path / "run")]) == 0
         elsewhere = tmp_path / "elsewhere"
@@ -487,9 +489,9 @@ class TestStaleData:
     def test_another_hierarchy_file_is_another_hierarchy(
         self, tmp_path, configs_dir, monkeypatch, capsys
     ):
-        config = self.chain_config(tmp_path, configs_dir)
+        config = chain_config(tmp_path, configs_dir)
         shutil.copy(tmp_path / "chain_hierarchy.csv", tmp_path / "copy.csv")
-        other = self.chain_config(tmp_path, configs_dir, "other.json", hierarchy="copy.csv")
+        other = chain_config(tmp_path, configs_dir, "other.json", hierarchy="copy.csv")
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "--config", str(config)]) == 0
         capsys.readouterr()
@@ -514,6 +516,37 @@ class TestStaleData:
         assert main(["eval", "--config", str(config)]) == 2
 
 
+class TestReadmeLayout:
+    def quick_start_files(self, readme):
+        """The files README's Quick start says a chain run leaves, as
+        globs relative to the run directory."""
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("leaves under `runs/chain/`:\n\n```\n", 1)[1].split("```", 1)[0]
+        globs, directory = [], ""
+        for line in block.splitlines():
+            name = line.split()[0]
+            if name.endswith("/"):
+                directory = name
+            else:
+                inner = directory if line.startswith(" ") else ""
+                globs.append(inner + name.replace("<label>", "*"))
+        return globs
+
+    def test_gen_train_eval_leave_the_files_it_lists(self, tmp_path, configs_dir, monkeypatch):
+        globs = self.quick_start_files(configs_dir.parent / "README.md")
+        assert "data/train_features.csv.npy" in globs and "roc_*.csv" in globs
+        chain_config(tmp_path, configs_dir)
+        monkeypatch.chdir(tmp_path)
+        for command in ("gen", "train", "eval"):
+            assert main([command, "--config", "chain.json"]) == 0
+        run = tmp_path / "runs" / "chain"
+        written = sorted(p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file())
+        matched = {glob: fnmatch.filter(written, glob) for glob in globs}
+        assert [glob for glob, files in matched.items() if not files] == []
+        assert sorted(sum(matched.values(), [])) == written
+        assert matched["roc_*.csv"] == ["roc_leaf.csv", "roc_mid.csv", "roc_root.csv"]
+
+
 class TestSidecars:
     """gen and predict leave a parsed copy beside each features and
     predictions file; the commands read it in place of the file, and
@@ -530,7 +563,6 @@ class TestSidecars:
         def parsed(path, *args):
             raise AssertionError(f"{path} was parsed")
 
-        monkeypatch.setattr(csvio, "_read_id_blocks", parsed)
         monkeypatch.setattr(csvio, "read_id_rows", parsed)
         for command in ("train", "predict", "eval"):
             assert main([command, "--config", config]) == 0
@@ -983,6 +1015,15 @@ class TestMalformedInput:
         config = write_config(workspace, hierarchy="name,parent,index\na b,,0\na_b,,1\n")
         assert main(["train", "--config", str(config)]) == 2
         assert "labels 'a b' and 'a_b' share the file name 'a_b'" in capsys.readouterr().err
+        assert not (workspace / "run").exists()
+
+    def test_label_named_id_exits_two_before_gen_writes(self, workspace, capsys):
+        config = write_config(workspace, hierarchy="name,parent,index\nA,,0\nid,A,1\n")
+        raw = json.loads(config.read_text())
+        raw["data"]["synthetic"]["theta"] = {"A": 0.6, "id": 0.7}
+        config.write_text(json.dumps(raw))
+        assert main(["gen", "--config", str(config)]) == 2
+        assert "h.csv: label 'id' is the name of" in capsys.readouterr().err
         assert not (workspace / "run").exists()
 
     def test_reader_points_row_with_three_cells_exits_two(self, workspace, capsys):

@@ -3,7 +3,6 @@ the writers against one-writerow-per-row references."""
 
 import csv
 import pickle
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -293,127 +292,19 @@ def id_matrix_outcome(read, path):
     return names, ids, matrix.shape, matrix.view(np.int64).tobytes()
 
 
-PLAIN_CELLS = st.floats(allow_nan=True, allow_infinity=True).map(repr) | st.sampled_from(
-    ["-0.0", "-nan", "NaN", "-Infinity", "INF", "+1.5", "5e-324", "-4.9e-324",
-     "2.2250738585072014e-308", "1e-310", "1E5", ".5", "7."]
-)
-AFFIXES = st.sampled_from(
-    ["", " ", "\t", "#", "#2", "_0", "\x00", "\xa0", "\u2028", "\x0b", "\u200b", "x", '"']
-)
-ODD_CELLS = st.sampled_from(["1_0", "\u0661\u0662", "\uff11", "0x1p3", "nan(1)", "", "1e", "--1"])
-ODD_CELLS |= st.builds("{}{}{}".format, AFFIXES, PLAIN_CELLS, AFFIXES)
-PLAIN_IDS = st.text("abcXYZ019 ._-#'\\\u00e9\x00", max_size=6)
-ODD_IDS = st.sampled_from(['"a"', '"a,b"', '"a\r\nb"', 'a"b', '""', "a\rb", "\ufeff"])
-FAULTS = (
-    "header id", "header name", "id", "cell", "short row", "long row", "line end", "odd line"
-)
-
-
-@st.composite
-def id_matrix_files(draw):
-    """An id-matrix file's bytes and a block size: a well-formed file,
-    blank lines and a missing last newline included, with up to two
-    ``FAULTS`` put in, and sometimes a byte that is not UTF-8."""
-    width = draw(st.integers(1, 4))
-    rows = [["id", *(f"f{j}" for j in range(width - 1))]]
-    for _ in range(draw(st.integers(0, 8))):
-        rows.append([draw(PLAIN_IDS), *(draw(PLAIN_CELLS) for _ in range(width - 1))])
-    ends = ["\n"] * len(rows)
-    for _ in range(draw(st.integers(0, 2))):
-        fault = draw(st.sampled_from(FAULTS))
-        row = rows[draw(st.integers(0, len(rows) - 1))]
-        if fault == "header id":
-            rows[0][0] = draw(st.sampled_from(["\ufeffid", '"id"', "name", "id "]))
-        elif fault == "header name" and width > 1:
-            rows[0][-1] = draw(st.sampled_from(['"f"', '"f,g"', " f", "", "f\r"]))
-        elif fault == "id":
-            row[0] = draw(ODD_IDS)
-        elif fault == "cell" and len(row) > 1:
-            row[-1] = draw(ODD_CELLS)
-        elif fault == "short row" and len(row) > 1:
-            row.pop()
-        elif fault == "long row":
-            row.append(draw(PLAIN_CELLS))
-        elif fault == "line end":
-            ends[rows.index(row)] = draw(st.sampled_from(["\r\n", "\r"]))
-        elif fault == "odd line":
-            rows.insert(1, [draw(st.sampled_from([" ", "\t", "x", "#"]))])
-            ends.insert(1, "\n")
-    lines = [",".join(row) + end for row, end in zip(rows, ends)]
-    for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(1, len(lines))), "\n")  # blank lines
-    if draw(st.booleans()):
-        lines[-1] = lines[-1].rstrip("\r\n")
-    data = "".join(lines).encode("utf-8")
-    if draw(st.integers(0, 9)) == 0:  # not UTF-8
-        cut = draw(st.integers(0, len(data)))
-        data = data[:cut] + b"\xff" + data[cut:]
-    return data, draw(st.sampled_from([1, 40, 200, csvio.BLOCK_CHARS]))
-
-
 class TestIdMatrixReader:
-    """``read_id_matrix`` parses plain files by blocks and hands the rest
-    to the checked loop ``read_id_rows``; either way the result is the
-    checked loop's, bit for bit, or its ``DataFormatError``."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(file=id_matrix_files())
-    @example(file=(b"id,f0\nr,1.5#2\n", csvio.BLOCK_CHARS))  # csv keeps no comments
-    @example(file=(b'id,f0\n"r",1.5\n', csvio.BLOCK_CHARS))
-    @example(file=(b"id,f0\r\nr,1.5\n", csvio.BLOCK_CHARS))
-    @example(file=(b"id,f0\nr,1.5,2\n", csvio.BLOCK_CHARS))
-    @example(file=(b"id,f0\nr,1_0\n\n", 1))  # the last block is one blank line
-    def test_same_as_checked_loop(self, tmp_path_factory, file):
-        data, block_chars = file
-        path = tmp_path_factory.mktemp("m") / "m.csv"
-        path.write_bytes(data)
-        with mock.patch.object(csvio, "BLOCK_CHARS", block_chars):
-            with warnings.catch_warnings(record=True) as leaked:
-                warnings.simplefilter("always")
-                got = id_matrix_outcome(csvio.read_id_matrix, path)
-        assert got == id_matrix_outcome(csvio.read_id_rows, path)
-        assert [str(w.message) for w in leaked] == []
-
-    def checked_loop_forbidden(self, monkeypatch):
-        def forbidden(path, what):
-            raise AssertionError(f"{path} went to the checked loop")
-
-        monkeypatch.setattr(csvio, "read_id_rows", forbidden)
-
-    def test_package_files_take_the_block_path(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(3)
-        n = 3 * csvio.CHUNK_ROWS
-        values = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-320, 300, (n, 4))
-        values[:, 0] = [-0.0, np.nan, -np.inf, 5e-324] * (n // 4)
-        ids = [f"row{i:05d}" for i in range(n)]
-        names = ("Atelectasis", "Lung Opacity", "Support Devices", "No Finding")
-        write_features_csv(tmp_path / "f.csv", values, ids)
-        write_predictions_csv(tmp_path / "p.csv", ids, values, names)
-        drop_sidecars(tmp_path)
-        expected = values.view(np.int64)
-        self.checked_loop_forbidden(monkeypatch)
-        features, feature_ids = load_features_csv(tmp_path / "f.csv")
-        got_ids, probs, got_names = load_predictions_csv(tmp_path / "p.csv")
-        assert feature_ids == got_ids == tuple(ids) and got_names == names
-        np.testing.assert_array_equal(features.view(np.int64), expected)
-        np.testing.assert_array_equal(probs.view(np.int64), expected)
+    """``read_id_matrix`` reads a file without a sidecar by the checked
+    loop ``read_id_rows``: every cell ``float()`` takes, and errors named
+    by file and line."""
 
     def big_file(self, tmp_path):
-        """A features file of about 1.5 blocks, and its rows."""
+        """A features file of 500 rows without a sidecar, and its rows."""
         rng = np.random.default_rng(4)
-        n = csvio.BLOCK_CHARS * 3 // 2 // 200
-        values = rng.standard_normal((n, 10))
+        values = rng.standard_normal((500, 10))
         path = tmp_path / "big.csv"
-        write_features_csv(path, values, [f"r{i}" for i in range(n)])
+        write_features_csv(path, values, [f"r{i}" for i in range(len(values))])
         drop_sidecars(tmp_path)
         return path, values
-
-    def test_file_of_several_blocks(self, tmp_path, monkeypatch):
-        path, values = self.big_file(tmp_path)
-        assert path.stat().st_size > csvio.BLOCK_CHARS
-        self.checked_loop_forbidden(monkeypatch)
-        features, _ = load_features_csv(path)
-        np.testing.assert_array_equal(features.view(np.int64), values.view(np.int64))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -427,17 +318,15 @@ class TestIdMatrixReader:
         path, values = self.big_file(tmp_path)
         lines = path.read_text().split("\n")
         row = len(lines) - 3
-        assert sum(map(len, lines[:row])) > csvio.BLOCK_CHARS
         lines[row] = ",".join(lines[row].split(",")[:9] + [bad])
         path.write_text("\n".join(lines))
-        assert id_matrix_outcome(csvio.read_id_matrix, path) == id_matrix_outcome(
-            csvio.read_id_rows, path
-        )
-        if message is None:  # float() takes 1_0, so the checked loop reads it
-            assert load_features_csv(path)[0][row - 1, 9] == 10.0
+        if message is None:  # float() takes 1_0
+            _, _, features = csvio.read_id_matrix(path, "feature")
+            np.testing.assert_array_equal(features[: row - 1], values[: row - 1])
+            assert features[row - 1, 9] == 10.0
         else:
             with pytest.raises(DataFormatError, match=rf"big\.csv:{row + 1}: {message}$"):
-                load_features_csv(path)
+                csvio.read_id_matrix(path, "feature")
 
     def test_field_over_the_csv_limit(self, tmp_path):
         cell = "0" * csv.field_size_limit() + "1"
@@ -495,8 +384,7 @@ class TestSidecar:
         plain = not any(set(field) & set(',"\r\n\0') for field in [*ids, *names])
         assert sidecar.exists() == (n > 0 and plain)
         if sidecar.exists():
-            with mock.patch.object(csvio, "_read_id_blocks", forbidden_parse), \
-                    mock.patch.object(csvio, "read_id_rows", forbidden_parse):
+            with mock.patch.object(csvio, "read_id_rows", forbidden_parse):
                 got = id_matrix_outcome(csvio.read_id_matrix, path)
         else:
             got = id_matrix_outcome(csvio.read_id_matrix, path)
@@ -587,7 +475,7 @@ class TestSidecar:
         path = self.written(tmp_path)
         hashed, sha256_file = [], csvio.sha256_file
         monkeypatch.setattr(csvio, "sha256_file", lambda p: hashed.append(p) or sha256_file(p))
-        monkeypatch.setattr(csvio, "_read_id_blocks", forbidden_parse)
+        monkeypatch.setattr(csvio, "read_id_rows", forbidden_parse)
         csvio.read_id_matrix(path, "feature")
         assert hashed == [path]
         csvio.sidecar_path(path).unlink()

@@ -159,6 +159,7 @@ class TestTreeFiles:
                 "name,parent,index\na b,,0\na_b,,1\n",
                 "labels 'a b' and 'a_b' share the file name 'a_b'",
             ),
+            ("name,parent,index\nA,,0\nid,A,1\n", r"bad\.csv: label 'id' is the name of"),
         ],
     )
     def test_malformed_files_rejected(self, tmp_path, text, match):

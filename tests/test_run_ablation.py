@@ -91,3 +91,36 @@ def test_no_seeds_rejected(tmp_path, monkeypatch, capsys, configs_dir):
             stage1_iterations=1,
             stage2_iterations=1,
         )
+
+
+
+def error_line(capsys):
+    """The one line the script printed, to stderr alone."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "text, message", [(None, "config file not found"), ("{", "bad.json")]
+)
+def test_config_error_is_one_error_line(tmp_path, monkeypatch, capsys, configs_dir, text, message):
+    config = tmp_path / "bad.json"
+    if text is not None:
+        config.write_text(text)
+    monkeypatch.setattr(sys, "argv", ["run_ablation.py", "--config", str(config)])
+    assert load_script(configs_dir.parent).main() == 1
+    assert message in error_line(capsys)
+
+
+def test_hierarchy_error_is_one_error_line(tmp_path, monkeypatch, capsys, configs_dir):
+    (tmp_path / "h.csv").write_text("name,parent,index\nid,,0\n")
+    raw = json.loads((configs_dir / "benchmark.json").read_text())
+    raw["hierarchy"] = str(tmp_path / "h.csv")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(raw))
+    monkeypatch.setattr(sys, "argv", ["run_ablation.py", "--config", str(config)])
+    assert load_script(configs_dir.parent).main() == 2
+    assert "h.csv: label 'id' is the name of" in error_line(capsys)
