@@ -29,7 +29,7 @@ from .config import (
     snapshot_config,
     synthetic_spec_theta,
 )
-from .csvio import column_indices, sha256_file, write_table
+from .csvio import column_indices, read_id_matrix, sha256_file, write_table
 # unused here: the benchmark's perfbench/tracer.py wraps the last two names in cli
 from .data import Dataset, SyntheticSpec, generate_synthetic, inject_uncertainty
 from .errors import ConfigError, DataFormatError, NumericError
@@ -270,9 +270,9 @@ def _scored_labels(config: RunConfig, labels: np.ndarray) -> np.ndarray:
 
 def _eval_features(
     config: RunConfig, tree: LabelTree
-) -> tuple[np.ndarray, tuple[str, ...], str | Path | None]:
-    """Features and row ids of the eval split, and the file they came
-    from: read without the labels whenever a features file holds them."""
+) -> tuple[np.ndarray, tuple[str, ...], str | None]:
+    """Features and row ids of the eval split, and the sha256 of the file
+    they came from: read without the labels where a features file holds them."""
     if config.synthetic is not None:
         paths = _gen_csvs(config, "eval")
         path = None if paths is None else paths[0]
@@ -280,7 +280,8 @@ def _eval_features(
         assert config.csv_data is not None
         path = config.csv_data.eval_features
     if path is not None:
-        return (*data_mod.load_features_csv(path), path)
+        _, ids, features, digest = read_id_matrix(path, "feature")
+        return features, ids, digest or sha256_file(path)
     dataset = _load_split(config, tree, "eval")
     return dataset.features, dataset.ids, None
 
@@ -370,12 +371,12 @@ def _predict(
     return predict_unconditional(ensemble, tree, features)
 
 
-def _binding(checkpoints: list[Path], features, tree: LabelTree, mode: str) -> dict:
+def _binding(checkpoints: list[Path], features_digest: str, tree: LabelTree, mode: str) -> dict:
     """What ensemble predictions are a function of, by content: the final
-    checkpoints, the eval features file, the tree and the mode."""
+    checkpoints, the eval features file's sha256, the tree and the mode."""
     return {
         "checkpoints": {path.name: sha256_file(path) for path in checkpoints},
-        "eval_features": sha256_file(features),
+        "eval_features": features_digest,
         "tree": {"names": list(tree.names), "parents": tree.parent_index.tolist()},
         "mode": mode,
     }
@@ -388,11 +389,11 @@ def _write_predictions(
     it came from, ``predictions.json``: that binding plus the file's hash.
     Predictions bound to nothing leave no record."""
     record, path = out / "predictions.json", out / "predictions.csv"
-    eval_mod.write_predictions_csv(path, ids, probs, tree.names)
+    digest = eval_mod.write_predictions_csv(path, ids, probs, tree.names)
     if binding is None:
         record.unlink(missing_ok=True)
     else:
-        payload = {**binding, "predictions": sha256_file(path)}
+        payload = {**binding, "predictions": digest}
         payload = json.dumps(payload, sort_keys=True, indent=2)
         record.write_text(payload + "\n", encoding="utf-8")
 
@@ -403,16 +404,20 @@ def _bound_predictions(
     """The probabilities in ``predictions.csv`` if ``predictions.json``
     binds it, unchanged, to these inputs, and it holds the rows ``ids``
     and the columns of ``tree`` in order; else None.  The record is read
-    first: without one, nothing is hashed."""
+    first: without one, nothing is read or hashed.  A predictions file
+    that cannot be read is not bound to anything."""
     record, path = out / "predictions.json", out / "predictions.csv"
     try:
         recorded = json.loads(record.read_text(encoding="utf-8"))
     except (FileNotFoundError, ValueError):
         return None
-    binding = _binding(checkpoints, features, tree, mode)
-    if not path.exists() or recorded != {**binding, "predictions": sha256_file(path)}:
+    try:
+        names, written_ids, probs, digest = read_id_matrix(path, "prediction")
+    except (FileNotFoundError, DataFormatError):
         return None
-    written_ids, probs, names = eval_mod.load_predictions_csv(path)
+    binding = _binding(checkpoints, sha256_file(features), tree, mode)
+    if recorded != {**binding, "predictions": digest or sha256_file(path)}:
+        return None
     return probs if written_ids == ids and names == tree.names else None
 
 
@@ -420,12 +425,12 @@ def cmd_predict(args) -> int:
     """Write ensemble predictions for the eval rows."""
     config = _effective_config(args)
     tree = config.load_tree()
-    features, ids, features_path = _eval_features(config, tree)
+    features, ids, features_digest = _eval_features(config, tree)
     checkpoints = _final_checkpoints(config)
     probs = _predict(checkpoints, config.mode, tree, features)
     binding = None
-    if features_path is not None:
-        binding = _binding(checkpoints, features_path, tree, config.mode)
+    if features_digest is not None:
+        binding = _binding(checkpoints, features_digest, tree, config.mode)
     out = _out_dir(config)
     _write_predictions(out, ids, probs, tree, binding)
     print(f"wrote predictions for {len(ids)} rows to {out / 'predictions.csv'}")
@@ -484,9 +489,10 @@ def cmd_eval(args) -> int:
             probs = _bound_predictions(run_dir, checkpoints, features_path, tree, config.mode, ids)
             reused = probs is not None
             if not reused:
-                features, feat_ids = data_mod.load_features_csv(features_path)
+                _, feat_ids, features, digest = read_id_matrix(features_path, "feature")
                 data_mod.check_row_ids(feat_ids, ids, *files)
-                binding = _binding(checkpoints, features_path, tree, config.mode)
+                digest = digest or sha256_file(features_path)
+                binding = _binding(checkpoints, digest, tree, config.mode)
         if not reused:
             probs = _predict(checkpoints, config.mode, tree, features)
 

@@ -14,33 +14,33 @@ column a slice of the block's cells mapped to codes; where it cannot
 vouch for a file it returns None, and the caller's checked loop reads it.
 
 Files are written with the excel dialect and ``"\\n"`` line endings:
-small tables through ``csv.writer``, large numeric ones as ``",".join``
-rows over ``ndarray.tolist()`` chunks, hashed as they are written for the
-sidecar, and columns of preformatted text (the ROC points) by
-``write_fields``.  Numeric cells never need quoting, and text fields that
-do are quoted by ``csv.writer`` itself, so the bytes are always
-``csv.writer``'s.
+small tables through ``csv.writer``, and matrices (features, labels,
+predictions, ROC points) by ``write_rows``, hashed as they are written
+for the sidecar: each cell a zone of bytes in a numpy array, float64s
+laid out by ``float_cells`` as ``repr`` writes them, and the NULs dropped.
+Text fields are quoted as ``csv.writer`` quotes them, and also where they
+hold a carriage return, which ``csv.reader`` would take for a line end.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
-import io
 import os
 import re
 from array import array
 from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError
 
-# Rows formatted per write; bounds the Python objects alive at once.
-CHUNK_ROWS = 64
+# Cells laid out per write; bounds the bytes of the arrays alive at once.
+CHUNK_CELLS = 4096
 # Characters of label lines split per block: each cell is a Python string.
 LABEL_BLOCK_CHARS = 1 << 13
 
@@ -48,12 +48,12 @@ _MAY_NEED_QUOTING = re.compile(r'[,"\r\n]').search
 
 
 def _text_field(text: str) -> str:
-    """A text field as ``csv.writer`` writes it within a row."""
+    """A text field as ``csv.writer`` writes it within a row, and quoted
+    also where it holds a carriage return, which ``csv.reader`` would
+    otherwise take for the end of the row."""
     if not _MAY_NEED_QUOTING(text):
         return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
+    return '"' + text.replace('"', '""') + '"'
 
 
 @contextmanager
@@ -91,15 +91,17 @@ def column_indices(path, header: Sequence[str], names, what: str) -> list[int]:
     return [header.index(name) for name in names]
 
 
-def read_id_matrix(path, what: str) -> tuple[tuple, tuple, np.ndarray]:
-    """``(column names, row ids, float64 matrix)`` of an ``id,<name>...`` file.
+def read_id_matrix(path, what: str) -> tuple[tuple, tuple, np.ndarray, str | None]:
+    """``(column names, row ids, float64 matrix, sha256)`` of an ``id,<name>...`` file.
 
     A file ``write_id_matrix`` wrote is read from its sidecar when the
     sidecar still matches it; any other file by ``read_id_rows``, which
-    alone decides what is an error.
+    alone decides what is an error.  The sha256 is the file's hex digest
+    where the sidecar check computed it (a sidecar whose every other
+    field fits the file), else None: a file without one is not hashed.
     """
-    parsed = _read_sidecar(path)
-    return read_id_rows(path, what) if parsed is None else parsed
+    parsed, digest = _read_sidecar(path)
+    return (*(parsed or read_id_rows(path, what)), digest)
 
 
 def sidecar_path(path) -> Path:
@@ -116,9 +118,10 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _read_sidecar(path) -> tuple[tuple, tuple, np.ndarray] | None:
-    """``read_id_matrix``'s result from the sidecar of the file at
-    ``path``, or None where there is no sidecar or it does not match.
+def _read_sidecar(path) -> tuple[tuple[tuple, tuple, np.ndarray] | None, str | None]:
+    """``read_id_matrix``'s names, ids and matrix from the sidecar of the
+    file at ``path``, or None where there is no sidecar or it does not
+    match; and the file's hex sha256 where the check computed it.
 
     The sidecar must hold three arrays and nothing more: the sha256 of
     the file, which is checked last and only if the rest holds, a 1-D
@@ -137,7 +140,7 @@ def _read_sidecar(path) -> tuple[tuple, tuple, np.ndarray] | None:
         # A missing, truncated or foreign sidecar: numpy's loader raises
         # ValueError, EOFError, SyntaxError, BadZipFile or MemoryError,
         # among others, for such files, and the checked loop decides each one.
-        return None
+        return None, None
     if not (
         complete
         and all(type(array) is np.ndarray for array in (digest, ids, matrix))
@@ -150,10 +153,11 @@ def _read_sidecar(path) -> tuple[tuple, tuple, np.ndarray] | None:
         and matrix.shape == (ids.size, len(header) - 1)
         and header[:1] == ["id"]
         and max(ids.dtype.itemsize // 4, 24) <= csv.field_size_limit()
-        and digest.item() == sha256_file(path)
     ):
-        return None
-    return tuple(header[1:]), tuple(ids.tolist()), matrix
+        return None, None
+    actual = sha256_file(path)
+    parsed = tuple(header[1:]), tuple(ids.tolist()), matrix
+    return (parsed if digest.item() == actual else None), actual
 
 
 def _plain(lines: list[str], commas: int) -> bool:
@@ -241,15 +245,172 @@ def read_id_rows(path, what: str) -> tuple[tuple, tuple, np.ndarray]:
     return tuple(header[1:]), tuple(ids), matrix
 
 
+# ---------------------------------------------------------------------------
+# Float cells: the bytes of ``repr(x)`` for a block of float64s at once.
+#
+# ``repr`` gives the shortest decimal that reads back as x, and of those
+# the closest to x, ties to an even last digit.  So does Schubfach
+# (R. Giulietti, "The Schubfach way to render doubles", 2020), which
+# ``_shortest`` runs over uint64 arrays: numpy's array multiply wraps at
+# 2**64, so each 64x64-bit product is built from 32-bit halves.  Its
+# 2-digit floor for subnormals, a rule of Java's format, is left out.
+
+# Bytes of a cell's zone, as 7 uint64 words: the head (sign, and "0."
+# with up to three zeros), 24 bytes of leading digits then the dot in
+# byte 17, and 24 of trailing digits then the tail ("0", "e+NN", "nan"
+# or "inf") in bytes 17-22; byte 23 stays NUL for the separator.
+CELL_BYTES = 56
+# Exponent range of Schubfach's scaled powers of ten g(k).
+_K_MIN, _K_MAX = -324, 292
+_M32, _M52, _M63 = (1 << 32) - 1, (1 << 52) - 1, (1 << 63) - 1
+
+
+class _FloatTables(NamedTuple):
+    g: np.ndarray  # (5, k - _K_MIN): g1 and g0's 32-bit halves, then g1
+    quad_text: np.ndarray  # 4 ASCII digits of 0..9999 as a uint64
+    quad_zeros: np.ndarray  # trailing zeros of those 4 digits
+    pow10: np.ndarray
+    masks: np.ndarray  # (3, n): the words of 24 bytes, the first n 0xFF
+    heads: np.ndarray  # by 5 * sign + leading zeros + 1; 0: no "0."
+    tails: np.ndarray  # at byte 1: "", "0", "nan", "inf", then e-324..e+308
+
+
+@functools.cache
+def _float_tables() -> _FloatTables:
+    """``float_cells``'s tables, built on first use."""
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        # g(k) = floor(10**-k * 2**(125 - r)) + 1 with r = flog2pow10(-k):
+        # 126 bits, split at bit 63 into g1 and g0
+        shift = 125 - ((-k * 913124641741) >> 38)
+        num, den = 10 ** max(-k, 0), 10 ** max(k, 0)
+        gk = ((num << shift) // den if shift >= 0 else num // (den << -shift)) + 1
+        g.append((gk >> 63, gk & _M63))
+    g1, g0 = np.array(g, dtype=np.uint64).T
+    quads = [b"%04d" % i for i in range(10_000)]
+    heads = [s + z for s in (b"", b"-") for z in (b"", b"0.", b"0.0", b"0.00", b"0.000")]
+    tails = [b"", b"0", b"nan", b"inf"] + [b"e%+03d" % e for e in range(-324, 309)]
+    return _FloatTables(
+        g=np.stack([g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32, g1]),
+        quad_text=np.array(quads, dtype="S4").view(np.uint32).astype(np.uint64),
+        quad_zeros=np.array([4] + [4 - len(q.rstrip(b"0")) for q in quads[1:]]),
+        pow10=np.array([10**i for i in range(20)], dtype=np.uint64),
+        masks=np.array([b"\xff" * n for n in range(18)], "S24").view(np.uint64).reshape(18, 3).T,
+        heads=np.array(heads, dtype="S8").view(np.uint64),
+        tails=np.array([b"\0" + tail for tail in tails], dtype="S8").view(np.uint64),
+    )
+
+
+def _mulhi(a1, a0, b1, b0):
+    """The high 64 bits of (a1 * 2**32 + a0) * (b1 * 2**32 + b0)."""
+    low = a0 * b0
+    mid = a1 * b0 + (low >> 32)
+    return a1 * b1 + (mid >> 32) + (((mid & _M32) + a0 * b1) >> 32)
+
+
+def _round_to_odd(g, cp):
+    """Schubfach's rop(g, cp): floor(g * cp / 2**127), its lowest bit set
+    where bits 64-126 of the product are not all zero."""
+    g1h, g1l, g0h, g0l, g1 = g
+    ch, cl = cp >> 32, cp & _M32
+    z = ((g1 * cp) >> 1) + _mulhi(g0h, g0l, ch, cl)
+    return (_mulhi(g1h, g1l, ch, cl) + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, k)`` with s * 10**k the decimal ``repr`` gives, for the uint64
+    bits of finite nonzero float64s."""
+    biased = ((bits >> 52) & 0x7FF).astype(np.int64)
+    t = bits & _M52
+    c = t | ((biased > 0).astype(np.uint64) << 52)
+    q = np.maximum(biased, 1) - 1075  # x = c * 2**q
+    # a power of two above the least normal has a narrower interval below
+    irregular = (t == 0) & (biased > 1)
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
+    g = _float_tables().g[:, k - _K_MIN]
+    odd = c & 1  # an odd c leaves the interval open
+    cb = c << 2
+    vb = _round_to_odd(g, cb << h)
+    vbl = _round_to_odd(g, (cb - 2 + irregular) << h)
+    vbr = _round_to_odd(g, (cb + 2) << h)
+    # one digit fewer: sp10 or sp10 + 10, where just one is in the interval
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    upin = vbl + odd <= sp10 << 2
+    wpin = ((sp10 + 10) << 2) + odd <= vbr
+    # else the one of s and s + 1 in the interval, or the closer, or even s
+    uin = vbl + odd <= s << 2
+    win = ((s + 1) << 2) + odd <= vbr
+    cmp = vb.view(np.int64) - ((2 * s + 1) << 1).view(np.int64)
+    lower = np.where(uin != win, uin, (cmp < 0) | ((cmp == 0) & ((s & 1) == 0)))
+    s = np.where(upin != wpin, np.where(upin, sp10, sp10 + 10), np.where(lower, s, s + 1))
+    return s, k
+
+
+def _digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n, point, words)`` for finite nonzero float64 bits: the count of
+    significant digits, the place of the decimal point (x = 0.d1d2... *
+    10**point) and 17 digits, zeros after the n-th, as 3 words of ASCII."""
+    tables = _float_tables()
+    s, k = _shortest(bits)
+    length = np.searchsorted(tables.pow10, s, side="right")  # s < 10**17
+    quads, lead = [], s * tables.pow10[17 - length]  # 17 digits
+    for _ in range(4):  # the 16 digits after the first, four at a time
+        rest = lead // 10_000
+        quads.insert(0, lead - rest * 10_000)
+        lead = rest
+    text = [tables.quad_text[quad] for quad in quads]
+    trailing = 0
+    for quad in quads:
+        trailing = tables.quad_zeros[quad] + (quad == 0) * trailing
+    word0 = (lead + ord("0")) | (text[0] << 8) | (text[1] << 40)
+    word1 = (text[1] >> 24) | (text[2] << 8) | (text[3] << 40)
+    return 17 - trailing, length + k, np.stack([word0, word1, text[3] >> 24], axis=1)
+
+
+def float_cells(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each float64 of ``values`` as ASCII in a zone of
+    ``CELL_BYTES`` bytes, NUL where unused: shape ``values.shape +
+    (CELL_BYTES,)``, each zone's last byte NUL.
+
+    ``repr`` writes ``[-]ddd.ddd`` where the decimal point falls after
+    digit -3 to 16 of the shortest digits (``0.000ddd``, ``ddd00.0``),
+    and ``[-]d[.ddd]e[+-]XX`` elsewhere; zero is ``0.0`` and ``-0.0``.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    bits = x.reshape(-1).view(np.uint64)
+    tables = _float_tables()
+    special = (bits >> 52 & 0x7FF) == 0x7FF
+    nan = special & ((bits & _M52) != 0)
+    numeric = ((bits << 1) != 0) & ~special
+    n = (~special).astype(np.int64)  # zero: the digit "0", the point after it
+    point = np.ones(bits.size, dtype=np.int64)
+    words = np.tile(np.array([ord("0"), 0, 0], dtype=np.uint64), (bits.size, 1))
+    if numeric.any():
+        n[numeric], point[numeric], words[numeric] = _digits(bits[numeric])
+    fixed = (point > 0) & (point <= 16) & ~special
+    fraction = (point > -4) & (point <= 0)
+    exponent = ~(fixed | fraction | special)
+    whole = np.where(fixed, point, exponent)  # the digits before the dot
+    sign = (bits >> 63).astype(np.int64) & ~nan
+    zones = np.empty((bits.size, CELL_BYTES // 8), dtype=np.uint64)
+    zones[:, 0] = tables.heads[5 * sign + np.where(fraction, 1 - point, 0)]
+    for w in range(3):
+        before = tables.masks[w][whole]
+        zones[:, 1 + w] = words[:, w] & before
+        zones[:, 4 + w] = words[:, w] & tables.masks[w][n] & ~before
+    zones[:, 3] |= (fixed | (exponent & (n > 1))).astype(np.uint64) * (ord(".") << 8)
+    # tails[1] is the "0" after a dot with no digit behind it
+    tail = np.where(fixed, point >= n, np.where(exponent, point + 327, 0))
+    zones[:, 6] |= tables.tails[np.where(special, 3 - nan, tail)]
+    return zones.view(np.uint8).reshape(*x.shape, CELL_BYTES)
+
+
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header and rows through ``csv.writer``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-
-
-def float_row(row: list) -> str:
-    """Cells joined as ``repr``, which round-trips float64 exactly."""
-    return ",".join(map(repr, row))
 
 
 def write_rows(
@@ -257,53 +418,67 @@ def write_rows(
     header: Sequence[str],
     text_columns: Sequence[Sequence[str]],
     cells: np.ndarray,
-    row_text: Callable[[list], str] = float_row,
+    cell_zones: Callable[[np.ndarray], np.ndarray] = float_cells,
 ) -> str:
     """Write ``header`` and one line per row of ``cells``, led by the text
     columns; return the hex sha256 of the bytes written.
 
-    Text fields (ids, metadata) are quoted as ``csv.writer`` quotes them;
-    ``row_text`` must produce fields that need no quoting.  A row made of
-    one empty field is written as ``""``, as ``csv.writer`` does.
+    ``cell_zones`` lays out a block of rows of ``cells`` as one zone of
+    bytes per cell, NUL where unused and in the zone's last byte, which
+    takes the separator; the bytes must need no quoting.  Text fields
+    (ids, metadata) are quoted as ``_text_field`` quotes them.  A row made
+    of one empty field is written as ``""``, as ``csv.writer`` does.
     """
-    quoted = [list(map(_text_field, column)) for column in text_columns]
-    lead = [",".join(fields) for fields in zip(*quoted)]
-    sep = "," if quoted and cells.shape[1] else ""
-    header_line = io.StringIO()
-    csv.writer(header_line, lineterminator="\n").writerow(header)
+    n_rows, width = cells.shape
+    quoted = [map(_text_field, column) for column in text_columns]
+    leads = [",".join(fields).encode() for fields in zip(*quoted)]
+    sep = b"," if width else b""
+    step = max(1, CHUNK_CELLS // max(width, 1))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-
-        def put(text: str) -> None:
-            data = text.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-
-        put(header_line.getvalue())
-        for start in range(0, cells.shape[0], CHUNK_ROWS):
-            block = cells[start : start + CHUNK_ROWS].tolist()
-            heads = lead[start : start + CHUNK_ROWS] if quoted else [""] * len(block)
-            lines = [head + sep + row_text(row) for head, row in zip(heads, block)]
-            put("".join((line or '""') + "\n" for line in lines))
+        lines = (",".join(map(_text_field, header)) or '""').encode() + b"\n"
+        digest.update(lines)
+        fh.write(lines)
+        for start in range(0, n_rows, step):
+            block = cells[start : start + step]
+            lines = b"\n" * len(block)  # rows without cells
+            if width:
+                zones = cell_zones(block)
+                if width == 1 and not text_columns:  # a lone empty field: ""
+                    blank = zones[:, 0, :-1].max(axis=-1) == 0
+                    zones[blank, 0, :2] = ord('"')
+                zones[..., -1] = ord(",")
+                zones[:, -1, -1] = ord("\n")
+                lines = zones[zones != 0].tobytes()
+            if text_columns:
+                rows = lines.split(b"\n")
+                heads = leads[start : start + step]
+                lines = b"".join(
+                    (head + sep + row or b'""') + b"\n" for head, row in zip(heads, rows)
+                )
+            digest.update(lines)
+            fh.write(lines)
     return digest.hexdigest()
 
 
-def write_id_matrix(path, header: Sequence[str], ids: Sequence[str], matrix: np.ndarray) -> None:
+def write_id_matrix(
+    path, header: Sequence[str], ids: Sequence[str], matrix: np.ndarray
+) -> str:
     """Write an ``id,<name>...`` file of float64 ``matrix`` rows, then
     atomically its sidecar: the file's sha256, the ids and the matrix as
-    the checked loop returns it (every NaN as ``float("nan")``).
+    the checked loop returns it (every NaN as ``float("nan")``).  Return
+    the file's hex sha256.
 
     A file without rows, or with an id or a column name that needs
     quoting or holds a NUL, gets no sidecar, and loses any it had: the
-    checked loop reads such files.  (``csv.writer`` leaves a carriage return
-    unquoted, and ``csv.reader`` ends the row there.)
+    checked loop reads such files.
     """
     digest = write_rows(path, header, [ids], matrix)
     sidecar = sidecar_path(path)
     joined = "".join(header) + "".join(ids)
     if not len(ids) or _MAY_NEED_QUOTING(joined) or "\0" in joined:
         sidecar.unlink(missing_ok=True)
-        return
+        return digest
     nan = np.isnan(matrix)
     parsed = np.where(nan, np.nan, matrix) if nan.any() else matrix
     partial = sidecar.with_name(sidecar.name + ".tmp")
@@ -315,18 +490,4 @@ def write_id_matrix(path, header: Sequence[str], ids: Sequence[str], matrix: np.
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-
-
-def write_fields(
-    path, header: Sequence[str], blocks: Iterable[Sequence[Sequence[str]]]
-) -> None:
-    """Write ``header`` and, for each block of text columns, one line per row.
-
-    Each block holds at least one row; the fields need no quoting, and a
-    row has at least two of them, so that no row is one empty field: the
-    bytes are ``csv.writer``'s.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for columns in blocks:
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    return digest

@@ -37,8 +37,9 @@ UNC = np.int8(-1)
 MISSING = np.int8(-2)
 
 _CELL_TO_CODE = {1.0: POS, 0.0: NEG, -1.0: UNC}
-# Cell text by code + 2 (MISSING, UNC, NEG, POS).
-_CODE_TEXT = np.array(["", "-1.0", "0.0", "1.0"], dtype=object)
+# Cell text by code + 2 (MISSING, UNC, NEG, POS), and as ``write_rows`` cell zones.
+_CODE_TEXT = ("", "-1.0", "0.0", "1.0")
+_CODE_ZONES = np.array([t.encode() for t in _CODE_TEXT], dtype="S5").view(np.uint8).reshape(4, 5)
 # The cells this package writes, parsed without float(); any other cell
 # goes through _parse_cell.
 _CANONICAL_CELLS = {text: code - 2 for code, text in enumerate(_CODE_TEXT)}
@@ -208,9 +209,8 @@ def write_labels_csv(
     labels = np.asarray(labels)
     if not np.isin(labels, (POS, NEG, UNC, MISSING)).all():
         raise ValueError("label matrix contains an invalid code")
-    cells = _CODE_TEXT[labels + 2]
     header = list(metadata) + list(tree.names)
-    write_rows(path, header, list(metadata.values()), cells, ",".join)
+    write_rows(path, header, list(metadata.values()), labels + 2, _CODE_ZONES.__getitem__)
 
 
 # Featurizer stub for label-only CSVs: a fixed 7-dim encoding of the
@@ -252,7 +252,7 @@ def load_csv(path: str | Path, tree: LabelTree) -> Dataset:
 
 
 def load_features_csv(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
-    _, ids, features = read_id_matrix(path, "feature")
+    _, ids, features, _ = read_id_matrix(path, "feature")
     return features, ids
 
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .csvio import (
-    column_indices, read_id_matrix, reader, write_fields, write_id_matrix, write_table
+    column_indices, float_cells, read_id_matrix, reader, write_id_matrix, write_rows, write_table
 )
 from .errors import DataFormatError
 
@@ -29,10 +29,6 @@ DEFAULT_AUC_SUBSET = (
     "Edema",
     "Pleural Effusion",
 )
-
-
-# ROC points formatted at once; bounds the texts alive while writing.
-ROC_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -215,16 +211,17 @@ def write_predictions_csv(
     ids: Sequence[str],
     probs: np.ndarray,
     label_names: Sequence[str],
-) -> None:
+) -> str:
+    """Write the file and its sidecar; return the file's hex sha256."""
     probs = np.asarray(probs, dtype=np.float64)
-    write_id_matrix(path, ["id"] + list(label_names), ids, probs)
+    return write_id_matrix(path, ["id"] + list(label_names), ids, probs)
 
 
 def load_predictions_csv(
     path: str | Path,
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
     """Returns (ids, probability matrix, label names)."""
-    names, ids, probs = read_id_matrix(path, "prediction")
+    names, ids, probs, _ = read_id_matrix(path, "prediction")
     return ids, probs, names
 
 
@@ -246,33 +243,19 @@ def load_operating_points(path: str | Path) -> dict[str, list[OperatingPoint]]:
     return points
 
 
-def _run_texts(values: np.ndarray) -> list[str]:
-    """``repr`` of each value, formatted once per run of equal bits.
-
-    Comparing bits keeps ``-0.0`` apart from ``0.0``.  At each step of a
-    swept curve fpr or tpr holds still, so its two columns take about one
-    ``repr`` per point instead of two.
-    """
-    bits = values.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([bits.size > 0], bits[1:] != bits[:-1])))
-    texts = np.array(list(map(repr, values[starts].tolist())), dtype=object)
-    return np.repeat(texts, np.diff(starts, append=bits.size)).tolist()
+def _roc_cells(points: np.ndarray) -> np.ndarray:
+    """``float_cells`` of ``(fpr, tpr, threshold)`` rows, a NaN threshold blank."""
+    zones = float_cells(points)
+    zones[np.isnan(points[:, 2]), 2] = 0
+    return zones
 
 
 def write_roc_points_csv(path: str | Path, curve: RocCurve) -> None:
     """One ``fpr,tpr,threshold`` row per point; a NaN threshold is blank."""
-    fpr, tpr, cuts = (
-        np.asarray(values, dtype=np.float64)
-        for values in (curve.fpr, curve.tpr, curve.thresholds)
+    points = np.column_stack(
+        [np.asarray(v, dtype=np.float64) for v in (curve.fpr, curve.tpr, curve.thresholds)]
     )
-
-    def blocks():
-        for start in range(0, cuts.size, ROC_BLOCK_ROWS):
-            rows = slice(start, start + ROC_BLOCK_ROWS)
-            cut_texts = ["" if cut != cut else repr(cut) for cut in cuts[rows].tolist()]
-            yield _run_texts(fpr[rows]), _run_texts(tpr[rows]), cut_texts
-
-    write_fields(path, ["fpr", "tpr", "threshold"], blocks())
+    write_rows(path, ["fpr", "tpr", "threshold"], [], points, _roc_cells)
 
 
 def write_report(report: EvalReport, txt_path: str | Path, csv_path: str | Path) -> None:

@@ -12,6 +12,7 @@ and one ``csv.writer.writerow`` call per CSV row.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 
@@ -317,8 +318,19 @@ def per_row_injection(labels: np.ndarray, rate: float, seed: int) -> np.ndarray:
 # CSV writers, one csv.writer.writerow call per row
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+class _writer:
+    """``csv.writer`` rows ending in "\\n" whose fields holding a carriage
+    return are quoted as well: each row is written with the excel
+    dialect's "\\r\\n" line end, around which ``csv.writer`` quotes both
+    characters, and that line end is then swapped for "\\n"."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def writerow(self, row) -> None:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        self.fh.write(buf.getvalue()[:-2] + "\n")
 
 
 def writerow_features_csv(path, features, ids) -> None:

@@ -814,6 +814,32 @@ class TestPredictionsReuse:
         assert main(["eval", "--config", str(configs["run"])]) == 0  # now bound again
         assert loads == []
 
+    def test_each_file_hashed_once(self, workspace, monkeypatch):
+        config = str(write_config(workspace))
+        for command in ("gen", "train"):
+            assert main([command, "--config", config]) == 0
+        hashed, sha256_file = [], csvio.sha256_file
+
+        def counted(path):
+            hashed.append(Path(path).name)
+            return sha256_file(path)
+
+        monkeypatch.setattr(csvio, "sha256_file", counted)
+        monkeypatch.setattr(cli, "sha256_file", counted)
+        assert main(["eval", "--config", config]) == 0  # nothing bound: reads the features
+        assert hashed.count("eval_features.csv") == 1
+        hashed.clear()
+        assert main(["predict", "--config", config]) == 0
+        assert hashed.count("eval_features.csv") == 1 and "predictions.csv" not in hashed
+        loads = self.checkpoint_loads(monkeypatch)
+        for edit, ensemble_runs in [(None, False), (self.edit_probability, True)]:
+            if edit:
+                edit(workspace, None)
+            hashed.clear()
+            assert main(["eval", "--config", config]) == 0
+            assert hashed.count("predictions.csv") == 1
+            assert bool(loads) == ensemble_runs
+
     def test_other_eval_features_run_the_ensemble(self, workspace, monkeypatch):
         data = write_label_files(workspace, "0.0")
         configs = self.two_runs(workspace, data=data, policy={"name": "ones"})

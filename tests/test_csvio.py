@@ -65,7 +65,7 @@ class TestFeatures:
         assert b"-0.0,0.0,1e-05,1e+16" in data and b"5e-324" in data
 
     def test_rows_span_chunks(self, tmp_path):
-        n = 2 * csvio.CHUNK_ROWS + 3
+        n = 2 * csvio.CHUNK_CELLS // 5 + 3
         features = np.random.default_rng(0).standard_normal((n, 5)) * 1e3
         ids = [f"row{i:05d}" for i in range(n)]
         same_bytes(tmp_path, write_features_csv, writerow_features_csv, features, ids)
@@ -137,7 +137,7 @@ class TestLabels:
             tmp_path,
             write_labels_csv,
             writerow_labels_csv,
-            self.labels(csvio.CHUNK_ROWS + 1),
+            self.labels(csvio.CHUNK_CELLS // 3 + 1),
             CHAIN,
         )
 
@@ -154,6 +154,31 @@ class TestLabels:
             write_labels_csv(tmp_path / "l.csv", np.array([[3, 0, 0]]), CHAIN)
 
 
+class TestTextRoundTrip:
+    """Every id, metadata and header field reads back as it was written:
+    ``csv.writer`` leaves a carriage return unquoted, which ``csv.reader``
+    takes for the end of the row, so the writers quote it."""
+
+    def test_features(self, tmp_path):
+        path = tmp_path / "f.csv"
+        features = np.arange(2.0 * len(ODD_TEXT)).reshape(-1, 2)
+        write_features_csv(path, features, ODD_TEXT)
+        got, ids = load_features_csv(path)
+        assert ids == tuple(ODD_TEXT)
+        np.testing.assert_array_equal(got, features)
+        assert b'"cr\rhere",' in path.read_bytes()
+
+    def test_labels(self, tmp_path):
+        path = tmp_path / "l.csv"
+        tree = build_tree([("A", None, 0), ("B\rb", "A", 1)])
+        labels = np.resize(np.array([POS, NEG, UNC, MISSING], dtype=np.int8), (len(ODD_TEXT), 2))
+        metadata = {"Path": tuple(ODD_TEXT), "note\r": tuple(reversed(ODD_TEXT))}
+        write_labels_csv(path, labels, tree, metadata=metadata)
+        got, ids, meta = load_labels_csv(path, tree)
+        np.testing.assert_array_equal(got, labels)
+        assert ids == tuple(ODD_TEXT) and meta == metadata
+
+
 class TestPredictions:
     def test_odd_ids_and_floats(self, tmp_path):
         probs = np.resize(np.array(ODD_FLOATS), (len(ODD_TEXT), 3))
@@ -167,7 +192,7 @@ class TestPredictions:
         )
 
     def test_rows_span_chunks(self, tmp_path):
-        n = 3 * csvio.CHUNK_ROWS
+        n = 3 * csvio.CHUNK_CELLS // 4
         probs = np.random.default_rng(1).random((n, 4))
         ids = [f"r{i}" for i in range(n)]
         same_bytes(
@@ -228,6 +253,81 @@ class TestRocPoints:
         same_bytes(tmp_path, write_roc_points_csv, writerow_roc_points_csv, curve)
 
 
+def assert_reprs(values) -> None:
+    """Assert that ``csvio.float_cells``, run ``CHUNK_CELLS`` at a time,
+    lays out every cell of ``values`` as ``repr`` writes it."""
+    flat = np.ravel(values)
+    parts = []
+    for start in range(0, flat.size, csvio.CHUNK_CELLS):
+        zones = csvio.float_cells(flat[start : start + csvio.CHUNK_CELLS])
+        zones[..., -1] = ord(",")
+        parts.append(zones[zones != 0].tobytes())
+    got = b"".join(parts).decode()
+    expected = ",".join(map(repr, flat.tolist())) + "," if flat.size else ""
+    if got != expected:
+        pairs = enumerate(zip(got.split(","), expected.split(",")))
+        i, (cell, text) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
+        pytest.fail(f"cell {i}: {cell!r} for {text!r}")
+
+
+def near(value: float, ulps: int) -> np.ndarray:
+    """The ``2 * ulps`` doubles around a positive ``value``."""
+    return (np.float64(value).view(np.int64) + np.arange(-ulps, ulps)).view(np.float64)
+
+
+def dense_sample() -> np.ndarray:
+    """Just over 1M doubles of every kind ``repr`` formats."""
+    rng = np.random.default_rng(7)
+    binades = np.repeat(np.arange(2048, dtype=np.uint64), 265) << np.uint64(52)
+    mantissas = rng.integers(0, 1 << 52, binades.size, dtype=np.uint64)
+    signs = rng.integers(0, 2, binades.size, dtype=np.uint64) << np.uint64(63)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    parts = [
+        (binades | mantissas | signs).view(np.float64),  # every binade, subnormals, NaNs
+        rng.standard_normal(280_000) * 10.0 ** rng.integers(-3, 13, 280_000),
+        powers,
+        -powers,
+        np.arange(1, 20_001) * 2.0**-25,  # dyadic: ties such as 2**-25
+        np.arange(1, 20_001) * 2.0**-60,
+        2.0**53 + np.arange(-10_000, 10_000),
+        *(near(b, 5000) for b in (1e16, 1e15, 1e-4, 1e-5, 1e17, 1e22, 1e23, 1e308)),
+        *(np.arange(n + 1) / n for n in (3, 7, 10, 100, 1000, 9999, 20_000)),
+        np.arange(1, 10_001, dtype=np.uint64).view(np.float64),  # the least subnormals
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 2.2250738585072014e-308]),
+    ]
+    return np.concatenate(parts)
+
+
+class TestFloatCells:
+    """``float_cells`` gives the bytes of ``repr`` for every float64."""
+
+    def test_dense_sample(self):
+        values = dense_sample()
+        assert values.size > 1_000_000
+        assert_reprs(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bits(self, bits):
+        assert_reprs(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0), (5, 1), (2, 3, 4)])
+    def test_shapes(self, shape):
+        values = np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape)
+        assert csvio.float_cells(values).shape == (*shape, csvio.CELL_BYTES)
+        assert_reprs(values)
+
+    @pytest.mark.parametrize("width", [0, 1, 3])
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+    def test_chunks(self, tmp_path, width, chunk):
+        values = np.resize(np.array([*ODD_FLOATS, np.nan, -np.inf, -1e-300]), (11, width))
+        ids = [f"r{i}" for i in range(11)]
+        with mock.patch.object(csvio, "CHUNK_CELLS", chunk):
+            same_bytes(tmp_path, write_features_csv, writerow_features_csv, values, ids)
+            labels = np.resize(np.array([POS, MISSING, UNC, NEG], dtype=np.int8), (11, 3))
+            same_bytes(tmp_path, write_labels_csv, writerow_labels_csv, labels, CHAIN)
+
+
 def write_text(tmp_path, text, name="t.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -267,8 +367,8 @@ class TestReader:
 
     def test_read_id_matrix(self, tmp_path):
         path = write_text(tmp_path, "id,p,q\nr1,0.5,1e-05\n\nr2,-0.0,3\n")
-        names, ids, matrix = csvio.read_id_matrix(path, "thing")
-        assert names == ("p", "q") and ids == ("r1", "r2")
+        names, ids, matrix, digest = csvio.read_id_matrix(path, "thing")
+        assert names == ("p", "q") and ids == ("r1", "r2") and digest is None
         assert matrix.dtype == np.float64
         np.testing.assert_array_equal(matrix, [[0.5, 1e-05], [-0.0, 3.0]])
         with pytest.raises(DataFormatError, match=r"t\.csv:3: unparsable thing value"):
@@ -285,7 +385,7 @@ def id_matrix_outcome(read, path):
     """What ``read`` makes of an id-matrix file: its result, matrix bits
     included, or the message of the ``DataFormatError`` it raises."""
     try:
-        names, ids, matrix = read(path, "feature")
+        names, ids, matrix = read(path, "feature")[:3]
     except DataFormatError as exc:
         return str(exc)
     assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
@@ -321,7 +421,7 @@ class TestIdMatrixReader:
         lines[row] = ",".join(lines[row].split(",")[:9] + [bad])
         path.write_text("\n".join(lines))
         if message is None:  # float() takes 1_0
-            _, _, features = csvio.read_id_matrix(path, "feature")
+            _, _, features, _ = csvio.read_id_matrix(path, "feature")
             np.testing.assert_array_equal(features[: row - 1], values[: row - 1])
             assert features[row - 1, 9] == 10.0
         else:
@@ -374,7 +474,7 @@ class TestSidecar:
         ids = data.draw(st.lists(SIDECAR_IDS, min_size=n, max_size=n)) if data else ["a"] * n
         path = tmp_path_factory.mktemp("s") / "m.csv"
         names = [f"f{j}" for j in range(width)]
-        with mock.patch.object(csvio, "CHUNK_ROWS", 3):  # files of several chunks
+        with mock.patch.object(csvio, "CHUNK_CELLS", 3):  # files of several chunks
             if data and data.draw(st.booleans()):
                 names = data.draw(st.lists(text, min_size=width, max_size=width))
                 write_predictions_csv(path, ids, matrix, names)
@@ -476,13 +576,13 @@ class TestSidecar:
         hashed, sha256_file = [], csvio.sha256_file
         monkeypatch.setattr(csvio, "sha256_file", lambda p: hashed.append(p) or sha256_file(p))
         monkeypatch.setattr(csvio, "read_id_rows", forbidden_parse)
-        csvio.read_id_matrix(path, "feature")
-        assert hashed == [path]
+        digest = csvio.read_id_matrix(path, "feature")[3]
+        assert hashed == [path] and digest == sha256_file(path)
         csvio.sidecar_path(path).unlink()
         monkeypatch.undo()
         monkeypatch.setattr(csvio, "sha256_file", forbidden_parse)
-        names, ids, _ = csvio.read_id_matrix(path, "feature")
-        assert names == ("f0", "f1") and ids == ("r0", "r1")
+        names, ids, _, digest = csvio.read_id_matrix(path, "feature")
+        assert names == ("f0", "f1") and ids == ("r0", "r1") and digest is None
 
     def test_rewrite_without_a_sidecar_removes_the_old_one(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -493,14 +593,12 @@ class TestSidecar:
             assert sidecar.exists() == kept
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
 
-    def test_no_sidecar_beside_a_header_the_reader_splits(self, tmp_path):
-        # csv.writer leaves the carriage return unquoted; csv.reader ends
-        # the header there, so the parser rejects the file
+    def test_no_sidecar_beside_a_quoted_header(self, tmp_path):
+        # the carriage return is quoted, and the checked loop reads it back
         path = tmp_path / "p.csv"
         write_predictions_csv(path, ["a"], np.zeros((1, 1)), ["\r0"])
         assert not csvio.sidecar_path(path).exists()
-        with pytest.raises(DataFormatError, match=r"p\.csv:2: expected 2 cells, got 1"):
-            load_predictions_csv(path)
+        assert load_predictions_csv(path)[2] == ("\r0",)
 
     def test_same_bytes_on_every_write(self, tmp_path):
         first = csvio.sidecar_path(self.written(tmp_path, "a.csv")).read_bytes()
