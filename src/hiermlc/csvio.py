@@ -2,24 +2,28 @@
 
 ``reader`` yields a file's header and its numbered data rows; it raises
 ``DataFormatError`` for an empty file or a row whose cell count differs
-from the header's, and skips blank lines.  ``read_id_matrix`` reads the
-``id,<name>...`` float files (features, predictions) from the
-``<file>.npy`` sidecar that ``write_id_matrix`` left beside it, while
-its sha256 of the file, its dtype and its shape still match, and
-otherwise by the checked row loop ``read_id_rows``.  The sidecar gives
-the loop's results, so a deleted sidecar costs only time.
+from the header's, and skips blank lines.  ``read_sidecar`` reads an
+``id,<name>...`` file (features and predictions of float64, labels of
+int8 codes) from the ``<file>.npy`` sidecar that ``write_id_matrix``
+left beside it, while its sha256 of the file, its dtype and its shape
+still match.  ``read_id_matrix`` reads float files by it, and otherwise
+by the checked row loop ``read_id_rows``.  A sidecar gives what the
+checked reader would, so a deleted sidecar costs only time.
 This module alone saves and loads ``.npy`` files.
 ``read_coded_rows`` splits label files a block of lines at a time, each
 column a slice of the block's cells mapped to codes; where it cannot
 vouch for a file it returns None, and the caller's checked loop reads it.
 
 Files are written with the excel dialect and ``"\\n"`` line endings:
-small tables through ``csv.writer``, and matrices (features, labels,
+small tables by ``write_table``, and matrices (features, labels,
 predictions, ROC points) by ``write_rows``, hashed as they are written
 for the sidecar: each cell a zone of bytes in a numpy array, float64s
 laid out by ``float_cells`` as ``repr`` writes them, and the NULs dropped.
 Text fields are quoted as ``csv.writer`` quotes them, and also where they
 hold a carriage return, which ``csv.reader`` would take for a line end.
+``write_rows`` searches each text column once, and where no field needs
+quoting it joins every row's fields in one call and lays the rows beside
+the cell lines with no Python code per row.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import os
 import re
 from array import array
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -100,7 +104,7 @@ def read_id_matrix(path, what: str) -> tuple[tuple, tuple, np.ndarray, str | Non
     where the sidecar check computed it (a sidecar whose every other
     field fits the file), else None: a file without one is not hashed.
     """
-    parsed, digest = _read_sidecar(path)
+    parsed, digest = read_sidecar(path, np.float64)
     return (*(parsed or read_id_rows(path, what)), digest)
 
 
@@ -118,15 +122,16 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _read_sidecar(path) -> tuple[tuple[tuple, tuple, np.ndarray] | None, str | None]:
-    """``read_id_matrix``'s names, ids and matrix from the sidecar of the
-    file at ``path``, or None where there is no sidecar or it does not
-    match; and the file's hex sha256 where the check computed it.
+def read_sidecar(path, dtype) -> tuple[tuple[tuple, tuple, np.ndarray] | None, str | None]:
+    """The column names after ``id``, the ids and the ``dtype`` matrix
+    from the sidecar of the file at ``path``, or None where there is no
+    sidecar or it does not match; and the file's hex sha256 where the
+    check computed it.
 
     The sidecar must hold three arrays and nothing more: the sha256 of
     the file, which is checked last and only if the rest holds, a 1-D
-    array of ids, and a C-order float64 matrix of one row per id and one
-    column per header name after ``id``.  No field may exceed
+    array of ids, and a C-order ``dtype`` matrix of one row per id and
+    one column per header name after ``id``.  No field may exceed
     ``csv.field_size_limit()``, which the checked loop would reject; 24
     characters is the longest ``repr`` of a float64.
     """
@@ -148,7 +153,7 @@ def _read_sidecar(path) -> tuple[tuple[tuple, tuple, np.ndarray] | None, str | N
         and digest.dtype.kind == ids.dtype.kind == "U"
         and ids.ndim == 1
         and ids.size > 0
-        and matrix.dtype == np.float64
+        and matrix.dtype == dtype
         and matrix.flags.c_contiguous
         and matrix.shape == (ids.size, len(header) - 1)
         and header[:1] == ["id"]
@@ -384,11 +389,14 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     special = (bits >> 52 & 0x7FF) == 0x7FF
     nan = special & ((bits & _M52) != 0)
     numeric = ((bits << 1) != 0) & ~special
-    n = (~special).astype(np.int64)  # zero: the digit "0", the point after it
-    point = np.ones(bits.size, dtype=np.int64)
-    words = np.tile(np.array([ord("0"), 0, 0], dtype=np.uint64), (bits.size, 1))
-    if numeric.any():
-        n[numeric], point[numeric], words[numeric] = _digits(bits[numeric])
+    if numeric.all():  # every cell finite and nonzero, as in features and predictions
+        n, point, words = _digits(bits)
+    else:
+        n = (~special).astype(np.int64)  # zero: the digit "0", the point after it
+        point = np.ones(bits.size, dtype=np.int64)
+        words = np.tile(np.array([ord("0"), 0, 0], dtype=np.uint64), (bits.size, 1))
+        if numeric.any():
+            n[numeric], point[numeric], words[numeric] = _digits(bits[numeric])
     fixed = (point > 0) & (point <= 16) & ~special
     fraction = (point > -4) & (point <= 0)
     exponent = ~(fixed | fraction | special)
@@ -408,9 +416,28 @@ def float_cells(values: np.ndarray) -> np.ndarray:
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows through ``csv.writer``."""
+    """Write a header and rows as ``csv.writer`` does, each field the
+    ``str`` of its value (None: empty) quoted as ``_text_field`` quotes it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        for row in [header, *rows]:
+            fields = ["" if value is None else _text_field(str(value)) for value in row]
+            line = ",".join(fields) or ('""' if fields else "")  # one empty field: ""
+            fh.write(line + "\n")
+
+
+def _leads(text_columns: Sequence[Sequence[str]], sep: str) -> list[bytes]:
+    """Each row's text fields as ``_text_field`` quotes them, joined by
+    commas and followed by ``sep``; a row of one empty field alone is ``""``.
+
+    Each column is searched once: where no field needs quoting and there
+    are cells to follow, every row's lead comes from one join and one
+    encode, split at the line ends no field holds.
+    """
+    if sep and not any(_MAY_NEED_QUOTING("".join(column)) for column in text_columns):
+        rows = map(",".join, zip(*text_columns))
+        return ((sep + "\n").join(rows) + sep).encode().split(b"\n")
+    quoted = zip(*(map(_text_field, column) for column in text_columns))
+    return [(",".join(fields) + sep or '""').encode() for fields in quoted]
 
 
 def write_rows(
@@ -430,9 +457,7 @@ def write_rows(
     of one empty field is written as ``""``, as ``csv.writer`` does.
     """
     n_rows, width = cells.shape
-    quoted = [map(_text_field, column) for column in text_columns]
-    leads = [",".join(fields).encode() for fields in zip(*quoted)]
-    sep = b"," if width else b""
+    leads = _leads(text_columns, "," if width else "")
     step = max(1, CHUNK_CELLS // max(width, 1))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -451,29 +476,26 @@ def write_rows(
                 zones[:, -1, -1] = ord("\n")
                 lines = zones[zones != 0].tobytes()
             if text_columns:
-                rows = lines.split(b"\n")
-                heads = leads[start : start + step]
-                lines = b"".join(
-                    (head + sep + row or b'""') + b"\n" for head, row in zip(heads, rows)
-                )
+                rows = lines.splitlines(keepends=True)
+                lines = b"".join(chain.from_iterable(zip(leads[start : start + step], rows)))
             digest.update(lines)
             fh.write(lines)
     return digest.hexdigest()
 
 
 def write_id_matrix(
-    path, header: Sequence[str], ids: Sequence[str], matrix: np.ndarray
+    path, header: Sequence[str], ids: Sequence[str], matrix: np.ndarray, cell_zones=float_cells
 ) -> str:
-    """Write an ``id,<name>...`` file of float64 ``matrix`` rows, then
-    atomically its sidecar: the file's sha256, the ids and the matrix as
-    the checked loop returns it (every NaN as ``float("nan")``).  Return
-    the file's hex sha256.
+    """Write an ``id,<name>...`` file of ``matrix`` rows as ``write_rows``
+    does, then atomically its sidecar: the file's sha256, the ids and the
+    matrix as its reader returns it (every NaN as ``float("nan")``).
+    Return the file's hex sha256.
 
     A file without rows, or with an id or a column name that needs
     quoting or holds a NUL, gets no sidecar, and loses any it had: the
     checked loop reads such files.
     """
-    digest = write_rows(path, header, [ids], matrix)
+    digest = write_rows(path, header, [ids], matrix, cell_zones)
     sidecar = sidecar_path(path)
     joined = "".join(header) + "".join(ids)
     if not len(ids) or _MAY_NEED_QUOTING(joined) or "\0" in joined:

@@ -23,7 +23,9 @@ from .csvio import (
     column_indices,
     read_coded_rows,
     read_id_matrix,
+    read_sidecar,
     reader,
+    sidecar_path,
     write_id_matrix,
     write_rows,
 )
@@ -35,14 +37,15 @@ POS = np.int8(1)
 NEG = np.int8(0)
 UNC = np.int8(-1)
 MISSING = np.int8(-2)
+CODES = (POS, NEG, UNC, MISSING)
 
 _CELL_TO_CODE = {1.0: POS, 0.0: NEG, -1.0: UNC}
-# Cell text by code + 2 (MISSING, UNC, NEG, POS), and as ``write_rows`` cell zones.
-_CODE_TEXT = ("", "-1.0", "0.0", "1.0")
-_CODE_ZONES = np.array([t.encode() for t in _CODE_TEXT], dtype="S5").view(np.uint8).reshape(4, 5)
 # The cells this package writes, parsed without float(); any other cell
-# goes through _parse_cell.
-_CANONICAL_CELLS = {text: code - 2 for code, text in enumerate(_CODE_TEXT)}
+# goes through _parse_cell.  Python ints, which ``array("b")`` takes fastest.
+_CANONICAL_CELLS = {"1.0": int(POS), "0.0": int(NEG), "-1.0": int(UNC), "": int(MISSING)}
+# Those cells as ``write_rows`` cell zones, indexed by the code itself
+# (NEG, POS, then MISSING and UNC as indices counted from the end).
+_CODE_ZONES = np.array([b"0.0", b"1.0", b"", b"-1.0"], dtype="S5").view(np.uint8).reshape(4, 5)
 
 
 @dataclass(frozen=True)
@@ -153,10 +156,19 @@ def load_labels_csv(
 
     Every tree label must appear as a column; all other columns are kept
     as metadata.  Row ids come from a ``Path`` or ``id`` column when
-    present, else are positional.  Files of the cells this package writes
-    are parsed by ``read_coded_rows``; any other file is read again by
-    the checked row loop, which alone writes the error messages.
+    present, else are positional.
+
+    A file ``write_labels_csv`` wrote of ids and labels alone is read
+    from its int8 sidecar while the file's sha256 still matches it, its
+    header is ``id`` and then the tree's labels in order, and every code
+    is one of the four.  Other files of the cells this package writes are
+    parsed by ``read_coded_rows``; any other file is read again by the
+    checked row loop, which alone writes the error messages.
     """
+    sidecar, _ = read_sidecar(path, np.int8)
+    if sidecar and sidecar[0] == tree.names and np.isin(sidecar[2], CODES).all():
+        _, ids, labels = sidecar
+        return labels, ids, {"id": ids}
     parsed = read_coded_rows(path, tree.names, _CANONICAL_CELLS)
     labels, metadata = _read_label_rows(path, tree) if parsed is None else parsed
     if "Path" in metadata:
@@ -202,15 +214,25 @@ def write_labels_csv(
     ids: Sequence[str] | None = None,
     metadata: dict[str, tuple[str, ...]] | None = None,
 ) -> None:
-    """Write a label CSV: metadata columns first, then labels in index order."""
+    """Write a label CSV: metadata columns first, then labels in index order.
+
+    A file of an ``id`` column and the labels alone gets the sidecar
+    ``write_id_matrix`` writes, of int8 codes; a file with any other
+    metadata gets none, and loses any it had.
+    """
     metadata = metadata or {}
     if ids is not None and "id" not in metadata and "Path" not in metadata:
         metadata = {"id": tuple(ids), **metadata}
     labels = np.asarray(labels)
-    if not np.isin(labels, (POS, NEG, UNC, MISSING)).all():
+    if not np.isin(labels, CODES).all():
         raise ValueError("label matrix contains an invalid code")
+    labels = np.ascontiguousarray(labels, dtype=np.int8)
     header = list(metadata) + list(tree.names)
-    write_rows(path, header, list(metadata.values()), labels + 2, _CODE_ZONES.__getitem__)
+    if list(metadata) == ["id"]:
+        write_id_matrix(path, header, metadata["id"], labels, _CODE_ZONES.__getitem__)
+    else:
+        write_rows(path, header, list(metadata.values()), labels, _CODE_ZONES.__getitem__)
+        sidecar_path(path).unlink(missing_ok=True)
 
 
 # Featurizer stub for label-only CSVs: a fixed 7-dim encoding of the

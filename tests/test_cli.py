@@ -548,7 +548,7 @@ class TestReadmeLayout:
 
 
 class TestSidecars:
-    """gen and predict leave a parsed copy beside each features and
+    """gen and predict leave a parsed copy beside each features, labels and
     predictions file; the commands read it in place of the file, and
     deleting it changes no output."""
 
@@ -557,15 +557,27 @@ class TestSidecars:
         assert main(["gen", "--config", config]) == 0
         data_dir = workspace / "run" / "data"
         assert sorted(p.name for p in data_dir.glob("*.npy")) == [
-            "eval_features.csv.npy", "train_features.csv.npy"
+            "eval_features.csv.npy", "eval_labels.csv.npy",
+            "train_features.csv.npy", "train_labels.csv.npy",
         ]
 
         def parsed(path, *args):
             raise AssertionError(f"{path} was parsed")
 
+        read, read_sidecar = [], csvio.read_sidecar
+
+        def recorded(path, dtype):
+            result = read_sidecar(path, dtype)
+            read.append((Path(path).name, result[0] is not None))
+            return result
+
         monkeypatch.setattr(csvio, "read_id_rows", parsed)
+        monkeypatch.setattr(data_mod, "read_coded_rows", parsed)
+        monkeypatch.setattr(data_mod, "_read_label_rows", parsed)
+        monkeypatch.setattr(data_mod, "read_sidecar", recorded)
         for command in ("train", "predict", "eval"):
             assert main([command, "--config", config]) == 0
+        assert read == [("train_labels.csv", True), ("eval_labels.csv", True)]
         args = ["--config", config, "--predictions", str(workspace / "run" / "predictions.csv")]
         assert main(["eval", *args]) == 0
 
@@ -826,18 +838,22 @@ class TestPredictionsReuse:
 
         monkeypatch.setattr(csvio, "sha256_file", counted)
         monkeypatch.setattr(cli, "sha256_file", counted)
+        assert main(["train", "--config", config]) == 0
+        assert hashed.count("train_features.csv") == hashed.count("train_labels.csv") == 1
+        hashed.clear()
         assert main(["eval", "--config", config]) == 0  # nothing bound: reads the features
-        assert hashed.count("eval_features.csv") == 1
+        assert hashed.count("eval_features.csv") == hashed.count("eval_labels.csv") == 1
         hashed.clear()
         assert main(["predict", "--config", config]) == 0
         assert hashed.count("eval_features.csv") == 1 and "predictions.csv" not in hashed
+        assert "eval_labels.csv" not in hashed
         loads = self.checkpoint_loads(monkeypatch)
         for edit, ensemble_runs in [(None, False), (self.edit_probability, True)]:
             if edit:
                 edit(workspace, None)
             hashed.clear()
             assert main(["eval", "--config", config]) == 0
-            assert hashed.count("predictions.csv") == 1
+            assert hashed.count("predictions.csv") == hashed.count("eval_labels.csv") == 1
             assert bool(loads) == ensemble_runs
 
     def test_other_eval_features_run_the_ensemble(self, workspace, monkeypatch):

@@ -34,6 +34,7 @@ from hiermlc.evaluation import (
 )
 from hiermlc.hierarchy import build_tree, load_tree
 from oracles import (
+    _writer,
     random_forest,
     writerow_features_csv,
     writerow_labels_csv,
@@ -251,6 +252,94 @@ class TestRocPoints:
     def test_one_point_and_empty_curves(self, tmp_path, n):
         curve = RocCurve(np.zeros(n), np.ones(n), np.full(n, np.nan))
         same_bytes(tmp_path, write_roc_points_csv, writerow_roc_points_csv, curve)
+
+
+def quoted_fields(monkeypatch) -> list[str]:
+    """The fields ``csvio._text_field`` is called on from now on."""
+    calls, text_field = [], csvio._text_field
+    monkeypatch.setattr(csvio, "_text_field", lambda text: calls.append(text) or text_field(text))
+    return calls
+
+
+class TestJoinedLeads:
+    """``write_rows`` searches each text column once; where no field
+    needs quoting it joins and encodes every row's lead at once, and
+    otherwise quotes the whole file field by field.  The bytes are the
+    writerow oracles' either way."""
+
+    N = 2 * csvio.CHUNK_CELLS // 6 + 7  # rows of three chunks of 6 cells
+
+    def test_row_ids(self, tmp_path, monkeypatch):
+        ids = [f"row{i:05d}" for i in range(self.N)]
+        probs = np.random.default_rng(3).random((self.N, 6))
+        calls = quoted_fields(monkeypatch)
+        same_bytes(tmp_path, write_features_csv, writerow_features_csv, probs, ids)
+        same_bytes(
+            tmp_path, write_predictions_csv, writerow_predictions_csv, ids, probs, "ABCDEF"
+        )
+        assert not set(calls) & set(ids)  # only the header fields, one by one
+
+    def test_non_ascii_ids(self, tmp_path, monkeypatch):
+        ids = [f"{name}{i}" for i, name in enumerate(["é", "名前", "ü\u2028", "𝔁", " "] * 9)]
+        labels = TestLabels().labels(len(ids))
+        calls = quoted_fields(monkeypatch)
+        same_bytes(tmp_path, write_labels_csv, writerow_labels_csv, labels, CHAIN, ids)
+        data = same_bytes(
+            tmp_path, write_features_csv, writerow_features_csv, np.ones((len(ids), 2)), ids
+        )
+        assert "\n名前1,1.0,1.0\n".encode() in data and not set(calls) & set(ids)
+
+    def test_metadata_columns(self, tmp_path, monkeypatch):
+        n = self.N
+        metadata = {
+            "Path": tuple(f"patient{i:05d}/study1/view1_frontal.jpg" for i in range(n)),
+            "Sex": tuple(("Male", "Female", "Unknown")[i % 3] for i in range(n)),
+            "Age": tuple(str(20 + i % 70) for i in range(n)),
+        }
+        calls = quoted_fields(monkeypatch)
+        same_bytes(
+            tmp_path, write_labels_csv, writerow_labels_csv, TestLabels().labels(n), CHAIN,
+            metadata=metadata,
+        )
+        assert calls == [*metadata, *CHAIN.names]  # the header alone, field by field
+
+    @pytest.mark.parametrize("quoted", ["a,b", 'say "hi"', "two\nlines", "cr\rhere"])
+    def test_one_quoted_id_deep_in_the_file(self, tmp_path, monkeypatch, quoted):
+        ids = [f"row{i:05d}" for i in range(self.N)]
+        ids[-5] = quoted
+        probs = np.random.default_rng(6).random((self.N, 6))
+        calls = quoted_fields(monkeypatch)
+        data = same_bytes(
+            tmp_path, write_predictions_csv, writerow_predictions_csv, ids, probs, "ABCDEF"
+        )
+        assert set(ids) <= set(calls)  # every id of the file quoted by itself
+        assert data.count(b'"') == 2 + 2 * quoted.count('"')
+
+    def test_width_zero_with_empty_ids(self, tmp_path):
+        ids = ["", "a", "", "", "b", ""] * 3
+        with mock.patch.object(csvio, "CHUNK_CELLS", 4):
+            data = same_bytes(
+                tmp_path, write_features_csv, writerow_features_csv, np.zeros((len(ids), 0)), ids
+            )
+        assert data.startswith(b'id\n""\na\n""\n""\nb\n""\n')
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_rows_span_chunks(self, tmp_path, chunk):
+        n = 13
+        ids = [f"row{i:05d}" for i in range(n)]
+        values = np.resize(np.array([*ODD_FLOATS, np.nan, -np.inf]), (n, 3))
+        labels = TestLabels().labels(n)
+        metadata = {"Path": tuple(f"p/{i}.jpg" for i in range(n)), "Sex": ("Male",) * n}
+        with mock.patch.object(csvio, "CHUNK_CELLS", chunk):
+            same_bytes(tmp_path, write_features_csv, writerow_features_csv, values, ids)
+            same_bytes(
+                tmp_path, write_predictions_csv, writerow_predictions_csv, ids, values, "ABC"
+            )
+            same_bytes(tmp_path, write_labels_csv, writerow_labels_csv, labels, CHAIN, ids)
+            same_bytes(
+                tmp_path, write_labels_csv, writerow_labels_csv, labels, CHAIN,
+                metadata=metadata,
+            )
 
 
 def assert_reprs(values) -> None:
@@ -633,20 +722,29 @@ def forbidden_parse(*args):
 
 
 def label_outcome(path, tree, block=True):
-    """What ``load_labels_csv`` makes of a label file, by the block path
-    where it vouches for the file (``block``) or by the checked loop
-    alone: its result, code bytes included, or its error message."""
-    read = csvio.read_coded_rows if block else no_block_path
-    with mock.patch.object(data_mod, "read_coded_rows", read):
+    """What ``load_labels_csv`` makes of a label file, by its sidecar or
+    the block path where they vouch for the file (``block``) or by the
+    checked loop alone: its result, code bytes included, or its error
+    message."""
+    fast = (csvio.read_coded_rows, csvio.read_sidecar) if block else (no_block_path, no_sidecar)
+    with (
+        mock.patch.object(data_mod, "read_coded_rows", fast[0]),
+        mock.patch.object(data_mod, "read_sidecar", fast[1]),
+    ):
         try:
             labels, ids, metadata = data_mod.load_labels_csv(path, tree)
         except DataFormatError as exc:
             return str(exc)
+    assert labels.flags.c_contiguous
     return labels.dtype, labels.shape, labels.tobytes(), ids, metadata
 
 
 def no_block_path(*args):
     return None
+
+
+def no_sidecar(*args):
+    return None, None
 
 
 LABEL_CELLS = ("1.0", "0.0", "-1.0", "")
@@ -727,18 +825,106 @@ class TestLabelBlockReader:
             assert label_outcome(path, CHAIN) == label_outcome(path, CHAIN, block=False)
 
     def test_package_files_take_the_block_path(self, tmp_path, monkeypatch):
+        """Read from the sidecar while it is there, else in blocks."""
         codes = np.array([POS, NEG, UNC, MISSING], dtype=np.int8)
         labels = codes[np.random.default_rng(5).integers(0, 4, size=(4000, 3))]
         ids = [f"row{i:05d}" for i in range(4000)]
-        write_labels_csv(tmp_path / "l.csv", labels, CHAIN, ids)
-        expected = label_outcome(tmp_path / "l.csv", CHAIN, block=False)
+        path = tmp_path / "l.csv"
+        write_labels_csv(path, labels, CHAIN, ids)
+        expected = label_outcome(path, CHAIN, block=False)
 
-        def forbidden(path, tree):
-            raise AssertionError(f"{path} went to the checked loop")
+        def forbidden(*args):
+            raise AssertionError(f"{args[0]} was parsed")
 
         monkeypatch.setattr(data_mod, "_read_label_rows", forbidden)
-        got = label_outcome(tmp_path / "l.csv", CHAIN)
+        with mock.patch.object(data_mod, "read_coded_rows", forbidden):
+            got = label_outcome(path, CHAIN)
         assert got == expected and got[2] == labels.tobytes() and got[3] == tuple(ids)
+        assert got[4] == {"id": tuple(ids)}
+        csvio.sidecar_path(path).unlink()
+        assert label_outcome(path, CHAIN) == expected
+
+
+class TestLabelSidecar:
+    """``write_labels_csv`` leaves an int8 sidecar beside a file of ids and
+    labels alone, and ``load_labels_csv`` returns it only while it matches
+    the file and the tree: the parser's labels, or the parser's error."""
+
+    def written(self, tmp_path, n=3):
+        path = tmp_path / "l.csv"
+        labels = np.resize(np.array([POS, NEG, UNC, MISSING], dtype=np.int8), (n, 3))
+        write_labels_csv(path, labels, CHAIN, [f"r{i}" for i in range(n)])
+        return path, labels
+
+    def test_one_byte_edits(self, tmp_path):
+        path, _ = self.written(tmp_path)
+        original = path.read_bytes()
+        assert csvio.sidecar_path(path).exists()
+        for i in range(len(original)):
+            for byte in b'01-.,\n"x':
+                edited = original[:i] + bytes([byte]) + original[i + 1 :]
+                if edited == original:
+                    continue
+                path.write_bytes(edited)
+                got = label_outcome(path, CHAIN)
+                assert got == label_outcome(path, CHAIN, block=False), (i, chr(byte))
+
+    @pytest.mark.parametrize("code", [2, -3, 127, -128])
+    def test_code_outside_the_four_refused(self, tmp_path, code):
+        path, labels = self.written(tmp_path)
+        bad = labels.copy()
+        bad[1, 2] = code
+        with open(csvio.sidecar_path(path), "wb") as fh:
+            for array in (np.array(csvio.sha256_file(path)), np.array(["r0", "r1", "r2"]), bad):
+                np.save(fh, array)
+        assert csvio.read_sidecar(path, np.int8)[0][2].tobytes() == bad.tobytes()
+        got = label_outcome(path, CHAIN)
+        assert got == label_outcome(path, CHAIN, block=False)
+        assert got[2] == labels.tobytes()
+
+    def test_other_tree_order_reads_the_columns_by_name(self, tmp_path):
+        path, labels = self.written(tmp_path)
+        reordered = build_tree([("B", "A", 0), ("A", None, 1), ("C", "B", 2)])
+        got = label_outcome(path, reordered)
+        assert got == label_outcome(path, reordered, block=False)
+        assert got[2] == labels[:, [1, 0, 2]].tobytes()
+
+    def test_float_and_label_sidecars_are_not_mixed_up(self, tmp_path):
+        path, labels = self.written(tmp_path)
+        assert csvio.read_sidecar(path, np.float64) == (None, None)
+        features = tmp_path / "f.csv"
+        write_features_csv(features, np.zeros((2, 3)), ["r0", "r1"])
+        csvio.sidecar_path(features).replace(csvio.sidecar_path(path))
+        assert label_outcome(path, CHAIN)[2] == labels.tobytes()
+
+    def test_metadata_files_get_none(self, tmp_path):
+        path, labels = self.written(tmp_path)
+        sidecar = csvio.sidecar_path(path)
+        ids = ("r0", "r1", "r2")
+        for ids_arg, metadata, kept in [
+            (ids, {"Sex": ("Male",) * 3}, False),
+            (ids, None, True),
+            (None, {"Path": ids}, False),
+            (ids, None, True),
+            (None, None, False),
+            (ids, None, True),
+            (None, {"id": ids, "Age": ("61",) * 3}, False),
+            (None, {"id": ids}, True),
+            (("r0", "r,1", "r2"), None, False),
+        ]:
+            write_labels_csv(path, labels, CHAIN, ids_arg, metadata)
+            assert sidecar.exists() == kept
+            assert label_outcome(path, CHAIN) == label_outcome(path, CHAIN, block=False)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv"]
+
+    def test_labels_of_another_dtype_get_an_int8_sidecar(self, tmp_path, monkeypatch):
+        path = tmp_path / "l.csv"
+        labels = np.asfortranarray(np.resize(np.array([1, 0, -1, -2]), (4, 3)))
+        write_labels_csv(path, labels, CHAIN, ["a", "b", "c", "d"])
+        monkeypatch.setattr(data_mod, "read_coded_rows", forbidden_parse)
+        got, ids, metadata = load_labels_csv(path, CHAIN)
+        assert got.dtype == np.int8 and got.tobytes() == labels.astype(np.int8).tobytes()
+        assert ids == ("a", "b", "c", "d") and metadata == {"id": ids}
 
 
 class TestLoadersShareTheReader:
@@ -782,12 +968,22 @@ class TestLoadersShareTheReader:
 
 class TestWriteTable:
     def test_bytes_equal_csv_writer(self, tmp_path):
+        """The bytes of ``csv.writer`` rows, a carriage return quoted."""
         header = ["name", "note, free"]
-        rows = [[text, i] for i, text in enumerate(ODD_TEXT)] + [["", ""], [1.5, None]]
+        rows = [[text, i] for i, text in enumerate(ODD_TEXT)]
+        rows += [["", ""], [1.5, None], [""], [None], [], [True, 2**70, -0.0]]
         csvio.write_table(tmp_path / "new.csv", header, rows)
         with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+            writer = _writer(fh)
             writer.writerow(header)
             for row in rows:
                 writer.writerow(row)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_carriage_return_reads_back(self, tmp_path):
+        path = tmp_path / "report.csv"
+        csvio.write_table(path, ["label", "auc", "readers_below"], [["a\rb", 0.5, 1]])
+        assert path.read_bytes() == b'label,auc,readers_below\n"a\rb",0.5,1\n'
+        with csvio.reader(path) as (header, rows):
+            assert header == ["label", "auc", "readers_below"]
+            assert [cells for _, cells in rows] == [["a\rb", "0.5", "1"]]
