@@ -425,19 +425,19 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             fh.write(line + "\n")
 
 
-def _leads(text_columns: Sequence[Sequence[str]], sep: str) -> list[bytes]:
+def _leads(text_columns: Sequence[Sequence[str]], sep: str, quoted: bool) -> list[bytes]:
     """Each row's text fields as ``_text_field`` quotes them, joined by
     commas and followed by ``sep``; a row of one empty field alone is ``""``.
 
-    Each column is searched once: where no field needs quoting and there
-    are cells to follow, every row's lead comes from one join and one
-    encode, split at the line ends no field holds.
+    ``quoted`` tells whether any field needs quoting.  Where none does and
+    there are cells to follow, every row's lead comes from one join and
+    one encode, split at the line ends no field holds.
     """
-    if sep and not any(_MAY_NEED_QUOTING("".join(column)) for column in text_columns):
+    if sep and not quoted:
         rows = map(",".join, zip(*text_columns))
         return ((sep + "\n").join(rows) + sep).encode().split(b"\n")
-    quoted = zip(*(map(_text_field, column) for column in text_columns))
-    return [(",".join(fields) + sep or '""').encode() for fields in quoted]
+    rows = zip(*(map(_text_field, column) for column in text_columns))
+    return [(",".join(fields) + sep or '""').encode() for fields in rows]
 
 
 def write_rows(
@@ -446,6 +446,7 @@ def write_rows(
     text_columns: Sequence[Sequence[str]],
     cells: np.ndarray,
     cell_zones: Callable[[np.ndarray], np.ndarray] = float_cells,
+    quoted: bool | None = None,
 ) -> str:
     """Write ``header`` and one line per row of ``cells``, led by the text
     columns; return the hex sha256 of the bytes written.
@@ -455,9 +456,13 @@ def write_rows(
     takes the separator; the bytes must need no quoting.  Text fields
     (ids, metadata) are quoted as ``_text_field`` quotes them.  A row made
     of one empty field is written as ``""``, as ``csv.writer`` does.
+    ``quoted`` tells whether any text field needs quoting, where the
+    caller has searched the columns; otherwise each is searched once here.
     """
     n_rows, width = cells.shape
-    leads = _leads(text_columns, "," if width else "")
+    if quoted is None:
+        quoted = any(_MAY_NEED_QUOTING("".join(column)) for column in text_columns)
+    leads = _leads(text_columns, "," if width else "", quoted)
     step = max(1, CHUNK_CELLS // max(width, 1))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -483,6 +488,11 @@ def write_rows(
     return digest.hexdigest()
 
 
+def _scan(text: str) -> tuple[bool, bool]:
+    """Whether ``text`` holds a character that needs quoting, and a NUL."""
+    return bool(_MAY_NEED_QUOTING(text)), "\0" in text
+
+
 def write_id_matrix(
     path, header: Sequence[str], ids: Sequence[str], matrix: np.ndarray, cell_zones=float_cells
 ) -> str:
@@ -495,14 +505,15 @@ def write_id_matrix(
     quoting or holds a NUL, gets no sidecar, and loses any it had: the
     checked loop reads such files.
     """
-    digest = write_rows(path, header, [ids], matrix, cell_zones)
+    quoted, nul = _scan("".join(ids))  # the joined ids are freed before the write
+    digest = write_rows(path, header, [ids], matrix, cell_zones, quoted)
     sidecar = sidecar_path(path)
-    joined = "".join(header) + "".join(ids)
-    if not len(ids) or _MAY_NEED_QUOTING(joined) or "\0" in joined:
+    if not len(ids) or quoted or nul or any(_scan("".join(header))):
         sidecar.unlink(missing_ok=True)
         return digest
     nan = np.isnan(matrix)
-    parsed = np.where(nan, np.nan, matrix) if nan.any() else matrix
+    # C order: ``read_sidecar`` accepts no other
+    parsed = np.ascontiguousarray(np.where(nan, np.nan, matrix) if nan.any() else matrix)
     partial = sidecar.with_name(sidecar.name + ".tmp")
     try:
         with open(partial, "wb") as fh:

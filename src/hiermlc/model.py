@@ -8,7 +8,12 @@ and cross-run comparisons stay tight.
 A model's parameters are one flat vector with per-layer views.  The
 same ``Mlp`` over an (M, P) buffer is a member stack, which the forward
 pass, the loss and backprop accept with a leading member axis; Adam
-updates one member's flat row at a time.
+updates one member's flat row at a time.  The training engine binds
+each member's Adam state to the member's gradient row when the member
+enters a phase (``AdamState.bind``), so every update runs on views built
+once; the engine checks the whole (M, P) gradient buffer for finite
+values once a pass, and ``adam_step`` checks only gradients it is not
+bound to.
 
 Training runs thousands of steps on arrays of a few thousand cells, so
 numpy's cost per call, not arithmetic, sets the step time.  The step
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -412,15 +417,41 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second moments in the layout of ``params``, plus the step count."""
+    """First/second moments in the layout of ``params``, plus the step count.
+
+    ``grads`` and ``spans`` are set by ``bind``: the gradient array the
+    state is bound to and the update's views of it.
+    """
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    grads: np.ndarray | None = field(default=None, repr=False, compare=False)
+    spans: tuple = field(default=(), repr=False, compare=False)
 
     @classmethod
     def init(cls, model: Mlp) -> "AdamState":
         return cls(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
+
+    def bind(self, model: Mlp, grads: np.ndarray) -> None:
+        """Build the views ``adam_step`` uses whenever it is given ``grads``.
+
+        ``grads`` is a flat gradient vector in the layout of
+        ``model.params``, which the caller refills before each step and
+        checks for finite values itself.  Bind again after the model's
+        frozen flags change.
+        """
+        self.grads = grads
+        self.spans = _adam_spans(model, self, grads)
+
+
+def _adam_spans(model: Mlp, state: AdamState, grads: np.ndarray) -> tuple:
+    """Per contiguous span of unfrozen layers: views of the params, both
+    moments and ``grads``, and two scratch vectors of the span's length."""
+    return tuple(
+        (model.params[s], state.m[s], state.v[s], grads[s], *np.empty((2, s.stop - s.start)))
+        for s in _trainable_spans(model.layer_sizes, tuple(model.frozen))
+    )
 
 
 def adam_step(
@@ -433,28 +464,35 @@ def adam_step(
     """One bias-corrected Adam update in place; frozen layers untouched.
 
     ``grads`` is backward's [(dW, db)] list, or one flat vector in the
-    layout of ``model.params`` (a training-engine member's gradient row).
+    layout of ``model.params``.  Given the very array ``state`` is bound
+    to, the update runs on the views and scratch ``AdamState.bind`` built
+    and checks nothing: the training engine binds each member's gradient
+    row as the member enters a phase, and checks the pass's whole
+    gradient buffer once before any member's step.  Other gradients are
+    checked for finite values here and get their views for this call.
     The update runs once per contiguous span of unfrozen layers, a few
-    vector operations however many layers the span covers, written in
-    place or into two scratch vectors.  Its results are bit-equal to the
-    textbook form m_hat = m / (1 - beta1**t), v_hat = v / (1 - beta2**t),
-    params -= lr * m_hat / (sqrt(v_hat) + epsilon).
+    in-place vector operations however many layers the span covers.  Its
+    results are bit-equal to the textbook form m_hat = m / (1 - beta1**t),
+    v_hat = v / (1 - beta2**t), params -= lr * m_hat / (sqrt(v_hat) + epsilon).
     """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
-    if not isinstance(grads, np.ndarray):
-        if len(grads) != model.n_layers:
-            raise ValueError("gradient list does not match model layers")
-        grads = _pack(*zip(*grads))
-    if not np.isfinite(grads).all():
-        raise NumericError("non-finite gradient")
+    if state.grads is not None and grads is state.grads:
+        spans = state.spans
+    else:
+        if not isinstance(grads, np.ndarray):
+            if len(grads) != model.n_layers:
+                raise ValueError("gradient list does not match model layers")
+            grads = _pack(*zip(*grads))
+        if not np.isfinite(grads).all():
+            raise NumericError("non-finite gradient")
+        spans = _adam_spans(model, state, grads)
     state.t += 1
     beta1, beta2 = config.beta1, config.beta2
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for span in _trainable_spans(model.layer_sizes, tuple(model.frozen)):
-        m, v, g = state.m[span], state.v[span], grads[span]
-        step = np.multiply(1.0 - beta1, g)
+    for params, m, v, g, step, denom in spans:
+        np.multiply(1.0 - beta1, g, out=step)
         m *= beta1
         m += step
         np.multiply(g, g, out=step)
@@ -463,11 +501,11 @@ def adam_step(
         v += step
         np.divide(m, bc1, out=step)  # m_hat
         step *= lr
-        denom = v / bc2  # v_hat
+        np.divide(v, bc2, out=denom)  # v_hat
         np.sqrt(denom, out=denom)
         denom += config.epsilon
         step /= denom
-        model.params[span] -= step
+        params -= step
     return model, state
 
 

@@ -14,13 +14,16 @@ stack: an ``Mlp`` whose parameters are one (M, P) float64 buffer, with
 dataset, plan and seed, and share the row count, the optimizer and the
 step budget ``stage1_iterations + stage2_iterations``, which they walk in
 lockstep.  A conditional member enters stage 2 at ``stage1_iterations``
-alone: snapshot, policy mask, frozen hidden layers, fresh Adam moments,
-epochs counted from 0 again.  Epochs, learning rates, shuffle orders and
-loss rows are per member.  Each step gathers every member's own batch as
-(M, B, F) with one ``take`` from the (S, N, F) stack of the distinct
-feature matrices, runs one stacked forward pass, one ``masked_bce`` that
-also writes the output delta, one ``backward`` that propagates it, and
-one ``adam_step`` per member row.
+alone: snapshot, policy mask, frozen hidden layers, fresh Adam moments
+bound to its gradient row, epochs counted from 0 again.  Epochs,
+learning rates, shuffle orders and loss rows are per member.  Each step
+gathers every member's own batch as (M, B, F) with one ``take`` from the
+(S, N, F) stack of the distinct feature matrices, runs one stacked
+forward pass, one ``masked_bce`` that also writes the output delta, one
+``backward`` that propagates it, one finiteness check of the pass's
+whole gradient buffer, and one ``adam_step`` per member row on the views
+bound at the member's phase entry.  A non-finite loss or gradient stops
+the run before any member of the pass moves.
 An epoch's last batch is short when the batch size does not divide N, so
 at a ragged step, where members' batch lengths differ, one pass runs per
 length: padding would change the loss divisor and the reduction lengths.
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -155,13 +158,15 @@ def _train_stack(
     mask = np.empty(targets.shape, dtype=bool)
     grads = np.zeros_like(stack.params)
     grad_views = layer_views(grads, stack.layer_sizes)
+    grad_rows = list(grads)  # the arrays each member's Adam state is bound to
     moments = np.zeros((2, *stack.params.shape))
     states = [AdamState(m=moments[0, k], v=moments[1, k]) for k in range(n_members)]
     # Batches are gathered by ``take`` from 2-D views.  Member k's row r
     # is row k*n + r of the flat targets and mask, which its shuffle order
-    # holds, and row source_of[k]*n + r of the flat features: + shift[k].
+    # holds, and row source_of[k]*n + r of the flat features, which
+    # ``feature_rows[k]`` holds; both are set at each of its epochs.
     orders = np.empty((n_members, n), dtype=np.int64)
-    shift = (source_of - np.arange(n_members)) * n
+    feature_rows = np.empty_like(orders)
     flat_features = features.reshape(-1, features.shape[-1])
     flat_targets = targets.reshape(-1, targets.shape[-1])
     flat_mask = mask.reshape(-1, mask.shape[-1])
@@ -192,35 +197,45 @@ def _train_stack(
         mask[k] = phase.mask
         moments[:, k] = 0.0
         states[k].t = 0
+        states[k].bind(members[k], grad_rows[k])
         stage[k], start[k], epoch[k] = phase.stage, step, -1
 
-    def run_pass(group: list[int], idx: np.ndarray, cols: np.ndarray, step: int) -> None:
+    def reject(what: str, group: list[int], finite: np.ndarray, step: int) -> NoReturn:
+        k = group[int(np.argmin(finite))]  # the first member with a non-finite row
+        raise NumericError(f"{stage[k]}: non-finite {what} at step {step - start[k]}")
+
+    def run_pass(
+        group: list[int], idx: np.ndarray, cols: np.ndarray, delta: np.ndarray, step: int
+    ) -> None:
         """One stacked step of the members ``group`` (``idx`` as an (M, 1)
-        array), whose batches are columns ``cols`` of their shuffle orders."""
+        array), whose batches are columns ``cols`` of their shuffle orders;
+        ``delta`` takes the output delta."""
         rows = orders[idx, cols]
         model, g, views = stack, grads, grad_views
         if len(group) < n_members:
             model = Mlp.from_params(stack.params[group], stack.layer_sizes, stack.frozen)
             g = np.empty_like(model.params)
             views = layer_views(g, model.layer_sizes)
-        x = flat_features.take(rows + shift[idx], axis=0)
+        x = flat_features.take(feature_rows[idx, cols], axis=0)
         t = flat_targets.take(rows, axis=0)
         m = flat_mask.take(rows, axis=0)
         trace = forward_trace(model, x)
-        delta = np.empty_like(trace[0])
         loss = masked_bce(trace[0], t, m, delta)
         if not np.isfinite(loss).all():
-            k = group[int(np.argmin(np.isfinite(loss)))]
-            raise NumericError(f"{stage[k]}: non-finite loss at step {step - start[k]}")
+            reject("loss", group, np.isfinite(loss), step)
         backward(model, x, t, m, trace, views, delta)
-        for j, k in enumerate(group):
-            adam_step(members[k], states[k], g[j], optimizer, lr[k])
+        if not np.isfinite(g).all():
+            reject("gradient", group, np.isfinite(g).all(axis=-1), step)
+        if g is not grads:
+            grads[group] = g
+        for k in group:
+            adam_step(members[k], states[k], grad_rows[k], optimizer, lr[k])
         losses[idx, pos[idx]] = loss[:, None]
         cols += batch
 
     # Members enter a phase or an epoch, or take a short last batch, only
     # at events; in between, every group steps on through its orders.
-    groups: list[tuple[list[int], np.ndarray, np.ndarray]] = []
+    groups: list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]] = []
     next_event = 0
     for step in range(budget + 1):
         if step == next_event:
@@ -241,10 +256,9 @@ def _train_stack(
                         raise NumericError(msg)
                     # keyed by epoch only: a flat run and a staged run over
                     # the same data walk identical batch sequences
-                    orders[k] = seeding.stream(
-                        seeding.PURPOSE_SHUFFLE, seeds[k], e
-                    ).permutation(n)
-                    orders[k] += k * n
+                    perm = seeding.stream(seeding.PURPOSE_SHUFFLE, seeds[k], e).permutation(n)
+                    orders[k] = perm + k * n
+                    feature_rows[k] = perm + source_of[k] * n
                 pos[k], lengths[k] = p, min(batch, n - p * batch)
                 # the member's next event: its next phase or epoch, or the
                 # short last batch of this epoch when batch does not divide N
@@ -254,9 +268,11 @@ def _train_stack(
             for length in sorted(set(lengths)):
                 group = [k for k in range(n_members) if lengths[k] == length]
                 idx = np.array(group)[:, None]
-                groups.append((group, idx, pos[idx] * batch + np.arange(length)))
-        for group, idx, cols in groups:
-            run_pass(group, idx, cols, step)
+                cols = pos[idx] * batch + np.arange(length)
+                delta = np.empty((len(group), length, targets.shape[-1]))
+                groups.append((group, idx, cols, delta))
+        for group, idx, cols, delta in groups:
+            run_pass(group, idx, cols, delta, step)
         pos += 1
     for k in range(n_members):
         flush(k)

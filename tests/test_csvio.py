@@ -303,6 +303,28 @@ class TestJoinedLeads:
         )
         assert calls == [*metadata, *CHAIN.names]  # the header alone, field by field
 
+    def test_one_search_per_text_column(self, tmp_path, monkeypatch):
+        n = self.N
+        ids = [f"row{i:05d}" for i in range(n)]
+        metadata = {"Path": tuple(f"p{i}/view.jpg" for i in range(n)), "Sex": ("Male",) * n}
+        labels = TestLabels().labels(n)
+        searched, search = [], csvio._MAY_NEED_QUOTING
+        monkeypatch.setattr(csvio, "_MAY_NEED_QUOTING", lambda t: searched.append(t) or search(t))
+        writes = [
+            ((write_features_csv, writerow_features_csv, np.ones((n, 2)), ids), {}),
+            ((write_predictions_csv, writerow_predictions_csv, ids, np.ones((n, 3)), "ABC"), {}),
+            ((write_labels_csv, writerow_labels_csv, labels, CHAIN, ids), {}),
+            ((write_labels_csv, writerow_labels_csv, labels, CHAIN), {"metadata": metadata}),
+        ]
+        for (write, reference, *args), kwargs in writes:
+            searched.clear()
+            with mock.patch.object(csvio, "_MAY_NEED_QUOTING", search):
+                reference(tmp_path / "ref.csv", *args, **kwargs)
+            write(tmp_path / "new.csv", *args, **kwargs)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            columns = metadata.values() if kwargs else [ids]
+            assert [sum("".join(c) in t for t in searched) for c in columns] == [1] * len(columns)
+
     @pytest.mark.parametrize("quoted", ["a,b", 'say "hi"', "two\nlines", "cr\rhere"])
     def test_one_quoted_id_deep_in_the_file(self, tmp_path, monkeypatch, quoted):
         ids = [f"row{i:05d}" for i in range(self.N)]
@@ -705,6 +727,20 @@ class TestSidecar:
         with pytest.raises(OSError, match="no space left"):
             self.written(tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_fortran_order_matrix(self, tmp_path, monkeypatch, nan):
+        values = np.asfortranarray(np.arange(12.0).reshape(4, 3) / 7)
+        values[2, 1] = np.nan if nan else values[2, 1]
+        features, predictions = tmp_path / "f.csv", tmp_path / "p.csv"
+        write_features_csv(features, values, list("abcd"))
+        write_predictions_csv(predictions, list("abcd"), values, "XYZ")
+        monkeypatch.setattr(csvio, "read_id_rows", forbidden_parse)
+        for path in (features, predictions):
+            _, ids, matrix, digest = csvio.read_id_matrix(path, "feature")
+            assert ids == tuple("abcd") and digest == csvio.sha256_file(path)
+            assert matrix.flags.c_contiguous
+            np.testing.assert_array_equal(matrix, values)
 
     def test_long_id_past_the_field_limit(self, tmp_path):
         path = tmp_path / "m.csv"

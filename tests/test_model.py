@@ -283,6 +283,29 @@ class TestAdam:
         with pytest.raises(NumericError, match="non-finite"):
             adam_step(model, state, grads, self.config(), lr=0.1)
 
+    def test_bound_state_matches_per_call_views(self):
+        # a state bound to a gradient row updates from views built once,
+        # with the bits of the per-call update; a rebind after freezing
+        # leaves the frozen layer alone
+        rng = np.random.default_rng(9)
+        model = small_model(seed=3)
+        bound_model = model.copy()
+        state, bound = AdamState.init(model), AdamState.init(bound_model)
+        row = np.empty_like(model.params)
+        bound.bind(bound_model, row)
+        for step in range(6):
+            if step == 3:
+                frozen = freeze_all_but_last(bound_model).weights[0].copy()
+                freeze_all_but_last(model)
+                bound.bind(bound_model, row)
+            row[:] = rng.standard_normal(row.shape)
+            adam_step(model, state, row.copy(), self.config(), lr=0.05)
+            adam_step(bound_model, bound, row, self.config(), lr=0.05)
+        assert bound.t == state.t == 6
+        assert_bits_equal(bound_model.params, model.params)
+        assert_bits_equal(bound.v, state.v)
+        np.testing.assert_array_equal(bound_model.weights[0], frozen)
+
     def test_lr_and_shape_validation(self):
         model = small_model()
         state = AdamState.init(model)

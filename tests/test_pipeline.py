@@ -1,6 +1,8 @@
+import importlib.util
 import inspect
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +324,71 @@ class TestFusedStep:
         assert all(a is not None and a is b for a, b in pairs)
 
 
+class TestGradientCheck:
+    def test_non_finite_gradient_stops_the_pass(self, monkeypatch):
+        # 300 rows in batches of 32, all members in step: every pass is
+        # the full stack, whose live parameter buffer backward receives
+        seen = {}
+        backward = pipeline_mod.backward
+
+        def poisoned(model, x, t, m, trace, out, delta):
+            grads = backward(model, x, t, m, trace, out, delta)
+            seen["passes"] = seen.get("passes", 0) + 1
+            if seen["passes"] == 45:  # stage 2, step 4
+                seen["live"], seen["before"] = model.params, model.params.copy()
+                out[0][0][1, 2, 3] = np.nan  # member 1's dW0
+            return grads
+
+        monkeypatch.setattr(pipeline_mod, "backward", poisoned)
+        train, _ = pair_datasets(n_train=300, n_eval=1)
+        plan = fast_plan(stage1_iterations=40, stage2_iterations=20)
+        with pytest.raises(NumericError, match="^stage2: non-finite gradient at step 4$"):
+            train_ensemble(train, PAIR, plan, (16,), base_seed=0, size=3)
+        assert seen["passes"] == 45
+        np.testing.assert_array_equal(seen["live"], seen["before"])
+
+
+def load_tracer():
+    """The benchmark's ``perfbench/tracer.py``, imported from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedRun:
+    """A traced benchmark run fails when a name the tracer wraps is gone or
+    when ``model.step.count``, the ``pipeline.adam_step`` calls, is not one
+    per member-step; small runs under the same tracer see both here."""
+
+    def traced(self, run):
+        tracer_mod = load_tracer()
+        tracer = tracer_mod.Tracer("test")
+        with tracer.installed():
+            run()
+        return tracer.missing, tracer_mod.layer_metrics(tracer)["model.step.count"]
+
+    def test_ensemble(self):
+        train, _ = pair_datasets(n_train=300, n_eval=1)
+        plan = fast_plan(stage1_iterations=40, stage2_iterations=20)
+        missing, steps = self.traced(
+            lambda: pipeline_mod.train_ensemble(train, PAIR, plan, (16,), 0, 3)
+        )
+        assert missing == []
+        assert steps == 3 * (40 + 20)
+
+    def test_ragged_ablation(self):
+        # two seeds, both arms: 4 members whose epochs fall out of step
+        missing, steps = self.traced(
+            lambda: pipeline_mod.hierarchical_ablation(
+                PAIR, PAIR_SPEC.theta, (0, 1), **ABLATION_ARGS
+            )
+        )
+        assert missing == []
+        assert steps == 4 * (65 + 30)
+
+
 class TestPredictUnconditional:
     def test_single_member_is_propagated_forward(self):
         rng = np.random.default_rng(0)
@@ -396,15 +463,17 @@ class TestAblation:
 
 
 def count_stacked_passes(monkeypatch):
-    """Count the engine's stacked forward passes (scoring uses Mlp.forward)."""
+    """Count the engine's stacked forward passes (scoring uses Mlp.forward)
+    and its Adam steps."""
     calls = Counter()
-    trace = pipeline_mod.forward_trace
+    for name in ("forward_trace", "adam_step"):
+        fn = getattr(pipeline_mod, name)
 
-    def counted(*args, **kwargs):
-        calls["forward_trace"] += 1
-        return trace(*args, **kwargs)
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline_mod, "forward_trace", counted)
+        monkeypatch.setattr(pipeline_mod, name, counted)
     return calls
 
 
@@ -537,6 +606,7 @@ class TestAblationStack:
         )
         assert ragged > 0
         assert calls["forward_trace"] == steps + ragged
+        assert calls["adam_step"] == 4 * steps
 
     def test_trains_on_datasets_without_row_ids(self, monkeypatch):
         # the ablation writes no rows, so it holds no id strings through training
