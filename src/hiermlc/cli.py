@@ -1,10 +1,15 @@
-"""Command-line entry point: gen, train, predict, eval.
+"""Command-line entry point: gen, train, predict, eval, ablate.
 
 Every run is driven by a JSON config file; ``--seed``, ``--out``,
 ``--mode`` and ``--policy`` override the matching config keys.  The
 effective config is snapshotted into the output directory, and all
 outputs are deterministic given config plus seed: reruns produce
 byte-identical files.
+
+``ablate`` trains conditional ``ones-lsr`` against flat ``ones`` on
+fresh synthetic data for ``--seeds`` seeds from ``--seed`` on, and
+writes their leaf AUCs to ``ablation.json``; its two arms are fixed, so
+it takes no ``--mode`` or ``--policy``.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure during training.
@@ -38,11 +43,13 @@ from .model import load_checkpoint, save_checkpoint
 from .pipeline import (
     EnsembleModel,
     TrainPlan,
+    hierarchical_ablation,
     predict_flat,
     predict_unconditional,
     synthetic_split,
     train_ensemble,
 )
+from .policy import make_policy
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -63,6 +70,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="run config JSON file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="override output directory")
+        if name == "ablate":
+            p.add_argument("--seeds", type=int, default=10, help="seeds to run (>= 1)")
+            p.set_defaults(mode=None, policy=None)  # both arms are fixed
+            continue
         p.add_argument(
             "--mode", choices=("conditional", "flat"), help="override training mode"
         )
@@ -520,11 +531,61 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def cmd_ablate(args) -> int:
+    """Leaf AUC of conditional ones-lsr against flat ones training, per seed."""
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    config = _effective_config(args)
+    syn = config.synthetic
+    if syn is None:
+        raise ConfigError("ablate requires a data.synthetic section")
+    tree = config.load_tree()
+    seeds = list(range(config.seed, config.seed + args.seeds))
+    result = hierarchical_ablation(
+        tree,
+        synthetic_spec_theta(syn, tree),
+        seeds,
+        n_train=syn.n_train,
+        n_eval=syn.n_eval,
+        uncertainty_rate=syn.uncertainty_rate,
+        smoothed_policy=make_policy("ones-lsr", config.lsr_ones, config.lsr_zeros),
+        hard_policy=make_policy("ones"),
+        optimizer=config.optimizer,
+        stage1_iterations=config.stage1_iterations,
+        stage2_iterations=config.stage2_iterations,
+        hidden_sizes=config.hidden_sizes,
+        feature_dim=syn.feature_dim,
+        feature_noise=syn.feature_noise,
+    )
+
+    print(f"leaf labels: {', '.join(result.leaf_names)}")
+    print("seed  conditional      flat")
+    for seed, c, f in zip(seeds, result.conditional_by_seed, result.flat_by_seed):
+        print(f"{seed:4d}  {c:.6f}     {f:.6f}")
+    print(f"mean  {result.mean_conditional:.6f}     {result.mean_flat:.6f}")
+    print(f"delta (conditional - flat): {result.delta:+.6f}")
+
+    payload = {
+        "seeds": seeds,
+        "leaf_names": list(result.leaf_names),
+        "conditional_by_seed": result.conditional_by_seed,
+        "flat_by_seed": result.flat_by_seed,
+        "mean_conditional": result.mean_conditional,
+        "mean_flat": result.mean_flat,
+        "delta": result.delta,
+    }
+    path = _out_dir(config) / "ablation.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
 _COMMANDS = {
     "gen": cmd_gen,
     "train": cmd_train,
     "predict": cmd_predict,
     "eval": cmd_eval,
+    "ablate": cmd_ablate,
 }
 
 

@@ -10,9 +10,6 @@ still match.  ``read_id_matrix`` reads float files by it, and otherwise
 by the checked row loop ``read_id_rows``.  A sidecar gives what the
 checked reader would, so a deleted sidecar costs only time.
 This module alone saves and loads ``.npy`` files.
-``read_coded_rows`` splits label files a block of lines at a time, each
-column a slice of the block's cells mapped to codes; where it cannot
-vouch for a file it returns None, and the caller's checked loop reads it.
 
 Files are written with the excel dialect and ``"\\n"`` line endings:
 small tables by ``write_table``, and matrices (features, labels,
@@ -35,9 +32,9 @@ import os
 import re
 from array import array
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +42,6 @@ from .errors import DataFormatError
 
 # Cells laid out per write; bounds the bytes of the arrays alive at once.
 CHUNK_CELLS = 4096
-# Characters of label lines split per block: each cell is a Python string.
-LABEL_BLOCK_CHARS = 1 << 13
 
 _MAY_NEED_QUOTING = re.compile(r'[,"\r\n]').search
 
@@ -163,71 +158,6 @@ def read_sidecar(path, dtype) -> tuple[tuple[tuple, tuple, np.ndarray] | None, s
     actual = sha256_file(path)
     parsed = tuple(header[1:]), tuple(ids.tolist()), matrix
     return (parsed if digest.item() == actual else None), actual
-
-
-def _plain(lines: list[str], commas: int) -> bool:
-    """Whether ``csv.reader`` would split ``lines`` at their commas alone,
-    and they hold ``commas`` commas a line in all.
-
-    True when they have no quote, no carriage return and no NUL (which
-    ``csv.reader`` rejects before Python 3.11), and no line is longer
-    than ``csv.field_size_limit()``.
-    """
-    text = "".join(lines)
-    return (
-        '"' not in text
-        and "\r" not in text
-        and "\0" not in text
-        and text.count(",") == len(lines) * commas
-        and max(map(len, lines), default=0) <= csv.field_size_limit()
-    )
-
-
-def read_coded_rows(
-    path, names: Sequence[str], codes: Mapping[str, int]
-) -> tuple[np.ndarray, dict[str, tuple[str, ...]]] | None:
-    """The cells of a file whose header holds every one of ``names``, or
-    None where the checked row loop of ``reader`` must decide.
-
-    Returns an int8 matrix of each row's ``names`` cells mapped through
-    ``codes``, and the cells of each other column by name (a repeated
-    name keeps its first column).  The file is read ``LABEL_BLOCK_CHARS``
-    at a time; each block must pass ``_plain``, every line holding as
-    many commas as the header, and is split at its commas in one go, each
-    column a slice of the cells.  A cell missing from ``codes``, another
-    cell count, a file without data rows or a decode error returns None.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            first = fh.readline()
-            if first in ("", "\n") or not _plain([first], first.count(",")):
-                return None
-            header = first.rstrip("\n").split(",")
-            if not set(names) <= set(header):
-                return None
-            width = len(header)
-            coded = [(array("b"), header.index(name)) for name in names]
-            kept = {c: ([], header.index(c)) for c in header if c not in names}
-            code = codes.__getitem__
-            commas = repeat(",")
-            while lines := fh.readlines(LABEL_BLOCK_CHARS):
-                lines = [line for line in lines if line != "\n"]  # csv skips blank lines
-                if not lines:
-                    continue
-                # the block's comma count and one count for every line
-                if not _plain(lines, width - 1) or len(set(map(str.count, lines, commas))) > 1:
-                    return None
-                cells = "".join(lines).rstrip("\n").replace("\n", ",").split(",")
-                for column, i in coded:
-                    column.extend(map(code, cells[i::width]))
-                for column, i in kept.values():
-                    column += cells[i::width]
-    except (UnicodeDecodeError, KeyError):
-        return None
-    if not coded[0][0]:
-        return None
-    matrix = np.column_stack([np.frombuffer(column, dtype=np.int8) for column, _ in coded])
-    return matrix, {c: tuple(column) for c, (column, _) in kept.items()}
 
 
 def read_id_rows(path, what: str) -> tuple[tuple, tuple, np.ndarray]:

@@ -21,7 +21,6 @@ import numpy as np
 from . import seeding
 from .csvio import (
     column_indices,
-    read_coded_rows,
     read_id_matrix,
     read_sidecar,
     reader,
@@ -161,16 +160,14 @@ def load_labels_csv(
     A file ``write_labels_csv`` wrote of ids and labels alone is read
     from its int8 sidecar while the file's sha256 still matches it, its
     header is ``id`` and then the tree's labels in order, and every code
-    is one of the four.  Other files of the cells this package writes are
-    parsed by ``read_coded_rows``; any other file is read again by the
-    checked row loop, which alone writes the error messages.
+    is one of the four.  Any other file is read by the checked row loop,
+    which alone writes the error messages.
     """
     sidecar, _ = read_sidecar(path, np.int8)
     if sidecar and sidecar[0] == tree.names and np.isin(sidecar[2], CODES).all():
         _, ids, labels = sidecar
         return labels, ids, {"id": ids}
-    parsed = read_coded_rows(path, tree.names, _CANONICAL_CELLS)
-    labels, metadata = _read_label_rows(path, tree) if parsed is None else parsed
+    labels, metadata = _read_label_rows(path, tree)
     if "Path" in metadata:
         ids = metadata["Path"]
     elif "id" in metadata:
@@ -183,7 +180,9 @@ def load_labels_csv(
 def _read_label_rows(
     path: str | Path, tree: LabelTree
 ) -> tuple[np.ndarray, dict[str, tuple[str, ...]]]:
-    """``read_coded_rows``'s result through the checked row loop of ``reader``."""
+    """The int8 label codes of a file's rows in tree order, and the cells
+    of each other column by name (a repeated name keeps its first column),
+    through the checked row loop of ``reader``."""
     with reader(path) as (header, rows):
         label_idx = column_indices(path, header, tree.names, "label")
         meta_idx = {c: header.index(c) for c in header if c not in tree.names}

@@ -13,11 +13,12 @@ from hiermlc import cli, csvio
 from hiermlc import data as data_mod
 from hiermlc import evaluation as eval_mod
 from hiermlc.cli import main
-from hiermlc.config import load_config
+from hiermlc.config import load_config, synthetic_spec_theta
 from hiermlc.data import load_features_csv
 from hiermlc.evaluation import load_predictions_csv
 from hiermlc.model import load_checkpoint
-from hiermlc.pipeline import EnsembleModel, predict_unconditional
+from hiermlc.pipeline import EnsembleModel, hierarchical_ablation, predict_unconditional
+from hiermlc.policy import make_policy
 
 CHAIN_CSV = "name,parent,index\nA,,0\nB,A,1\n"
 ROOTS_CSV = "name,parent,index\nA,,0\nB,,1\n"
@@ -572,7 +573,6 @@ class TestSidecars:
             return result
 
         monkeypatch.setattr(csvio, "read_id_rows", parsed)
-        monkeypatch.setattr(data_mod, "read_coded_rows", parsed)
         monkeypatch.setattr(data_mod, "_read_label_rows", parsed)
         monkeypatch.setattr(data_mod, "read_sidecar", recorded)
         for command in ("train", "predict", "eval"):
@@ -1119,3 +1119,117 @@ class TestMalformedInput:
             assert main([command, "--config", str(config)]) == 2
             err = capsys.readouterr().err
             assert "member00_final.json" in err and f"['{key}']" in err
+
+
+def error_line(capsys):
+    """The one line a failed command printed, to stderr alone."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+class TestAblate:
+    """``ablate`` runs ``hierarchical_ablation`` on the config's synthetic
+    data and writes ``ablation.json``; failures exit as every command's do."""
+
+    def ablate(self, workspace, *flags, **overrides):
+        config = write_config(workspace, **overrides)
+        return main(["ablate", "--config", str(config), *flags])
+
+    def test_matches_direct_ablation(self, tmp_path, configs_dir):
+        config_path = configs_dir / "benchmark.json"
+        args = ["ablate", "--config", str(config_path), "--seeds", "1", "--out", str(tmp_path)]
+        assert main(args) == 0
+        payload = json.loads((tmp_path / "ablation.json").read_text())
+
+        config = load_config(config_path)
+        tree = config.load_tree()
+        syn = config.synthetic
+        direct = hierarchical_ablation(
+            tree,
+            synthetic_spec_theta(syn, tree),
+            [0],
+            n_train=syn.n_train,
+            n_eval=syn.n_eval,
+            uncertainty_rate=syn.uncertainty_rate,
+            smoothed_policy=make_policy("ones-lsr", config.lsr_ones, config.lsr_zeros),
+            hard_policy=make_policy("ones"),
+            optimizer=config.optimizer,
+            stage1_iterations=config.stage1_iterations,
+            stage2_iterations=config.stage2_iterations,
+            hidden_sizes=config.hidden_sizes,
+            feature_dim=syn.feature_dim,
+            feature_noise=syn.feature_noise,
+        )
+        assert payload == {
+            "seeds": [0],
+            "leaf_names": list(direct.leaf_names),
+            "conditional_by_seed": direct.conditional_by_seed,
+            "flat_by_seed": direct.flat_by_seed,
+            "mean_conditional": direct.mean_conditional,
+            "mean_flat": direct.mean_flat,
+            "delta": direct.delta,
+        }
+
+    def test_no_seeds_rejected(self, workspace, capsys):
+        for seeds in ("0", "-2"):
+            assert self.ablate(workspace, "--seeds", seeds) == 1
+            assert f"--seeds must be >= 1, got {int(seeds)}" in error_line(capsys)
+        assert self.ablate(workspace, "--seeds", "1", "--seed", "-1") == 1
+        assert "seed must be >= 0, got -1" in error_line(capsys)
+        assert not (workspace / "run").exists()
+
+    @pytest.mark.parametrize(
+        "text, message", [(None, "config file not found"), ("{", "bad.json")]
+    )
+    def test_config_error_is_one_error_line(self, tmp_path, capsys, text, message):
+        config = tmp_path / "bad.json"
+        if text is not None:
+            config.write_text(text)
+        assert main(["ablate", "--config", str(config)]) == 1
+        assert message in error_line(capsys)
+
+    def test_hierarchy_error_is_one_error_line(self, workspace, capsys):
+        synthetic = base_config("")["data"]["synthetic"]
+        data = {"synthetic": {**synthetic, "theta": {"A": 0.6, "id": 0.7}}}
+        hierarchy = "name,parent,index\nA,,0\nid,A,1\n"
+        assert self.ablate(workspace, hierarchy=hierarchy, data=data) == 2
+        assert "h.csv: label 'id' is the name of" in error_line(capsys)
+        assert not (workspace / "run").exists()
+
+    def test_single_class_eval_split_exits_two(self, workspace, capsys):
+        synthetic = base_config("")["data"]["synthetic"]
+        data = {"synthetic": {**synthetic, "theta": {"A": 0.6, "B": 0.0}}}
+        assert self.ablate(workspace, "--seeds", "1", data=data) == 2
+        assert "need both classes to sweep a curve, got 0 positives" in error_line(capsys)
+        assert not (workspace / "run").exists()
+
+    def test_learning_rate_underflow_exits_three(self, workspace, capsys):
+        optimizer = {"lr0": 1e-300, "decay_factor": 1e-300, "batch_size": 16}
+        flags = ("--seeds", "1")
+        code = self.ablate(
+            workspace, *flags, optimizer=optimizer, stage1_iterations=130, stage2_iterations=10
+        )
+        assert code == 3
+        assert "learning rate underflowed to 0" in error_line(capsys)
+        assert not (workspace / "run").exists()
+
+    def test_seeds_do_not_depend_on_each_other(self, workspace, capsys):
+        """A seed's AUCs are the same run alone or beside another seed, and
+        a rerun into a fresh directory writes the same bytes."""
+        # 66 steps are not whole 13-step epochs: the arms' epochs end apart
+        ragged = dict(stage1_iterations=66, stage2_iterations=30)
+        runs = {}
+        for name, first, count in (("pair", 0, 2), ("alone", 1, 1), ("again", 1, 1)):
+            out = str(workspace / name)
+            flags = ("--seed", str(first), "--seeds", str(count), "--out", out)
+            assert self.ablate(workspace, *flags, **ragged) == 0
+            runs[name] = (workspace / name / "ablation.json").read_bytes()
+        pair, alone = json.loads(runs["pair"]), json.loads(runs["alone"])
+        assert pair["seeds"] == [0, 1] and alone["seeds"] == [1]
+        for key in ("conditional_by_seed", "flat_by_seed"):
+            assert pair[key][1:] == alone[key]
+        assert runs["again"] == runs["alone"]
+        assert "seed  conditional      flat" in capsys.readouterr().out

@@ -757,16 +757,12 @@ def forbidden_parse(*args):
     raise AssertionError("the file was parsed or hashed")
 
 
-def label_outcome(path, tree, block=True):
-    """What ``load_labels_csv`` makes of a label file, by its sidecar or
-    the block path where they vouch for the file (``block``) or by the
-    checked loop alone: its result, code bytes included, or its error
-    message."""
-    fast = (csvio.read_coded_rows, csvio.read_sidecar) if block else (no_block_path, no_sidecar)
-    with (
-        mock.patch.object(data_mod, "read_coded_rows", fast[0]),
-        mock.patch.object(data_mod, "read_sidecar", fast[1]),
-    ):
+def label_outcome(path, tree, sidecar=True):
+    """What ``load_labels_csv`` makes of a label file, by its sidecar
+    where it vouches for the file (``sidecar``) or by the checked loop
+    alone: its result, code bytes included, or its error message."""
+    read = csvio.read_sidecar if sidecar else no_sidecar
+    with mock.patch.object(data_mod, "read_sidecar", read):
         try:
             labels, ids, metadata = data_mod.load_labels_csv(path, tree)
         except DataFormatError as exc:
@@ -775,15 +771,12 @@ def label_outcome(path, tree, block=True):
     return labels.dtype, labels.shape, labels.tobytes(), ids, metadata
 
 
-def no_block_path(*args):
-    return None
-
-
 def no_sidecar(*args):
     return None, None
 
 
 LABEL_CELLS = ("1.0", "0.0", "-1.0", "")
+CELL_CODES = dict(zip(LABEL_CELLS, (POS, NEG, UNC, MISSING)))
 META_TEXT = st.text("abcXYZ019 ._-#'\\\u00e9", max_size=6)
 
 
@@ -791,7 +784,7 @@ META_TEXT = st.text("abcXYZ019 ._-#'\\\u00e9", max_size=6)
 def canonical_label_files(draw):
     """A label file of canonical cells: the tree's labels in any column
     order among metadata columns (an id, a Path, others, a repeated
-    name), blank lines and a missing last newline; and a block size."""
+    name), blank lines and a missing last newline."""
     k = draw(st.integers(1, 4))
     tree = random_forest(np.random.default_rng(draw(st.integers(0, 99))), k)
     meta = draw(st.lists(st.sampled_from(["id", "Path", "Sex", "note", "id"]), max_size=3))
@@ -805,22 +798,26 @@ def canonical_label_files(draw):
         lines.insert(draw(st.integers(1, len(lines))), "\n")
     if draw(st.booleans()):
         lines[-1] = lines[-1].rstrip("\n")
-    return tree, "".join(lines), draw(st.sampled_from([1, 16, 64, csvio.LABEL_BLOCK_CHARS]))
+    return tree, "".join(lines), header, rows
 
 
 class TestLabelBlockReader:
-    """``load_labels_csv`` parses the files this package writes through
-    ``read_coded_rows`` and any other file through the checked loop; the
-    result is the checked loop's, or its ``DataFormatError`` message."""
+    """``load_labels_csv`` reads a file without a sidecar of its own
+    through the checked loop: the result is the loop's, or its
+    ``DataFormatError`` message."""
 
     @settings(max_examples=300, deadline=None)
     @given(file=canonical_label_files())
-    def test_canonical_files_take_the_block_path(self, tmp_path_factory, file):
-        tree, text, block_chars = file
+    def test_canonical_files_read_cell_by_cell(self, tmp_path_factory, file):
+        tree, text, header, rows = file
         path = write_text(tmp_path_factory.mktemp("l"), text)
-        with mock.patch.object(csvio, "LABEL_BLOCK_CHARS", block_chars):
-            assert csvio.read_coded_rows(path, tree.names, data_mod._CANONICAL_CELLS)
-            assert label_outcome(path, tree) == label_outcome(path, tree, block=False)
+        _, shape, codes, ids, metadata = label_outcome(path, tree)
+        columns = {c: tuple(row[header.index(c)] for row in rows) for c in header}
+        expected = [[CELL_CODES[cell] for cell in columns[name]] for name in tree.names]
+        assert shape == (len(rows), tree.K)
+        assert codes == np.array(expected, dtype=np.int8).T.tobytes()
+        assert metadata == {c: columns[c] for c in header if c not in tree.names}
+        assert ids == columns.get("Path", columns.get("id", data_mod.row_ids(len(rows))))
 
     @pytest.mark.parametrize(
         "text",
@@ -853,27 +850,30 @@ class TestLabelBlockReader:
             "",
         ],
     )
-    @pytest.mark.parametrize("block_chars", [1, csvio.LABEL_BLOCK_CHARS])
-    def test_same_as_checked_loop(self, tmp_path, text, block_chars):
+    # Each text replaces a package file of one row or of many, whose sidecar
+    # stays beside it: the header or the file's hash must refuse that sidecar.
+    @pytest.mark.parametrize("stale_rows", [1, 1 << 13])
+    def test_same_as_checked_loop(self, tmp_path, text, stale_rows):
         path = tmp_path / "t.csv"
+        labels = np.resize(np.array([POS, NEG, UNC, MISSING], dtype=np.int8), (stale_rows, 3))
+        write_labels_csv(path, labels, CHAIN, [f"r{i + 1}" for i in range(stale_rows)])
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
-        with mock.patch.object(csvio, "LABEL_BLOCK_CHARS", block_chars):
-            assert label_outcome(path, CHAIN) == label_outcome(path, CHAIN, block=False)
+        assert csvio.sidecar_path(path).exists()
+        assert label_outcome(path, CHAIN) == label_outcome(path, CHAIN, sidecar=False)
 
-    def test_package_files_take_the_block_path(self, tmp_path, monkeypatch):
-        """Read from the sidecar while it is there, else in blocks."""
+    def test_package_files_read_from_the_sidecar(self, tmp_path, monkeypatch):
+        """Read from the sidecar while it is there, else by the checked loop."""
         codes = np.array([POS, NEG, UNC, MISSING], dtype=np.int8)
         labels = codes[np.random.default_rng(5).integers(0, 4, size=(4000, 3))]
         ids = [f"row{i:05d}" for i in range(4000)]
         path = tmp_path / "l.csv"
         write_labels_csv(path, labels, CHAIN, ids)
-        expected = label_outcome(path, CHAIN, block=False)
+        expected = label_outcome(path, CHAIN, sidecar=False)
 
         def forbidden(*args):
             raise AssertionError(f"{args[0]} was parsed")
 
-        monkeypatch.setattr(data_mod, "_read_label_rows", forbidden)
-        with mock.patch.object(data_mod, "read_coded_rows", forbidden):
+        with mock.patch.object(data_mod, "_read_label_rows", forbidden):
             got = label_outcome(path, CHAIN)
         assert got == expected and got[2] == labels.tobytes() and got[3] == tuple(ids)
         assert got[4] == {"id": tuple(ids)}
@@ -903,7 +903,7 @@ class TestLabelSidecar:
                     continue
                 path.write_bytes(edited)
                 got = label_outcome(path, CHAIN)
-                assert got == label_outcome(path, CHAIN, block=False), (i, chr(byte))
+                assert got == label_outcome(path, CHAIN, sidecar=False), (i, chr(byte))
 
     @pytest.mark.parametrize("code", [2, -3, 127, -128])
     def test_code_outside_the_four_refused(self, tmp_path, code):
@@ -915,14 +915,14 @@ class TestLabelSidecar:
                 np.save(fh, array)
         assert csvio.read_sidecar(path, np.int8)[0][2].tobytes() == bad.tobytes()
         got = label_outcome(path, CHAIN)
-        assert got == label_outcome(path, CHAIN, block=False)
+        assert got == label_outcome(path, CHAIN, sidecar=False)
         assert got[2] == labels.tobytes()
 
     def test_other_tree_order_reads_the_columns_by_name(self, tmp_path):
         path, labels = self.written(tmp_path)
         reordered = build_tree([("B", "A", 0), ("A", None, 1), ("C", "B", 2)])
         got = label_outcome(path, reordered)
-        assert got == label_outcome(path, reordered, block=False)
+        assert got == label_outcome(path, reordered, sidecar=False)
         assert got[2] == labels[:, [1, 0, 2]].tobytes()
 
     def test_float_and_label_sidecars_are_not_mixed_up(self, tmp_path):
@@ -950,14 +950,14 @@ class TestLabelSidecar:
         ]:
             write_labels_csv(path, labels, CHAIN, ids_arg, metadata)
             assert sidecar.exists() == kept
-            assert label_outcome(path, CHAIN) == label_outcome(path, CHAIN, block=False)
+            assert label_outcome(path, CHAIN) == label_outcome(path, CHAIN, sidecar=False)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv"]
 
     def test_labels_of_another_dtype_get_an_int8_sidecar(self, tmp_path, monkeypatch):
         path = tmp_path / "l.csv"
         labels = np.asfortranarray(np.resize(np.array([1, 0, -1, -2]), (4, 3)))
         write_labels_csv(path, labels, CHAIN, ["a", "b", "c", "d"])
-        monkeypatch.setattr(data_mod, "read_coded_rows", forbidden_parse)
+        monkeypatch.setattr(data_mod, "_read_label_rows", forbidden_parse)
         got, ids, metadata = load_labels_csv(path, CHAIN)
         assert got.dtype == np.int8 and got.tobytes() == labels.astype(np.int8).tobytes()
         assert ids == ("a", "b", "c", "d") and metadata == {"id": ids}

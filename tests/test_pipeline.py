@@ -455,6 +455,10 @@ class TestAblation:
             result.mean_conditional - result.mean_flat
         )
 
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            hierarchical_ablation(PAIR, PAIR_SPEC.theta, [], **ABLATION_ARGS)
+
     def test_uncertainty_injection_feeds_through(self):
         # sanity on the helper the ablation relies on
         data = generate_synthetic(PAIR_SPEC, 400, 9)
