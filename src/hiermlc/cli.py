@@ -8,8 +8,8 @@ byte-identical files.
 
 ``ablate`` trains conditional ``ones-lsr`` against flat ``ones`` on
 fresh synthetic data for ``--seeds`` seeds from ``--seed`` on, and
-writes their leaf AUCs to ``ablation.json``; its two arms are fixed, so
-it takes no ``--mode`` or ``--policy``.
+writes their leaf AUCs with the effective config to ``ablation.json``;
+its two arms are fixed, so it takes no ``--mode`` or ``--policy``.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure during training.
@@ -94,7 +94,20 @@ def _effective_config(args) -> RunConfig:
     config = load_config(args.config)
     flags = dict(seed=args.seed, out=args.out, mode=args.mode, policy_name=args.policy)
     updates = {field: value for field, value in flags.items() if value is not None}
-    return replace(config, **updates) if updates else config
+    config = replace(config, **updates) if updates else config
+    _check_out(config.out)
+    return config
+
+
+def _check_out(out: str) -> None:
+    """Reject an output directory that names a file or lies under one,
+    before a command does any work."""
+    path = Path(out)
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ConfigError(f"output directory {out}: {existing} is not a directory")
+            return
 
 
 def _out_dir(config: RunConfig, create: bool = True) -> Path:
@@ -566,6 +579,7 @@ def cmd_ablate(args) -> int:
     print(f"delta (conditional - flat): {result.delta:+.6f}")
 
     payload = {
+        "config": config_to_dict(config),
         "seeds": seeds,
         "leaf_names": list(result.leaf_names),
         "conditional_by_seed": result.conditional_by_seed,

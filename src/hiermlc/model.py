@@ -8,12 +8,13 @@ and cross-run comparisons stay tight.
 A model's parameters are one flat vector with per-layer views.  The
 same ``Mlp`` over an (M, P) buffer is a member stack, which the forward
 pass, the loss and backprop accept with a leading member axis; Adam
-updates one member's flat row at a time.  The training engine binds
-each member's Adam state to the member's gradient row when the member
-enters a phase (``AdamState.bind``), so every update runs on views built
-once; the engine checks the whole (M, P) gradient buffer for finite
-values once a pass, and ``adam_step`` checks only gradients it is not
-bound to.
+updates one member's flat row at a time.  Each kernel has the one
+calling form the training engine uses: ``masked_bce`` writes the output
+delta, ``backward`` propagates it from the forward trace into a gradient
+buffer, and ``adam_step`` updates on the views ``AdamState.bind`` built
+over the member's gradient row when the member entered its phase.  The
+engine checks the whole (M, P) gradient buffer for finite values once a
+pass, so the kernels check none.
 
 Training runs thousands of steps on arrays of a few thousand cells, so
 numpy's cost per call, not arithmetic, sets the step time.  The step
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import seeding
-from .errors import DataFormatError, NumericError
+from .errors import DataFormatError
 
 # Probabilities are clamped away from {0, 1} inside the loss so targets
 # of 0/1 can never produce infinite cross-entropy.
@@ -253,11 +254,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / d, e / d)
 
 
-def _row_counts(mask: np.ndarray) -> np.ndarray:
-    """Masked-in cells per row, as exact float64 integers."""
-    return mask @ np.ones(mask.shape[-1])
-
-
 def check_finite(x: np.ndarray) -> None:
     """Reject inputs holding NaN or infinity."""
     if not np.all(np.isfinite(x)):
@@ -288,59 +284,30 @@ def forward_trace(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return h, activations
 
 
-def _output_delta(
-    probs: np.ndarray,
-    targets: np.ndarray,
-    mask: np.ndarray,
-    safe_counts: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """d(masked_bce)/d(logit) into ``out``, from the loss's ``max(counts, 1)``.
-
-    (p - y) / (max(counts, 1) * N) inside the clamp band, 0 where clamped
-    (the clamped loss is flat there) or masked out.  The band test is
-    ``PROB_CLAMP < p < 1 - PROB_CLAMP``, so a NaN probability is zeroed too.
-    """
-    np.subtract(probs, targets, out=out)
-    kept = probs > PROB_CLAMP
-    kept &= probs < 1.0 - PROB_CLAMP
-    kept &= mask
-    np.putmask(out, ~kept, 0.0)
-    # an empty row's delta is all zeros, so its scale only has to be finite
-    out *= (1.0 / (safe_counts * probs.shape[-2]))[..., None]
-    return out
-
-
 def masked_bce(
     probs: np.ndarray,
     targets: np.ndarray,
     mask: np.ndarray,
-    delta: np.ndarray | None = None,
+    delta: np.ndarray,
 ) -> float | np.ndarray:
     """Masked soft-target cross-entropy, averaged per example.
 
     Per example: -(1/|mask|) * sum over masked-in labels of
     y*ln(p) + (1-y)*ln(1-p), with p clamped to [PROB_CLAMP, 1-PROB_CLAMP];
-    0 when the example's mask is empty.  Batches return the mean over
-    examples; (M, N, K) member-stacked batches return the (M,) per-member
-    means.  ``delta``, an array of ``probs``' shape, receives the gradient
-    of the returned loss with respect to the output logits, which
-    ``backward`` takes instead of deriving it again.
+    0 when the example's mask is empty.  An (N, K) batch returns the mean
+    over examples; an (M, N, K) member-stacked batch returns the (M,)
+    per-member means.  ``delta``, an array of ``probs``' shape, receives
+    the gradient of the returned loss with respect to the output logits,
+    which ``backward`` propagates.
     """
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    if probs.shape != targets.shape or probs.shape != mask.shape or (
-        delta is not None and delta.shape != probs.shape
-    ):
+    if probs.ndim < 2 or not probs.shape == targets.shape == mask.shape == delta.shape:
         raise ValueError(
             f"shape mismatch: probs {probs.shape}, targets {targets.shape}, "
-            f"mask {mask.shape}"
-            + ("" if delta is None else f", delta {delta.shape}")
+            f"mask {mask.shape}, delta {delta.shape}; need (N, K) or (M, N, K)"
         )
-    if probs.ndim == 1:
-        probs, targets, mask = probs[None], targets[None], mask[None]
-        delta = None if delta is None else delta[None]
     p = np.maximum(probs, PROB_CLAMP)
     np.minimum(p, 1.0 - PROB_CLAMP, out=p)
     terms = np.log(p)
@@ -350,148 +317,105 @@ def masked_bce(
     p *= 1.0 - targets
     terms += p
     np.putmask(terms, ~mask, 0.0)
-    counts = _row_counts(mask)
+    counts = mask @ np.ones(mask.shape[-1])  # exact float64 integers
     safe_counts = np.maximum(counts, 1.0)
     per_example = np.add.reduce(terms, axis=-1)
     np.negative(per_example, out=per_example)
     per_example /= safe_counts
     per_example[counts == 0.0] = 0.0
     loss = np.add.reduce(per_example, axis=-1) / per_example.shape[-1]  # the mean
-    if delta is not None:
-        _output_delta(probs, targets, mask, safe_counts, delta)
-    return float(loss) if loss.ndim == 0 else loss
+    # The delta is (p - y) / (max(counts, 1) * N) inside the clamp band, 0
+    # where clamped (the clamped loss is flat there) or masked out.  The
+    # band test is PROB_CLAMP < p < 1 - PROB_CLAMP, so a NaN p is zeroed too.
+    np.subtract(probs, targets, out=delta)
+    kept = probs > PROB_CLAMP
+    kept &= probs < 1.0 - PROB_CLAMP
+    kept &= mask
+    np.putmask(delta, ~kept, 0.0)
+    # an empty row's delta is all zeros, so its scale only has to be finite
+    delta *= (1.0 / (safe_counts * probs.shape[-2]))[..., None]
+    return loss
 
 
 def backward(
     model: Mlp,
-    x: np.ndarray,
-    targets: np.ndarray,
-    mask: np.ndarray,
-    trace: tuple[np.ndarray, list[np.ndarray]] | None = None,
-    out: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    delta: np.ndarray | None = None,
+    trace: tuple[np.ndarray, list[np.ndarray]],
+    delta: np.ndarray,
+    out: list[tuple[np.ndarray, np.ndarray]],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact gradients of masked_bce(forward(x)) w.r.t. every parameter.
+    """Exact gradients of masked_bce w.r.t. every parameter, into ``out``.
 
-    Frozen layers still get gradients; freezing acts at the update.
-    Returns [(dW, db)] matching model layers.  A member stack takes
-    (M, N, *) inputs and gives (M, in, out) and (M, out) gradients.
-    ``trace`` reuses a ``forward_trace`` result of the same inputs instead
-    of running the forward pass again; ``out`` names per-layer arrays
-    (such as ``layer_views`` of a gradient buffer) to write into.
-    ``delta`` is the output delta ``masked_bce`` wrote for this trace,
-    targets and mask; given it, backward reads neither and only
-    backpropagates it, leaving it unchanged.
+    ``trace`` is the ``forward_trace`` result whose probabilities
+    ``masked_bce`` scored, and ``delta`` the output delta it wrote; backward
+    propagates that delta and leaves it unchanged.  ``out`` holds one
+    (dW, db) pair of arrays per layer, such as ``layer_views`` of a
+    gradient buffer, and is returned filled.  A member stack takes (M, N, *)
+    traces and (M, in, out) and (M, out) arrays.  Frozen layers still get
+    gradients; freezing acts at the update.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
-    if trace is None:
-        check_finite(x)
-        trace = forward_trace(model, x)
-    probs, activations = trace
-    if delta is None:
-        targets = np.asarray(targets, dtype=np.float64)
-        mask = np.asarray(mask, dtype=bool)
-        if single:
-            targets, mask = targets[None], mask[None]
-        safe_counts = np.maximum(_row_counts(mask), 1.0)
-        delta = _output_delta(probs, targets, mask, safe_counts, np.empty_like(probs))
-    elif single:
-        delta = delta[None]
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * model.n_layers  # type: ignore
+    activations = trace[1]
     for i in range(model.n_layers - 1, -1, -1):
-        dw, db = out[i] if out is not None else (None, None)
-        grads[i] = (
-            np.matmul(activations[i].swapaxes(-1, -2), delta, out=dw),
-            np.add.reduce(delta, axis=-2, out=db),
-        )
+        dw, db = out[i]
+        np.matmul(activations[i].swapaxes(-1, -2), delta, out=dw)
+        np.add.reduce(delta, axis=-2, out=db)
         if i > 0:
             delta = delta @ model.weights[i].swapaxes(-1, -2)
             # the ReLU gate as 1.0/0.0: a float factor skips a cast per call
             delta *= np.greater(activations[i], 0.0, out=np.empty_like(delta))
-    return grads
+    return out
 
 
 @dataclass
 class AdamState:
     """First/second moments in the layout of ``params``, plus the step count.
 
-    ``grads`` and ``spans`` are set by ``bind``: the gradient array the
-    state is bound to and the update's views of it.
+    ``spans`` holds the update's views, which ``bind`` builds; it is None
+    until then.
     """
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    grads: np.ndarray | None = field(default=None, repr=False, compare=False)
-    spans: tuple = field(default=(), repr=False, compare=False)
-
-    @classmethod
-    def init(cls, model: Mlp) -> "AdamState":
-        return cls(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
+    spans: tuple | None = field(default=None, repr=False, compare=False)
 
     def bind(self, model: Mlp, grads: np.ndarray) -> None:
-        """Build the views ``adam_step`` uses whenever it is given ``grads``.
+        """Build the views ``adam_step`` updates on.
 
-        ``grads`` is a flat gradient vector in the layout of
-        ``model.params``, which the caller refills before each step and
+        Per contiguous span of the model's unfrozen layers: views of the
+        params, both moments and ``grads``, and two scratch vectors of the
+        span's length.  ``grads`` is a flat gradient vector in the layout
+        of ``model.params``, which the caller refills before each step and
         checks for finite values itself.  Bind again after the model's
         frozen flags change.
         """
-        self.grads = grads
-        self.spans = _adam_spans(model, self, grads)
+        self.spans = tuple(
+            (model.params[s], self.m[s], self.v[s], grads[s], *np.empty((2, s.stop - s.start)))
+            for s in _trainable_spans(model.layer_sizes, tuple(model.frozen))
+        )
 
 
-def _adam_spans(model: Mlp, state: AdamState, grads: np.ndarray) -> tuple:
-    """Per contiguous span of unfrozen layers: views of the params, both
-    moments and ``grads``, and two scratch vectors of the span's length."""
-    return tuple(
-        (model.params[s], state.m[s], state.v[s], grads[s], *np.empty((2, s.stop - s.start)))
-        for s in _trainable_spans(model.layer_sizes, tuple(model.frozen))
-    )
-
-
-def adam_step(
-    model: Mlp,
-    state: AdamState,
-    grads: list[tuple[np.ndarray, np.ndarray]] | np.ndarray,
-    config: OptimizerConfig,
-    lr: float,
-) -> tuple[Mlp, AdamState]:
+def adam_step(state: AdamState, config: OptimizerConfig, lr: float) -> None:
     """One bias-corrected Adam update in place; frozen layers untouched.
 
-    ``grads`` is backward's [(dW, db)] list, or one flat vector in the
-    layout of ``model.params``.  Given the very array ``state`` is bound
-    to, the update runs on the views and scratch ``AdamState.bind`` built
-    and checks nothing: the training engine binds each member's gradient
-    row as the member enters a phase, and checks the pass's whole
-    gradient buffer once before any member's step.  Other gradients are
-    checked for finite values here and get their views for this call.
-    The update runs once per contiguous span of unfrozen layers, a few
-    in-place vector operations however many layers the span covers.  Its
-    results are bit-equal to the textbook form m_hat = m / (1 - beta1**t),
-    v_hat = v / (1 - beta2**t), params -= lr * m_hat / (sqrt(v_hat) + epsilon).
+    The update runs on the views and scratch ``AdamState.bind`` built, so
+    it reads the gradients the bound array holds now and checks nothing:
+    the training engine binds each member's gradient row as the member
+    enters a phase, and checks the pass's whole gradient buffer once
+    before any member's step.  It runs once per contiguous span of
+    unfrozen layers, a few in-place vector operations however many layers
+    the span covers.  Its results are bit-equal to the textbook form
+    m_hat = m / (1 - beta1**t), v_hat = v / (1 - beta2**t),
+    params -= lr * m_hat / (sqrt(v_hat) + epsilon).
     """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
-    if state.grads is not None and grads is state.grads:
-        spans = state.spans
-    else:
-        if not isinstance(grads, np.ndarray):
-            if len(grads) != model.n_layers:
-                raise ValueError("gradient list does not match model layers")
-            grads = _pack(*zip(*grads))
-        if not np.isfinite(grads).all():
-            raise NumericError("non-finite gradient")
-        spans = _adam_spans(model, state, grads)
+    if state.spans is None:
+        raise ValueError("Adam state is not bound to a gradient array")
     state.t += 1
     beta1, beta2 = config.beta1, config.beta2
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for params, m, v, g, step, denom in spans:
+    for params, m, v, g, step, denom in state.spans:
         np.multiply(1.0 - beta1, g, out=step)
         m *= beta1
         m += step
@@ -506,7 +430,6 @@ def adam_step(
         denom += config.epsilon
         step /= denom
         params -= step
-    return model, state
 
 
 def freeze_all_but_last(model: Mlp) -> Mlp:

@@ -158,7 +158,6 @@ def _train_stack(
     mask = np.empty(targets.shape, dtype=bool)
     grads = np.zeros_like(stack.params)
     grad_views = layer_views(grads, stack.layer_sizes)
-    grad_rows = list(grads)  # the arrays each member's Adam state is bound to
     moments = np.zeros((2, *stack.params.shape))
     states = [AdamState(m=moments[0, k], v=moments[1, k]) for k in range(n_members)]
     # Batches are gathered by ``take`` from 2-D views.  Member k's row r
@@ -197,7 +196,7 @@ def _train_stack(
         mask[k] = phase.mask
         moments[:, k] = 0.0
         states[k].t = 0
-        states[k].bind(members[k], grad_rows[k])
+        states[k].bind(members[k], grads[k])
         stage[k], start[k], epoch[k] = phase.stage, step, -1
 
     def reject(what: str, group: list[int], finite: np.ndarray, step: int) -> NoReturn:
@@ -223,13 +222,13 @@ def _train_stack(
         loss = masked_bce(trace[0], t, m, delta)
         if not np.isfinite(loss).all():
             reject("loss", group, np.isfinite(loss), step)
-        backward(model, x, t, m, trace, views, delta)
+        backward(model, trace, delta, views)
         if not np.isfinite(g).all():
             reject("gradient", group, np.isfinite(g).all(axis=-1), step)
         if g is not grads:
             grads[group] = g
         for k in group:
-            adam_step(members[k], states[k], grad_rows[k], optimizer, lr[k])
+            adam_step(states[k], optimizer, lr[k])
         losses[idx, pos[idx]] = loss[:, None]
         cols += batch
 

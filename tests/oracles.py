@@ -20,16 +20,7 @@ import numpy as np
 
 from hiermlc.hierarchy import LabelTree, build_tree
 from hiermlc import seeding
-from hiermlc.model import (
-    PROB_CLAMP,
-    AdamState,
-    Mlp,
-    OptimizerConfig,
-    adam_step,
-    backward,
-    lr_schedule,
-    masked_bce,
-)
+from hiermlc.model import PROB_CLAMP, AdamState, Mlp, OptimizerConfig
 
 
 def enumerate_marginals(tree: LabelTree, cond: np.ndarray) -> np.ndarray:
@@ -109,7 +100,7 @@ def finite_difference_grads(
     """Central-difference loss gradients for every weight and bias."""
 
     def loss_at(m: Mlp) -> float:
-        return masked_bce(m.forward(x), targets, mask)
+        return where_masked_bce(plain_forward_trace(m, x)[0], targets, mask)
 
     grads = []
     for i in range(model.n_layers):
@@ -164,43 +155,6 @@ def scalar_adam(
     return w, history
 
 
-def sequential_training(
-    model: Mlp,
-    features: np.ndarray,
-    targets: np.ndarray,
-    mask: np.ndarray,
-    optimizer: OptimizerConfig,
-    iterations: int,
-    seed: int,
-) -> list[tuple[int, float]]:
-    """One model, one batch at a time, through the public model API.
-
-    Runs the forward pass on its own and again inside ``backward``, and
-    hands Adam per-layer gradient lists.  Returns (epoch, mean step
-    loss) rows; the model is updated in place.
-    """
-    n = features.shape[0]
-    epoch_len = math.ceil(n / optimizer.batch_size)
-    state = AdamState.init(model)
-    rows_out: list[tuple[int, float]] = []
-    losses: list[float] = []
-    for step in range(iterations):
-        epoch, pos = divmod(step, epoch_len)
-        if pos == 0:
-            if losses:
-                rows_out.append((epoch - 1, float(np.mean(losses))))
-            losses = []
-            order = seeding.stream(seeding.PURPOSE_SHUFFLE, seed, epoch).permutation(n)
-        rows = order[pos * optimizer.batch_size : (pos + 1) * optimizer.batch_size]
-        x, t, m = features[rows], targets[rows], mask[rows]
-        losses.append(masked_bce(model.forward(x), t, m))
-        grads = backward(model, x, t, m)
-        adam_step(model, state, grads, optimizer, lr_schedule(optimizer, epoch))
-    if losses:
-        rows_out.append((epoch, float(np.mean(losses))))
-    return rows_out
-
-
 # ---------------------------------------------------------------------------
 # Step kernels in their plain forms: a sigmoid split by sign with boolean
 # gathers, np.where masking, a fresh array for every intermediate.
@@ -226,8 +180,6 @@ def plain_forward_trace(model: Mlp, x: np.ndarray):
 
 
 def where_masked_bce(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray):
-    if probs.ndim == 1:
-        probs, targets, mask = probs[None], targets[None], mask[None]
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     terms = targets * np.log(p) + (1.0 - targets) * np.log1p(-p)
     counts = mask.sum(axis=-1)
@@ -281,6 +233,47 @@ def allocating_adam_step(
             v_hat = v / bc2
             model.params[start:stop] -= lr * m_hat / (np.sqrt(v_hat) + config.epsilon)
         start = stop
+
+
+def sequential_training(
+    model: Mlp,
+    features: np.ndarray,
+    targets: np.ndarray,
+    mask: np.ndarray,
+    optimizer: OptimizerConfig,
+    iterations: int,
+    seed: int,
+) -> list[tuple[int, float]]:
+    """One model, one batch at a time, through the plain kernels above.
+
+    Calls no training kernel of ``hiermlc.model``: each step runs
+    ``plain_forward_trace``, ``where_masked_bce``, ``where_backward`` and
+    ``allocating_adam_step`` on freshly allocated arrays.  Returns
+    (epoch, mean step loss) rows; the model is updated in place.
+    """
+    n = features.shape[0]
+    epoch_len = math.ceil(n / optimizer.batch_size)
+    state = AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
+    rows_out: list[tuple[int, float]] = []
+    losses: list[float] = []
+    for step in range(iterations):
+        epoch, pos = divmod(step, epoch_len)
+        if pos == 0:
+            if losses:
+                rows_out.append((epoch - 1, float(np.mean(losses))))
+            losses = []
+            order = seeding.stream(seeding.PURPOSE_SHUFFLE, seed, epoch).permutation(n)
+        rows = order[pos * optimizer.batch_size : (pos + 1) * optimizer.batch_size]
+        x, t, m = features[rows], targets[rows], mask[rows]
+        trace = plain_forward_trace(model, x)
+        losses.append(where_masked_bce(trace[0], t, m))
+        grads = where_backward(model, t, m, trace)
+        flat = np.concatenate([a.ravel() for pair in grads for a in pair])
+        lr = optimizer.lr0 * optimizer.decay_factor**epoch
+        allocating_adam_step(model, state, flat, optimizer, lr)
+    if losses:
+        rows_out.append((epoch, float(np.mean(losses))))
+    return rows_out
 
 
 # ---------------------------------------------------------------------------

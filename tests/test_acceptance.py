@@ -23,7 +23,14 @@ from hiermlc.data import (
 )
 from hiermlc.evaluation import DEFAULT_AUC_SUBSET, OperatingPoint, auc, reader_study
 from hiermlc.hierarchy import build_tree, propagate
-from hiermlc.model import Mlp, backward, load_checkpoint
+from hiermlc.model import (
+    Mlp,
+    backward,
+    forward_trace,
+    layer_views,
+    load_checkpoint,
+    masked_bce,
+)
 from hiermlc.pipeline import (
     EnsembleModel,
     TrainPlan,
@@ -113,7 +120,11 @@ def test_criterion_03_gradients_match_finite_differences():
             continue
         targets = rng.random((n, model.output_dim))
         mask = rng.random((n, model.output_dim)) < 0.7
-        analytic = backward(model, x, targets, mask)
+        trace = forward_trace(model, x)
+        delta = np.empty_like(trace[0])
+        masked_bce(trace[0], targets, mask, delta)
+        out = layer_views(np.empty_like(model.params), model.layer_sizes)
+        analytic = backward(model, trace, delta, out)
         numeric = finite_difference_grads(model, x, targets, mask, h=1e-5)
         worst = max(worst, max_relative_gradient_error(analytic, numeric))
         accepted += 1

@@ -13,7 +13,7 @@ from hiermlc import cli, csvio
 from hiermlc import data as data_mod
 from hiermlc import evaluation as eval_mod
 from hiermlc.cli import main
-from hiermlc.config import load_config, synthetic_spec_theta
+from hiermlc.config import config_to_dict, load_config, synthetic_spec_theta
 from hiermlc.data import load_features_csv
 from hiermlc.evaluation import load_predictions_csv
 from hiermlc.model import load_checkpoint
@@ -103,6 +103,25 @@ class TestUsageErrors:
         assert main(["gen", "--config", str(config), "--seed", "-1"]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (workspace / "run").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "train", "ablate", "predict", "eval"])
+    def test_out_that_is_or_lies_under_a_file_exits_one(
+        self, workspace, capsys, monkeypatch, command
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("trained despite an unusable output directory")
+
+        monkeypatch.setattr(cli, "train_ensemble", forbidden)
+        monkeypatch.setattr(cli, "hierarchical_ablation", forbidden)
+        config = write_config(workspace)
+        blocker = workspace / "afile"
+        blocker.write_text("kept\n")
+        for out in (blocker, blocker / "x"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 1
+            line = error_line(capsys)
+            assert line == f"error: output directory {out}: {blocker} is not a directory"
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in workspace.iterdir()) == ["afile", "c.json", "h.csv"]
 
 
 class TestGen:
@@ -1164,6 +1183,7 @@ class TestAblate:
             feature_noise=syn.feature_noise,
         )
         assert payload == {
+            "config": config_to_dict(config),
             "seeds": [0],
             "leaf_names": list(direct.leaf_names),
             "conditional_by_seed": direct.conditional_by_seed,
@@ -1172,6 +1192,24 @@ class TestAblate:
             "mean_flat": direct.mean_flat,
             "delta": direct.delta,
         }
+
+    def test_records_its_config_beside_another_run(self, tmp_path, configs_dir):
+        """``ablate`` under config b into a run directory that ``gen`` and
+        ``train`` filled under config a, which differs in ``optimizer.lr0``:
+        ``ablation.json`` names b's config, and ``config.json`` still a's."""
+        config_a = chain_config(tmp_path, configs_dir, "a.json")
+        raw = json.loads(config_a.read_text())
+        raw["optimizer"]["lr0"] = 0.02
+        config_b = tmp_path / "b.json"
+        config_b.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        for command, config in (("gen", config_a), ("train", config_a), ("ablate", config_b)):
+            flags = ("--seeds", "1") if command == "ablate" else ()
+            assert main([command, "--config", str(config), "--out", str(out), *flags]) == 0
+        recorded = json.loads((out / "ablation.json").read_text())["config"]
+        assert recorded == config_to_dict(load_config(config_b))
+        assert recorded["optimizer"]["lr0"] == 0.02
+        assert json.loads((out / "config.json").read_text())["optimizer"]["lr0"] == 0.01
 
     def test_no_seeds_rejected(self, workspace, capsys):
         for seeds in ("0", "-2"):

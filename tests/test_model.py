@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermlc.errors import DataFormatError, NumericError
+from hiermlc.errors import DataFormatError
 from hiermlc.model import (
     PROB_CLAMP,
     _sigmoid,
@@ -46,6 +46,34 @@ def random_batch(rng, model, n=6):
     targets = rng.random((n, model.output_dim))
     mask = rng.random((n, model.output_dim)) < 0.7
     return x, targets, mask
+
+
+def loss_of(probs, targets, mask):
+    """masked_bce's loss, its output delta written to scratch."""
+    return masked_bce(probs, targets, mask, np.empty(np.shape(probs)))
+
+
+def gradients(model, x, targets, mask, buffer=None):
+    """Gradients of masked_bce(forward(x)) through the engine's kernel
+    chain, as per-layer views of ``buffer`` (a fresh one by default)."""
+    trace = forward_trace(model, x)
+    delta = np.empty_like(trace[0])
+    masked_bce(trace[0], targets, mask, delta)
+    if buffer is None:
+        buffer = np.empty_like(model.params)
+    return backward(model, trace, delta, layer_views(buffer, model.layer_sizes))
+
+
+def fresh_adam(model):
+    """Zero Adam moments in the layout of ``model.params``, unbound."""
+    return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
+
+
+def bound_adam(model):
+    """A fresh Adam state bound to a zeroed gradient row of ``model``."""
+    state, grads = fresh_adam(model), np.zeros_like(model.params)
+    state.bind(model, grads)
+    return state, grads
 
 
 class TestOptimizerConfig:
@@ -143,20 +171,18 @@ class TestMlp:
 
 class TestMaskedBce:
     def test_half_probability_single_label(self):
-        loss = masked_bce(
-            np.array([0.5]), np.array([0.5]), np.array([True])
-        )
+        loss = loss_of(np.array([[0.5]]), np.array([[0.5]]), np.array([[True]]))
         assert loss == pytest.approx(math.log(2), abs=1e-15)
 
     def test_empty_mask_zero(self):
-        loss = masked_bce(
+        loss = loss_of(
             np.array([[0.3, 0.9]]), np.array([[1.0, 0.0]]), np.zeros((1, 2), bool)
         )
         assert loss == 0.0
 
     def test_clamp_keeps_loss_finite(self):
-        loss = masked_bce(
-            np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([True, True])
+        loss = loss_of(
+            np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]), np.array([[True, True]])
         )
         assert math.isfinite(loss)
         assert loss == pytest.approx(-math.log(PROB_CLAMP), rel=1e-6)
@@ -168,11 +194,14 @@ class TestMaskedBce:
         mask = rng.random((3, 4)) < 0.5
         garbage = targets.copy()
         garbage[~mask] = rng.random((~mask).sum())
-        assert masked_bce(probs, targets, mask) == masked_bce(probs, garbage, mask)
+        assert loss_of(probs, targets, mask) == loss_of(probs, garbage, mask)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            masked_bce(np.zeros(2), np.zeros(3), np.zeros(3, bool))
+            loss_of(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 3), bool))
+        # a single example is a (1, K) batch
+        with pytest.raises(ValueError, match=r"need \(N, K\) or \(M, N, K\)"):
+            loss_of(np.zeros(3), np.zeros(3), np.zeros(3, bool))
 
     def test_matches_high_precision_sum(self):
         # recompute every term with 50-digit arithmetic
@@ -194,14 +223,14 @@ class TestMaskedBce:
                     total += y * mpmath.log(p) + (1 - y) * mpmath.log(1 - p)
                 per_example.append(-total / int(cols.size))
             expected = float(sum(per_example) / 5)
-        assert masked_bce(probs, targets, mask) == pytest.approx(expected, rel=1e-12)
+        assert loss_of(probs, targets, mask) == pytest.approx(expected, rel=1e-12)
 
 
 class TestBackward:
     def test_empty_mask_zero_grads(self):
         model = small_model()
         x = np.zeros((2, 4))
-        grads = backward(model, x, np.zeros((2, 3)), np.zeros((2, 3), bool))
+        grads = gradients(model, x, np.zeros((2, 3)), np.zeros((2, 3), bool))
         for dw, db in grads:
             assert (dw == 0).all() and (db == 0).all()
 
@@ -209,7 +238,7 @@ class TestBackward:
         # single sigmoid unit with p == target: output-layer gradient vanishes
         model = Mlp([np.zeros((1, 1))], [np.zeros(1)])
         x = np.array([[1.0]])
-        grads = backward(model, x, np.array([[0.5]]), np.array([[True]]))
+        grads = gradients(model, x, np.array([[0.5]]), np.array([[True]]))
         np.testing.assert_allclose(grads[0][0], 0.0, atol=1e-16)
         np.testing.assert_allclose(grads[0][1], 0.0, atol=1e-16)
 
@@ -218,7 +247,7 @@ class TestBackward:
         for sizes in ((4, 5, 3), (3, 4, 4, 2), (2, 2)):
             model = small_model(seed=int(rng.integers(1 << 30)), sizes=sizes)
             x, targets, mask = random_batch(rng, model, n=4)
-            analytic = backward(model, x, targets, mask)
+            analytic = gradients(model, x, targets, mask)
             numeric = finite_difference_grads(model, x, targets, mask, h=1e-5)
             assert max_relative_gradient_error(analytic, numeric) < 1e-4
 
@@ -229,7 +258,7 @@ class TestBackward:
         garbage = targets.copy()
         garbage[~mask] = rng.random((~mask).sum())
         for (dw1, db1), (dw2, db2) in zip(
-            backward(model, x, targets, mask), backward(model, x, garbage, mask)
+            gradients(model, x, targets, mask), gradients(model, x, garbage, mask)
         ):
             np.testing.assert_array_equal(dw1, dw2)
             np.testing.assert_array_equal(db1, db2)
@@ -241,32 +270,28 @@ class TestAdam:
 
     def test_zero_gradient_noop(self):
         model = small_model()
-        before = [w.copy() for w in model.weights]
-        state = AdamState.init(model)
-        zeros = [(np.zeros_like(w), np.zeros_like(b))
-                 for w, b in zip(model.weights, model.biases)]
-        adam_step(model, state, zeros, self.config(), lr=0.1)
+        before = model.params.copy()
+        state, _ = bound_adam(model)
+        adam_step(state, self.config(), lr=0.1)
         assert state.t == 1
-        for w, old in zip(model.weights, before):
-            np.testing.assert_array_equal(w, old)
+        np.testing.assert_array_equal(model.params, before)
 
     def test_first_step_is_signed_lr(self):
         model = Mlp([np.array([[1.0]])], [np.array([0.0])])
-        state = AdamState.init(model)
-        grads = [(np.array([[0.25]]), np.array([0.0]))]
-        adam_step(model, state, grads, self.config(epsilon=1e-12), lr=0.01)
+        state, grads = bound_adam(model)
+        grads[0] = 0.25  # dW; db stays 0
+        adam_step(state, self.config(epsilon=1e-12), lr=0.01)
         # bias-corrected first step approaches -lr * sign(g)
         assert model.weights[0][0, 0] == pytest.approx(1.0 - 0.01, rel=1e-6)
 
     def test_quadratic_convergence_matches_scalar_recurrence(self):
         model = Mlp([np.array([[0.0]])], [np.array([0.0])])
-        state = AdamState.init(model)
+        state, grads = bound_adam(model)
         cfg = self.config()
         trajectory = []
         for _ in range(200):
-            w = model.weights[0][0, 0]
-            grads = [(np.array([[2.0 * (w - 3.0)]]), np.array([0.0]))]
-            adam_step(model, state, grads, cfg, lr=0.1)
+            grads[0] = 2.0 * (model.weights[0][0, 0] - 3.0)
+            adam_step(state, cfg, lr=0.1)
             trajectory.append(model.weights[0][0, 0])
         w_final, oracle_history = scalar_adam(
             lambda w: 2.0 * (w - 3.0), 0.0, lr=0.1, steps=200
@@ -275,44 +300,40 @@ class TestAdam:
         np.testing.assert_allclose(trajectory, oracle_history, rtol=1e-12)
         assert abs(w_final - 3.0) < 0.1
 
-    def test_non_finite_gradient_rejected(self):
-        model = small_model()
-        state = AdamState.init(model)
-        grads = [(np.full_like(w, np.nan), np.zeros_like(b))
-                 for w, b in zip(model.weights, model.biases)]
-        with pytest.raises(NumericError, match="non-finite"):
-            adam_step(model, state, grads, self.config(), lr=0.1)
-
     def test_bound_state_matches_per_call_views(self):
         # a state bound to a gradient row updates from views built once,
-        # with the bits of the per-call update; a rebind after freezing
-        # leaves the frozen layer alone
+        # with the bits of the plain update that slices every layer per
+        # call; a rebind after freezing leaves the frozen layer alone
         rng = np.random.default_rng(9)
         model = small_model(seed=3)
-        bound_model = model.copy()
-        state, bound = AdamState.init(model), AdamState.init(bound_model)
-        row = np.empty_like(model.params)
-        bound.bind(bound_model, row)
+        plain = model.copy()
+        bound, row = bound_adam(model)
+        state = fresh_adam(plain)
         for step in range(6):
             if step == 3:
-                frozen = freeze_all_but_last(bound_model).weights[0].copy()
                 freeze_all_but_last(model)
-                bound.bind(bound_model, row)
+                freeze_all_but_last(plain)
+                frozen = model.weights[0].copy(), model.biases[0].copy()
+                bound.bind(model, row)
             row[:] = rng.standard_normal(row.shape)
-            adam_step(model, state, row.copy(), self.config(), lr=0.05)
-            adam_step(bound_model, bound, row, self.config(), lr=0.05)
+            adam_step(bound, self.config(), lr=0.05)
+            allocating_adam_step(plain, state, row, self.config(), lr=0.05)
         assert bound.t == state.t == 6
-        assert_bits_equal(bound_model.params, model.params)
+        assert_bits_equal(model.params, plain.params)
         assert_bits_equal(bound.v, state.v)
-        np.testing.assert_array_equal(bound_model.weights[0], frozen)
+        np.testing.assert_array_equal(model.weights[0], frozen[0])
+        np.testing.assert_array_equal(model.biases[0], frozen[1])
 
-    def test_lr_and_shape_validation(self):
+    def test_lr_and_binding_validation(self):
         model = small_model()
-        state = AdamState.init(model)
+        state, _ = bound_adam(model)
         with pytest.raises(ValueError, match="positive"):
-            adam_step(model, state, [], self.config(), lr=0.0)
-        with pytest.raises(ValueError, match="layers"):
-            adam_step(model, state, [], self.config(), lr=0.1)
+            adam_step(state, self.config(), lr=0.0)
+        # an unbound state has no views to update: it must not count a step
+        unbound = fresh_adam(model)
+        with pytest.raises(ValueError, match="not bound"):
+            adam_step(unbound, self.config(), lr=0.1)
+        assert unbound.t == 0
 
 
 class TestFreezing:
@@ -334,13 +355,14 @@ class TestFreezing:
     def test_frozen_layers_bit_identical_under_updates(self):
         rng = np.random.default_rng(5)
         model = freeze_all_but_last(small_model())
-        state = AdamState.init(model)
+        state, grads = bound_adam(model)
         frozen_w = model.weights[0].copy()
         frozen_b = model.biases[0].copy()
         cfg = OptimizerConfig()
         for _ in range(25):
             x, targets, mask = random_batch(rng, model)
-            adam_step(model, state, backward(model, x, targets, mask), cfg, lr=0.05)
+            gradients(model, x, targets, mask, grads)
+            adam_step(state, cfg, lr=0.05)
         np.testing.assert_array_equal(model.weights[0], frozen_w)
         np.testing.assert_array_equal(model.biases[0], frozen_b)
         assert (model.weights[1] != 0).any()  # last layer did move
@@ -387,32 +409,14 @@ class TestMemberStack:
         batches = [random_batch(rng, model, n=7) for model in models]
         x, targets, mask = (np.stack(parts) for parts in zip(*batches))
         trace = forward_trace(stack, x)
-        losses = masked_bce(trace[0], targets, mask)
-        grads = backward(stack, x, targets, mask, trace)
+        losses = loss_of(trace[0], targets, mask)
+        grads = gradients(stack, x, targets, mask)
         for k, (model, (xk, tk, mk)) in enumerate(zip(models, batches)):
             np.testing.assert_array_equal(trace[0][k], model.forward(xk))
-            assert losses[k] == masked_bce(model.forward(xk), tk, mk)
-            for (dw, db), (dwk, dbk) in zip(grads, backward(model, xk, tk, mk)):
+            assert losses[k] == loss_of(model.forward(xk), tk, mk)
+            for (dw, db), (dwk, dbk) in zip(grads, gradients(model, xk, tk, mk)):
                 np.testing.assert_array_equal(dw[k], dwk)
                 np.testing.assert_array_equal(db[k], dbk)
-
-    def test_adam_flat_gradient_matches_layer_list(self):
-        rng = np.random.default_rng(2)
-        by_list = freeze_all_but_last(small_model(seed=1))
-        by_row = by_list.copy()
-        list_state, row_state = AdamState.init(by_list), AdamState.init(by_row)
-        for _ in range(4):
-            x, targets, mask = random_batch(rng, by_list)
-            grads = backward(by_list, x, targets, mask)
-            adam_step(by_list, list_state, grads, OptimizerConfig(), lr=0.05)
-            flat = np.concatenate([a.ravel() for pair in grads for a in pair])
-            adam_step(by_row, row_state, flat, OptimizerConfig(), lr=0.05)
-        np.testing.assert_array_equal(by_row.params, by_list.params)
-        np.testing.assert_array_equal(row_state.v, list_state.v)
-        with pytest.raises(NumericError, match="non-finite"):
-            adam_step(
-                by_row, row_state, np.full_like(flat, np.inf), OptimizerConfig(), 0.1
-            )
 
 
 def assert_bits_equal(actual, expected):
@@ -457,7 +461,7 @@ class TestKernelsBitEqual:
         for a, b in zip(activations, plain_activations):
             assert_bits_equal(a, b)
 
-    @pytest.mark.parametrize("shape", [(7,), (5, 7), (4, 5, 7)])
+    @pytest.mark.parametrize("shape", [(1, 7), (5, 7), (4, 5, 7)])
     def test_masked_bce(self, shape):
         rng = np.random.default_rng(2)
         probs = clamp_edge_probs(rng, shape)
@@ -465,21 +469,21 @@ class TestKernelsBitEqual:
         targets.reshape(-1)[::5] = 0.0
         targets.reshape(-1)[1::5] = 1.0
         mask = rng.random(shape) < 0.6
-        if len(shape) > 1:
+        if shape[-2] > 1:
             mask[..., 1, :] = False  # rows with an empty mask
-        assert_bits_equal(masked_bce(probs, targets, mask),
+        assert_bits_equal(loss_of(probs, targets, mask),
                           where_masked_bce(probs, targets, mask))
         empty = np.zeros(shape, dtype=bool)
-        assert_bits_equal(masked_bce(probs, targets, empty),
+        assert_bits_equal(loss_of(probs, targets, empty),
                           where_masked_bce(probs, targets, empty))
         # non-finite probabilities in masked-out cells leave the loss alone
         out_cells = np.flatnonzero(~mask)[:3]
         probs.reshape(-1)[out_cells] = [np.nan, np.inf, -np.inf][: len(out_cells)]
-        loss = masked_bce(probs, targets, mask)
+        loss = loss_of(probs, targets, mask)
         assert np.isfinite(loss).all()
         assert_bits_equal(loss, where_masked_bce(probs, targets, mask))
 
-    @pytest.mark.parametrize("shape", [(7,), (5, 7), (4, 5, 7)])
+    @pytest.mark.parametrize("shape", [(1, 7), (5, 7), (4, 5, 7)])
     def test_masked_bce_delta(self, shape):
         rng = np.random.default_rng(5)
         probs = clamp_edge_probs(rng, shape)
@@ -487,19 +491,17 @@ class TestKernelsBitEqual:
         targets.reshape(-1)[::5] = 0.0
         targets.reshape(-1)[1::5] = 1.0
         mask = rng.random(shape) < 0.6
-        if len(shape) > 1:
+        if shape[-2] > 1:
             mask[..., 1, :] = False  # rows with an empty mask
             mask[..., 0, :] = np.arange(shape[-1]) == 6  # and with one label
         # non-finite probabilities in masked-out and in masked-in cells
         for cells in (np.flatnonzero(~mask)[:3], np.flatnonzero(mask)[2:5]):
             probs.reshape(-1)[cells] = [np.nan, np.inf, -np.inf][: len(cells)]
-        lead = (lambda a: a[None]) if len(shape) == 1 else (lambda a: a)
         for m in (mask, np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)):
             delta = np.full(shape, 7.0)  # every cell is written
             loss = masked_bce(probs, targets, m, delta)
-            assert_bits_equal(loss, masked_bce(probs, targets, m))
-            expected = where_output_delta(lead(probs), lead(targets), lead(m))
-            assert_bits_equal(lead(delta), expected)
+            assert_bits_equal(loss, where_masked_bce(probs, targets, m))
+            assert_bits_equal(delta, where_output_delta(probs, targets, m))
         with pytest.raises(ValueError, match="delta"):
             masked_bce(probs, targets, mask, np.empty((*shape, 1)))
 
@@ -523,13 +525,12 @@ class TestKernelsBitEqual:
             delta = np.empty_like(probs)
             masked_bce(probs, targets, mask, delta)
             written = delta.copy()
-            buffer = np.zeros_like(model.params)
-            for out in (None, layer_views(buffer, model.layer_sizes)):
-                for given in (None, delta):
-                    grads = backward(model, x, targets, mask, trace, out, given)
-                    for (dw, db), (dw_ref, db_ref) in zip(grads, expected):
-                        assert_bits_equal(dw, dw_ref)
-                        assert_bits_equal(db, db_ref)
+            out = layer_views(np.zeros_like(model.params), model.layer_sizes)
+            grads = backward(model, trace, delta, out)
+            assert grads is out
+            for (dw, db), (dw_ref, db_ref) in zip(grads, expected):
+                assert_bits_equal(dw, dw_ref)
+                assert_bits_equal(db, db_ref)
             assert_bits_equal(delta, written)  # backward leaves the delta as it is
             return expected
 
@@ -549,34 +550,24 @@ class TestKernelsBitEqual:
             expected = check(np.zeros((*lead, 11, 3)), np.ones_like(mask))
         assert np.isnan(expected[1][1][..., 0]).all()
 
-    def test_backward_single_example_with_delta(self):
-        rng = np.random.default_rng(6)
-        model = small_model(seed=7, sizes=(4, 6, 5, 3))
-        x, targets = rng.standard_normal(4), rng.random(3)
-        mask = np.array([True, False, True])
-        delta = np.empty(3)
-        masked_bce(model.forward(x), targets, mask, delta)
-        standalone = backward(model, x, targets, mask)
-        fed = backward(model, x, None, None, delta=delta)
-        for (dw, db), (dw_ref, db_ref) in zip(fed, standalone):
-            assert_bits_equal(dw, dw_ref)
-            assert_bits_equal(db, db_ref)
-
     def test_adam_with_frozen_layers(self):
         rng = np.random.default_rng(4)
         cfg = OptimizerConfig()
         model = small_model(seed=5, sizes=(4, 6, 5, 3))
         plain = model.copy()
-        state, plain_state = AdamState.init(model), AdamState.init(plain)
+        (state, grads), plain_state = bound_adam(model), fresh_adam(plain)
         patterns = [[False, False, False], [False, True, False], [True, True, False]]
         for step in range(50):
-            model.frozen = plain.frozen = patterns[step * len(patterns) // 50]
+            pattern = patterns[step * len(patterns) // 50]
+            if pattern != model.frozen:
+                model.frozen = plain.frozen = pattern
+                state.bind(model, grads)
             scale = 10.0 ** rng.integers(-9, 3)
-            grads = rng.standard_normal(model.params.shape) * scale
+            grads[:] = rng.standard_normal(model.params.shape) * scale
             grads[::7] = 0.0
             grads[1::7] = -0.0
             lr = 0.05 * 0.5 ** (step // 20)
-            adam_step(model, state, grads, cfg, lr)
+            adam_step(state, cfg, lr)
             allocating_adam_step(plain, plain_state, grads, cfg, lr)
         assert state.t == plain_state.t == 50
         assert_bits_equal(model.params, plain.params)
@@ -588,13 +579,11 @@ class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         model = freeze_all_but_last(small_model(seed=7))
-        state = AdamState.init(model)
+        state, grads = bound_adam(model)
         for _ in range(3):
             x, targets, mask = random_batch(rng, model)
-            adam_step(
-                model, state, backward(model, x, targets, mask),
-                OptimizerConfig(), lr=0.01,
-            )
+            gradients(model, x, targets, mask, grads)
+            adam_step(state, OptimizerConfig(), lr=0.01)
         path = tmp_path / "model.json"
         save_checkpoint(path, model, extra={"stage": "final"})
         back, extra = load_checkpoint(path)
@@ -648,5 +637,5 @@ class TestModelProperties:
         rng = np.random.default_rng(seed)
         model = small_model(seed=seed % 997)
         x, targets, mask = random_batch(rng, model)
-        loss = masked_bce(model.forward(x), targets, mask)
+        loss = loss_of(model.forward(x), targets, mask)
         assert loss >= 0.0 and math.isfinite(loss)

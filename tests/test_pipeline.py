@@ -331,8 +331,8 @@ class TestGradientCheck:
         seen = {}
         backward = pipeline_mod.backward
 
-        def poisoned(model, x, t, m, trace, out, delta):
-            grads = backward(model, x, t, m, trace, out, delta)
+        def poisoned(model, trace, delta, out):
+            grads = backward(model, trace, delta, out)
             seen["passes"] = seen.get("passes", 0) + 1
             if seen["passes"] == 45:  # stage 2, step 4
                 seen["live"], seen["before"] = model.params, model.params.copy()
@@ -367,26 +367,30 @@ class TestTracedRun:
         tracer = tracer_mod.Tracer("test")
         with tracer.installed():
             run()
-        return tracer.missing, tracer_mod.layer_metrics(tracer)["model.step.count"]
+        return tracer.missing, tracer_mod.layer_metrics(tracer)
 
     def test_ensemble(self):
         train, _ = pair_datasets(n_train=300, n_eval=1)
         plan = fast_plan(stage1_iterations=40, stage2_iterations=20)
-        missing, steps = self.traced(
+        missing, metrics = self.traced(
             lambda: pipeline_mod.train_ensemble(train, PAIR, plan, (16,), 0, 3)
         )
         assert missing == []
-        assert steps == 3 * (40 + 20)
+        assert metrics["model.step.count"] == 3 * (40 + 20)
+        # the tracer reads backward's model and returned gradients: the
+        # 8x16 hidden layer is frozen for the 20 stage-2 steps of 60
+        n_params = (8 * 16 + 16) + (16 * PAIR.K + PAIR.K)
+        assert metrics["model.frozen_grad_frac"] == 20 * (8 * 16 + 16) / (60 * n_params)
 
     def test_ragged_ablation(self):
         # two seeds, both arms: 4 members whose epochs fall out of step
-        missing, steps = self.traced(
+        missing, metrics = self.traced(
             lambda: pipeline_mod.hierarchical_ablation(
                 PAIR, PAIR_SPEC.theta, (0, 1), **ABLATION_ARGS
             )
         )
         assert missing == []
-        assert steps == 4 * (65 + 30)
+        assert metrics["model.step.count"] == 4 * (65 + 30)
 
 
 class TestPredictUnconditional:
