@@ -271,10 +271,9 @@ def _split_files(
     return getattr(csv_cfg, f"{split}_features"), labels
 
 
-def _load_split(config: RunConfig, tree: LabelTree, split: str) -> Dataset:
-    """The "train" or "eval" dataset: gen's CSVs, else regenerated
-    synthetic data, else the config's CSV files."""
-    files = _split_files(config, split)
+def _load_split(config: RunConfig, tree: LabelTree, split: str, files: tuple | None) -> Dataset:
+    """The "train" or "eval" dataset from its ``_split_files``: gen's CSVs,
+    else regenerated synthetic data, else the config's CSV files."""
     if files is None:
         train, held_out = _named_split(config, _synthetic_spec(config, tree))
         dataset = train if split == "train" else held_out
@@ -306,7 +305,7 @@ def _eval_features(
     if path is not None:
         _, ids, features, digest = read_id_matrix(path, "feature")
         return features, ids, digest or sha256_file(path)
-    dataset = _load_split(config, tree, "eval")
+    dataset = _load_split(config, tree, "eval", _split_files(config, "eval"))
     return dataset.features, dataset.ids, None
 
 
@@ -314,7 +313,7 @@ def cmd_train(args) -> int:
     """Train the ensemble (two-stage conditional or flat) and write checkpoints."""
     config = _effective_config(args)
     tree = config.load_tree()  # validate inputs before any writes
-    dataset = _load_split(config, tree, "train")
+    dataset = _load_split(config, tree, "train", _split_files(config, "train"))
     plan = TrainPlan(
         policy=config.policy(),
         optimizer=config.optimizer,
@@ -491,7 +490,7 @@ def cmd_eval(args) -> int:
     files = _split_files(config, "eval")
     features_path = None
     if args.predictions or files is None or files[0] is None:
-        dataset = _load_split(config, tree, "eval")
+        dataset = _load_split(config, tree, "eval", files)
         features, labels, ids = dataset.features, dataset.labels, dataset.ids
     else:
         features, features_path = None, files[0]

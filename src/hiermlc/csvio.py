@@ -383,9 +383,11 @@ def write_rows(
 
     ``cell_zones`` lays out a block of rows of ``cells`` as one zone of
     bytes per cell, NUL where unused and in the zone's last byte, which
-    takes the separator; the bytes must need no quoting.  Text fields
-    (ids, metadata) are quoted as ``_text_field`` quotes them.  A row made
-    of one empty field is written as ``""``, as ``csv.writer`` does.
+    takes the separator; the bytes must need no quoting.  A row without
+    text fields must not be one empty cell, which would read as a blank
+    line.  Text fields (the ids) are quoted as ``_text_field`` quotes
+    them, and a row of one empty id and no cells is written as ``""``,
+    as ``csv.writer`` does.
     ``quoted`` tells whether any text field needs quoting, where the
     caller has searched the columns; otherwise each is searched once here.
     """
@@ -404,9 +406,6 @@ def write_rows(
             lines = b"\n" * len(block)  # rows without cells
             if width:
                 zones = cell_zones(block)
-                if width == 1 and not text_columns:  # a lone empty field: ""
-                    blank = zones[:, 0, :-1].max(axis=-1) == 0
-                    zones[blank, 0, :2] = ord('"')
                 zones[..., -1] = ord(",")
                 zones[:, -1, -1] = ord("\n")
                 lines = zones[zones != 0].tobytes()

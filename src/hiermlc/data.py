@@ -2,11 +2,12 @@
 
 Label matrices hold one of four codes per cell.  CSV cells map as
 "1.0" -> POS, "0.0" -> NEG, "-1.0" -> UNC, empty -> MISSING; label
-columns are named exactly as the hierarchy's node names and any other
-column is preserved as row metadata.  Feature vectors replace images:
-synthetic datasets carry generated features, and label-only CSVs get a
-small deterministic featurizer stub over their metadata columns so
-evaluation-only flows still work.
+columns are named exactly as the hierarchy's node names.  Of any other
+column, ``Path`` or ``id`` gives the row ids, and the rest feed the
+featurizer stub.  Feature vectors replace images: synthetic datasets
+carry generated features, and label-only CSVs get a small deterministic
+featurizer stub over their other columns so evaluation-only flows still
+work.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from .csvio import (
     read_id_matrix,
     read_sidecar,
     reader,
-    sidecar_path,
     write_id_matrix,
-    write_rows,
 )
 from .errors import DataFormatError
 from .hierarchy import LabelTree
@@ -49,7 +48,7 @@ _CODE_ZONES = np.array([b"0.0", b"1.0", b"", b"-1.0"], dtype="S5").view(np.uint8
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix, label matrix, row ids, and preserved metadata columns.
+    """Feature matrix, label matrix and row ids.
 
     ``ids`` is None for rows that are never written or matched by id, such
     as fresh synthetic rows.
@@ -58,7 +57,6 @@ class Dataset:
     features: np.ndarray  # (N, F) float64
     labels: np.ndarray  # (N, K) int8
     ids: tuple[str, ...] | None
-    metadata: dict[str, tuple[str, ...]]
 
     def __post_init__(self):
         n = self.labels.shape[0]
@@ -68,13 +66,6 @@ class Dataset:
                 f"row counts disagree: features {self.features.shape[0]}, "
                 f"labels {n}, ids {n_ids}"
             )
-        for col, values in self.metadata.items():
-            if len(values) != n:
-                raise ValueError(f"metadata column {col!r} has wrong length")
-
-    @property
-    def n(self) -> int:
-        return self.labels.shape[0]
 
     def take(self, rows: np.ndarray | Sequence[int]) -> "Dataset":
         rows = np.asarray(rows)
@@ -82,10 +73,6 @@ class Dataset:
             features=self.features[rows],
             labels=self.labels[rows],
             ids=None if self.ids is None else tuple(self.ids[i] for i in rows),
-            metadata={
-                col: tuple(vals[i] for i in rows)
-                for col, vals in self.metadata.items()
-            },
         )
 
 
@@ -157,11 +144,11 @@ def load_labels_csv(
     as metadata.  Row ids come from a ``Path`` or ``id`` column when
     present, else are positional.
 
-    A file ``write_labels_csv`` wrote of ids and labels alone is read
-    from its int8 sidecar while the file's sha256 still matches it, its
-    header is ``id`` and then the tree's labels in order, and every code
-    is one of the four.  Any other file is read by the checked row loop,
-    which alone writes the error messages.
+    A file ``write_labels_csv`` wrote is read from its int8 sidecar while
+    the file's sha256 still matches it, its header is ``id`` and then the
+    tree's labels in order, and every code is one of the four.  Any other
+    file is read by the checked row loop, which alone writes the error
+    messages.
     """
     sidecar, _ = read_sidecar(path, np.int8)
     if sidecar and sidecar[0] == tree.names and np.isin(sidecar[2], CODES).all():
@@ -207,31 +194,15 @@ def _read_label_rows(
 
 
 def write_labels_csv(
-    path: str | Path,
-    labels: np.ndarray,
-    tree: LabelTree,
-    ids: Sequence[str] | None = None,
-    metadata: dict[str, tuple[str, ...]] | None = None,
+    path: str | Path, labels: np.ndarray, tree: LabelTree, ids: Sequence[str]
 ) -> None:
-    """Write a label CSV: metadata columns first, then labels in index order.
-
-    A file of an ``id`` column and the labels alone gets the sidecar
-    ``write_id_matrix`` writes, of int8 codes; a file with any other
-    metadata gets none, and loses any it had.
-    """
-    metadata = metadata or {}
-    if ids is not None and "id" not in metadata and "Path" not in metadata:
-        metadata = {"id": tuple(ids), **metadata}
+    """Write a label CSV of an ``id`` column and the labels in index order,
+    with the sidecar of int8 codes that ``write_id_matrix`` writes."""
     labels = np.asarray(labels)
     if not np.isin(labels, CODES).all():
         raise ValueError("label matrix contains an invalid code")
     labels = np.ascontiguousarray(labels, dtype=np.int8)
-    header = list(metadata) + list(tree.names)
-    if list(metadata) == ["id"]:
-        write_id_matrix(path, header, metadata["id"], labels, _CODE_ZONES.__getitem__)
-    else:
-        write_rows(path, header, list(metadata.values()), labels, _CODE_ZONES.__getitem__)
-        sidecar_path(path).unlink(missing_ok=True)
+    write_id_matrix(path, ["id", *tree.names], ids, labels, _CODE_ZONES.__getitem__)
 
 
 # Featurizer stub for label-only CSVs: a fixed 7-dim encoding of the
@@ -269,7 +240,7 @@ def load_csv(path: str | Path, tree: LabelTree) -> Dataset:
     """Load a label-only CSV, stubbing features from metadata columns."""
     labels, ids, metadata = load_labels_csv(path, tree)
     features = featurize_metadata(metadata, labels.shape[0])
-    return Dataset(features=features, labels=labels, ids=ids, metadata=metadata)
+    return Dataset(features=features, labels=labels, ids=ids)
 
 
 def load_features_csv(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -286,9 +257,9 @@ def write_features_csv(path: str | Path, features: np.ndarray, ids: Sequence[str
 def load_dataset(features_path: str | Path, labels_path: str | Path, tree: LabelTree) -> Dataset:
     """Load a synthetic features/labels CSV pair, matching rows by order."""
     features, feat_ids = load_features_csv(features_path)
-    labels, ids, metadata = load_labels_csv(labels_path, tree)
+    labels, ids, _ = load_labels_csv(labels_path, tree)
     check_row_ids(feat_ids, ids, features_path, labels_path)
-    return Dataset(features=features, labels=labels, ids=ids, metadata=metadata)
+    return Dataset(features=features, labels=labels, ids=ids)
 
 
 def check_row_ids(feat_ids, ids, features_path, labels_path) -> None:
@@ -357,7 +328,7 @@ def generate_synthetic(spec: SyntheticSpec, n: int, seed: int) -> Dataset:
         ).standard_normal(n)
 
     features = pos.astype(np.float64) @ mixing.T + spec.feature_noise * noise
-    return Dataset(features=features, labels=labels, ids=None, metadata={})
+    return Dataset(features=features, labels=labels, ids=None)
 
 
 def inject_uncertainty(dataset: Dataset, rate: float, seed: int) -> Dataset:

@@ -48,10 +48,6 @@ class RocCurve:
         if np.any(np.diff(self.fpr) < 0) or np.any(np.diff(self.tpr) < 0):
             raise ValueError("ROC points must be non-decreasing in both axes")
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.fpr.tolist(), self.tpr.tolist()))
-
 
 @dataclass(frozen=True)
 class OperatingPoint:

@@ -10,9 +10,8 @@ per node of an arbitrary forest.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -20,117 +19,69 @@ from .csvio import column_indices, reader
 from .errors import DataFormatError
 
 
-@dataclass(frozen=True)
-class LabelNode:
-    """One label: its name, position in the K-dim label vector, parent name."""
-
-    name: str
-    index: int
-    parent: str | None = None
-
-
 class LabelTree:
-    """Immutable forest of labels with dense indices 0..K-1.
+    """Immutable forest of K labels with dense indices 0..K-1, as
+    ``build_tree`` builds it.
 
-    Construction validates the forest invariants (unique names, dense
-    unique indices, existing parents, no cycles) and precomputes the
-    root-first ancestor index list per node.
+    ``names[k]`` is label k's name and ``parent_index[k]`` the index of
+    its parent, -1 for a root.  ``topo_order`` lists every index after its
+    parent's, and ``leaves`` names the labels that are nobody's parent.
     """
 
-    def __init__(self, nodes: Iterable[LabelNode]):
-        nodes = sorted(nodes, key=lambda n: n.index)
-        if not nodes:
-            raise ValueError("hierarchy has no nodes")
-        by_name: dict[str, LabelNode] = {}
-        for node in nodes:
-            if node.name in by_name:
-                raise ValueError(f"duplicate label name: {node.name!r}")
-            by_name[node.name] = node
-        indices = [n.index for n in nodes]
-        if indices != list(range(len(nodes))):
-            raise ValueError(
-                f"label indices must be exactly 0..{len(nodes) - 1} with no "
-                f"gaps or duplicates, got {sorted(indices)}"
-            )
-        for node in nodes:
-            if node.parent is not None and node.parent not in by_name:
-                raise ValueError(
-                    f"node {node.name!r} names unknown parent {node.parent!r}"
-                )
-            if node.parent == node.name:
-                raise ValueError(f"node {node.name!r} is its own parent")
-
-        self.nodes: tuple[LabelNode, ...] = tuple(nodes)
-        self.K: int = len(nodes)
-        self._by_name = by_name
-        # parent index per node, -1 for roots
-        self.parent_index = np.full(self.K, -1, dtype=np.int64)
-        for node in nodes:
-            if node.parent is not None:
-                self.parent_index[node.index] = by_name[node.parent].index
-
+    def __init__(self, index: dict[str, int], parent_index: np.ndarray):
+        self.names: tuple[str, ...] = tuple(index)
+        self.K: int = len(index)
+        self.parent_index = parent_index
+        self._index = index
         # Walking to the root from every node both detects cycles and
-        # yields the root-first ancestor lists.
-        self._ancestor_indices: list[tuple[int, ...]] = []
-        for node in nodes:
-            path = []
-            seen = {node.index}
-            cur = int(self.parent_index[node.index])
+        # yields its depth, which orders parents before children.
+        depth = []
+        for k, name in enumerate(self.names):
+            seen, cur = {k}, int(parent_index[k])
             while cur != -1:
                 if cur in seen:
-                    raise ValueError(
-                        f"cycle in hierarchy through node {node.name!r}"
-                    )
+                    raise ValueError(f"cycle in hierarchy through node {name!r}")
                 seen.add(cur)
-                path.append(cur)
-                cur = int(self.parent_index[cur])
-            self._ancestor_indices.append(tuple(reversed(path)))
-        # parents before children
-        self.topo_order = tuple(
-            sorted(range(self.K), key=lambda i: len(self._ancestor_indices[i]))
-        )
+                cur = int(parent_index[cur])
+            depth.append(len(seen))
+        self.topo_order = tuple(sorted(range(self.K), key=depth.__getitem__))
+        parents = set(parent_index.tolist())
+        self.leaves = tuple(n for k, n in enumerate(self.names) if k not in parents)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n.name for n in self.nodes)
-
-    @property
-    def roots(self) -> tuple[str, ...]:
-        return tuple(n.name for n in self.nodes if n.parent is None)
-
-    @property
-    def leaves(self) -> tuple[str, ...]:
-        """Names of nodes that are nobody's parent."""
-        parents = {n.parent for n in self.nodes if n.parent is not None}
-        return tuple(n.name for n in self.nodes if n.name not in parents)
-
-    def node(self, name: str) -> LabelNode:
+    def index_of(self, name: str) -> int:
         try:
-            return self._by_name[name]
+            return self._index[name]
         except KeyError:
             raise KeyError(f"unknown label name: {name!r}") from None
 
-    def index_of(self, name: str) -> int:
-        return self.node(name).index
-
-    def ancestors(self, name: str) -> list[str]:
-        """Ancestor names of a node, root first, immediate parent last."""
-        idx = self.index_of(name)
-        return [self.nodes[i].name for i in self._ancestor_indices[idx]]
-
-    def ancestor_indices(self, index: int) -> tuple[int, ...]:
-        return self._ancestor_indices[index]
-
-    def children(self, name: str) -> tuple[str, ...]:
-        return tuple(n.name for n in self.nodes if n.parent == name)
-
 
 def build_tree(records: Iterable[tuple[str, str | None, int]]) -> LabelTree:
-    """Build a LabelTree from (name, parent-or-None, index) records."""
-    return LabelTree(
-        LabelNode(name=name, parent=parent, index=int(index))
-        for name, parent, index in records
-    )
+    """Build a LabelTree from (name, parent-or-None, index) records.
+
+    Rejects an empty forest, duplicate names, indices other than exactly
+    0..K-1, unknown parents, a node that is its own parent, and cycles.
+    """
+    records = sorted(((name, parent, int(i)) for name, parent, i in records), key=lambda r: r[2])
+    if not records:
+        raise ValueError("hierarchy has no nodes")
+    index: dict[str, int] = {}
+    for name, _, _ in records:
+        if name in index:
+            raise ValueError(f"duplicate label name: {name!r}")
+        index[name] = len(index)
+    indices = [i for _, _, i in records]
+    if indices != list(range(len(records))):
+        raise ValueError(
+            f"label indices must be exactly 0..{len(records) - 1} with no "
+            f"gaps or duplicates, got {sorted(indices)}"
+        )
+    for name, parent, _ in records:
+        if parent is not None and parent not in index:
+            raise ValueError(f"node {name!r} names unknown parent {parent!r}")
+        if parent == name:
+            raise ValueError(f"node {name!r} is its own parent")
+    parents = [-1 if parent is None else index[parent] for _, parent, _ in records]
+    return LabelTree(index, np.array(parents, dtype=np.int64))
 
 
 def propagate(tree: LabelTree, cond: np.ndarray) -> np.ndarray:

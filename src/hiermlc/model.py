@@ -185,12 +185,10 @@ class Mlp:
         return Mlp.from_params(self.params.copy(), self.layer_sizes, self.frozen)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Probabilities in (0, 1) for a single (F,) input or an (N, F) batch."""
+        """Probabilities in (0, 1) for an (N, F) batch."""
         x = np.asarray(x, dtype=np.float64)
         check_finite(x)
-        single = x.ndim == 1
-        probs, _ = forward_trace(self, x[None, :] if single else x)
-        return probs[0] if single else probs
+        return forward_trace(self, x)[0]
 
 
 def _pack(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> np.ndarray:

@@ -334,17 +334,19 @@ def writerow_features_csv(path, features, ids) -> None:
             writer.writerow([row_id] + [repr(float(v)) for v in features[i]])
 
 
-def writerow_labels_csv(path, labels, tree, ids=None, metadata=None) -> None:
+def writerow_label_rows(path, header, text_columns, labels) -> None:
+    """A header, then per row the text fields and each label code's cell."""
     cell = {1: "1.0", 0: "0.0", -1: "-1.0", -2: ""}
-    metadata = metadata or {}
-    if ids is not None and "id" not in metadata and "Path" not in metadata:
-        metadata = {"id": tuple(ids), **metadata}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = _writer(fh)
-        writer.writerow(list(metadata) + list(tree.names))
+        writer.writerow(header)
         for i in range(labels.shape[0]):
-            row = [metadata[c][i] for c in metadata]
+            row = [column[i] for column in text_columns]
             writer.writerow(row + [cell[int(v)] for v in labels[i]])
+
+
+def writerow_labels_csv(path, labels, tree, ids) -> None:
+    writerow_label_rows(path, ["id", *tree.names], [ids], labels)
 
 
 def writerow_predictions_csv(path, ids, probs, label_names) -> None:

@@ -949,6 +949,32 @@ class TestEvalReadsFeatures:
         assert "eval_features.csv:2" in capsys.readouterr().err
 
 
+class TestEvalSplitResolvedOnce:
+    """Each command reads a run's records once: ``provenance.json`` for
+    gen's data, and ``config.json`` for the checkpoints unless ``eval``
+    scores a supplied predictions file."""
+
+    def test_recorded_files_read_per_command(self, workspace, monkeypatch):
+        config = write_config(workspace, ensemble_size=1)
+        for command in ("gen", "train"):
+            assert main([command, "--config", str(config)]) == 0
+        scored = workspace / "scored.csv"
+        read, recorded = [], cli._recorded
+        monkeypatch.setattr(
+            cli, "_recorded", lambda path, remedy: read.append(path.name) or recorded(path, remedy)
+        )
+        for command, expected in [
+            (["predict"], ["provenance.json", "config.json"]),
+            (["eval"], ["provenance.json", "config.json"]),
+            (["eval", "--predictions", str(scored)], ["provenance.json"]),
+        ]:
+            if str(scored) in command:
+                shutil.copy(workspace / "run" / "predictions.csv", scored)
+            read.clear()
+            assert main([*command, "--config", str(config)]) == 0
+            assert read == expected
+
+
 def write_label_files(workspace, blank):
     """Train and eval label CSVs of 40 rows with 20 blank cells each (or
     ``0.0`` in their place), plus feature CSVs with the same ids."""

@@ -37,6 +37,7 @@ from oracles import (
     _writer,
     random_forest,
     writerow_features_csv,
+    writerow_label_rows,
     writerow_labels_csv,
     writerow_predictions_csv,
     writerow_roc_points_csv,
@@ -46,6 +47,12 @@ CHAIN = build_tree([("A", None, 0), ("B", "A", 1), ("C", "B", 2)])
 ODD_TEXT = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " pad ", "é,ü"]
 ODD_FLOATS = [-0.0, 0.0, 1e-05, 1e16, 5e-324, 0.1, 1 / 3, 1e-4, 9.5e15, 1.5e300]
 text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+def write_label_rows(path, header, text_columns, labels):
+    """``write_rows`` of label codes, laid out as ``write_labels_csv`` lays
+    them out, under any header and text columns."""
+    csvio.write_rows(path, header, text_columns, labels, data_mod._CODE_ZONES.__getitem__)
 
 
 def same_bytes(tmp_path, write, reference, *args, **kwargs):
@@ -121,42 +128,23 @@ class TestLabels:
         )
 
     def test_metadata_with_odd_text(self, tmp_path):
-        n = len(ODD_TEXT)
-        metadata = {"Path": tuple(ODD_TEXT), "Note, free": tuple(reversed(ODD_TEXT))}
-        same_bytes(
-            tmp_path,
-            write_labels_csv,
-            writerow_labels_csv,
-            self.labels(n),
-            CHAIN,
-            ids=[f"ignored{i}" for i in range(n)],
-            metadata=metadata,
-        )
+        # several text columns before the cells, through write_rows itself
+        columns = [ODD_TEXT, list(reversed(ODD_TEXT))]
+        header = ["Path", "Note, free", *CHAIN.names]
+        labels = self.labels(len(ODD_TEXT))
+        same_bytes(tmp_path, write_label_rows, writerow_label_rows, header, columns, labels)
 
     def test_no_ids_rows_span_chunks(self, tmp_path):
-        same_bytes(
-            tmp_path,
-            write_labels_csv,
-            writerow_labels_csv,
-            self.labels(csvio.CHUNK_CELLS // 3 + 1),
-            CHAIN,
-        )
-
-    def test_single_missing_field_row(self, tmp_path):
-        tree = build_tree([("Only, label", None, 0)])
-        labels = np.array([[MISSING], [POS], [MISSING]], dtype=np.int8)
-        data = same_bytes(
-            tmp_path, write_labels_csv, writerow_labels_csv, labels, tree
-        )
-        assert data == b'"Only, label"\n""\n1.0\n""\n'
+        labels = self.labels(csvio.CHUNK_CELLS // 3 + 1)
+        same_bytes(tmp_path, write_label_rows, writerow_label_rows, CHAIN.names, [], labels)
 
     def test_invalid_code_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="invalid code"):
-            write_labels_csv(tmp_path / "l.csv", np.array([[3, 0, 0]]), CHAIN)
+            write_labels_csv(tmp_path / "l.csv", np.array([[3, 0, 0]]), CHAIN, ["r0"])
 
 
 class TestTextRoundTrip:
-    """Every id, metadata and header field reads back as it was written:
+    """Every id and header field reads back as it was written:
     ``csv.writer`` leaves a carriage return unquoted, which ``csv.reader``
     takes for the end of the row, so the writers quote it."""
 
@@ -173,11 +161,11 @@ class TestTextRoundTrip:
         path = tmp_path / "l.csv"
         tree = build_tree([("A", None, 0), ("B\rb", "A", 1)])
         labels = np.resize(np.array([POS, NEG, UNC, MISSING], dtype=np.int8), (len(ODD_TEXT), 2))
-        metadata = {"Path": tuple(ODD_TEXT), "note\r": tuple(reversed(ODD_TEXT))}
-        write_labels_csv(path, labels, tree, metadata=metadata)
+        write_labels_csv(path, labels, tree, ODD_TEXT)
         got, ids, meta = load_labels_csv(path, tree)
         np.testing.assert_array_equal(got, labels)
-        assert ids == tuple(ODD_TEXT) and meta == metadata
+        assert ids == tuple(ODD_TEXT) and meta == {"id": ids}
+        assert b'"B\rb"' in path.read_bytes()
 
 
 class TestPredictions:
@@ -296,12 +284,13 @@ class TestJoinedLeads:
             "Sex": tuple(("Male", "Female", "Unknown")[i % 3] for i in range(n)),
             "Age": tuple(str(20 + i % 70) for i in range(n)),
         }
+        header = [*metadata, *CHAIN.names]
+        labels = TestLabels().labels(n)
         calls = quoted_fields(monkeypatch)
         same_bytes(
-            tmp_path, write_labels_csv, writerow_labels_csv, TestLabels().labels(n), CHAIN,
-            metadata=metadata,
+            tmp_path, write_label_rows, writerow_label_rows, header, list(metadata.values()), labels
         )
-        assert calls == [*metadata, *CHAIN.names]  # the header alone, field by field
+        assert calls == header  # the header alone, field by field
 
     def test_one_search_per_text_column(self, tmp_path, monkeypatch):
         n = self.N
@@ -311,18 +300,18 @@ class TestJoinedLeads:
         searched, search = [], csvio._MAY_NEED_QUOTING
         monkeypatch.setattr(csvio, "_MAY_NEED_QUOTING", lambda t: searched.append(t) or search(t))
         writes = [
-            ((write_features_csv, writerow_features_csv, np.ones((n, 2)), ids), {}),
-            ((write_predictions_csv, writerow_predictions_csv, ids, np.ones((n, 3)), "ABC"), {}),
-            ((write_labels_csv, writerow_labels_csv, labels, CHAIN, ids), {}),
-            ((write_labels_csv, writerow_labels_csv, labels, CHAIN), {"metadata": metadata}),
+            (write_features_csv, writerow_features_csv, np.ones((n, 2)), ids),
+            (write_predictions_csv, writerow_predictions_csv, ids, np.ones((n, 3)), "ABC"),
+            (write_labels_csv, writerow_labels_csv, labels, CHAIN, ids),
+            (write_label_rows, writerow_label_rows, ["Path", "Sex"], [*metadata.values()], labels),
         ]
-        for (write, reference, *args), kwargs in writes:
+        for write, reference, *args in writes:
             searched.clear()
             with mock.patch.object(csvio, "_MAY_NEED_QUOTING", search):
-                reference(tmp_path / "ref.csv", *args, **kwargs)
-            write(tmp_path / "new.csv", *args, **kwargs)
+                reference(tmp_path / "ref.csv", *args)
+            write(tmp_path / "new.csv", *args)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-            columns = metadata.values() if kwargs else [ids]
+            columns = metadata.values() if write is write_label_rows else [ids]
             assert [sum("".join(c) in t for t in searched) for c in columns] == [1] * len(columns)
 
     @pytest.mark.parametrize("quoted", ["a,b", 'say "hi"', "two\nlines", "cr\rhere"])
@@ -359,8 +348,8 @@ class TestJoinedLeads:
             )
             same_bytes(tmp_path, write_labels_csv, writerow_labels_csv, labels, CHAIN, ids)
             same_bytes(
-                tmp_path, write_labels_csv, writerow_labels_csv, labels, CHAIN,
-                metadata=metadata,
+                tmp_path, write_label_rows, writerow_label_rows,
+                [*metadata, *CHAIN.names], [*metadata.values()], labels,
             )
 
 
@@ -436,7 +425,7 @@ class TestFloatCells:
         with mock.patch.object(csvio, "CHUNK_CELLS", chunk):
             same_bytes(tmp_path, write_features_csv, writerow_features_csv, values, ids)
             labels = np.resize(np.array([POS, MISSING, UNC, NEG], dtype=np.int8), (11, 3))
-            same_bytes(tmp_path, write_labels_csv, writerow_labels_csv, labels, CHAIN)
+            same_bytes(tmp_path, write_label_rows, writerow_label_rows, CHAIN.names, [], labels)
 
 
 def write_text(tmp_path, text, name="t.csv"):
@@ -882,8 +871,8 @@ class TestLabelBlockReader:
 
 
 class TestLabelSidecar:
-    """``write_labels_csv`` leaves an int8 sidecar beside a file of ids and
-    labels alone, and ``load_labels_csv`` returns it only while it matches
+    """``write_labels_csv`` leaves an int8 sidecar beside a file whose ids
+    need no quoting, and ``load_labels_csv`` returns it only while it matches
     the file and the tree: the parser's labels, or the parser's error."""
 
     def written(self, tmp_path, n=3):
@@ -933,22 +922,17 @@ class TestLabelSidecar:
         csvio.sidecar_path(features).replace(csvio.sidecar_path(path))
         assert label_outcome(path, CHAIN)[2] == labels.tobytes()
 
-    def test_metadata_files_get_none(self, tmp_path):
+    def test_quoted_id_files_get_none(self, tmp_path):
         path, labels = self.written(tmp_path)
         sidecar = csvio.sidecar_path(path)
-        ids = ("r0", "r1", "r2")
-        for ids_arg, metadata, kept in [
-            (ids, {"Sex": ("Male",) * 3}, False),
-            (ids, None, True),
-            (None, {"Path": ids}, False),
-            (ids, None, True),
-            (None, None, False),
-            (ids, None, True),
-            (None, {"id": ids, "Age": ("61",) * 3}, False),
-            (None, {"id": ids}, True),
-            (("r0", "r,1", "r2"), None, False),
+        for ids, kept in [
+            (("r0", "r,1", "r2"), False),
+            (("r0", "r1", "r2"), True),
+            (("r0", 'r"1', "r2"), False),
+            (("r0", "r1", "r2"), True),
+            (("r0", "r1", "r\r2"), False),
         ]:
-            write_labels_csv(path, labels, CHAIN, ids_arg, metadata)
+            write_labels_csv(path, labels, CHAIN, ids)
             assert sidecar.exists() == kept
             assert label_outcome(path, CHAIN) == label_outcome(path, CHAIN, sidecar=False)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv"]
@@ -963,6 +947,11 @@ class TestLabelSidecar:
         assert ids == ("a", "b", "c", "d") and metadata == {"id": ids}
 
 
+def forest(tree) -> tuple:
+    """A label forest as its names and parent indices."""
+    return tree.names, tree.parent_index.tolist()
+
+
 class TestLoadersShareTheReader:
     """Blank lines, short rows and empty files behave alike in every loader."""
 
@@ -970,7 +959,7 @@ class TestLoadersShareTheReader:
         "labels": ("id,A,B,C\n", "r1,1.0,0.0,\n", lambda p: load_labels_csv(p, CHAIN)),
         "features": ("id,f0,f1\n", "r1,0.5,1.5\n", load_features_csv),
         "predictions": ("id,A,B\n", "r1,0.5,0.25\n", load_predictions_csv),
-        "hierarchy": ("name,parent,index\n", "A,,0\n", lambda p: load_tree(p).nodes),
+        "hierarchy": ("name,parent,index\n", "A,,0\n", lambda p: forest(load_tree(p))),
         "readers": ("label,reader,fpr,tpr\n", "A,r1,0.1,0.5\n", load_operating_points),
     }
 

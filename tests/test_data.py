@@ -194,25 +194,24 @@ class TestFeaturizerStub:
 class TestDataset:
     def test_row_count_validation(self):
         with pytest.raises(ValueError, match="row counts"):
-            Dataset(np.zeros((2, 1)), np.zeros((3, 2), dtype=np.int8), ("a",) * 3, {})
+            Dataset(np.zeros((2, 1)), np.zeros((3, 2), dtype=np.int8), ("a",) * 3)
 
     def test_take_preserves_alignment(self):
         ds = Dataset(
             np.arange(8.0).reshape(4, 2),
             np.arange(8).reshape(4, 2).astype(np.int8) % 2,
             ("a", "b", "c", "d"),
-            {"m": ("p", "q", "r", "s")},
         )
         sub = ds.take([2, 0])
         np.testing.assert_array_equal(sub.features, [[4.0, 5.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(sub.labels, ds.labels[[2, 0]])
         assert sub.ids == ("c", "a")
-        assert sub.metadata["m"] == ("r", "p")
 
     def test_rows_without_ids(self):
-        ds = Dataset(np.zeros((3, 1)), np.zeros((3, 2), dtype=np.int8), None, {})
+        ds = Dataset(np.zeros((3, 1)), np.zeros((3, 2), dtype=np.int8), None)
         assert ds.take([2, 0]).ids is None
         with pytest.raises(ValueError, match="ids 3"):
-            Dataset(np.zeros((2, 1)), np.zeros((2, 2), dtype=np.int8), ("a",) * 3, {})
+            Dataset(np.zeros((2, 1)), np.zeros((2, 2), dtype=np.int8), ("a",) * 3)
 
 
 class TestConditionalMask:
@@ -261,9 +260,10 @@ class TestConditionalMask:
         mask = conditional_mask(labels, tree)
         for i in range(8):
             for node in range(k):
-                expected = all(
-                    labels[i, a] == POS for a in tree.ancestor_indices(node)
-                )
+                expected, a = True, int(tree.parent_index[node])
+                while a != -1:  # every ancestor, by a walk to the root
+                    expected &= bool(labels[i, a] == POS)
+                    a = int(tree.parent_index[a])
                 assert mask[i, node] == expected
 
 
@@ -276,7 +276,7 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(self.spec(), 50, seed=0)
         assert ds.features.shape == (50, 16)
         assert ds.labels.shape == (50, 3)
-        assert ds.ids is None and ds.metadata == {}
+        assert ds.ids is None
 
     def test_labels_binary_and_hierarchical(self):
         ds = generate_synthetic(self.spec(), 300, seed=1)
@@ -339,7 +339,7 @@ class TestInjectUncertainty:
         ds = self.base(100)
         labels = ds.labels.copy()
         labels[::3, 0] = MISSING
-        ds = Dataset(ds.features, labels, ds.ids, ds.metadata)
+        ds = Dataset(ds.features, labels, ds.ids)
         out = inject_uncertainty(ds, 0.9, seed=2)
         assert (out.labels[::3, 0] == MISSING).all()
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from hiermlc.errors import DataFormatError
 from hiermlc.hierarchy import (
-    LabelNode,
     LabelTree,
     build_tree,
     default_hierarchy_path,
@@ -28,7 +27,7 @@ class TestConstruction:
         tree = chain_tree()
         assert tree.K == 3
         assert tree.names == ("A", "B", "C")
-        assert tree.roots == ("A",)
+        assert tree.parent_index.tolist() == [-1, 0, 1]
         assert tree.leaves == ("C",)
 
     def test_duplicate_name_rejected(self):
@@ -56,27 +55,36 @@ class TestConstruction:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no nodes"):
-            LabelTree([])
+            build_tree([])
+
+
+def ancestors(tree: LabelTree, name: str) -> list[str]:
+    """Ancestor names of a label, root first, by a walk over ``parent_index``."""
+    path, cur = [], int(tree.parent_index[tree.index_of(name)])
+    while cur != -1:
+        path.insert(0, tree.names[cur])
+        cur = int(tree.parent_index[cur])
+    return path
 
 
 class TestNavigation:
     def test_ancestors_root_first(self):
         tree = chain_tree()
-        assert tree.ancestors("C") == ["A", "B"]
-        assert tree.ancestors("A") == []
+        assert ancestors(tree, "C") == ["A", "B"]
+        assert ancestors(tree, "A") == []
 
-    def test_children(self):
+    def test_records_in_any_order(self):
         tree = build_tree(
-            [("A", None, 0), ("B", "A", 1), ("C", "A", 2), ("D", None, 3)]
+            [("D", None, 3), ("C", "A", 2), ("A", None, 0), ("B", "A", 1)]
         )
-        assert tree.children("A") == ("B", "C")
-        assert tree.children("D") == ()
-        assert tree.roots == ("A", "D")
+        assert tree.names == ("A", "B", "C", "D")
+        assert tree.parent_index.tolist() == [-1, 0, 0, -1]
+        assert [tree.index_of(name) for name in "ABCD"] == [0, 1, 2, 3]
         assert tree.leaves == ("B", "C", "D")
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            chain_tree().node("Z")
+        with pytest.raises(KeyError, match="unknown label name: 'Z'"):
+            chain_tree().index_of("Z")
 
     def test_topo_order_parents_first(self):
         rng = np.random.default_rng(7)
@@ -175,8 +183,9 @@ class TestDefaultHierarchy:
     def test_loads_and_validates(self):
         tree = load_tree(default_hierarchy_path())
         assert tree.K == 14
-        assert tree.ancestors("Pneumonia") == ["Lung Opacity", "Consolidation"]
-        assert tree.ancestors("Cardiomegaly") == ["Enlarged Cardiomediastinum"]
+        assert ancestors(tree, "Pneumonia") == ["Lung Opacity", "Consolidation"]
+        assert ancestors(tree, "Cardiomegaly") == ["Enlarged Cardiomediastinum"]
+        assert ancestors(tree, "Lung Opacity") == []
         for name in (
             "Atelectasis",
             "Cardiomegaly",
@@ -188,4 +197,5 @@ class TestDefaultHierarchy:
 
     def test_indices_dense(self):
         tree = load_tree(default_hierarchy_path())
-        assert sorted(n.index for n in tree.nodes) == list(range(14))
+        assert [tree.index_of(name) for name in tree.names] == list(range(14))
+        assert sorted(tree.topo_order) == list(range(14))

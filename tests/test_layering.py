@@ -1,6 +1,7 @@
 """Layering guards: ``csvio`` is the package's one CSV layer and the one
-module that saves or loads ``.npy`` files, and ``pipeline.synthetic_split``
-its one synthetic-data path."""
+module that saves or loads ``.npy`` files, ``pipeline.synthetic_split``
+its one synthetic-data path, and every public name of the package is
+reached by the package or the benchmark, not by tests alone."""
 
 import ast
 from pathlib import Path
@@ -142,3 +143,95 @@ def test_synthetic_guard_sees_each_use():
         ("Runner", "generate_synthetic"),
         ("<module>", "generate_synthetic"),
     }
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def public_definitions(module: ast.Module) -> dict[str, ast.AST]:
+    """Each public top-level function or class of a module, and each public
+    method or property of a public class, by qualified name."""
+    found = {}
+    for top in module.body:
+        if isinstance(top, DEFINITIONS) and not top.name.startswith("_"):
+            found[top.name] = top
+            for node in top.body if isinstance(top, ast.ClassDef) else ():
+                if isinstance(node, DEFINITIONS[:2]) and not node.name.startswith("_"):
+                    found[f"{top.name}.{node.name}"] = node
+    return found
+
+
+def mention(node: ast.AST) -> str | None:
+    """The name a node spells: a Name, an Attribute, an imported name or a
+    string constant."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def unreached(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """``module.name`` of each public definition in the ``package`` sources
+    that no source of either set names outside its own definition.
+
+    A name is matched by its spelling alone, so a definition spelled like
+    an unrelated variable, attribute or string, such as ``points`` or
+    ``n``, passes whether or not anything reaches it.
+    """
+    trees = {name: ast.parse(source) for name, source in {**others, **package}.items()}
+    named: dict[str, list[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if (text := mention(node)) is not None:
+                named.setdefault(text, []).append(id(node))
+    found = []
+    for module in package:
+        for qualified, node in public_definitions(trees[module]).items():
+            inside = {id(n) for n in ast.walk(node)}
+            if all(i in inside for i in named.get(node.name, [])):
+                found.append(f"{Path(module).stem}.{qualified}")
+    return found
+
+
+def test_every_public_name_is_reached():
+    """Public API that only tests call is deleted, not kept."""
+    perfbench = {f"perfbench/{p.name}": p.read_text(encoding="utf-8")
+                 for p in PERFBENCH.glob("*.py")}
+    assert "perfbench/tracer.py" in perfbench
+    assert unreached(modules(), perfbench) == []
+
+
+def test_reach_guard_sees_each_form():
+    package = {
+        "a.py": (
+            "class Tree:\n"
+            "    def roots(self):\n"
+            "        return self.roots()\n"  # its own definition does not count
+            "    def leaves(self):\n"
+            "        pass\n"
+            "    @property\n"
+            "    def names(self):\n"
+            "        return ()\n"
+            "    def _walk(self):\n"
+            "        pass\n"
+            "def build():\n"
+            "    return Tree().leaves()\n"
+            "def load():\n"
+            "    return build()\n"
+            "def _private():\n"
+            "    pass\n"
+            "class _Hidden:\n"
+            "    def shown(self):\n"
+            "        pass\n"
+        ),
+        "b.py": "from .a import load as read\nprint(read().names)\n",
+    }
+    assert unreached(package, {}) == ["a.Tree.roots"]
+    assert unreached({"a.py": package["a.py"]}, {}) == ["a.Tree.roots", "a.Tree.names", "a.load"]
+    assert unreached(package, {"bench.py": 'TARGETS = [("a:Tree", "roots")]'}) == []

@@ -142,14 +142,14 @@ class TestMlp:
         out = model.forward(rng.standard_normal((9, 4)))
         assert out.shape == (9, 3)
         assert ((out > 0) & (out < 1)).all()
-        single = model.forward(rng.standard_normal(4))
-        assert single.shape == (3,)
+        with pytest.raises(ValueError, match=r"shape \(4,\), model expects"):
+            model.forward(rng.standard_normal(4))
 
     def test_single_matches_batch_row(self):
         model = small_model()
         x = np.random.default_rng(1).standard_normal((5, 4))
         batch = model.forward(x)
-        np.testing.assert_array_equal(model.forward(x[2]), batch[2])
+        np.testing.assert_array_equal(model.forward(x[2:3]), batch[2:3])
 
     def test_bad_inputs(self):
         model = small_model()

@@ -110,7 +110,7 @@ class TestStage1:
 
     def test_parent_negative_rows_carry_no_signal(self):
         train, _ = pair_datasets(n_train=800, n_eval=1)
-        corrupted = train.take(np.arange(train.n))
+        corrupted = train.take(np.arange(len(train.labels)))
         a_neg = corrupted.labels[:, 0] != POS
         corrupted.labels[a_neg, 1] = POS  # only masked-out cells change
         plan = fast_plan(stage1_iterations=300)
@@ -120,7 +120,7 @@ class TestStage1:
 
     def test_empty_signal_rejected(self):
         train, _ = pair_datasets(n_train=50, n_eval=1)
-        empty = train.take(np.arange(train.n))
+        empty = train.take(np.arange(len(train.labels)))
         empty.labels[:] = -2  # everything missing
         with pytest.raises(ValueError, match="stage1: empty effective training signal"):
             stage1_model(empty, fast_plan())
@@ -538,7 +538,7 @@ class TestMixedStacks:
     @pytest.mark.parametrize("budget", [{"stage1_iterations": 0}, {"stage2_iterations": 0}])
     def test_empty_signal_still_rejected(self, budget):
         datasets, plans, seeds = self.mixed(**budget)
-        empty = datasets[3].take(np.arange(datasets[3].n))
+        empty = datasets[3].take(np.arange(len(datasets[3].labels)))
         empty.labels[:] = -2  # everything missing
         with pytest.raises(ValueError, match="stage1: empty effective training signal"):
             train_members(datasets[:3] + [empty], PAIR, plans, (16,), seeds)

@@ -94,9 +94,7 @@ class TestBatchedConsumers:
     def test_injection_matches_per_row_draws(self, seed):
         labels = self.labels(2)
         labels[labels == -1] = 0
-        ds = Dataset(
-            np.zeros((labels.shape[0], 1)), labels, tuple(map(str, range(300))), {}
-        )
+        ds = Dataset(np.zeros((labels.shape[0], 1)), labels, tuple(map(str, range(300))))
         out = inject_uncertainty(ds, 0.3, seed).labels
         np.testing.assert_array_equal(out, per_row_injection(labels, 0.3, seed))
         assert ((out == MISSING) == (labels == MISSING)).all()
