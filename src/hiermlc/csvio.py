@@ -18,9 +18,9 @@ for the sidecar: each cell a zone of bytes in a numpy array, float64s
 laid out by ``float_cells`` as ``repr`` writes them, and the NULs dropped.
 Text fields are quoted as ``csv.writer`` quotes them, and also where they
 hold a carriage return, which ``csv.reader`` would take for a line end.
-``write_rows`` searches each text column once, and where no field needs
-quoting it joins every row's fields in one call and lays the rows beside
-the cell lines with no Python code per row.
+``write_rows`` searches the id column once, and where no id needs
+quoting it joins a chunk's ids in one call and lays them beside the
+chunk's cell lines with no Python code per row.
 """
 
 from __future__ import annotations
@@ -355,63 +355,53 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             fh.write(line + "\n")
 
 
-def _leads(text_columns: Sequence[Sequence[str]], sep: str, quoted: bool) -> list[bytes]:
-    """Each row's text fields as ``_text_field`` quotes them, joined by
-    commas and followed by ``sep``; a row of one empty field alone is ``""``.
+def _leads(ids: Sequence[str], quoted: bool) -> list[bytes]:
+    """Each id as ``_text_field`` quotes it, followed by a comma.
 
-    ``quoted`` tells whether any field needs quoting.  Where none does and
-    there are cells to follow, every row's lead comes from one join and
-    one encode, split at the line ends no field holds.
+    ``quoted`` tells whether any id needs quoting.  Where none does, every
+    lead comes from one join and one encode, split at the line ends no id
+    holds.
     """
-    if sep and not quoted:
-        rows = map(",".join, zip(*text_columns))
-        return ((sep + "\n").join(rows) + sep).encode().split(b"\n")
-    rows = zip(*(map(_text_field, column) for column in text_columns))
-    return [(",".join(fields) + sep or '""').encode() for fields in rows]
+    if quoted:
+        return [(_text_field(row_id) + ",").encode() for row_id in ids]
+    return (",\n".join(ids) + ",").encode().split(b"\n")
 
 
 def write_rows(
     path,
     header: Sequence[str],
-    text_columns: Sequence[Sequence[str]],
+    ids: Sequence[str] | None,
     cells: np.ndarray,
     cell_zones: Callable[[np.ndarray], np.ndarray] = float_cells,
-    quoted: bool | None = None,
+    quoted: bool = False,
 ) -> str:
-    """Write ``header`` and one line per row of ``cells``, led by the text
-    columns; return the hex sha256 of the bytes written.
+    """Write ``header`` and one line per row of ``cells``, each led by its
+    id where there are ``ids``; return the hex sha256 of the bytes written.
 
     ``cell_zones`` lays out a block of rows of ``cells`` as one zone of
     bytes per cell, NUL where unused and in the zone's last byte, which
-    takes the separator; the bytes must need no quoting.  A row without
-    text fields must not be one empty cell, which would read as a blank
-    line.  Text fields (the ids) are quoted as ``_text_field`` quotes
-    them, and a row of one empty id and no cells is written as ``""``,
-    as ``csv.writer`` does.
-    ``quoted`` tells whether any text field needs quoting, where the
-    caller has searched the columns; otherwise each is searched once here.
+    takes the separator; the bytes must need no quoting.  ``cells`` has at
+    least one column, and a row without an id must not be one empty cell,
+    which would read as a blank line.  ``quoted`` tells whether any id
+    needs quoting, as the caller found by one search of the ids; if so,
+    they are quoted as ``_text_field`` quotes them.  The ids' leads are
+    built a chunk of rows at a time.
     """
     n_rows, width = cells.shape
-    if quoted is None:
-        quoted = any(_MAY_NEED_QUOTING("".join(column)) for column in text_columns)
-    leads = _leads(text_columns, "," if width else "", quoted)
-    step = max(1, CHUNK_CELLS // max(width, 1))
+    step = max(1, CHUNK_CELLS // width)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        lines = (",".join(map(_text_field, header)) or '""').encode() + b"\n"
+        lines = ",".join(map(_text_field, header)).encode() + b"\n"
         digest.update(lines)
         fh.write(lines)
         for start in range(0, n_rows, step):
-            block = cells[start : start + step]
-            lines = b"\n" * len(block)  # rows without cells
-            if width:
-                zones = cell_zones(block)
-                zones[..., -1] = ord(",")
-                zones[:, -1, -1] = ord("\n")
-                lines = zones[zones != 0].tobytes()
-            if text_columns:
-                rows = lines.splitlines(keepends=True)
-                lines = b"".join(chain.from_iterable(zip(leads[start : start + step], rows)))
+            zones = cell_zones(cells[start : start + step])
+            zones[..., -1] = ord(",")
+            zones[:, -1, -1] = ord("\n")
+            lines = zones[zones != 0].tobytes()
+            if ids is not None:
+                leads = _leads(ids[start : start + step], quoted)
+                lines = b"".join(chain.from_iterable(zip(leads, lines.splitlines(keepends=True))))
             digest.update(lines)
             fh.write(lines)
     return digest.hexdigest()
@@ -432,10 +422,12 @@ def write_id_matrix(
 
     A file without rows, or with an id or a column name that needs
     quoting or holds a NUL, gets no sidecar, and loses any it had: the
-    checked loop reads such files.
+    checked loop reads such files.  A matrix without columns is refused.
     """
+    if matrix.shape[1] == 0:
+        raise ValueError(f"{path}: a matrix without columns has no cells to write")
     quoted, nul = _scan("".join(ids))  # the joined ids are freed before the write
-    digest = write_rows(path, header, [ids], matrix, cell_zones, quoted)
+    digest = write_rows(path, header, ids, matrix, cell_zones, quoted)
     sidecar = sidecar_path(path)
     if not len(ids) or quoted or nul or any(_scan("".join(header))):
         sidecar.unlink(missing_ok=True)

@@ -51,7 +51,8 @@ class Dataset:
     """Feature matrix, label matrix and row ids.
 
     ``ids`` is None for rows that are never written or matched by id, such
-    as fresh synthetic rows.
+    as fresh synthetic rows.  The matrices may be views of a larger
+    dataset's, as ``synthetic_split``'s are; nothing writes into them.
     """
 
     features: np.ndarray  # (N, F) float64
@@ -66,14 +67,6 @@ class Dataset:
                 f"row counts disagree: features {self.features.shape[0]}, "
                 f"labels {n}, ids {n_ids}"
             )
-
-    def take(self, rows: np.ndarray | Sequence[int]) -> "Dataset":
-        rows = np.asarray(rows)
-        return Dataset(
-            features=self.features[rows],
-            labels=self.labels[rows],
-            ids=None if self.ids is None else tuple(self.ids[i] for i in rows),
-        )
 
 
 @dataclass(frozen=True)
@@ -321,13 +314,10 @@ def generate_synthetic(spec: SyntheticSpec, n: int, seed: int) -> Dataset:
     mixing = seeding.stream(seeding.PURPOSE_SYNTH_MIXING, seed).standard_normal(
         (spec.feature_dim, tree.K)
     )
-    noise = np.empty((n, spec.feature_dim), dtype=np.float64)
-    for f in range(spec.feature_dim):
-        noise[:, f] = seeding.stream(
-            seeding.PURPOSE_SYNTH_FEATURES, seed, f
-        ).standard_normal(n)
-
-    features = pos.astype(np.float64) @ mixing.T + spec.feature_noise * noise
+    features = pos.astype(np.float64) @ mixing.T
+    for f in range(spec.feature_dim):  # each noise column added where it lands
+        noise = seeding.stream(seeding.PURPOSE_SYNTH_FEATURES, seed, f).standard_normal(n)
+        features[:, f] += spec.feature_noise * noise
     return Dataset(features=features, labels=labels, ids=None)
 
 

@@ -251,7 +251,7 @@ def write_roc_points_csv(path: str | Path, curve: RocCurve) -> None:
     points = np.column_stack(
         [np.asarray(v, dtype=np.float64) for v in (curve.fpr, curve.tpr, curve.thresholds)]
     )
-    write_rows(path, ["fpr", "tpr", "threshold"], [], points, _roc_cells)
+    write_rows(path, ["fpr", "tpr", "threshold"], None, points, _roc_cells)
 
 
 def write_report(report: EvalReport, txt_path: str | Path, csv_path: str | Path) -> None:

@@ -76,13 +76,16 @@ def synthetic_split(
 ) -> tuple[Dataset, Dataset]:
     """Train and held-out rows of one generator pass, without row ids.
 
-    The first ``n_train`` rows train, with uncertainty injected into their
-    labels; the next ``n_eval`` are held out untouched.  ``gen``, ``train``
-    and the ablation harness all draw their synthetic data here.
+    The first ``n_train`` rows train, with uncertainty injected into a
+    copy of their labels; the next ``n_eval`` are held out untouched.
+    Each split's features, and the held-out labels, are row-slice views
+    of the pass's matrices.  ``gen``, ``train`` and the ablation harness
+    all draw their synthetic data here.
     """
     full = generate_synthetic(spec, n_train + n_eval, seed)
-    train = inject_uncertainty(full.take(np.arange(n_train)), uncertainty_rate, seed)
-    return train, full.take(np.arange(n_train, n_train + n_eval))
+    x, y = full.features, full.labels
+    train = inject_uncertainty(Dataset(x[:n_train], y[:n_train], None), uncertainty_rate, seed)
+    return train, Dataset(x[n_train:], y[n_train:], None)
 
 
 @dataclass
@@ -451,9 +454,9 @@ def hierarchical_ablation(
     """Leaf-label AUC of both training recipes on fresh data per seed.
 
     Each seed draws its split from ``synthetic_split``, as ``gen`` does,
-    and scores held-out leaves: the conditional arm by propagated outputs,
-    the flat arm by raw sigmoid outputs.  Both arms of every seed train
-    together as one member stack.
+    and scores held-out leaves as a one-member ensemble: the conditional
+    arm by ``predict_unconditional``, the flat arm by ``predict_flat``.
+    Both arms of every seed train together as one member stack.
     """
     if not seeds:
         raise ValueError("the ablation needs at least one seed")
@@ -481,9 +484,9 @@ def hierarchical_ablation(
     flat_scores: list[float] = []
     for (_, held_out), cond, flat in zip(splits, results[::2], results[1::2]):
         x, truth = held_out.features, held_out.labels == POS
-        cond_out = propagate(tree, cond.final.forward(x))
+        cond_out = predict_unconditional(EnsembleModel([cond.final]), tree, x)
         cond_scores.append(_mean_leaf_auc(cond_out, truth, leaf_indices))
-        flat_out = flat.final.forward(x)
+        flat_out = predict_flat(EnsembleModel([flat.final]), x)
         flat_scores.append(_mean_leaf_auc(flat_out, truth, leaf_indices))
     return AblationResult(
         leaf_names=tree.leaves,

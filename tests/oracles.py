@@ -334,19 +334,20 @@ def writerow_features_csv(path, features, ids) -> None:
             writer.writerow([row_id] + [repr(float(v)) for v in features[i]])
 
 
-def writerow_label_rows(path, header, text_columns, labels) -> None:
-    """A header, then per row the text fields and each label code's cell."""
+def writerow_label_rows(path, header, ids, labels) -> None:
+    """A header, then per row its id, where there are ``ids``, and each
+    label code's cell."""
     cell = {1: "1.0", 0: "0.0", -1: "-1.0", -2: ""}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = _writer(fh)
         writer.writerow(header)
         for i in range(labels.shape[0]):
-            row = [column[i] for column in text_columns]
+            row = [] if ids is None else [ids[i]]
             writer.writerow(row + [cell[int(v)] for v in labels[i]])
 
 
 def writerow_labels_csv(path, labels, tree, ids) -> None:
-    writerow_label_rows(path, ["id", *tree.names], [ids], labels)
+    writerow_label_rows(path, ["id", *tree.names], ids, labels)
 
 
 def writerow_predictions_csv(path, ids, probs, label_names) -> None:

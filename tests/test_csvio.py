@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -49,10 +49,10 @@ ODD_FLOATS = [-0.0, 0.0, 1e-05, 1e16, 5e-324, 0.1, 1 / 3, 1e-4, 9.5e15, 1.5e300]
 text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 
 
-def write_label_rows(path, header, text_columns, labels):
+def write_label_rows(path, header, ids, labels):
     """``write_rows`` of label codes, laid out as ``write_labels_csv`` lays
-    them out, under any header and text columns."""
-    csvio.write_rows(path, header, text_columns, labels, data_mod._CODE_ZONES.__getitem__)
+    them out, under any header and with or without (None) ids."""
+    csvio.write_rows(path, header, ids, labels, data_mod._CODE_ZONES.__getitem__)
 
 
 def same_bytes(tmp_path, write, reference, *args, **kwargs):
@@ -79,15 +79,9 @@ class TestFeatures:
         same_bytes(tmp_path, write_features_csv, writerow_features_csv, features, ids)
 
     def test_no_feature_columns(self, tmp_path):
-        # a lone empty id is a one-field row, which csv.writer writes as ""
-        data = same_bytes(
-            tmp_path,
-            write_features_csv,
-            writerow_features_csv,
-            np.zeros((3, 0)),
-            ["a", "", "b,c"],
-        )
-        assert data == b'id\na\n""\n"b,c"\n'
+        with pytest.raises(ValueError, match="without columns"):
+            write_features_csv(tmp_path / "f.csv", np.zeros((3, 0)), ["a", "", "b,c"])
+        assert not (tmp_path / "f.csv").exists()
 
     def test_no_rows(self, tmp_path):
         same_bytes(
@@ -127,16 +121,9 @@ class TestLabels:
             tmp_path, write_labels_csv, writerow_labels_csv, labels, CHAIN, ODD_TEXT
         )
 
-    def test_metadata_with_odd_text(self, tmp_path):
-        # several text columns before the cells, through write_rows itself
-        columns = [ODD_TEXT, list(reversed(ODD_TEXT))]
-        header = ["Path", "Note, free", *CHAIN.names]
-        labels = self.labels(len(ODD_TEXT))
-        same_bytes(tmp_path, write_label_rows, writerow_label_rows, header, columns, labels)
-
     def test_no_ids_rows_span_chunks(self, tmp_path):
         labels = self.labels(csvio.CHUNK_CELLS // 3 + 1)
-        same_bytes(tmp_path, write_label_rows, writerow_label_rows, CHAIN.names, [], labels)
+        same_bytes(tmp_path, write_label_rows, writerow_label_rows, CHAIN.names, None, labels)
 
     def test_invalid_code_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="invalid code"):
@@ -277,25 +264,9 @@ class TestJoinedLeads:
         )
         assert "\n名前1,1.0,1.0\n".encode() in data and not set(calls) & set(ids)
 
-    def test_metadata_columns(self, tmp_path, monkeypatch):
-        n = self.N
-        metadata = {
-            "Path": tuple(f"patient{i:05d}/study1/view1_frontal.jpg" for i in range(n)),
-            "Sex": tuple(("Male", "Female", "Unknown")[i % 3] for i in range(n)),
-            "Age": tuple(str(20 + i % 70) for i in range(n)),
-        }
-        header = [*metadata, *CHAIN.names]
-        labels = TestLabels().labels(n)
-        calls = quoted_fields(monkeypatch)
-        same_bytes(
-            tmp_path, write_label_rows, writerow_label_rows, header, list(metadata.values()), labels
-        )
-        assert calls == header  # the header alone, field by field
-
     def test_one_search_per_text_column(self, tmp_path, monkeypatch):
         n = self.N
         ids = [f"row{i:05d}" for i in range(n)]
-        metadata = {"Path": tuple(f"p{i}/view.jpg" for i in range(n)), "Sex": ("Male",) * n}
         labels = TestLabels().labels(n)
         searched, search = [], csvio._MAY_NEED_QUOTING
         monkeypatch.setattr(csvio, "_MAY_NEED_QUOTING", lambda t: searched.append(t) or search(t))
@@ -303,7 +274,6 @@ class TestJoinedLeads:
             (write_features_csv, writerow_features_csv, np.ones((n, 2)), ids),
             (write_predictions_csv, writerow_predictions_csv, ids, np.ones((n, 3)), "ABC"),
             (write_labels_csv, writerow_labels_csv, labels, CHAIN, ids),
-            (write_label_rows, writerow_label_rows, ["Path", "Sex"], [*metadata.values()], labels),
         ]
         for write, reference, *args in writes:
             searched.clear()
@@ -311,8 +281,7 @@ class TestJoinedLeads:
                 reference(tmp_path / "ref.csv", *args)
             write(tmp_path / "new.csv", *args)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-            columns = metadata.values() if write is write_label_rows else [ids]
-            assert [sum("".join(c) in t for t in searched) for c in columns] == [1] * len(columns)
+            assert sum("".join(ids) in t for t in searched) == 1
 
     @pytest.mark.parametrize("quoted", ["a,b", 'say "hi"', "two\nlines", "cr\rhere"])
     def test_one_quoted_id_deep_in_the_file(self, tmp_path, monkeypatch, quoted):
@@ -326,31 +295,34 @@ class TestJoinedLeads:
         assert set(ids) <= set(calls)  # every id of the file quoted by itself
         assert data.count(b'"') == 2 + 2 * quoted.count('"')
 
-    def test_width_zero_with_empty_ids(self, tmp_path):
-        ids = ["", "a", "", "", "b", ""] * 3
-        with mock.patch.object(csvio, "CHUNK_CELLS", 4):
-            data = same_bytes(
-                tmp_path, write_features_csv, writerow_features_csv, np.zeros((len(ids), 0)), ids
-            )
-        assert data.startswith(b'id\n""\na\n""\n""\nb\n""\n')
-
     @pytest.mark.parametrize("chunk", [1, 2, 5])
     def test_rows_span_chunks(self, tmp_path, chunk):
         n = 13
         ids = [f"row{i:05d}" for i in range(n)]
         values = np.resize(np.array([*ODD_FLOATS, np.nan, -np.inf]), (n, 3))
         labels = TestLabels().labels(n)
-        metadata = {"Path": tuple(f"p/{i}.jpg" for i in range(n)), "Sex": ("Male",) * n}
         with mock.patch.object(csvio, "CHUNK_CELLS", chunk):
             same_bytes(tmp_path, write_features_csv, writerow_features_csv, values, ids)
             same_bytes(
                 tmp_path, write_predictions_csv, writerow_predictions_csv, ids, values, "ABC"
             )
             same_bytes(tmp_path, write_labels_csv, writerow_labels_csv, labels, CHAIN, ids)
-            same_bytes(
-                tmp_path, write_label_rows, writerow_label_rows,
-                [*metadata, *CHAIN.names], [*metadata.values()], labels,
-            )
+
+    @pytest.mark.parametrize("quoted", ["plain", "a,b"])
+    def test_leads_built_a_chunk_at_a_time(self, tmp_path, monkeypatch, quoted):
+        # no call lays out the leads of more rows than one chunk of cells holds
+        ids = [f"{quoted}{i}" for i in range(self.N)]
+        probs = np.random.default_rng(8).random((self.N, 6))
+        built, leads = [], csvio._leads
+
+        def counted(*args):
+            out = leads(*args)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(csvio, "_leads", counted)
+        same_bytes(tmp_path, write_features_csv, writerow_features_csv, probs, ids)
+        assert sum(built) == self.N and max(built) <= csvio.CHUNK_CELLS // 6
 
 
 def assert_reprs(values) -> None:
@@ -423,9 +395,14 @@ class TestFloatCells:
         values = np.resize(np.array([*ODD_FLOATS, np.nan, -np.inf, -1e-300]), (11, width))
         ids = [f"r{i}" for i in range(11)]
         with mock.patch.object(csvio, "CHUNK_CELLS", chunk):
-            same_bytes(tmp_path, write_features_csv, writerow_features_csv, values, ids)
+            if width:
+                same_bytes(tmp_path, write_features_csv, writerow_features_csv, values, ids)
+            else:  # refused before the file is opened
+                with pytest.raises(ValueError, match="without columns"):
+                    write_features_csv(tmp_path / "new.csv", values, ids)
+                assert not (tmp_path / "new.csv").exists()
             labels = np.resize(np.array([POS, MISSING, UNC, NEG], dtype=np.int8), (11, 3))
-            same_bytes(tmp_path, write_label_rows, writerow_label_rows, CHAIN.names, [], labels)
+            same_bytes(tmp_path, write_label_rows, writerow_label_rows, CHAIN.names, None, labels)
 
 
 def write_text(tmp_path, text, name="t.csv"):
@@ -562,20 +539,19 @@ class TestSidecar:
     @given(
         bits=hnp.arrays(
             np.uint64,
-            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8),
+            st.tuples(st.integers(0, 8), st.integers(1, 8)),
             elements=FLOAT_BITS,
         ),
         data=st.data(),
     )
-    @example(bits=np.zeros((3, 0), dtype=np.uint64), data=None)
     def test_same_as_the_parser(self, tmp_path_factory, bits, data):
         matrix = bits.view(np.float64)
         n, width = matrix.shape
-        ids = data.draw(st.lists(SIDECAR_IDS, min_size=n, max_size=n)) if data else ["a"] * n
+        ids = data.draw(st.lists(SIDECAR_IDS, min_size=n, max_size=n))
         path = tmp_path_factory.mktemp("s") / "m.csv"
         names = [f"f{j}" for j in range(width)]
         with mock.patch.object(csvio, "CHUNK_CELLS", 3):  # files of several chunks
-            if data and data.draw(st.booleans()):
+            if data.draw(st.booleans()):
                 names = data.draw(st.lists(text, min_size=width, max_size=width))
                 write_predictions_csv(path, ids, matrix, names)
             else:

@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -9,8 +10,11 @@ import pytest
 
 from hiermlc import model as model_mod
 from hiermlc import pipeline as pipeline_mod
+from hiermlc.config import load_config, synthetic_spec_theta
 from hiermlc.data import (
     POS,
+    UNC,
+    Dataset,
     SyntheticSpec,
     conditional_mask,
     generate_synthetic,
@@ -26,6 +30,7 @@ from hiermlc.pipeline import (
     hierarchical_ablation,
     member_seed,
     predict_unconditional,
+    synthetic_split,
     train_ensemble,
     train_member,
     train_members,
@@ -47,7 +52,8 @@ FAST_OPT = OptimizerConfig(
 
 def pair_datasets(n_train=3000, n_eval=1500, seed=0):
     full = generate_synthetic(PAIR_SPEC, n_train + n_eval, seed)
-    return full.take(np.arange(n_train)), full.take(np.arange(n_train, n_train + n_eval))
+    x, y = full.features, full.labels
+    return Dataset(x[:n_train], y[:n_train], None), Dataset(x[n_train:], y[n_train:], None)
 
 
 def fast_plan(**kwargs):
@@ -75,6 +81,34 @@ def assert_same_member(a, b):
         np.testing.assert_array_equal(a.stage1.params, b.stage1.params)
     assert a.loss_log == b.loss_log
     assert len(a.loss_log) > 0
+
+
+class TestSyntheticSplit:
+    def test_views_of_one_pass(self):
+        full = generate_synthetic(PAIR_SPEC, 500, 3)
+        train, held_out = synthetic_split(PAIR_SPEC, 300, 200, 0.3, 3)
+        np.testing.assert_array_equal(train.features, full.features[:300])
+        np.testing.assert_array_equal(held_out.features, full.features[300:])
+        np.testing.assert_array_equal(held_out.labels, full.labels[300:])
+        assert train.features.base is not None and train.features.base is held_out.features.base
+        assert (train.labels == UNC).any() and not (held_out.labels == UNC).any()
+
+    def test_peak_memory_near_the_rows(self, configs_dir):
+        # the split holds its rows once, with room for the generator's and
+        # the injection's temporaries, not the noise matrix and a copy per split
+        config = load_config(configs_dir / "benchmark.json")
+        tree, syn = config.load_tree(), config.synthetic
+        theta = synthetic_spec_theta(syn, tree)
+        spec = SyntheticSpec(tree, theta, syn.feature_noise, syn.feature_dim)
+        row_bytes = 40_000 * (8 * syn.feature_dim + tree.K)
+        synthetic_split(spec, 10, 10, 0.3, 3)  # tables and caches built on first use
+        tracemalloc.start()
+        try:
+            synthetic_split(spec, 20_000, 20_000, 0.3, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * row_bytes
 
 
 class TestPlanValidation:
@@ -110,7 +144,7 @@ class TestStage1:
 
     def test_parent_negative_rows_carry_no_signal(self):
         train, _ = pair_datasets(n_train=800, n_eval=1)
-        corrupted = train.take(np.arange(len(train.labels)))
+        corrupted = replace(train, labels=train.labels.copy())
         a_neg = corrupted.labels[:, 0] != POS
         corrupted.labels[a_neg, 1] = POS  # only masked-out cells change
         plan = fast_plan(stage1_iterations=300)
@@ -120,7 +154,7 @@ class TestStage1:
 
     def test_empty_signal_rejected(self):
         train, _ = pair_datasets(n_train=50, n_eval=1)
-        empty = train.take(np.arange(len(train.labels)))
+        empty = replace(train, labels=train.labels.copy())
         empty.labels[:] = -2  # everything missing
         with pytest.raises(ValueError, match="stage1: empty effective training signal"):
             stage1_model(empty, fast_plan())
@@ -538,7 +572,7 @@ class TestMixedStacks:
     @pytest.mark.parametrize("budget", [{"stage1_iterations": 0}, {"stage2_iterations": 0}])
     def test_empty_signal_still_rejected(self, budget):
         datasets, plans, seeds = self.mixed(**budget)
-        empty = datasets[3].take(np.arange(len(datasets[3].labels)))
+        empty = replace(datasets[3], labels=datasets[3].labels.copy())
         empty.labels[:] = -2  # everything missing
         with pytest.raises(ValueError, match="stage1: empty effective training signal"):
             train_members(datasets[:3] + [empty], PAIR, plans, (16,), seeds)
@@ -547,7 +581,7 @@ class TestMixedStacks:
 
     def test_stack_must_share_rows_optimizer_and_budget(self):
         datasets, plans, seeds = self.mixed()
-        short = datasets[0].take(np.arange(200))
+        short = Dataset(datasets[0].features[:200], datasets[0].labels[:200], None)
         cases = [
             ([short] + datasets[1:], plans, "feature matrix shape"),
             (datasets, plans[:3] + [replace(plans[3], optimizer=replace(FAST_OPT, lr0=0.02))], "optimizer"),
@@ -589,8 +623,9 @@ class TestAblationStack:
         cond_scores, flat_scores = [], []
         for seed in (0, 1):
             full = generate_synthetic(spec, 600, seed)
-            train = inject_uncertainty(full.take(np.arange(300)), 0.2, seed)
-            held_out = full.take(np.arange(300, 600))
+            x, y = full.features, full.labels
+            train = inject_uncertainty(Dataset(x[:300], y[:300], None), 0.2, seed)
+            held_out = Dataset(x[300:], y[300:], None)
             truth = (held_out.labels[:, 1] == POS).astype(int)
             cond = train_member(train, PAIR, cond_plan, (8,), seed).final
             flat = train_member(train, PAIR, flat_plan, (8,), seed).final
