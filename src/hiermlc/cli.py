@@ -34,7 +34,7 @@ from .config import (
     snapshot_config,
     synthetic_spec_theta,
 )
-from .csvio import column_indices, read_id_matrix, sha256_file, write_table
+from .csvio import column_indices, read_id_matrix, write_table
 # unused here: the benchmark's perfbench/tracer.py wraps the last two names in cli
 from .data import Dataset, SyntheticSpec, generate_synthetic, inject_uncertainty
 from .errors import ConfigError, DataFormatError, NumericError
@@ -143,7 +143,6 @@ _DERIVED_FROM_MODELS = (
     "checkpoints/member*.json",
     "predictions.csv",
     "predictions.csv.npy",
-    "predictions.json",
     "report.txt",
     "report.csv",
     "roc_*.csv",
@@ -292,21 +291,15 @@ def _scored_labels(config: RunConfig, labels: np.ndarray) -> np.ndarray:
 
 
 def _eval_features(
-    config: RunConfig, tree: LabelTree
-) -> tuple[np.ndarray, tuple[str, ...], str | None]:
-    """Features and row ids of the eval split, and the sha256 of the file
-    they came from: read without the labels where a features file holds them."""
-    if config.synthetic is not None:
-        paths = _gen_csvs(config, "eval")
-        path = None if paths is None else paths[0]
-    else:
-        assert config.csv_data is not None
-        path = config.csv_data.eval_features
-    if path is not None:
-        _, ids, features, digest = read_id_matrix(path, "feature")
-        return features, ids, digest or sha256_file(path)
-    dataset = _load_split(config, tree, "eval", _split_files(config, "eval"))
-    return dataset.features, dataset.ids, None
+    config: RunConfig, tree: LabelTree, files: tuple | None
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Features and row ids of the eval split from its ``_split_files``:
+    read without the labels where a features file holds them."""
+    if files is None or files[0] is None:
+        dataset = _load_split(config, tree, "eval", files)
+        return dataset.features, dataset.ids
+    _, ids, features = read_id_matrix(files[0], "feature")
+    return features, ids
 
 
 def cmd_train(args) -> int:
@@ -384,79 +377,42 @@ def _final_checkpoints(config: RunConfig) -> list[Path]:
     return paths
 
 
-def _predict(
-    checkpoints: list[Path], mode: str, tree: LabelTree, features: np.ndarray
-) -> np.ndarray:
-    """Ensemble probabilities: propagated if conditional, raw if flat."""
+def _ensemble_probs(
+    config: RunConfig, tree: LabelTree, files: tuple | None, features=None, ids=None
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The ensemble's probabilities for the eval rows, propagated if
+    conditional and raw if flat, and the rows' ids: predict's and eval's
+    one path to them.  The checkpoints are checked before the rows'
+    ``features``, where not given, are read from the split's ``files``;
+    the row ids of a features file must equal the labels' ``ids`` where
+    given."""
+    checkpoints = _final_checkpoints(config)
+    if features is None:
+        features, read_ids = _eval_features(config, tree, files)
+        if ids is None:
+            ids = read_ids
+        else:
+            data_mod.check_row_ids(read_ids, ids, *files)
+        del read_ids  # one tuple of the rows' ids stays alive
     ensemble = EnsembleModel([load_checkpoint(path)[0] for path in checkpoints])
-    if mode == "flat":
-        return predict_flat(ensemble, features)
-    return predict_unconditional(ensemble, tree, features)
-
-
-def _binding(checkpoints: list[Path], features_digest: str, tree: LabelTree, mode: str) -> dict:
-    """What ensemble predictions are a function of, by content: the final
-    checkpoints, the eval features file's sha256, the tree and the mode."""
-    return {
-        "checkpoints": {path.name: sha256_file(path) for path in checkpoints},
-        "eval_features": features_digest,
-        "tree": {"names": list(tree.names), "parents": tree.parent_index.tolist()},
-        "mode": mode,
-    }
-
-
-def _write_predictions(
-    out: Path, ids, probs: np.ndarray, tree: LabelTree, binding: dict | None
-) -> None:
-    """Write ``predictions.csv`` and, given the ``binding`` of the inputs
-    it came from, ``predictions.json``: that binding plus the file's hash.
-    Predictions bound to nothing leave no record."""
-    record, path = out / "predictions.json", out / "predictions.csv"
-    digest = eval_mod.write_predictions_csv(path, ids, probs, tree.names)
-    if binding is None:
-        record.unlink(missing_ok=True)
-    else:
-        payload = {**binding, "predictions": digest}
-        payload = json.dumps(payload, sort_keys=True, indent=2)
-        record.write_text(payload + "\n", encoding="utf-8")
-
-
-def _bound_predictions(
-    out: Path, checkpoints: list[Path], features, tree: LabelTree, mode: str, ids
-) -> np.ndarray | None:
-    """The probabilities in ``predictions.csv`` if ``predictions.json``
-    binds it, unchanged, to these inputs, and it holds the rows ``ids``
-    and the columns of ``tree`` in order; else None.  The record is read
-    first: without one, nothing is read or hashed.  A predictions file
-    that cannot be read is not bound to anything."""
-    record, path = out / "predictions.json", out / "predictions.csv"
-    try:
-        recorded = json.loads(record.read_text(encoding="utf-8"))
-    except (FileNotFoundError, ValueError):
-        return None
-    try:
-        names, written_ids, probs, digest = read_id_matrix(path, "prediction")
-    except (FileNotFoundError, DataFormatError):
-        return None
-    binding = _binding(checkpoints, sha256_file(features), tree, mode)
-    if recorded != {**binding, "predictions": digest or sha256_file(path)}:
-        return None
-    return probs if written_ids == ids and names == tree.names else None
+    if config.mode == "flat":
+        return predict_flat(ensemble, features), ids
+    return predict_unconditional(ensemble, tree, features), ids
 
 
 def cmd_predict(args) -> int:
     """Write ensemble predictions for the eval rows."""
     config = _effective_config(args)
     tree = config.load_tree()
-    features, ids, features_digest = _eval_features(config, tree)
-    checkpoints = _final_checkpoints(config)
-    probs = _predict(checkpoints, config.mode, tree, features)
-    binding = None
-    if features_digest is not None:
-        binding = _binding(checkpoints, features_digest, tree, config.mode)
-    out = _out_dir(config)
-    _write_predictions(out, ids, probs, tree, binding)
-    print(f"wrote predictions for {len(ids)} rows to {out / 'predictions.csv'}")
+    csv_cfg = config.csv_data
+    if csv_cfg is not None and csv_cfg.eval_features is not None:  # reads no labels
+        files = csv_cfg.eval_features, csv_cfg.eval_labels
+    else:
+        files = _split_files(config, "eval")
+    probs, ids = _ensemble_probs(config, tree, files)
+    path = _out_dir(config) / "predictions.csv"
+    eval_mod.write_predictions_csv(path, ids, probs, tree.names)
+    print(f"wrote predictions for {len(ids)} rows to {path}")
     return EXIT_OK
 
 
@@ -468,7 +424,7 @@ def _binary_ground_truth(labels: np.ndarray, ids, tree: LabelTree) -> np.ndarray
             f"ground truth must be binary; row {ids[row]!r} label "
             f"{tree.names[col]!r} is not 1.0/0.0"
         )
-    return (labels == data_mod.POS).astype(np.int64)
+    return labels == data_mod.POS
 
 
 def cmd_eval(args) -> int:
@@ -486,19 +442,17 @@ def cmd_eval(args) -> int:
             f"{config.reader_points}: reader points for unknown label(s) {unknown}"
         )
     # The labels alone where a features file holds the rows' features:
-    # predictions bound to that file spare reading it.
+    # the ensemble reads that file once the checkpoints pass.
     files = _split_files(config, "eval")
-    features_path = None
+    features = None
     if args.predictions or files is None or files[0] is None:
         dataset = _load_split(config, tree, "eval", files)
         features, labels, ids = dataset.features, dataset.labels, dataset.ids
     else:
-        features, features_path = None, files[0]
         labels, ids, _ = data_mod.load_labels_csv(files[1], tree)
         labels = _scored_labels(config, labels)
     truth = _binary_ground_truth(labels, ids, tree)
 
-    binding, probs, reused = None, None, False
     if args.predictions:
         written_ids, probs, names = eval_mod.load_predictions_csv(args.predictions)
         cols = column_indices(args.predictions, names, tree.names, "label")
@@ -506,18 +460,7 @@ def cmd_eval(args) -> int:
             raise DataFormatError("predictions row ids do not match the eval dataset")
         probs = probs[:, cols]
     else:
-        checkpoints = _final_checkpoints(config)
-        if features_path is not None:
-            run_dir = _out_dir(config, create=False)
-            probs = _bound_predictions(run_dir, checkpoints, features_path, tree, config.mode, ids)
-            reused = probs is not None
-            if not reused:
-                _, feat_ids, features, digest = read_id_matrix(features_path, "feature")
-                data_mod.check_row_ids(feat_ids, ids, *files)
-                digest = digest or sha256_file(features_path)
-                binding = _binding(checkpoints, digest, tree, config.mode)
-        if not reused:
-            probs = _predict(checkpoints, config.mode, tree, features)
+        probs, _ = _ensemble_probs(config, tree, files, features, ids)
 
     scores_by_label = {name: probs[:, tree.index_of(name)] for name in tree.names}
     truth_by_label = {name: truth[:, tree.index_of(name)] for name in tree.names}
@@ -529,8 +472,7 @@ def cmd_eval(args) -> int:
         raise DataFormatError(str(exc)) from exc
 
     out = _out_dir(config)
-    if not reused:
-        _write_predictions(out, ids, probs, tree, binding)
+    eval_mod.write_predictions_csv(out / "predictions.csv", ids, probs, tree.names)
     eval_mod.write_report(report, out / "report.txt", out / "report.csv")
     for name, curve in report.curves.items():
         eval_mod.write_roc_points_csv(out / f"roc_{safe_name(name)}.csv", curve)

@@ -9,7 +9,9 @@ left beside it, while its sha256 of the file, its dtype and its shape
 still match.  ``read_id_matrix`` reads float files by it, and otherwise
 by the checked row loop ``read_id_rows``.  A sidecar gives what the
 checked reader would, so a deleted sidecar costs only time.
-This module alone saves and loads ``.npy`` files.
+``write_id_matrix`` leaves alone a file whose sidecar already holds what
+it would write.  This module alone saves and loads ``.npy`` files and
+hashes files.
 
 Files are written with the excel dialect and ``"\\n"`` line endings:
 small tables by ``write_table``, and matrices (features, labels,
@@ -90,17 +92,14 @@ def column_indices(path, header: Sequence[str], names, what: str) -> list[int]:
     return [header.index(name) for name in names]
 
 
-def read_id_matrix(path, what: str) -> tuple[tuple, tuple, np.ndarray, str | None]:
-    """``(column names, row ids, float64 matrix, sha256)`` of an ``id,<name>...`` file.
+def read_id_matrix(path, what: str) -> tuple[tuple, tuple, np.ndarray]:
+    """``(column names, row ids, float64 matrix)`` of an ``id,<name>...`` file.
 
     A file ``write_id_matrix`` wrote is read from its sidecar when the
     sidecar still matches it; any other file by ``read_id_rows``, which
-    alone decides what is an error.  The sha256 is the file's hex digest
-    where the sidecar check computed it (a sidecar whose every other
-    field fits the file), else None: a file without one is not hashed.
+    alone decides what is an error.
     """
-    parsed, digest = read_sidecar(path, np.float64)
-    return (*(parsed or read_id_rows(path, what)), digest)
+    return read_sidecar(path, np.float64) or read_id_rows(path, what)
 
 
 def sidecar_path(path) -> Path:
@@ -117,11 +116,10 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def read_sidecar(path, dtype) -> tuple[tuple[tuple, tuple, np.ndarray] | None, str | None]:
+def read_sidecar(path, dtype) -> tuple[tuple, tuple, np.ndarray] | None:
     """The column names after ``id``, the ids and the ``dtype`` matrix
     from the sidecar of the file at ``path``, or None where there is no
-    sidecar or it does not match; and the file's hex sha256 where the
-    check computed it.
+    sidecar or it does not match.
 
     The sidecar must hold three arrays and nothing more: the sha256 of
     the file, which is checked last and only if the rest holds, a 1-D
@@ -140,7 +138,7 @@ def read_sidecar(path, dtype) -> tuple[tuple[tuple, tuple, np.ndarray] | None, s
         # A missing, truncated or foreign sidecar: numpy's loader raises
         # ValueError, EOFError, SyntaxError, BadZipFile or MemoryError,
         # among others, for such files, and the checked loop decides each one.
-        return None, None
+        return None
     if not (
         complete
         and all(type(array) is np.ndarray for array in (digest, ids, matrix))
@@ -153,11 +151,10 @@ def read_sidecar(path, dtype) -> tuple[tuple[tuple, tuple, np.ndarray] | None, s
         and matrix.shape == (ids.size, len(header) - 1)
         and header[:1] == ["id"]
         and max(ids.dtype.itemsize // 4, 24) <= csv.field_size_limit()
+        and digest.item() == sha256_file(path)
     ):
-        return None, None
-    actual = sha256_file(path)
-    parsed = tuple(header[1:]), tuple(ids.tolist()), matrix
-    return (parsed if digest.item() == actual else None), actual
+        return None
+    return tuple(header[1:]), tuple(ids.tolist()), matrix
 
 
 def read_id_rows(path, what: str) -> tuple[tuple, tuple, np.ndarray]:
@@ -346,13 +343,13 @@ def float_cells(values: np.ndarray) -> np.ndarray:
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows as ``csv.writer`` does, each field the
-    ``str`` of its value (None: empty) quoted as ``_text_field`` quotes it."""
+    """Write a header and rows of at least two fields each as ``csv.writer``
+    does, each field the ``str`` of its value (None: empty) quoted as
+    ``_text_field`` quotes it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for row in [header, *rows]:
             fields = ["" if value is None else _text_field(str(value)) for value in row]
-            line = ",".join(fields) or ('""' if fields else "")  # one empty field: ""
-            fh.write(line + "\n")
+            fh.write(",".join(fields) + "\n")
 
 
 def _leads(ids: Sequence[str], quoted: bool) -> list[bytes]:
@@ -414,24 +411,35 @@ def _scan(text: str) -> tuple[bool, bool]:
 
 def write_id_matrix(
     path, header: Sequence[str], ids: Sequence[str], matrix: np.ndarray, cell_zones=float_cells
-) -> str:
+) -> None:
     """Write an ``id,<name>...`` file of ``matrix`` rows as ``write_rows``
     does, then atomically its sidecar: the file's sha256, the ids and the
     matrix as its reader returns it (every NaN as ``float("nan")``).
-    Return the file's hex sha256.
 
-    A file without rows, or with an id or a column name that needs
-    quoting or holds a NUL, gets no sidecar, and loses any it had: the
-    checked loop reads such files.  A matrix without columns is refused.
+    A file whose sidecar, checked by ``read_sidecar``, holds this header,
+    these ids and this matrix bit for bit (``0.0`` and ``-0.0`` differ)
+    is left alone, with its sidecar.  A file without rows, or with an id
+    or a column name that needs quoting or holds a NUL, gets no sidecar,
+    and loses any it had: the checked loop reads such files.  A matrix
+    without columns is refused.
     """
     if matrix.shape[1] == 0:
         raise ValueError(f"{path}: a matrix without columns has no cells to write")
+    held = read_sidecar(path, matrix.dtype)
+    if (
+        held is not None
+        and ("id", *held[0]) == tuple(header)
+        and held[1] == tuple(ids)
+        and held[2].tobytes() == matrix.tobytes()
+    ):
+        return
+    del held  # not kept alive through the write
     quoted, nul = _scan("".join(ids))  # the joined ids are freed before the write
     digest = write_rows(path, header, ids, matrix, cell_zones, quoted)
     sidecar = sidecar_path(path)
     if not len(ids) or quoted or nul or any(_scan("".join(header))):
         sidecar.unlink(missing_ok=True)
-        return digest
+        return
     nan = np.isnan(matrix)
     # C order: ``read_sidecar`` accepts no other
     parsed = np.ascontiguousarray(np.where(nan, np.nan, matrix) if nan.any() else matrix)
@@ -444,4 +452,3 @@ def write_id_matrix(
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    return digest

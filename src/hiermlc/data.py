@@ -143,7 +143,7 @@ def load_labels_csv(
     file is read by the checked row loop, which alone writes the error
     messages.
     """
-    sidecar, _ = read_sidecar(path, np.int8)
+    sidecar = read_sidecar(path, np.int8)
     if sidecar and sidecar[0] == tree.names and np.isin(sidecar[2], CODES).all():
         _, ids, labels = sidecar
         return labels, ids, {"id": ids}
@@ -237,7 +237,7 @@ def load_csv(path: str | Path, tree: LabelTree) -> Dataset:
 
 
 def load_features_csv(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
-    _, ids, features, _ = read_id_matrix(path, "feature")
+    _, ids, features = read_id_matrix(path, "feature")
     return features, ids
 
 

@@ -207,17 +207,17 @@ def write_predictions_csv(
     ids: Sequence[str],
     probs: np.ndarray,
     label_names: Sequence[str],
-) -> str:
-    """Write the file and its sidecar; return the file's hex sha256."""
+) -> None:
+    """Write the file and its sidecar, as ``write_id_matrix`` writes them."""
     probs = np.asarray(probs, dtype=np.float64)
-    return write_id_matrix(path, ["id"] + list(label_names), ids, probs)
+    write_id_matrix(path, ["id"] + list(label_names), ids, probs)
 
 
 def load_predictions_csv(
     path: str | Path,
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
     """Returns (ids, probability matrix, label names)."""
-    names, ids, probs, _ = read_id_matrix(path, "prediction")
+    names, ids, probs = read_id_matrix(path, "prediction")
     return ids, probs, names
 
 

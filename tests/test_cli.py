@@ -295,10 +295,15 @@ class TestEvalAndPredict:
         assert all(float(r[2]) <= float(r[1]) for r in rows[1:])
 
     def test_predict_without_checkpoints(self, workspace, capsys):
+        """predict, as eval, checks the checkpoints before it reads the
+        features file."""
         config = write_config(workspace)
         assert main(["gen", "--config", str(config)]) == 0
-        assert main(["predict", "--config", str(config)]) == 1
-        assert "run train first" in capsys.readouterr().err
+        (workspace / "run" / "data" / "eval_features.csv").write_text("id,f0\nr1,x\n")
+        capsys.readouterr()
+        for command in ("predict", "eval"):
+            assert main([command, "--config", str(config)]) == 1
+            assert "run train first" in capsys.readouterr().err
 
     def perfect_predictions(self, workspace, columns=("A", "B")):
         """Copy the true eval labels into a predictions file."""
@@ -475,7 +480,7 @@ class TestStaleData:
         config = str(write_config(workspace, ensemble_size=1))
         for command in ("gen", "train", "predict"):
             assert main([command, "--config", config]) == 0
-        derived = ["predictions.csv", "predictions.csv.npy", "predictions.json"]
+        derived = ["predictions.csv", "predictions.csv.npy"]
         assert all((workspace / "run" / name).exists() for name in derived)
         assert main(["train", "--config", config]) == 0
         assert not any((workspace / "run" / name).exists() for name in derived)
@@ -588,7 +593,7 @@ class TestSidecars:
 
         def recorded(path, dtype):
             result = read_sidecar(path, dtype)
-            read.append((Path(path).name, result[0] is not None))
+            read.append((Path(path).name, result is not None))
             return result
 
         monkeypatch.setattr(csvio, "read_id_rows", parsed)
@@ -766,9 +771,10 @@ class TestTrainedConfig:
 
 
 class TestPredictionsReuse:
-    """eval scores the ``predictions.csv`` that predict wrote when
-    ``predictions.json`` binds it to eval's inputs, and otherwise runs the
-    ensemble; either way it writes the same bytes."""
+    """predict and eval reach the ensemble's probabilities by one path, and
+    eval after predict leaves the ``predictions.csv`` that predict wrote
+    where it holds the same bytes; either way eval writes what a run that
+    never ran predict writes."""
 
     SCORED = ("predictions.csv", "report.txt", "report.csv", "roc_A.csv", "roc_B.csv")
 
@@ -787,7 +793,6 @@ class TestPredictionsReuse:
                 assert main(["gen", "--config", str(config)]) == 0
             assert main(["train", "--config", str(config)]) == 0
         assert main(["predict", "--config", str(configs["run"])]) == 0
-        assert (workspace / "run" / "predictions.json").exists()
         return configs
 
     def scored(self, run):
@@ -802,16 +807,21 @@ class TestPredictionsReuse:
     def test_eval_scores_what_predict_wrote(self, workspace, monkeypatch):
         configs = self.two_runs(workspace)
         assert main(["eval", "--config", str(configs["canon"])]) == 0
+        predictions = workspace / "run" / "predictions.csv"
+        sidecar = csvio.sidecar_path(predictions)
+        before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in (predictions, sidecar)]
+        written, write_rows = [], csvio.write_rows
 
-        def forbidden(*args):
-            raise AssertionError("eval ran the ensemble")
+        def recorded(path, *args):
+            written.append(Path(path).name)
+            return write_rows(path, *args)
 
-        monkeypatch.setattr(cli, "load_checkpoint", forbidden)
-        monkeypatch.setattr(data_mod, "load_features_csv", forbidden)
-        record = (workspace / "run" / "predictions.json").read_bytes()
+        monkeypatch.setattr(csvio, "write_rows", recorded)
+        loads = self.checkpoint_loads(monkeypatch)
         assert main(["eval", "--config", str(configs["run"])]) == 0
+        assert len(loads) == 2 and "predictions.csv" not in written
+        assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in (predictions, sidecar)] == before
         assert self.scored(workspace / "run") == self.scored(workspace / "canon")
-        assert (workspace / "run" / "predictions.json").read_bytes() == record
 
     def edit_checkpoint(self, workspace, configs):
         path = workspace / "run" / "checkpoints" / "member01_final.json"
@@ -824,15 +834,10 @@ class TestPredictionsReuse:
         lines[5] = ",".join([cells[0], "0.5", *cells[2:]])
         path.write_text("\n".join(lines))
 
-    def delete_record(self, workspace, configs):
-        (workspace / "run" / "predictions.json").unlink()
-
     def swap_hierarchy(self, workspace, configs):
         (workspace / "h.csv").write_text(ROOTS_CSV)
 
-    @pytest.mark.parametrize(
-        "edit", ["edit_checkpoint", "edit_probability", "delete_record", "swap_hierarchy"]
-    )
+    @pytest.mark.parametrize("edit", ["edit_checkpoint", "edit_probability", "swap_hierarchy"])
     def test_a_changed_input_runs_the_ensemble(self, workspace, monkeypatch, edit):
         configs = self.two_runs(workspace)
         getattr(self, edit)(workspace, configs)
@@ -841,9 +846,6 @@ class TestPredictionsReuse:
         assert main(["eval", "--config", str(configs["run"])]) == 0
         assert len(loads) == 2
         assert self.scored(workspace / "run") == self.scored(workspace / "canon")
-        loads.clear()
-        assert main(["eval", "--config", str(configs["run"])]) == 0  # now bound again
-        assert loads == []
 
     def test_each_file_hashed_once(self, workspace, monkeypatch):
         config = str(write_config(workspace))
@@ -856,24 +858,14 @@ class TestPredictionsReuse:
             return sha256_file(path)
 
         monkeypatch.setattr(csvio, "sha256_file", counted)
-        monkeypatch.setattr(cli, "sha256_file", counted)
         assert main(["train", "--config", config]) == 0
         assert hashed.count("train_features.csv") == hashed.count("train_labels.csv") == 1
         hashed.clear()
-        assert main(["eval", "--config", config]) == 0  # nothing bound: reads the features
-        assert hashed.count("eval_features.csv") == hashed.count("eval_labels.csv") == 1
-        hashed.clear()
         assert main(["predict", "--config", config]) == 0
-        assert hashed.count("eval_features.csv") == 1 and "predictions.csv" not in hashed
-        assert "eval_labels.csv" not in hashed
-        loads = self.checkpoint_loads(monkeypatch)
-        for edit, ensemble_runs in [(None, False), (self.edit_probability, True)]:
-            if edit:
-                edit(workspace, None)
-            hashed.clear()
-            assert main(["eval", "--config", config]) == 0
-            assert hashed.count("predictions.csv") == hashed.count("eval_labels.csv") == 1
-            assert bool(loads) == ensemble_runs
+        assert hashed == ["eval_features.csv"]
+        hashed.clear()
+        assert main(["eval", "--config", config]) == 0
+        assert sorted(hashed) == ["eval_features.csv", "eval_labels.csv", "predictions.csv"]
 
     def test_other_eval_features_run_the_ensemble(self, workspace, monkeypatch):
         data = write_label_files(workspace, "0.0")
@@ -891,24 +883,10 @@ class TestPredictionsReuse:
         assert len(loads) == 2
         assert self.scored(workspace / "run") == self.scored(workspace / "canon")
 
-    def test_only_bound_predictions_leave_a_record(self, workspace):
-        configs = self.two_runs(workspace)
-        record = workspace / "run" / "predictions.json"
-        assert main(["train", "--config", str(configs["run"])]) == 0
-        assert not record.exists()
-        assert main(["predict", "--config", str(configs["run"])]) == 0
-        scored = workspace / "scored.csv"
-        shutil.copy(workspace / "run" / "predictions.csv", scored)
-        assert main(["eval", "--config", str(configs["run"]), "--predictions", str(scored)]) == 0
-        assert not record.exists()
-        assert main(["predict", "--config", str(configs["run"])]) == 0
-        assert main(["gen", "--config", str(configs["run"])]) == 0
-        assert not record.exists()
-
 
 class TestEvalReadsFeatures:
-    """Every eval that does not score bound predictions reads the eval
-    features file and checks its row ids against the labels'."""
+    """Every eval reads the eval features file and checks its row ids
+    against the labels'."""
 
     def renamed_row(self, workspace):
         path = workspace / "run" / "data" / "eval_features.csv"
@@ -932,7 +910,6 @@ class TestEvalReadsFeatures:
             assert main([command, "--config", str(config)]) == 0
         self.renamed_row(workspace)
         assert main(["predict", "--config", str(config)]) == 0  # reads no labels
-        assert (workspace / "run" / "predictions.json").exists()
         capsys.readouterr()
         assert main(["eval", "--config", str(config)]) == 2
         assert "row ids disagree between" in capsys.readouterr().err

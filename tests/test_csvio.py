@@ -444,8 +444,8 @@ class TestReader:
 
     def test_read_id_matrix(self, tmp_path):
         path = write_text(tmp_path, "id,p,q\nr1,0.5,1e-05\n\nr2,-0.0,3\n")
-        names, ids, matrix, digest = csvio.read_id_matrix(path, "thing")
-        assert names == ("p", "q") and ids == ("r1", "r2") and digest is None
+        names, ids, matrix = csvio.read_id_matrix(path, "thing")
+        assert names == ("p", "q") and ids == ("r1", "r2")
         assert matrix.dtype == np.float64
         np.testing.assert_array_equal(matrix, [[0.5, 1e-05], [-0.0, 3.0]])
         with pytest.raises(DataFormatError, match=r"t\.csv:3: unparsable thing value"):
@@ -462,7 +462,7 @@ def id_matrix_outcome(read, path):
     """What ``read`` makes of an id-matrix file: its result, matrix bits
     included, or the message of the ``DataFormatError`` it raises."""
     try:
-        names, ids, matrix = read(path, "feature")[:3]
+        names, ids, matrix = read(path, "feature")
     except DataFormatError as exc:
         return str(exc)
     assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
@@ -498,7 +498,7 @@ class TestIdMatrixReader:
         lines[row] = ",".join(lines[row].split(",")[:9] + [bad])
         path.write_text("\n".join(lines))
         if message is None:  # float() takes 1_0
-            _, _, features, _ = csvio.read_id_matrix(path, "feature")
+            _, _, features = csvio.read_id_matrix(path, "feature")
             np.testing.assert_array_equal(features[: row - 1], values[: row - 1])
             assert features[row - 1, 9] == 10.0
         else:
@@ -652,13 +652,13 @@ class TestSidecar:
         hashed, sha256_file = [], csvio.sha256_file
         monkeypatch.setattr(csvio, "sha256_file", lambda p: hashed.append(p) or sha256_file(p))
         monkeypatch.setattr(csvio, "read_id_rows", forbidden_parse)
-        digest = csvio.read_id_matrix(path, "feature")[3]
-        assert hashed == [path] and digest == sha256_file(path)
+        names, ids, _ = csvio.read_id_matrix(path, "feature")
+        assert hashed == [path] and names == ("f0", "f1") and ids == ("r0", "r1")
         csvio.sidecar_path(path).unlink()
         monkeypatch.undo()
         monkeypatch.setattr(csvio, "sha256_file", forbidden_parse)
-        names, ids, _, digest = csvio.read_id_matrix(path, "feature")
-        assert names == ("f0", "f1") and ids == ("r0", "r1") and digest is None
+        names, ids, _ = csvio.read_id_matrix(path, "feature")
+        assert names == ("f0", "f1") and ids == ("r0", "r1")
 
     def test_rewrite_without_a_sidecar_removes_the_old_one(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -702,8 +702,8 @@ class TestSidecar:
         write_predictions_csv(predictions, list("abcd"), values, "XYZ")
         monkeypatch.setattr(csvio, "read_id_rows", forbidden_parse)
         for path in (features, predictions):
-            _, ids, matrix, digest = csvio.read_id_matrix(path, "feature")
-            assert ids == tuple("abcd") and digest == csvio.sha256_file(path)
+            _, ids, matrix = csvio.read_id_matrix(path, "feature")
+            assert ids == tuple("abcd")
             assert matrix.flags.c_contiguous
             np.testing.assert_array_equal(matrix, values)
 
@@ -737,7 +737,7 @@ def label_outcome(path, tree, sidecar=True):
 
 
 def no_sidecar(*args):
-    return None, None
+    return None
 
 
 LABEL_CELLS = ("1.0", "0.0", "-1.0", "")
@@ -878,7 +878,7 @@ class TestLabelSidecar:
         with open(csvio.sidecar_path(path), "wb") as fh:
             for array in (np.array(csvio.sha256_file(path)), np.array(["r0", "r1", "r2"]), bad):
                 np.save(fh, array)
-        assert csvio.read_sidecar(path, np.int8)[0][2].tobytes() == bad.tobytes()
+        assert csvio.read_sidecar(path, np.int8)[2].tobytes() == bad.tobytes()
         got = label_outcome(path, CHAIN)
         assert got == label_outcome(path, CHAIN, sidecar=False)
         assert got[2] == labels.tobytes()
@@ -892,7 +892,7 @@ class TestLabelSidecar:
 
     def test_float_and_label_sidecars_are_not_mixed_up(self, tmp_path):
         path, labels = self.written(tmp_path)
-        assert csvio.read_sidecar(path, np.float64) == (None, None)
+        assert csvio.read_sidecar(path, np.float64) is None
         features = tmp_path / "f.csv"
         write_features_csv(features, np.zeros((2, 3)), ["r0", "r1"])
         csvio.sidecar_path(features).replace(csvio.sidecar_path(path))
@@ -921,6 +921,55 @@ class TestLabelSidecar:
         got, ids, metadata = load_labels_csv(path, CHAIN)
         assert got.dtype == np.int8 and got.tobytes() == labels.astype(np.int8).tobytes()
         assert ids == ("a", "b", "c", "d") and metadata == {"id": ids}
+
+
+class TestHeldFile:
+    """``write_id_matrix`` leaves alone a file whose sidecar holds the
+    header, ids and matrix it is asked to write, and rewrites any other
+    file as a fresh write would."""
+
+    IDS = ("r0", "r1", "r2")
+
+    def write(self, path, kind, ids, matrix, names):
+        if kind == "labels":
+            tree = build_tree([(names[0], None, 0), (names[1], names[0], 1)])
+            write_labels_csv(path, matrix, tree, ids)
+        else:
+            write_predictions_csv(path, ids, matrix, names)
+
+    @pytest.mark.parametrize("kind", ["predictions", "labels"])
+    @pytest.mark.parametrize("change", [None, "value", "id", "name"])
+    def test_rewritten_unless_held(self, tmp_path, monkeypatch, kind, change):
+        if kind == "labels":
+            matrix = np.array([[POS, NEG], [UNC, MISSING], [NEG, NEG]], dtype=np.int8)
+        else:
+            matrix = np.array([[0.5, 0.0], [-1.25, 2.0], [0.0, 3.0]])
+        path, ids, names = tmp_path / "m.csv", list(self.IDS), ["A", "B"]
+        self.write(path, kind, ids, matrix, names)
+        files = (path, csvio.sidecar_path(path))
+        before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in files]
+        matrix = matrix.copy()
+        if change == "value":  # one zero's sign, or one code
+            matrix[0, 1] = -0.0 if kind == "predictions" else UNC
+        elif change == "id":
+            ids[1] = "r9"
+        elif change == "name":
+            names[1] = "C"
+        written, write_rows = [], csvio.write_rows
+
+        def recorded(path, *args):
+            written.append(path)
+            return write_rows(path, *args)
+
+        monkeypatch.setattr(csvio, "write_rows", recorded)
+        self.write(path, kind, ids, matrix, names)
+        assert written == ([] if change is None else [path])
+        if change is None:
+            assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in files] == before
+        fresh = tmp_path / "fresh.csv"
+        self.write(fresh, kind, ids, matrix, names)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert files[1].read_bytes() == csvio.sidecar_path(fresh).read_bytes()
 
 
 def forest(tree) -> tuple:
@@ -972,7 +1021,7 @@ class TestWriteTable:
         """The bytes of ``csv.writer`` rows, a carriage return quoted."""
         header = ["name", "note, free"]
         rows = [[text, i] for i, text in enumerate(ODD_TEXT)]
-        rows += [["", ""], [1.5, None], [""], [None], [], [True, 2**70, -0.0]]
+        rows += [["", ""], [1.5, None], [True, 2**70, -0.0]]
         csvio.write_table(tmp_path / "new.csv", header, rows)
         with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
             writer = _writer(fh)

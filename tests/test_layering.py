@@ -1,7 +1,8 @@
 """Layering guards: ``csvio`` is the package's one CSV layer and the one
-module that saves or loads ``.npy`` files, ``pipeline.synthetic_split``
-its one synthetic-data path, and every public name of the package is
-reached by the package or the benchmark, not by tests alone."""
+module that saves or loads ``.npy`` files or hashes files,
+``pipeline.synthetic_split`` its one synthetic-data path, and every public
+name of the package is reached by the package or the benchmark, not by
+tests alone."""
 
 import ast
 from pathlib import Path
@@ -93,6 +94,37 @@ def test_npy_guard_sees_each_form():
     assert npy_uses("import numpy\nnumpy.save(fh, a)") == ["numpy.save"]
     assert npy_uses("from numpy import load") == ["from numpy import load"]
     assert npy_uses("import numpy as np\nimport json\njson.load(fh)\nnp.savez(f)") == []
+
+
+def hashing_uses(source: str) -> list[str]:
+    """Each import of ``hashlib`` and each mention of ``sha256_file`` in a module."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            uses += [a.name for a in node.names if a.name.split(".")[0] == "hashlib"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "hashlib":
+            uses.append("from hashlib")
+        elif "sha256_file" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+            uses.append("sha256_file")
+    return uses
+
+
+def test_only_csvio_hashes_files():
+    offenders = {
+        name: uses
+        for name, source in modules().items()
+        if name != "csvio.py" and (uses := hashing_uses(source))
+    }
+    assert offenders == {}
+
+
+def test_hashing_guard_sees_each_form():
+    assert hashing_uses("import hashlib") == ["hashlib"]
+    assert hashing_uses("import hashlib as h\nh.sha256()") == ["hashlib"]
+    assert hashing_uses("from hashlib import sha256") == ["from hashlib"]
+    assert hashing_uses("from .csvio import read_sidecar, sha256_file") == ["sha256_file"]
+    assert hashing_uses("from . import csvio\ncsvio.sha256_file(p)") == ["sha256_file"]
+    assert hashing_uses("import hashlibs\nsha256 = digest = 1") == []
 
 
 SYNTHETIC = {"generate_synthetic", "inject_uncertainty"}
