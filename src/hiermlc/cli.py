@@ -117,25 +117,6 @@ def _out_dir(config: RunConfig, create: bool = True) -> Path:
     return out
 
 
-def _synthetic_spec(config: RunConfig, tree: LabelTree) -> SyntheticSpec:
-    syn = config.synthetic
-    assert syn is not None
-    theta = synthetic_spec_theta(syn, tree)
-    return SyntheticSpec(tree, theta, syn.feature_noise, syn.feature_dim)
-
-
-def _named_split(config: RunConfig, spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
-    """The config's synthetic split, its rows named ``row00000``, ... in
-    generator order, as gen writes them."""
-    syn = config.synthetic
-    assert syn is not None
-    train, held_out = synthetic_split(
-        spec, syn.n_train, syn.n_eval, syn.uncertainty_rate, config.seed
-    )
-    ids = data_mod.row_ids(syn.n_train + syn.n_eval)
-    return replace(train, ids=ids[: syn.n_train]), replace(held_out, ids=ids[syn.n_train :])
-
-
 # What predict and eval derive from the checkpoints, and what train,
 # predict and eval derive from gen's data.  train and gen delete them with
 # what they came from, so no run directory mixes the two.
@@ -159,19 +140,26 @@ def _remove_stale(out: Path, patterns) -> None:
 def cmd_gen(args) -> int:
     """Write a synthetic dataset (features+labels CSV pairs) plus provenance."""
     config = _effective_config(args)
-    if config.synthetic is None:
+    syn = config.synthetic
+    if syn is None:
         raise ConfigError("gen requires a data.synthetic section")
     tree = config.load_tree()
-    spec = _synthetic_spec(config, tree)
-    train, held_out = _named_split(config, spec)
+    theta = synthetic_spec_theta(syn, tree)
+    spec = SyntheticSpec(tree, theta, syn.feature_noise, syn.feature_dim)
+    train, held_out = synthetic_split(
+        spec, syn.n_train, syn.n_eval, syn.uncertainty_rate, config.seed
+    )
+    # rows named row00000, ... in generator order; only the halves stay alive
+    ids = data_mod.row_ids(syn.n_train + syn.n_eval)
+    splits = (("train", train, ids[: syn.n_train]), ("eval", held_out, ids[syn.n_train :]))
+    del ids
     marginals = propagate(tree, spec.theta)
 
     out = _out_dir(config)
     _remove_stale(out, _DERIVED_FROM_DATA)
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
-    for split, dataset in (("train", train), ("eval", held_out)):
-        ids = dataset.ids
+    for split, dataset, ids in splits:
         data_mod.write_features_csv(data_dir / f"{split}_features.csv", dataset.features, ids)
         data_mod.write_labels_csv(data_dir / f"{split}_labels.csv", dataset.labels, tree, ids)
     provenance = {
@@ -184,7 +172,6 @@ def cmd_gen(args) -> int:
         json.dumps(provenance, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     snapshot_config(config, out)
-    syn = config.synthetic
     print(f"wrote {syn.n_train} train / {syn.n_eval} eval rows to {data_dir}")
     return EXIT_OK
 
@@ -233,16 +220,17 @@ def _recorded(path: Path, remedy: str) -> dict:
     return recorded
 
 
-def _gen_csvs(config: RunConfig, split: str) -> tuple[Path, Path] | None:
-    """gen's (features, labels) CSVs of a split, or None if gen wrote none.
+def _gen_csvs(config: RunConfig, split: str) -> tuple[Path, Path]:
+    """gen's (features, labels) CSVs of a split.
 
-    CSVs written under another config, or without a ``provenance.json``,
-    raise ``ConfigError``: a run must not mix data and config.
+    No CSVs, CSVs written under another config, or CSVs without a
+    ``provenance.json`` raise ``ConfigError``: a run must not mix data
+    and config.
     """
     data_dir = _out_dir(config, create=False) / "data"
     paths = (data_dir / f"{split}_features.csv", data_dir / f"{split}_labels.csv")
     if not any(path.exists() for path in paths):
-        return None
+        raise ConfigError(f"no {split} data under {data_dir}; run gen first")
     recorded = _recorded(data_dir / "provenance.json", "run gen again")
     expected = _data_identity(config)
     differing = _differing({key: recorded.get(key) for key in expected}, expected)
@@ -254,11 +242,9 @@ def _gen_csvs(config: RunConfig, split: str) -> tuple[Path, Path] | None:
     return paths
 
 
-def _split_files(
-    config: RunConfig, split: str
-) -> tuple[str | Path | None, str | Path] | None:
-    """The "train" or "eval" split's (features file or None, labels file),
-    or None for the config's synthetic split drawn in memory."""
+def _split_files(config: RunConfig, split: str) -> tuple[str | Path | None, str | Path]:
+    """The "train" or "eval" split's (features file or None, labels file):
+    gen's CSVs, or the config's."""
     if config.synthetic is not None:
         return _gen_csvs(config, split)
     csv_cfg = config.csv_data
@@ -270,33 +256,25 @@ def _split_files(
     return getattr(csv_cfg, f"{split}_features"), labels
 
 
-def _load_split(config: RunConfig, tree: LabelTree, split: str, files: tuple | None) -> Dataset:
-    """The "train" or "eval" dataset from its ``_split_files``: gen's CSVs,
-    else regenerated synthetic data, else the config's CSV files."""
-    if files is None:
-        train, held_out = _named_split(config, _synthetic_spec(config, tree))
-        dataset = train if split == "train" else held_out
-    elif files[0] is not None:
-        dataset = data_mod.load_dataset(*files, tree)
+def _load_split(config: RunConfig, tree: LabelTree, files: tuple) -> Dataset:
+    """The dataset of a split's ``_split_files``, its blank label cells
+    read as negatives under ``missing_as_negative``."""
+    features, labels = files
+    if features is not None:
+        dataset = data_mod.load_dataset(features, labels, tree)
     else:
-        dataset = data_mod.load_csv(files[1], tree)
-    return replace(dataset, labels=_scored_labels(config, dataset.labels))
-
-
-def _scored_labels(config: RunConfig, labels: np.ndarray) -> np.ndarray:
-    """Labels with blank cells as negatives under ``missing_as_negative``."""
+        dataset = data_mod.load_csv(labels, tree)
     if not config.missing_as_negative:
-        return labels
-    return np.where(labels == data_mod.MISSING, data_mod.NEG, labels)
+        return dataset
+    scored = np.where(dataset.labels == data_mod.MISSING, data_mod.NEG, dataset.labels)
+    return replace(dataset, labels=scored)
 
 
-def _eval_features(
-    config: RunConfig, tree: LabelTree, files: tuple | None
-) -> tuple[np.ndarray, tuple[str, ...]]:
+def _eval_features(tree: LabelTree, files: tuple) -> tuple[np.ndarray, tuple[str, ...]]:
     """Features and row ids of the eval split from its ``_split_files``:
     read without the labels where a features file holds them."""
-    if files is None or files[0] is None:
-        dataset = _load_split(config, tree, "eval", files)
+    if files[0] is None:
+        dataset = data_mod.load_csv(files[1], tree)
         return dataset.features, dataset.ids
     _, ids, features = read_id_matrix(files[0], "feature")
     return features, ids
@@ -306,7 +284,7 @@ def cmd_train(args) -> int:
     """Train the ensemble (two-stage conditional or flat) and write checkpoints."""
     config = _effective_config(args)
     tree = config.load_tree()  # validate inputs before any writes
-    dataset = _load_split(config, tree, "train", _split_files(config, "train"))
+    dataset = _load_split(config, tree, _split_files(config, "train"))
     plan = TrainPlan(
         policy=config.policy(),
         optimizer=config.optimizer,
@@ -378,26 +356,15 @@ def _final_checkpoints(config: RunConfig) -> list[Path]:
 
 
 def _ensemble_probs(
-    config: RunConfig, tree: LabelTree, files: tuple | None, features=None, ids=None
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The ensemble's probabilities for the eval rows, propagated if
-    conditional and raw if flat, and the rows' ids: predict's and eval's
-    one path to them.  The checkpoints are checked before the rows'
-    ``features``, where not given, are read from the split's ``files``;
-    the row ids of a features file must equal the labels' ``ids`` where
-    given."""
-    checkpoints = _final_checkpoints(config)
-    if features is None:
-        features, read_ids = _eval_features(config, tree, files)
-        if ids is None:
-            ids = read_ids
-        else:
-            data_mod.check_row_ids(read_ids, ids, *files)
-        del read_ids  # one tuple of the rows' ids stays alive
+    config: RunConfig, tree: LabelTree, checkpoints: list[Path], features: np.ndarray
+) -> np.ndarray:
+    """The probabilities the ensemble of ``checkpoints`` gives the eval
+    rows' ``features``, propagated if conditional and raw if flat:
+    predict's and eval's one path to them."""
     ensemble = EnsembleModel([load_checkpoint(path)[0] for path in checkpoints])
     if config.mode == "flat":
-        return predict_flat(ensemble, features), ids
-    return predict_unconditional(ensemble, tree, features), ids
+        return predict_flat(ensemble, features)
+    return predict_unconditional(ensemble, tree, features)
 
 
 def cmd_predict(args) -> int:
@@ -409,7 +376,9 @@ def cmd_predict(args) -> int:
         files = csv_cfg.eval_features, csv_cfg.eval_labels
     else:
         files = _split_files(config, "eval")
-    probs, ids = _ensemble_probs(config, tree, files)
+    checkpoints = _final_checkpoints(config)  # before the features are read
+    features, ids = _eval_features(tree, files)
+    probs = _ensemble_probs(config, tree, checkpoints, features)
     path = _out_dir(config) / "predictions.csv"
     eval_mod.write_predictions_csv(path, ids, probs, tree.names)
     print(f"wrote predictions for {len(ids)} rows to {path}")
@@ -441,26 +410,22 @@ def cmd_eval(args) -> int:
         raise DataFormatError(
             f"{config.reader_points}: reader points for unknown label(s) {unknown}"
         )
-    # The labels alone where a features file holds the rows' features:
-    # the ensemble reads that file once the checkpoints pass.
     files = _split_files(config, "eval")
-    features = None
-    if args.predictions or files is None or files[0] is None:
-        dataset = _load_split(config, tree, "eval", files)
-        features, labels, ids = dataset.features, dataset.labels, dataset.ids
-    else:
-        labels, ids, _ = data_mod.load_labels_csv(files[1], tree)
-        labels = _scored_labels(config, labels)
-    truth = _binary_ground_truth(labels, ids, tree)
+    # a supplied predictions file runs no checkpoints; else they are
+    # checked before any eval file is read
+    checkpoints = None if args.predictions else _final_checkpoints(config)
+    dataset = _load_split(config, tree, files)
+    ids = dataset.ids
+    truth = _binary_ground_truth(dataset.labels, ids, tree)
 
     if args.predictions:
-        written_ids, probs, names = eval_mod.load_predictions_csv(args.predictions)
+        names, written_ids, probs = read_id_matrix(args.predictions, "prediction")
         cols = column_indices(args.predictions, names, tree.names, "label")
         if written_ids != ids:
             raise DataFormatError("predictions row ids do not match the eval dataset")
         probs = probs[:, cols]
     else:
-        probs, _ = _ensemble_probs(config, tree, files, features, ids)
+        probs = _ensemble_probs(config, tree, checkpoints, dataset.features)
 
     scores_by_label = {name: probs[:, tree.index_of(name)] for name in tree.names}
     truth_by_label = {name: truth[:, tree.index_of(name)] for name in tree.names}

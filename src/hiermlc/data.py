@@ -236,11 +236,6 @@ def load_csv(path: str | Path, tree: LabelTree) -> Dataset:
     return Dataset(features=features, labels=labels, ids=ids)
 
 
-def load_features_csv(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
-    _, ids, features = read_id_matrix(path, "feature")
-    return features, ids
-
-
 def write_features_csv(path: str | Path, features: np.ndarray, ids: Sequence[str]) -> None:
     features = np.asarray(features, dtype=np.float64)
     header = ["id"] + [f"f{j}" for j in range(features.shape[1])]
@@ -248,19 +243,14 @@ def write_features_csv(path: str | Path, features: np.ndarray, ids: Sequence[str
 
 
 def load_dataset(features_path: str | Path, labels_path: str | Path, tree: LabelTree) -> Dataset:
-    """Load a synthetic features/labels CSV pair, matching rows by order."""
-    features, feat_ids = load_features_csv(features_path)
+    """Load a features/labels CSV pair whose rows must carry the same ids
+    in the same order."""
+    # labels first: the larger features read last keeps the peak memory lower
     labels, ids, _ = load_labels_csv(labels_path, tree)
-    check_row_ids(feat_ids, ids, features_path, labels_path)
-    return Dataset(features=features, labels=labels, ids=ids)
-
-
-def check_row_ids(feat_ids, ids, features_path, labels_path) -> None:
-    """Raise unless a features file and a labels file hold the same rows."""
+    _, feat_ids, features = read_id_matrix(features_path, "feature")
     if feat_ids != ids:
-        raise DataFormatError(
-            f"row ids disagree between {features_path} and {labels_path}"
-        )
+        raise DataFormatError(f"row ids disagree between {features_path} and {labels_path}")
+    return Dataset(features=features, labels=labels, ids=ids)
 
 
 # ---------------------------------------------------------------------------

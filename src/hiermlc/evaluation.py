@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .csvio import (
-    column_indices, float_cells, read_id_matrix, reader, write_id_matrix, write_rows, write_table
+    column_indices, float_cells, reader, write_id_matrix, write_rows, write_table
 )
 from .errors import DataFormatError
 
@@ -38,9 +38,9 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
     thresholds: np.ndarray  # score cut for each interior point, NaN at anchors
-    # Integer (tp, fp) counts behind each point, when swept from scores.
-    tp: np.ndarray | None = None
-    fp: np.ndarray | None = None
+    # Integer (tp, fp) counts behind each point.
+    tp: np.ndarray
+    fp: np.ndarray
 
     def __post_init__(self):
         if not len(self.fpr) == len(self.tpr) == len(self.thresholds):
@@ -211,14 +211,6 @@ def write_predictions_csv(
     """Write the file and its sidecar, as ``write_id_matrix`` writes them."""
     probs = np.asarray(probs, dtype=np.float64)
     write_id_matrix(path, ["id"] + list(label_names), ids, probs)
-
-
-def load_predictions_csv(
-    path: str | Path,
-) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
-    """Returns (ids, probability matrix, label names)."""
-    names, ids, probs = read_id_matrix(path, "prediction")
-    return ids, probs, names
 
 
 def load_operating_points(path: str | Path) -> dict[str, list[OperatingPoint]]:

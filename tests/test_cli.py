@@ -14,8 +14,7 @@ from hiermlc import data as data_mod
 from hiermlc import evaluation as eval_mod
 from hiermlc.cli import main
 from hiermlc.config import config_to_dict, load_config, synthetic_spec_theta
-from hiermlc.data import load_features_csv
-from hiermlc.evaluation import load_predictions_csv
+from hiermlc.csvio import read_id_matrix
 from hiermlc.model import load_checkpoint
 from hiermlc.pipeline import EnsembleModel, hierarchical_ablation, predict_unconditional
 from hiermlc.policy import make_policy
@@ -80,6 +79,15 @@ def chain_config(tmp_path, configs_dir, name="chain.json", **overrides):
     raw["data"]["synthetic"].update(n_train=100, n_eval=50)
     (tmp_path / name).write_text(json.dumps(raw))
     return tmp_path / name
+
+
+def gen_files(data_dir):
+    """A config's ``data`` section naming the four CSVs gen wrote to ``data_dir``."""
+    return {
+        f"{split}_{kind}": str(data_dir / f"{split}_{kind}.csv")
+        for split in ("train", "eval")
+        for kind in ("features", "labels")
+    }
 
 
 class TestUsageErrors:
@@ -173,8 +181,8 @@ class TestGen:
         config = write_config(workspace)
         assert main(["gen", "--config", str(config)]) == 0
         data_dir = workspace / "run" / "data"
-        _, train_ids = load_features_csv(data_dir / "train_features.csv")
-        _, eval_ids = load_features_csv(data_dir / "eval_features.csv")
+        _, train_ids, _ = read_id_matrix(data_dir / "train_features.csv", "feature")
+        _, eval_ids, _ = read_id_matrix(data_dir / "eval_features.csv", "feature")
         assert train_ids + eval_ids == tuple(f"row{i:05d}" for i in range(280))
 
     def test_seed_override_lands_in_snapshot(self, workspace):
@@ -194,6 +202,7 @@ class TestTrain:
 
     def test_checkpoints_and_loss_log(self, workspace):
         config = write_config(workspace)
+        assert main(["gen", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config)]) == 0
         ckpts = workspace / "run" / "checkpoints"
         for i in (0, 1):
@@ -209,6 +218,7 @@ class TestTrain:
 
     def test_flat_mode_skips_stage1_checkpoints(self, workspace):
         config = write_config(workspace, mode="flat")
+        assert main(["gen", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config)]) == 0
         ckpts = workspace / "run" / "checkpoints"
         assert not list(ckpts.glob("*stage1*"))
@@ -239,6 +249,7 @@ class TestTrain:
         raw["optimizer"]["lr0"] = 1e308
         raw["ensemble_size"] = 1
         config.write_text(json.dumps(raw))
+        assert main(["gen", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
@@ -295,15 +306,16 @@ class TestEvalAndPredict:
         assert all(float(r[2]) <= float(r[1]) for r in rows[1:])
 
     def test_predict_without_checkpoints(self, workspace, capsys):
-        """predict, as eval, checks the checkpoints before it reads the
-        features file."""
+        """predict and eval check the checkpoints before they read any
+        eval file."""
         config = write_config(workspace)
-        assert main(["gen", "--config", str(config)]) == 0
-        (workspace / "run" / "data" / "eval_features.csv").write_text("id,f0\nr1,x\n")
-        capsys.readouterr()
-        for command in ("predict", "eval"):
-            assert main([command, "--config", str(config)]) == 1
-            assert "run train first" in capsys.readouterr().err
+        for garbled in ("eval_features.csv", "eval_labels.csv"):
+            assert main(["gen", "--config", str(config)]) == 0
+            (workspace / "run" / "data" / garbled).write_text("id,f0\nr1,x\n")
+            capsys.readouterr()
+            for command in ("predict", "eval"):
+                assert main([command, "--config", str(config)]) == 1
+                assert "run train first" in capsys.readouterr().err
 
     def perfect_predictions(self, workspace, columns=("A", "B")):
         """Copy the true eval labels into a predictions file."""
@@ -347,6 +359,7 @@ class TestEvalAndPredict:
     def test_non_binary_ground_truth_rejected(self, workspace, capsys):
         config = write_config(workspace)
         assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
         labels = workspace / "run" / "data" / "eval_labels.csv"
         lines = labels.read_text().splitlines()
         first = lines[1].split(",")
@@ -413,6 +426,34 @@ class TestDeterminismAndModes:
         report_c = (workspace / "out_c" / "report.csv").read_bytes()
         report_f = (workspace / "out_f" / "report.csv").read_bytes()
         assert report_c == report_f
+
+
+class TestGenFirst:
+    """On a synthetic config, gen's CSVs are each split's one source:
+    train, predict and eval without them exit 1 and write nothing."""
+
+    @pytest.mark.parametrize(
+        "command, split", [("train", "train"), ("predict", "eval"), ("eval", "eval")]
+    )
+    def test_without_gen_data(self, workspace, capsys, command, split):
+        config = write_config(workspace)
+        assert main([command, "--config", str(config)]) == 1
+        data_dir = workspace / "run" / "data"
+        assert error_line(capsys) == f"error: no {split} data under {data_dir}; run gen first"
+        assert not (workspace / "run").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_checkpoints_without_gen_data(self, workspace, capsys, command):
+        config = write_config(workspace, ensemble_size=1)
+        for step in ("gen", "train"):
+            assert main([step, "--config", str(config)]) == 0
+        shutil.rmtree(workspace / "run" / "data")
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 1
+        data_dir = workspace / "run" / "data"
+        assert error_line(capsys) == f"error: no eval data under {data_dir}; run gen first"
+        run = sorted(p.name for p in (workspace / "run").iterdir())
+        assert run == ["checkpoints", "config.json", "loss_log.csv"]
 
 
 class TestStaleData:
@@ -520,12 +561,17 @@ class TestStaleData:
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "--config", str(config)]) == 0
         capsys.readouterr()
-        assert main(["train", "--config", str(other)]) == 1
-        assert "different hierarchy than the config" in capsys.readouterr().err
-        # no gen: train and eval draw the synthetic split in memory
-        assert main(["train", "--config", str(config), "--out", "mem"]) == 0
+        for command in ("train", "eval"):
+            assert main([command, "--config", str(other)]) == 1
+            assert "different hierarchy than the config" in capsys.readouterr().err
+        # CSV data has no provenance check, so eval reaches the trained-config check
+        data = gen_files(tmp_path / "runs" / "chain" / "data")
+        for name, source in (("csv.json", config), ("csv_other.json", other)):
+            raw = json.loads(source.read_text())
+            (tmp_path / name).write_text(json.dumps({**raw, "data": data}))
+        assert main(["train", "--config", "csv.json", "--out", "csv"]) == 0
         capsys.readouterr()
-        assert main(["eval", "--config", str(other), "--out", "mem"]) == 1
+        assert main(["eval", "--config", "csv_other.json", "--out", "csv"]) == 1
         assert "trained under another config: hierarchy" in capsys.readouterr().err
 
     def test_predict_reads_no_eval_labels(self, workspace):
@@ -627,14 +673,14 @@ class TestEnsembleCheckpoints:
         args = ["--config", str(configs_dir / "benchmark.json"), "--out", str(tmp_path)]
         for command in ("gen", "train", "predict"):
             assert main([command, *args, "--mode", "flat"]) == 0
-        features, _ = load_features_csv(tmp_path / "data" / "eval_features.csv")
+        _, _, features = read_id_matrix(tmp_path / "data" / "eval_features.csv", "feature")
         members = [
             load_checkpoint(tmp_path / "checkpoints" / f"member{i:02d}_final.json")[0]
             for i in range(6)
         ]
         raw_mean = EnsembleModel(members)
         expected = np.mean([m.forward(features) for m in raw_mean.members], axis=0)
-        _, probs, _ = load_predictions_csv(tmp_path / "predictions.csv")
+        _, _, probs = read_id_matrix(tmp_path / "predictions.csv", "prediction")
         np.testing.assert_array_equal(probs, expected)
         tree = load_config(configs_dir / "benchmark.json").load_tree()
         propagated = predict_unconditional(raw_mean, tree, features)
@@ -702,8 +748,10 @@ class TestTrainedConfig:
     them, as train records it in ``config.json``; eval-only keys may differ."""
 
     def test_eval_refuses_checkpoints_of_another_seed(self, workspace, capsys):
-        config = write_config(workspace, ensemble_size=1)
-        # no gen: train and eval draw the synthetic split in memory
+        assert main(["gen", "--config", str(write_config(workspace))]) == 0
+        # CSV data: gen's provenance check would refuse another seed first
+        data = gen_files(workspace / "run" / "data")
+        config = write_config(workspace, name="csv.json", ensemble_size=1, data=data)
         assert main(["train", "--config", str(config), "--seed", "3"]) == 0
         snapshot = (workspace / "run" / "config.json").read_bytes()
         capsys.readouterr()
@@ -763,6 +811,7 @@ class TestTrainedConfig:
 
     def test_checkpoints_without_a_readable_config_are_refused(self, workspace, capsys):
         config = write_config(workspace, ensemble_size=1)
+        assert main(["gen", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config)]) == 0
         (workspace / "run" / "config.json").unlink()
         capsys.readouterr()
@@ -1067,6 +1116,7 @@ class TestMalformedInput:
         raw = json.loads(config.read_text())
         raw["optimizer"].update(decay_factor=1e-300, batch_size=100)
         config.write_text(json.dumps(raw))
+        assert main(["gen", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config)]) == 3
         assert "stage1: learning rate underflowed to 0 at epoch 2" in capsys.readouterr().err
 

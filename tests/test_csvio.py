@@ -18,7 +18,6 @@ from hiermlc.data import (
     NEG,
     POS,
     UNC,
-    load_features_csv,
     load_labels_csv,
     write_features_csv,
     write_labels_csv,
@@ -27,7 +26,6 @@ from hiermlc.errors import DataFormatError
 from hiermlc.evaluation import (
     RocCurve,
     load_operating_points,
-    load_predictions_csv,
     roc_curve,
     write_predictions_csv,
     write_roc_points_csv,
@@ -139,7 +137,7 @@ class TestTextRoundTrip:
         path = tmp_path / "f.csv"
         features = np.arange(2.0 * len(ODD_TEXT)).reshape(-1, 2)
         write_features_csv(path, features, ODD_TEXT)
-        got, ids = load_features_csv(path)
+        _, ids, got = csvio.read_id_matrix(path, "feature")
         assert ids == tuple(ODD_TEXT)
         np.testing.assert_array_equal(got, features)
         assert b'"cr\rhere",' in path.read_bytes()
@@ -196,6 +194,8 @@ class TestRocPoints:
             fpr=np.sort(np.abs(ODD_FLOATS)),
             tpr=np.linspace(0.0, 1.0, n),
             thresholds=np.where(np.arange(n) % 3 == 0, np.nan, ODD_FLOATS),
+            tp=np.arange(n),
+            fp=np.arange(n),
         )
         same_bytes(tmp_path, write_roc_points_csv, writerow_roc_points_csv, curve)
 
@@ -217,6 +217,8 @@ class TestRocPoints:
             fpr=np.array([-0.0, -0.0, 0.0, 0.0, *nans, 1.0]),
             tpr=np.array([0.0, -0.0, -0.0, 0.25, 0.25, 0.5, 0.5, 0.5, 1.0]),
             thresholds=np.array([np.nan, -0.0, 0.0, 0.5, *nans, np.nan]),
+            tp=np.arange(9),
+            fp=np.arange(9),
         )
         data = same_bytes(
             tmp_path, write_roc_points_csv, writerow_roc_points_csv, curve
@@ -225,7 +227,7 @@ class TestRocPoints:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_one_point_and_empty_curves(self, tmp_path, n):
-        curve = RocCurve(np.zeros(n), np.ones(n), np.full(n, np.nan))
+        curve = RocCurve(np.zeros(n), np.ones(n), np.full(n, np.nan), np.zeros(n), np.zeros(n))
         same_bytes(tmp_path, write_roc_points_csv, writerow_roc_points_csv, curve)
 
 
@@ -674,7 +676,7 @@ class TestSidecar:
         path = tmp_path / "p.csv"
         write_predictions_csv(path, ["a"], np.zeros((1, 1)), ["\r0"])
         assert not csvio.sidecar_path(path).exists()
-        assert load_predictions_csv(path)[2] == ("\r0",)
+        assert csvio.read_id_matrix(path, "prediction")[0] == ("\r0",)
 
     def test_same_bytes_on_every_write(self, tmp_path):
         first = csvio.sidecar_path(self.written(tmp_path, "a.csv")).read_bytes()
@@ -982,8 +984,10 @@ class TestLoadersShareTheReader:
 
     LOADERS = {
         "labels": ("id,A,B,C\n", "r1,1.0,0.0,\n", lambda p: load_labels_csv(p, CHAIN)),
-        "features": ("id,f0,f1\n", "r1,0.5,1.5\n", load_features_csv),
-        "predictions": ("id,A,B\n", "r1,0.5,0.25\n", load_predictions_csv),
+        "features": ("id,f0,f1\n", "r1,0.5,1.5\n", lambda p: csvio.read_id_matrix(p, "feature")),
+        "predictions": (
+            "id,A,B\n", "r1,0.5,0.25\n", lambda p: csvio.read_id_matrix(p, "prediction")
+        ),
         "hierarchy": ("name,parent,index\n", "A,,0\n", lambda p: forest(load_tree(p))),
         "readers": ("label,reader,fpr,tpr\n", "A,r1,0.1,0.5\n", load_operating_points),
     }

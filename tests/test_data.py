@@ -17,11 +17,11 @@ from hiermlc.data import (
     inject_uncertainty,
     load_csv,
     load_dataset,
-    load_features_csv,
     load_labels_csv,
     write_features_csv,
     write_labels_csv,
 )
+from hiermlc.csvio import read_id_matrix
 from hiermlc.errors import DataFormatError
 from hiermlc.hierarchy import build_tree, propagate
 from oracles import random_forest
@@ -130,7 +130,7 @@ class TestFeatureCsv:
         ids = tuple(f"r{i}" for i in range(10))
         path = tmp_path / "f.csv"
         write_features_csv(path, features, ids)
-        back, back_ids = load_features_csv(path)
+        _, back_ids, back = read_id_matrix(path, "feature")
         # repr-formatted floats reload bit-exactly
         np.testing.assert_array_equal(back, features)
         assert back_ids == ids
@@ -145,7 +145,7 @@ class TestFeatureCsv:
     )
     def test_malformed_rejected(self, tmp_path, text, match):
         with pytest.raises(DataFormatError, match=match):
-            load_features_csv(write(tmp_path, "f.csv", text))
+            read_id_matrix(write(tmp_path, "f.csv", text), "feature")
 
     def test_no_feature_columns(self, tmp_path):
         with pytest.raises(ValueError, match="without columns"):
@@ -154,7 +154,7 @@ class TestFeatureCsv:
     def test_id_column_required(self, tmp_path):
         path = write(tmp_path, "f.csv", "f0,f1\n1.0,2.0\n")
         with pytest.raises(DataFormatError, match="id column"):
-            load_features_csv(path)
+            read_id_matrix(path, "feature")
 
     def test_dataset_pair_id_mismatch(self, tmp_path):
         write_features_csv(tmp_path / "f.csv", np.zeros((1, 2)), ("a",))

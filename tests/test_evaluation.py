@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiermlc import evaluation as eval_mod
+from hiermlc.csvio import read_id_matrix
 from hiermlc.errors import DataFormatError
 from hiermlc.evaluation import (
     DEFAULT_AUC_SUBSET,
@@ -12,7 +13,6 @@ from hiermlc.evaluation import (
     auc,
     curve_tpr_at,
     load_operating_points,
-    load_predictions_csv,
     mean_auc,
     reader_study,
     readers_below,
@@ -102,12 +102,14 @@ class TestRocCurve:
                 fpr=np.array([0.0, 0.5, 0.2]),
                 tpr=np.array([0.0, 0.5, 1.0]),
                 thresholds=np.array([np.nan, 0.5, 0.2]),
+                tp=np.array([0, 1, 2]),
+                fp=np.array([0, 5, 2]),
             )
 
     def test_curve_type_rejects_ragged_points(self):
         # the ROC writer formats each column apart, so this is its guard
         with pytest.raises(ValueError, match="of one length"):
-            RocCurve(fpr=np.zeros(3), tpr=np.zeros(3), thresholds=np.zeros(2))
+            RocCurve(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
 
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 60))
     @settings(max_examples=60, deadline=None)
@@ -325,7 +327,7 @@ class TestCsvFormats:
         path = tmp_path / "pred.csv"
         probs = np.random.default_rng(0).random((4, 3))
         write_predictions_csv(path, ["r1", "r2", "r3", "r4"], probs, ["A", "B", "C"])
-        ids, back, names = load_predictions_csv(path)
+        names, ids, back = read_id_matrix(path, "prediction")
         assert ids == ("r1", "r2", "r3", "r4")
         assert names == ("A", "B", "C")
         np.testing.assert_array_equal(back, probs)
@@ -334,16 +336,16 @@ class TestCsvFormats:
         path = tmp_path / "pred.csv"
         path.write_text("idx,A\nr1,0.5\n")
         with pytest.raises(DataFormatError, match="id column"):
-            load_predictions_csv(path)
+            read_id_matrix(path, "prediction")
         path.write_text("id,A\nr1,0.5,0.9\n")
         with pytest.raises(DataFormatError, match="cells"):
-            load_predictions_csv(path)
+            read_id_matrix(path, "prediction")
         path.write_text("id,A\nr1,zebra\n")
         with pytest.raises(DataFormatError, match="unparsable"):
-            load_predictions_csv(path)
+            read_id_matrix(path, "prediction")
         path.write_text("id,A\n")
         with pytest.raises(DataFormatError, match="no data"):
-            load_predictions_csv(path)
+            read_id_matrix(path, "prediction")
 
     def test_operating_points_file(self, tmp_path):
         path = tmp_path / "readers.csv"

@@ -1,6 +1,7 @@
 """Layering guards: ``csvio`` is the package's one CSV layer and the one
 module that saves or loads ``.npy`` files or hashes files,
-``pipeline.synthetic_split`` its one synthetic-data path, and every public
+``pipeline.synthetic_split`` its one synthetic-data path, which only
+``cli.cmd_gen`` and ``pipeline.hierarchical_ablation`` call, and every public
 name of the package is reached by the package or the benchmark, not by
 tests alone."""
 
@@ -127,13 +128,13 @@ def test_hashing_guard_sees_each_form():
     assert hashing_uses("import hashlibs\nsha256 = digest = 1") == []
 
 
-SYNTHETIC = {"generate_synthetic", "inject_uncertainty"}
+SYNTHETIC = {"generate_synthetic", "inject_uncertainty", "synthetic_split"}
 
 
 def synthetic_uses(source: str) -> set[tuple[str, str]]:
     """(top-level function or class, name) for each use of the synthetic
-    generators in a module other than an import; "<module>" for uses
-    outside any function or class."""
+    generators or of ``synthetic_split`` in a module other than an import
+    or a definition; "<module>" for uses outside any function or class."""
     uses = set()
     for top in ast.parse(source).body:
         owner = getattr(top, "name", "<module>")
@@ -149,10 +150,12 @@ def test_only_synthetic_split_generates():
         name: uses for name, source in modules().items() if (uses := synthetic_uses(source))
     }
     assert found == {
+        "cli.py": {("cmd_gen", "synthetic_split")},
         "pipeline.py": {
             ("synthetic_split", "generate_synthetic"),
             ("synthetic_split", "inject_uncertainty"),
-        }
+            ("hierarchical_ablation", "synthetic_split"),
+        },
     }
 
 
@@ -168,12 +171,15 @@ def test_synthetic_guard_sees_each_use():
         "class Runner:\n"
         "    make = staticmethod(generate_synthetic)\n"
         "FRESH = generate_synthetic(SPEC, 10, 0)\n"
+        "def named_split(config, spec):\n"
+        "    return pipeline.synthetic_split(spec, 8, 2, 0.1, config.seed)\n"
     )
     assert synthetic_uses(source) == {
         ("synthetic_split", "generate_synthetic"),
         ("ablation", "inject_uncertainty"),
         ("Runner", "generate_synthetic"),
         ("<module>", "generate_synthetic"),
+        ("named_split", "synthetic_split"),
     }
 
 
