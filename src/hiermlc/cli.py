@@ -49,7 +49,7 @@ from .pipeline import (
     synthetic_split,
     train_ensemble,
 )
-from .policy import make_policy
+from .policy import POLICIES, make_policy
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
         )
         p.add_argument(
             "--policy",
-            choices=("ignore", "ones", "zeros", "ones-lsr", "zeros-lsr"),
+            choices=POLICIES,
             help="override uncertainty policy",
         )
         if name == "eval":

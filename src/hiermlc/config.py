@@ -29,7 +29,9 @@ from .model import OptimizerConfig
 from .policy import (
     DEFAULT_LSR_ONES,
     DEFAULT_LSR_ZEROS,
+    POLICIES,
     UncertaintyPolicy,
+    check_lsr,
     make_policy,
 )
 
@@ -116,6 +118,15 @@ class RunConfig:
             raise ConfigError(f"eval_subset names label(s) more than once: {twice}")
         if self.synthetic is None and self.csv_data is None:
             raise ConfigError("config needs a data section (synthetic or csv)")
+        if self.policy_name not in POLICIES:
+            raise ConfigError(
+                f"policy.name must be one of {list(POLICIES)}, got {self.policy_name!r}"
+            )
+        for key in ("lsr_ones", "lsr_zeros"):  # --policy may switch to either band
+            try:
+                check_lsr(getattr(self, key))
+            except ValueError as exc:
+                raise ConfigError(f"policy.{key}: {exc}") from exc
 
     def hierarchy_path(self) -> Path:
         if self.hierarchy == "default":
@@ -133,10 +144,7 @@ class RunConfig:
         return tree
 
     def policy(self) -> UncertaintyPolicy:
-        try:
-            return make_policy(self.policy_name, self.lsr_ones, self.lsr_zeros)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return make_policy(self.policy_name, self.lsr_ones, self.lsr_zeros)
 
 
 # JSON ``policy`` key -> RunConfig field

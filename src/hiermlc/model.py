@@ -8,7 +8,8 @@ and cross-run comparisons stay tight.
 A model's parameters are one flat vector with per-layer views.  The
 same ``Mlp`` over an (M, P) buffer is a member stack, which the forward
 pass, the loss and backprop accept with a leading member axis; Adam
-updates one member's flat row at a time.  Each kernel has the one
+updates one member's trainable tail at a time, the slice of its flat
+row after the frozen prefix of its layers.  Each kernel has the one
 calling form the training engine uses: ``masked_bce`` writes the output
 delta, ``backward`` propagates it from the forward trace into a gradient
 buffer, and ``adam_step`` updates on the views ``AdamState.bind`` built
@@ -100,41 +101,17 @@ class Mlp:
 
     def __init__(
         self,
-        weights: Sequence[np.ndarray],
-        biases: Sequence[np.ndarray],
+        params: np.ndarray,
+        layer_sizes: Sequence[int],
         frozen: Sequence[bool] | None = None,
     ):
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("need one bias vector per weight matrix")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape[1] != b.shape[0]:
-                raise ValueError(f"layer {i}: weight/bias shapes disagree")
-            if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
-                raise ValueError(f"layer {i}: input dim does not chain")
-        layer_sizes = [weights[0].shape[0], *(w.shape[1] for w in weights)]
-        self._attach(_pack(weights, biases), layer_sizes, frozen)
-
-    def _attach(self, params: np.ndarray, layer_sizes, frozen) -> None:
+        """Model over an existing (P,) vector or (M, P) stack, without copying."""
         self.params = params
         self.layer_sizes = tuple(layer_sizes)
         views = layer_views(params, self.layer_sizes)
         self.weights = [w for w, _ in views]
         self.biases = [b for _, b in views]
         self.frozen = list(frozen) if frozen is not None else [False] * len(views)
-        if len(self.frozen) != len(self.weights):
-            raise ValueError("need one frozen flag per layer")
-
-    @classmethod
-    def from_params(
-        cls,
-        params: np.ndarray,
-        layer_sizes: Sequence[int],
-        frozen: Sequence[bool] | None = None,
-    ) -> "Mlp":
-        """Model over an existing (P,) vector or (M, P) stack, without copying."""
-        model = cls.__new__(cls)
-        model._attach(params, layer_sizes, frozen)
-        return model
 
     @classmethod
     def stack(cls, models: Sequence["Mlp"]) -> "Mlp":
@@ -142,13 +119,11 @@ class Mlp:
         sizes = models[0].layer_sizes
         if any(m.layer_sizes != sizes for m in models):
             raise ValueError("stacked members must share layer sizes")
-        return cls.from_params(
-            np.stack([m.params for m in models]), sizes, models[0].frozen
-        )
+        return cls(np.stack([m.params for m in models]), sizes, models[0].frozen)
 
     def member(self, k: int) -> "Mlp":
         """Row k of a member stack, as a model sharing the stack's memory."""
-        return Mlp.from_params(self.params[k], self.layer_sizes, self.frozen)
+        return Mlp(self.params[k], self.layer_sizes, self.frozen)
 
     @classmethod
     def init(cls, layer_sizes: Sequence[int], seed: int) -> "Mlp":
@@ -162,12 +137,12 @@ class Mlp:
             if size < 1:
                 raise ValueError(f"layer_sizes[{i}] must be >= 1, got {size}")
         rng = seeding.stream(seeding.PURPOSE_INIT, seed)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases)
+        sizes = zip(layer_sizes, layer_sizes[1:])
+        model = cls(np.zeros(sum((a + 1) * b for a, b in sizes)), layer_sizes)
+        for w in model.weights:  # biases stay zero
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        return model
 
     @property
     def n_layers(self) -> int:
@@ -182,24 +157,13 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def copy(self) -> "Mlp":
-        return Mlp.from_params(self.params.copy(), self.layer_sizes, self.frozen)
+        return Mlp(self.params.copy(), self.layer_sizes, self.frozen)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Probabilities in (0, 1) for an (N, F) batch."""
         x = np.asarray(x, dtype=np.float64)
         check_finite(x)
         return forward_trace(self, x)[0]
-
-
-def _pack(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-layer arrays concatenated into one flat float64 parameter vector."""
-    return np.concatenate(
-        [
-            np.ravel(np.asarray(a, dtype=np.float64))
-            for pair in zip(weights, biases)
-            for a in pair
-        ]
-    )
 
 
 def layer_views(
@@ -219,21 +183,12 @@ def layer_views(
 
 
 @functools.cache
-def _trainable_spans(
-    layer_sizes: tuple[int, ...], frozen: tuple[bool, ...]
-) -> tuple[slice, ...]:
-    """Contiguous slices of ``params`` covering the unfrozen layers."""
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for fan_in, fan_out, is_frozen in zip(layer_sizes, layer_sizes[1:], frozen):
-        stop = start + (fan_in + 1) * fan_out
-        if not is_frozen:
-            if spans and spans[-1][1] == start:
-                spans[-1] = (spans[-1][0], stop)
-            else:
-                spans.append((start, stop))
-        start = stop
-    return tuple(slice(a, b) for a, b in spans)
+def _trainable_tail(layer_sizes: tuple[int, ...], frozen: tuple[bool, ...]) -> slice:
+    """The slice of ``params`` after the frozen layers, which must be a prefix."""
+    n = sum(frozen)
+    if frozen != (True,) * n + (False,) * (len(frozen) - n):
+        raise ValueError(f"frozen layers {list(frozen)} are not a prefix of the model")
+    return slice(sum((a + 1) * b for a, b in zip(layer_sizes, layer_sizes[1:n + 1])), None)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -367,29 +322,29 @@ def backward(
 class AdamState:
     """First/second moments in the layout of ``params``, plus the step count.
 
-    ``spans`` holds the update's views, which ``bind`` builds; it is None
+    ``views`` holds the update's views, which ``bind`` builds; it is None
     until then.
     """
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    spans: tuple | None = field(default=None, repr=False, compare=False)
+    views: tuple | None = field(default=None, repr=False, compare=False)
 
     def bind(self, model: Mlp, grads: np.ndarray) -> None:
         """Build the views ``adam_step`` updates on.
 
-        Per contiguous span of the model's unfrozen layers: views of the
-        params, both moments and ``grads``, and two scratch vectors of the
-        span's length.  ``grads`` is a flat gradient vector in the layout
-        of ``model.params``, which the caller refills before each step and
-        checks for finite values itself.  Bind again after the model's
-        frozen flags change.
+        Over the model's trainable tail, the layers after its frozen
+        prefix: views of the params, both moments and ``grads``, and two
+        scratch vectors of the tail's length.  ``grads`` is a flat gradient
+        vector in the layout of ``model.params``, which the caller refills
+        before each step and checks for finite values itself.  Bind again
+        after the model's frozen flags change; frozen flags that are not a
+        prefix raise ``ValueError``.
         """
-        self.spans = tuple(
-            (model.params[s], self.m[s], self.v[s], grads[s], *np.empty((2, s.stop - s.start)))
-            for s in _trainable_spans(model.layer_sizes, tuple(model.frozen))
-        )
+        tail = _trainable_tail(model.layer_sizes, tuple(model.frozen))
+        params = model.params[tail]
+        self.views = (params, self.m[tail], self.v[tail], grads[tail], *np.empty((2, params.size)))
 
 
 def adam_step(state: AdamState, config: OptimizerConfig, lr: float) -> None:
@@ -399,35 +354,35 @@ def adam_step(state: AdamState, config: OptimizerConfig, lr: float) -> None:
     it reads the gradients the bound array holds now and checks nothing:
     the training engine binds each member's gradient row as the member
     enters a phase, and checks the pass's whole gradient buffer once
-    before any member's step.  It runs once per contiguous span of
-    unfrozen layers, a few in-place vector operations however many layers
-    the span covers.  Its results are bit-equal to the textbook form
+    before any member's step.  It is a few in-place vector operations
+    over the trainable tail, however many layers the tail covers.  Its
+    results are bit-equal to the textbook form
     m_hat = m / (1 - beta1**t), v_hat = v / (1 - beta2**t),
     params -= lr * m_hat / (sqrt(v_hat) + epsilon).
     """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
-    if state.spans is None:
+    if state.views is None:
         raise ValueError("Adam state is not bound to a gradient array")
     state.t += 1
     beta1, beta2 = config.beta1, config.beta2
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for params, m, v, g, step, denom in state.spans:
-        np.multiply(1.0 - beta1, g, out=step)
-        m *= beta1
-        m += step
-        np.multiply(g, g, out=step)
-        step *= 1.0 - beta2
-        v *= beta2
-        v += step
-        np.divide(m, bc1, out=step)  # m_hat
-        step *= lr
-        np.divide(v, bc2, out=denom)  # v_hat
-        np.sqrt(denom, out=denom)
-        denom += config.epsilon
-        step /= denom
-        params -= step
+    params, m, v, g, step, denom = state.views
+    np.multiply(1.0 - beta1, g, out=step)
+    m *= beta1
+    m += step
+    np.multiply(g, g, out=step)
+    step *= 1.0 - beta2
+    v *= beta2
+    v += step
+    np.divide(m, bc1, out=step)  # m_hat
+    step *= lr
+    np.divide(v, bc2, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += config.epsilon
+    step /= denom
+    params -= step
 
 
 def freeze_all_but_last(model: Mlp) -> Mlp:
@@ -476,6 +431,34 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, dict]:
     missing = [key for key in ("weights", "biases", "frozen") if key not in payload]
     if missing:
         raise DataFormatError(f"{path}: checkpoint lacks key(s) {missing}")
-    weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
-    return Mlp(weights, biases, payload["frozen"]), payload.get("extra", {})
+    weights, biases, frozen = payload["weights"], payload["biases"], payload["frozen"]
+    if not all(isinstance(v, list) for v in (weights, biases, frozen)) or not weights:
+        raise DataFormatError(f"{path}: weights, biases and frozen must be non-empty arrays")
+    if not len(weights) == len(biases) == len(frozen):
+        raise DataFormatError(
+            f"{path}: {len(weights)} weight matrices, {len(biases)} bias vectors and "
+            f"{len(frozen)} frozen flags; need one of each per layer"
+        )
+    if not all(isinstance(f, bool) for f in frozen):
+        raise DataFormatError(f"{path}: frozen flags must be true or false")
+    weights = [_numbers(path, f"weights[{i}]", w, 2) for i, w in enumerate(weights)]
+    biases = [_numbers(path, f"biases[{i}]", b, 1) for i, b in enumerate(biases)]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if b.shape != w.shape[1:]:
+            raise DataFormatError(f"{path}: layer {i}: weight/bias shapes disagree")
+        if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
+            raise DataFormatError(f"{path}: layer {i}: input dim does not chain")
+    params = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+    layer_sizes = [weights[0].shape[0], *(w.shape[1] for w in weights)]
+    return Mlp(params, layer_sizes, frozen), payload.get("extra", {})
+
+
+def _numbers(path: Path, what: str, value, ndim: int) -> np.ndarray:
+    """A checkpoint field that must be an ``ndim``-D array of numbers, as float64."""
+    try:
+        array = np.array(value)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.ndim != ndim or array.dtype.kind not in "iuf":
+        raise DataFormatError(f"{path}: {what} is not a {ndim}-D array of numbers")
+    return array.astype(np.float64, copy=False)

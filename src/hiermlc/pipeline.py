@@ -215,7 +215,7 @@ def _train_stack(
         rows = orders[idx, cols]
         model, g, views = stack, grads, grad_views
         if len(group) < n_members:
-            model = Mlp.from_params(stack.params[group], stack.layer_sizes, stack.frozen)
+            model = Mlp(stack.params[group], stack.layer_sizes, stack.frozen)
             g = np.empty_like(model.params)
             views = layer_views(g, model.layer_sizes)
         x = flat_features.take(feature_rows[idx, cols], axis=0)

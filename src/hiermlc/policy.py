@@ -18,23 +18,13 @@ order; see seeding module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import seeding
 from .data import MISSING, NEG, POS, UNC
 
-
-class PolicyKind(str, Enum):
-    IGNORE = "ignore"
-    ONES = "ones"
-    ZEROS = "zeros"
-    ONES_LSR = "ones-lsr"
-    ZEROS_LSR = "zeros-lsr"
-
-
-_LSR_KINDS = frozenset({PolicyKind.ONES_LSR, PolicyKind.ZEROS_LSR})
+POLICIES = ("ignore", "ones", "zeros", "ones-lsr", "zeros-lsr")
 
 # Artifact defaults for the smoothing bounds: draws near 1 for smoothed
 # positives, near 0 for smoothed negatives, with clear separation from
@@ -43,31 +33,30 @@ DEFAULT_LSR_ONES = (0.55, 0.85)
 DEFAULT_LSR_ZEROS = (0.0, 0.3)
 
 
-@dataclass(frozen=True)
-class LsrParams:
-    """Uniform-draw bounds for smoothed uncertain targets."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
-            raise ValueError(
-                f"LSR bounds must satisfy 0 <= lower <= upper <= 1, "
-                f"got ({self.lower}, {self.upper})"
-            )
+def check_lsr(lsr: tuple[float, float]) -> None:
+    """Reject uniform-draw bounds outside 0 <= lower <= upper <= 1."""
+    if not 0.0 <= lsr[0] <= lsr[1] <= 1.0:
+        raise ValueError(
+            f"LSR bounds must satisfy 0 <= lower <= upper <= 1, got {list(lsr)}"
+        )
 
 
 @dataclass(frozen=True)
 class UncertaintyPolicy:
-    kind: PolicyKind
-    lsr: LsrParams | None = None
+    """A policy name, with the (lower, upper) bounds of the uniform draw
+    that the two ``-lsr`` policies take and the others do not."""
+
+    name: str
+    lsr: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.kind in _LSR_KINDS and self.lsr is None:
-            raise ValueError(f"policy {self.kind.value} requires LSR bounds")
-        if self.kind not in _LSR_KINDS and self.lsr is not None:
-            raise ValueError(f"policy {self.kind.value} takes no LSR bounds")
+        if self.name not in POLICIES:
+            raise ValueError(f"unknown policy {self.name!r}, not one of {list(POLICIES)}")
+        if self.name.endswith("-lsr") != (self.lsr is not None):
+            needs = "requires" if self.lsr is None else "takes no"
+            raise ValueError(f"policy {self.name} {needs} LSR bounds")
+        if self.lsr is not None:
+            check_lsr(self.lsr)
 
 
 def make_policy(
@@ -76,12 +65,8 @@ def make_policy(
     lsr_zeros: tuple[float, float] = DEFAULT_LSR_ZEROS,
 ) -> UncertaintyPolicy:
     """Policy from its CLI/config name, attaching bounds where needed."""
-    kind = PolicyKind(name)
-    if kind is PolicyKind.ONES_LSR:
-        return UncertaintyPolicy(kind, LsrParams(*lsr_ones))
-    if kind is PolicyKind.ZEROS_LSR:
-        return UncertaintyPolicy(kind, LsrParams(*lsr_zeros))
-    return UncertaintyPolicy(kind)
+    lsr = {"ones-lsr": lsr_ones, "zeros-lsr": lsr_zeros}.get(name)
+    return UncertaintyPolicy(name, None if lsr is None else tuple(lsr))
 
 
 def apply_policy(
@@ -107,19 +92,14 @@ def apply_policy(
     mask = labels != MISSING
 
     unc = labels == UNC
-    if policy.kind is PolicyKind.IGNORE:
+    if policy.name == "ignore":
         mask &= ~unc
-    elif policy.kind is PolicyKind.ONES:
+    elif policy.name == "ones":
         targets[unc] = 1.0
-    elif policy.kind is PolicyKind.ZEROS:
-        pass  # already 0.0
-    else:
-        lsr = policy.lsr
-        assert lsr is not None
+    elif policy.lsr is not None:  # ones-lsr or zeros-lsr; zeros leaves 0.0
+        lower, upper = policy.lsr
         rows = np.flatnonzero(unc.any(axis=1))
         u = seeding.rows_uniforms(seeding.PURPOSE_LSR, seed, rows, labels.shape[1])
         row_idx, col_idx = np.nonzero(unc[rows])
-        targets[rows[row_idx], col_idx] = (
-            lsr.lower + (lsr.upper - lsr.lower) * u[row_idx, col_idx]
-        )
+        targets[rows[row_idx], col_idx] = lower + (upper - lower) * u[row_idx, col_idx]
     return targets, mask

@@ -1193,6 +1193,58 @@ class TestMalformedInput:
             assert "member00_final.json" in err and f"['{key}']" in err
 
 
+class TestMalformedCheckpoints:
+    """A final checkpoint whose layer layout is malformed exits 2, and
+    the message names the file."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload.update(weights=5),
+            lambda payload: payload.update(frozen=3),
+            lambda payload: payload["weights"][0][1].pop(),  # ragged
+            lambda payload: payload["weights"][0][0].__setitem__(0, "0.25"),
+            lambda payload: payload["biases"][1].pop(),
+            lambda payload: payload["weights"][1].pop(),  # a row short of layer 0's outputs
+            lambda payload: payload["frozen"].pop(),
+        ],
+        ids=["weights-number", "frozen-number", "ragged", "string-cell", "short-bias",
+             "unchained", "flag-short"],
+    )
+    def test_eval_exits_two_naming_the_file(self, workspace, capsys, edit):
+        config = write_config(workspace, ensemble_size=1)
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        path = workspace / "run" / "checkpoints" / "member00_final.json"
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 2
+        assert str(path) in error_line(capsys)
+
+
+class TestPolicyCheckedOnLoad:
+    """An unknown policy name, or an LSR band outside [0, 1], is a config
+    error for every command: exit 1 before anything is written."""
+
+    @pytest.mark.parametrize("command", ["gen", "train", "predict", "eval", "ablate"])
+    @pytest.mark.parametrize(
+        "policy, key",
+        [
+            ("bogus", "policy.name"),
+            ({"name": "ones", "lsr_zeros": [0.9, 0.1]}, "policy.lsr_zeros"),
+            ({"name": "ones-lsr", "lsr_ones": [0.9, 0.1]}, "policy.lsr_ones"),
+        ],
+        ids=["name", "lsr_zeros", "lsr_ones"],
+    )
+    def test_exits_one_naming_the_key(self, workspace, capsys, command, policy, key):
+        config = write_config(workspace, policy=policy)
+        assert main([command, "--config", str(config)]) == 1
+        assert key in error_line(capsys)
+        assert sorted(p.name for p in workspace.iterdir()) == ["c.json", "h.csv"]
+
+
 def error_line(capsys):
     """The one line a failed command printed, to stderr alone."""
     captured = capsys.readouterr()

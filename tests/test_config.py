@@ -71,12 +71,19 @@ class TestParsing:
     def test_policy_as_string(self):
         config = config_from_dict(minimal(policy="zeros"))
         assert config.policy_name == "zeros"
-        assert config.policy().kind.value == "zeros"
+        assert config.policy().name == "zeros"
 
-    def test_unknown_policy_name_surfaces_on_use(self):
-        config = config_from_dict(minimal(policy="zebra"))
-        with pytest.raises(ConfigError):
-            config.policy()
+    def test_unknown_policy_name_rejected_on_load(self):
+        with pytest.raises(ConfigError, match="policy.name must be one of .*'zebra'"):
+            config_from_dict(minimal(policy="zebra"))
+
+    @pytest.mark.parametrize("key", ["lsr_ones", "lsr_zeros"])
+    @pytest.mark.parametrize("bounds", [[0.9, 0.1], [-0.1, 0.5], [0.5, 1.5]])
+    def test_either_lsr_band_checked_on_load(self, key, bounds):
+        # --policy may switch to either band, so both are checked whatever
+        # the policy; the error names the JSON key
+        with pytest.raises(ConfigError, match=f"policy.{key}: LSR bounds"):
+            config_from_dict(minimal(policy={"name": "ones", key: bounds}))
 
     def test_csv_data_section(self):
         config = config_from_dict(

@@ -86,10 +86,16 @@ class TestNavigation:
         with pytest.raises(KeyError, match="unknown label name: 'Z'"):
             chain_tree().index_of("Z")
 
-    def test_topo_order_parents_first(self):
+    def test_topo_order_parents_first(self, tmp_path):
+        # indices need not put parents first: child B at 0 under root A at 1
+        path = tmp_path / "h.csv"
+        path.write_text("name,parent,index\nB,A,0\nA,,1\n")
+        child_first = load_tree(path)
+        assert child_first.parent_index.tolist() == [1, -1]
+        assert child_first.topo_order == (1, 0)
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            tree = random_forest(rng, int(rng.integers(1, 9)))
+        forests = (random_forest(rng, int(rng.integers(1, 9))) for _ in range(50))
+        for tree in (child_first, *forests):
             seen = set()
             for k in tree.topo_order:
                 p = int(tree.parent_index[k])

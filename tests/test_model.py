@@ -158,10 +158,6 @@ class TestMlp:
         with pytest.raises(ValueError, match="non-finite"):
             model.forward(np.array([np.nan, 0, 0, 0]))
 
-    def test_layer_chaining_validated(self):
-        with pytest.raises(ValueError, match="chain"):
-            Mlp([np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)])
-
     def test_copy_independent(self):
         model = small_model()
         clone = model.copy()
@@ -236,7 +232,7 @@ class TestBackward:
 
     def test_stationary_at_target(self):
         # single sigmoid unit with p == target: output-layer gradient vanishes
-        model = Mlp([np.zeros((1, 1))], [np.zeros(1)])
+        model = Mlp(np.zeros(2), [1, 1])  # W = b = 0
         x = np.array([[1.0]])
         grads = gradients(model, x, np.array([[0.5]]), np.array([[True]]))
         np.testing.assert_allclose(grads[0][0], 0.0, atol=1e-16)
@@ -277,7 +273,7 @@ class TestAdam:
         np.testing.assert_array_equal(model.params, before)
 
     def test_first_step_is_signed_lr(self):
-        model = Mlp([np.array([[1.0]])], [np.array([0.0])])
+        model = Mlp(np.array([1.0, 0.0]), [1, 1])  # W = 1, b = 0
         state, grads = bound_adam(model)
         grads[0] = 0.25  # dW; db stays 0
         adam_step(state, self.config(epsilon=1e-12), lr=0.01)
@@ -285,7 +281,7 @@ class TestAdam:
         assert model.weights[0][0, 0] == pytest.approx(1.0 - 0.01, rel=1e-6)
 
     def test_quadratic_convergence_matches_scalar_recurrence(self):
-        model = Mlp([np.array([[0.0]])], [np.array([0.0])])
+        model = Mlp(np.zeros(2), [1, 1])  # W = b = 0
         state, grads = bound_adam(model)
         cfg = self.config()
         trajectory = []
@@ -343,9 +339,7 @@ class TestFreezing:
             True,
             False,
         ]
-        assert freeze_all_but_last(Mlp([np.zeros((2, 1))], [np.zeros(1)])).frozen == [
-            False
-        ]
+        assert freeze_all_but_last(Mlp(np.zeros(3), [2, 1])).frozen == [False]
 
     def test_idempotent(self):
         model = small_model()
@@ -556,7 +550,8 @@ class TestKernelsBitEqual:
         model = small_model(seed=5, sizes=(4, 6, 5, 3))
         plain = model.copy()
         (state, grads), plain_state = bound_adam(model), fresh_adam(plain)
-        patterns = [[False, False, False], [False, True, False], [True, True, False]]
+        # every frozen prefix: freeze_all_but_last makes the last one
+        patterns = [[False, False, False], [True, False, False], [True, True, False]]
         for step in range(50):
             pattern = patterns[step * len(patterns) // 50]
             if pattern != model.frozen:
@@ -573,6 +568,16 @@ class TestKernelsBitEqual:
         assert_bits_equal(model.params, plain.params)
         assert_bits_equal(state.m, plain_state.m)
         assert_bits_equal(state.v, plain_state.v)
+        # frozen flags that are no prefix leave more than one trainable slice
+        model.frozen = [False, True, False]
+        with pytest.raises(ValueError, match="not a prefix"):
+            state.bind(model, grads)
+
+
+def checkpoint_payload(tmp_path):
+    path = tmp_path / "m.json"
+    save_checkpoint(path, freeze_all_but_last(small_model(sizes=(4, 5, 3))))
+    return path, json.loads(path.read_text())
 
 
 class TestCheckpoints:
@@ -628,6 +633,71 @@ class TestCheckpoints:
         path.write_text("not json")
         with pytest.raises(DataFormatError, match="checkpoint"):
             load_checkpoint(path)
+
+    def test_layer_chaining_validated(self, tmp_path):
+        path, payload = checkpoint_payload(tmp_path)
+        payload["weights"][1] = np.zeros((6, 3)).tolist()  # layer 0 has 5 outputs
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=r"m\.json: layer 1: input dim does not chain"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(weights=5), "must be non-empty arrays"),
+            (lambda p: p.update(frozen=3), "must be non-empty arrays"),
+            (lambda p: p.update(weights=[], biases=[], frozen=[]), "must be non-empty arrays"),
+            (lambda p: p["weights"][0][1].pop(), r"weights\[0\] is not a 2-D array of numbers"),
+            (lambda p: p["weights"][1][0].__setitem__(0, "0.5"), r"weights\[1\] is not a 2-D"),
+            (lambda p: p["biases"].__setitem__(1, None), r"biases\[1\] is not a 1-D"),
+            (lambda p: p["biases"][0].pop(), "layer 0: weight/bias shapes disagree"),
+            (lambda p: p["frozen"].pop(), "2 weight matrices, 2 bias vectors and 1 frozen flags"),
+            (lambda p: p["frozen"].__setitem__(0, 1), "frozen flags must be true or false"),
+        ],
+        ids=["weights", "frozen", "no-layers", "ragged", "string", "null-bias",
+             "short-bias", "flags", "flag-type"],
+    )
+    def test_malformed_layout_named(self, tmp_path, edit, message):
+        path, payload = checkpoint_payload(tmp_path)
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=rf"m\.json: .*{message}"):
+            load_checkpoint(path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestCheckpointProperties:
+    @given(
+        where=st.sampled_from(
+            [("format_version",), ("layer_sizes",), ("extra",), ("frozen",), ("frozen", 1),
+             ("weights",), ("weights", 1), ("weights", 0, 2), ("weights", 1, 0, 1),
+             ("biases",), ("biases", 0), ("biases", 1, 0)]
+        ),
+        value=json_values,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_field_loads_or_is_a_data_error(self, tmp_path_factory, where, value):
+        path, payload = checkpoint_payload(tmp_path_factory.mktemp("c"))
+        payload["extra"] = {"stage": "final"}  # every key a checkpoint holds
+        parent = payload
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        path.write_text(json.dumps(payload))
+        try:
+            model, _ = load_checkpoint(path)
+        except DataFormatError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert len(model.frozen) == model.n_layers
+            assert model.params.dtype == np.float64
 
 
 class TestModelProperties:

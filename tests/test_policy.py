@@ -8,10 +8,10 @@ from hiermlc.data import MISSING, NEG, POS, UNC
 from hiermlc.policy import (
     DEFAULT_LSR_ONES,
     DEFAULT_LSR_ZEROS,
-    LsrParams,
-    PolicyKind,
+    POLICIES,
     UncertaintyPolicy,
     apply_policy,
+    check_lsr,
     make_policy,
 )
 
@@ -32,32 +32,32 @@ label_matrices = hnp.arrays(
 
 
 class TestPolicyConstruction:
-    @pytest.mark.parametrize(
-        "name", ["ignore", "ones", "zeros", "ones-lsr", "zeros-lsr"]
-    )
+    @pytest.mark.parametrize("name", POLICIES)
     def test_make_policy_names(self, name):
-        policy = make_policy(name)
-        assert policy.kind.value == name
+        assert make_policy(name).name == name
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown policy 'maybe'"):
             make_policy("maybe")
 
     def test_lsr_bounds_attached(self):
-        assert make_policy("ones-lsr").lsr == LsrParams(*DEFAULT_LSR_ONES)
-        assert make_policy("zeros-lsr").lsr == LsrParams(*DEFAULT_LSR_ZEROS)
+        assert make_policy("ones-lsr").lsr == DEFAULT_LSR_ONES
+        assert make_policy("zeros-lsr").lsr == DEFAULT_LSR_ZEROS
+        assert make_policy("zeros-lsr", lsr_zeros=[0.1, 0.2]).lsr == (0.1, 0.2)
         assert make_policy("ones").lsr is None
 
     @pytest.mark.parametrize("bounds", [(-0.1, 0.5), (0.6, 0.4), (0.5, 1.2)])
     def test_bad_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="bounds"):
-            LsrParams(*bounds)
+            check_lsr(bounds)
+        with pytest.raises(ValueError, match="bounds"):
+            UncertaintyPolicy("ones-lsr", bounds)
 
     def test_lsr_kind_requires_bounds(self):
         with pytest.raises(ValueError, match="requires"):
-            UncertaintyPolicy(PolicyKind.ONES_LSR)
+            UncertaintyPolicy("ones-lsr")
         with pytest.raises(ValueError, match="takes no"):
-            UncertaintyPolicy(PolicyKind.ONES, LsrParams(0.1, 0.2))
+            UncertaintyPolicy("ones", (0.1, 0.2))
 
 
 class TestHardPolicies:
@@ -69,7 +69,7 @@ class TestHardPolicies:
         assert mask[0, 0] and mask[0, 1]
 
     def test_missing_always_masked(self):
-        for name in ("ignore", "ones", "zeros", "ones-lsr", "zeros-lsr"):
+        for name in POLICIES:
             _, mask = apply_policy(LABELS, make_policy(name), seed=0)
             assert not mask[1, 1] and not mask[2, 2]
 
@@ -152,7 +152,7 @@ class TestPolicyProperties:
     @given(labels=label_matrices, seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=80, deadline=None)
     def test_mask_structure(self, labels, seed):
-        for name in ("ignore", "ones", "zeros", "ones-lsr", "zeros-lsr"):
+        for name in POLICIES:
             targets, mask = apply_policy(labels, make_policy(name), seed)
             expected = labels != MISSING
             if name == "ignore":
