@@ -6,6 +6,12 @@ effective config is snapshotted into the output directory, and all
 outputs are deterministic given config plus seed: reruns produce
 byte-identical files.
 
+Every file goes through ``csvio``, which replaces each whole.  ``gen``
+and ``train`` each delete their record (``data/provenance.json``,
+``config.json``) before their first write and write it last, and
+``eval`` its reports, so an interrupted command leaves no record and the
+commands after it ask for it to be run again.
+
 ``ablate`` trains conditional ``ones-lsr`` against flat ``ones`` on
 fresh synthetic data for ``--seeds`` seeds from ``--seed`` on, and
 writes their leaf AUCs with the effective config to ``ablation.json``;
@@ -34,7 +40,7 @@ from .config import (
     snapshot_config,
     synthetic_spec_theta,
 )
-from .csvio import column_indices, read_id_matrix, write_table
+from .csvio import column_indices, read_id_matrix, replace_text, write_table
 # unused here: the benchmark's perfbench/tracer.py wraps the last two names in cli
 from .data import Dataset, SyntheticSpec, generate_synthetic, inject_uncertainty
 from .errors import ConfigError, DataFormatError, NumericError
@@ -117,6 +123,8 @@ def _out_dir(config: RunConfig, create: bool = True) -> Path:
     return out
 
 
+# eval's record, deleted before its first write and written last.
+_REPORTS = ("report.txt", "report.csv")
 # What predict and eval derive from the checkpoints, and what train,
 # predict and eval derive from gen's data.  train and gen delete them with
 # what they came from, so no run directory mixes the two.
@@ -124,8 +132,7 @@ _DERIVED_FROM_MODELS = (
     "checkpoints/member*.json",
     "predictions.csv",
     "predictions.csv.npy",
-    "report.txt",
-    "report.csv",
+    *_REPORTS,
     "roc_*.csv",
 )
 _DERIVED_FROM_DATA = (*_DERIVED_FROM_MODELS, "loss_log.csv")
@@ -156,24 +163,28 @@ def cmd_gen(args) -> int:
     marginals = propagate(tree, spec.theta)
 
     out = _out_dir(config)
-    _remove_stale(out, _DERIVED_FROM_DATA)
+    # the record goes first and is written last
+    _remove_stale(out, ("data/provenance.json", *_DERIVED_FROM_DATA))
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
     for split, dataset, ids in splits:
         data_mod.write_features_csv(data_dir / f"{split}_features.csv", dataset.features, ids)
         data_mod.write_labels_csv(data_dir / f"{split}_labels.csv", dataset.labels, tree, ids)
+    snapshot_config(config, out)
     provenance = {
         **_data_identity(config),
         "true_marginals": {
             name: float(marginals[tree.index_of(name)]) for name in tree.names
         },
     }
-    (data_dir / "provenance.json").write_text(
-        json.dumps(provenance, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    snapshot_config(config, out)
+    _write_json(data_dir / "provenance.json", provenance)
     print(f"wrote {syn.n_train} train / {syn.n_eval} eval rows to {data_dir}")
     return EXIT_OK
+
+
+def _write_json(path: Path, record: dict) -> None:
+    """Write ``record`` as sorted, indented JSON."""
+    replace_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _data_identity(config: RunConfig) -> dict:
@@ -303,8 +314,9 @@ def cmd_train(args) -> int:
 
     out = _out_dir(config)
     ckpt_dir = out / "checkpoints"
+    # the record goes first and is written last, with what an earlier run left
+    _remove_stale(out, ("config.json", *_DERIVED_FROM_MODELS))
     ckpt_dir.mkdir(exist_ok=True)
-    _remove_stale(out, _DERIVED_FROM_MODELS)  # from an earlier run
     for i, member in enumerate(members):
         meta = {"member": i, "seed": member.seed, "mode": config.mode}
         for stage, model in (("stage1", member.stage1), ("final", member.final)):
@@ -437,12 +449,13 @@ def cmd_eval(args) -> int:
         raise DataFormatError(str(exc)) from exc
 
     out = _out_dir(config)
+    _remove_stale(out, _REPORTS)
     eval_mod.write_predictions_csv(out / "predictions.csv", ids, probs, tree.names)
-    eval_mod.write_report(report, out / "report.txt", out / "report.csv")
     for name, curve in report.curves.items():
         eval_mod.write_roc_points_csv(out / f"roc_{safe_name(name)}.csv", curve)
     if not args.predictions:  # a scored file skips the config check: keep config.json
         snapshot_config(config, out)
+    eval_mod.write_report(report, out / "report.txt", out / "report.csv")
     print(
         f"mean_auc_selected={report.mean_auc_selected:.6f} "
         f"mean_readers_below={report.mean_readers_below:.6f} -> {out / 'report.txt'}"
@@ -495,7 +508,7 @@ def cmd_ablate(args) -> int:
         "delta": result.delta,
     }
     path = _out_dir(config) / "ablation.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(path, payload)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import replace_text
 from .errors import ConfigError
 from .hierarchy import LabelTree, default_hierarchy_path, load_tree
 from .model import OptimizerConfig
@@ -260,7 +261,7 @@ def config_to_dict(config: RunConfig) -> dict:
 def snapshot_config(config: RunConfig, out_dir: Path) -> None:
     """Write the effective config into the run directory, canonically."""
     payload = json.dumps(config_to_dict(config), sort_keys=True, indent=2)
-    (out_dir / "config.json").write_text(payload + "\n", encoding="utf-8")
+    replace_text(out_dir / "config.json", payload + "\n")
 
 
 def synthetic_spec_theta(config: SyntheticDataConfig, tree: LabelTree) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""The package's one CSV layer: it reads and writes every CSV file.
+"""The package's one CSV layer, and the one module that writes files.
+
+Every file the package writes, CSV or not, goes through ``replacing``:
+the bytes go to ``<file>.tmp`` beside the target, which ``os.replace``
+then puts in its place, so a file on disk is always a whole write, the
+old one or the new.  ``replace_text`` writes a string that way.
 
 ``reader`` yields a file's header and its numbered data rows; it raises
 ``DataFormatError`` for an empty file or a row whose cell count differs
@@ -36,7 +41,7 @@ from array import array
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -342,14 +347,40 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     return zones.view(np.uint8).reshape(*x.shape, CELL_BYTES)
 
 
+@contextmanager
+def replacing(path) -> Iterator[BinaryIO]:
+    """A binary file that replaces the file at ``path`` when the block ends.
+
+    The bytes go to ``<path>.tmp``, which ``os.replace`` puts in place of
+    ``path`` once the block has finished; if it raises, the partial file
+    is deleted and ``path`` keeps its old bytes.  A ``.tmp`` that a
+    killed process left is overwritten by the next write of its target.
+    """
+    partial = Path(f"{os.fspath(path)}.tmp")
+    try:
+        with open(partial, "wb") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def replace_text(path, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` in UTF-8, through ``replacing``."""
+    with replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header and rows of at least two fields each as ``csv.writer``
     does, each field the ``str`` of its value (None: empty) quoted as
     ``_text_field`` quotes it."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in [header, *rows]:
-            fields = ["" if value is None else _text_field(str(value)) for value in row]
-            fh.write(",".join(fields) + "\n")
+    lines = (
+        ",".join("" if value is None else _text_field(str(value)) for value in row) + "\n"
+        for row in [header, *rows]
+    )
+    replace_text(path, "".join(lines))
 
 
 def _leads(ids: Sequence[str], quoted: bool) -> list[bytes]:
@@ -387,7 +418,7 @@ def write_rows(
     n_rows, width = cells.shape
     step = max(1, CHUNK_CELLS // width)
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         lines = ",".join(map(_text_field, header)).encode() + b"\n"
         digest.update(lines)
         fh.write(lines)
@@ -413,7 +444,7 @@ def write_id_matrix(
     path, header: Sequence[str], ids: Sequence[str], matrix: np.ndarray, cell_zones=float_cells
 ) -> None:
     """Write an ``id,<name>...`` file of ``matrix`` rows as ``write_rows``
-    does, then atomically its sidecar: the file's sha256, the ids and the
+    does, then its sidecar: the file's sha256, the ids and the
     matrix as its reader returns it (every NaN as ``float("nan")``).
 
     A file whose sidecar, checked by ``read_sidecar``, holds this header,
@@ -443,12 +474,6 @@ def write_id_matrix(
     nan = np.isnan(matrix)
     # C order: ``read_sidecar`` accepts no other
     parsed = np.ascontiguousarray(np.where(nan, np.nan, matrix) if nan.any() else matrix)
-    partial = sidecar.with_name(sidecar.name + ".tmp")
-    try:
-        with open(partial, "wb") as fh:
-            for array in (np.array(digest), np.array(ids, dtype=str), parsed):
-                np.save(fh, array, allow_pickle=False)
-        os.replace(partial, sidecar)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with replacing(sidecar) as fh:
+        for array in (np.array(digest), np.array(ids, dtype=str), parsed):
+            np.save(fh, array, allow_pickle=False)

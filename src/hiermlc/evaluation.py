@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .csvio import (
-    column_indices, float_cells, reader, write_id_matrix, write_rows, write_table
+    column_indices, float_cells, reader, replace_text, write_id_matrix, write_rows, write_table
 )
 from .errors import DataFormatError
 
@@ -257,7 +257,7 @@ def write_report(report: EvalReport, txt_path: str | Path, csv_path: str | Path)
     lines.append(f"mean_auc_selected ({', '.join(report.subset)}): "
                  f"{report.mean_auc_selected:.6f}")
     lines.append(f"mean_readers_below: {report.mean_readers_below:.6f}")
-    Path(txt_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    replace_text(txt_path, "\n".join(lines) + "\n")
 
     rows = [
         [name, repr(report.per_label_auc[name]), report.readers_below[name]]

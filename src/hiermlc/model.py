@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import seeding
+from .csvio import replace_text
 from .errors import DataFormatError
 
 # Probabilities are clamped away from {0, 1} inside the loss so targets
@@ -407,12 +408,7 @@ def save_checkpoint(path: str | Path, model: Mlp, extra: dict | None = None) -> 
     }
     if extra:
         payload["extra"] = extra
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-    tmp.replace(path)
+    replace_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[Mlp, dict]:
@@ -428,7 +424,9 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, dict]:
         raise DataFormatError(
             f"{path}: unsupported checkpoint format version {version!r}"
         )
-    missing = [key for key in ("weights", "biases", "frozen") if key not in payload]
+    missing = [
+        key for key in ("weights", "biases", "frozen", "layer_sizes") if key not in payload
+    ]
     if missing:
         raise DataFormatError(f"{path}: checkpoint lacks key(s) {missing}")
     weights, biases, frozen = payload["weights"], payload["biases"], payload["frozen"]
@@ -450,15 +448,30 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, dict]:
             raise DataFormatError(f"{path}: layer {i}: input dim does not chain")
     params = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
     layer_sizes = [weights[0].shape[0], *(w.shape[1] for w in weights)]
+    recorded = payload["layer_sizes"]
+    # by type too: a JSON true or 4.0 equals 1 or 4
+    if recorded != layer_sizes or any(type(size) is not int for size in recorded):
+        raise DataFormatError(
+            f"{path}: layer_sizes {recorded!r} disagree with the weights' layout {layer_sizes}"
+        )
     return Mlp(params, layer_sizes, frozen), payload.get("extra", {})
 
 
 def _numbers(path: Path, what: str, value, ndim: int) -> np.ndarray:
-    """A checkpoint field that must be an ``ndim``-D array of numbers, as float64."""
+    """A checkpoint field that must be an ``ndim``-D array of numbers, as float64.
+
+    A JSON ``true`` or ``false`` is not a number, though ``np.array`` takes
+    it for one beside numbers.
+    """
     try:
         array = np.array(value)
     except ValueError:  # ragged nesting
         array = None
-    if array is None or array.ndim != ndim or array.dtype.kind not in "iuf":
+    if (
+        array is None
+        or array.ndim != ndim
+        or array.dtype.kind not in "iuf"
+        or any(bool in set(map(type, row)) for row in (value if ndim == 2 else [value]))
+    ):
         raise DataFormatError(f"{path}: {what} is not a {ndim}-D array of numbers")
     return array.astype(np.float64, copy=False)

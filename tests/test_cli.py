@@ -2,6 +2,7 @@ import csv
 import fnmatch
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -1178,7 +1179,7 @@ class TestMalformedInput:
         assert main(["eval", "--config", str(config)]) == 1
         assert "eval_subset names unknown label(s): ['lef']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["weights", "biases", "frozen"])
+    @pytest.mark.parametrize("key", ["weights", "biases", "frozen", "layer_sizes"])
     def test_checkpoint_without_key_exits_two(self, workspace, capsys, key):
         config = write_config(workspace, ensemble_size=1)
         assert main(["gen", "--config", str(config)]) == 0
@@ -1207,9 +1208,11 @@ class TestMalformedCheckpoints:
             lambda payload: payload["biases"][1].pop(),
             lambda payload: payload["weights"][1].pop(),  # a row short of layer 0's outputs
             lambda payload: payload["frozen"].pop(),
+            lambda payload: payload.update(layer_sizes=[99]),
+            lambda payload: payload["weights"][0][0].__setitem__(0, True),
         ],
         ids=["weights-number", "frozen-number", "ragged", "string-cell", "short-bias",
-             "unchained", "flag-short"],
+             "unchained", "flag-short", "layer-sizes", "true-cell"],
     )
     def test_eval_exits_two_naming_the_file(self, workspace, capsys, edit):
         config = write_config(workspace, ensemble_size=1)
@@ -1376,3 +1379,146 @@ class TestAblate:
             assert pair[key][1:] == alone[key]
         assert runs["again"] == runs["alone"]
         assert "seed  conditional      flat" in capsys.readouterr().out
+
+
+class Interrupted(Exception):
+    """Stands in for a kill: raised from ``os.replace``."""
+
+
+class Replaces:
+    """``os.replace``, patched to record each target and to raise
+    ``Interrupted`` once: in place of the first call for whose target and
+    index ``stop`` is true, or with ``after`` once that call is done."""
+
+    def __init__(self, monkeypatch, stop=lambda path, index: False, after=False):
+        self.targets, self.stop, self.after, self.stopped = [], stop, after, None
+        self.replace = os.replace
+        monkeypatch.setattr(os, "replace", self)
+
+    def __call__(self, partial, path):
+        path = Path(path)
+        stopping = self.stopped is None and self.stop(path, len(self.targets))
+        if stopping:
+            self.stopped = path
+        if stopping and not self.after:
+            raise Interrupted(path)
+        self.replace(partial, path)
+        self.targets.append(path)
+        if stopping:
+            raise Interrupted(path)
+
+
+def file_bytes(root):
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
+    }
+
+
+# os.replace calls of a clean gen and train on chain_config: four CSVs,
+# their sidecars, config.json and provenance.json; then a stage-1 and a
+# final checkpoint, loss_log.csv and config.json.
+GEN_WRITES, TRAIN_WRITES = 10, 4
+
+
+@pytest.fixture(scope="module")
+def chain_runs(tmp_path_factory, configs_dir):
+    """``(config, earlier, clean)``: a small chain config; a run directory
+    that gen and train filled under seed 0, for a command to interrupt;
+    and by seed, the files of a clean gen, train, predict and eval, with
+    the count of os.replace calls of its gen and of its train."""
+    root = tmp_path_factory.mktemp("chain")
+    config = str(chain_config(root, configs_dir))
+    clean = {}
+    for seed in (0, 1):
+        out = root / f"clean{seed}"
+        writes = []
+        for command in ("gen", "train", "predict", "eval"):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                replaces = Replaces(monkeypatch)
+                args = ["--config", config, "--out", str(out), "--seed", str(seed)]
+                assert main([command, *args]) == 0
+            writes.append(len(replaces.targets))
+        clean[seed] = file_bytes(out), writes[:2]
+    earlier = root / "earlier"
+    for command in ("gen", "train"):
+        assert main([command, "--config", config, "--out", str(earlier)]) == 0
+    return config, earlier, clean
+
+
+class TestInterrupted:
+    """A command stopped at any file write leaves each file whole and
+    whatever record it writes deleted, so the commands after it exit 1 or
+    write a clean run's bytes."""
+
+    def test_gen_stopped_at_the_eval_split(self, tmp_path, configs_dir, monkeypatch, capsys):
+        config = chain_config(tmp_path, configs_dir)
+        run = ["--config", str(config), "--out", str(tmp_path / "run")]
+        assert main(["gen", *run]) == 0
+        Replaces(monkeypatch, lambda path, index: path.name.startswith("eval_"))
+        with pytest.raises(Interrupted):
+            main(["gen", *run, "--seed", "1"])
+        capsys.readouterr()
+        assert main(["train", *run]) == 1
+        assert "provenance.json is missing or unreadable; run gen again" in error_line(capsys)
+
+    def test_train_stopped_before_the_loss_log(self, tmp_path, configs_dir, monkeypatch, capsys):
+        config = chain_config(tmp_path, configs_dir, ensemble_size=2)
+        run = ["--config", str(config), "--out", str(tmp_path / "run")]
+        assert main(["gen", *run]) == 0
+        assert main(["train", *run, "--policy", "ones"]) == 0
+        # both flat checkpoints written, then the kill
+        Replaces(monkeypatch, lambda path, index: path.name == "member01_final.json", after=True)
+        with pytest.raises(Interrupted):
+            main(["train", *run, "--policy", "zeros", "--mode", "flat"])
+        capsys.readouterr()
+        assert main(["eval", *run, "--policy", "ones"]) == 1
+        assert "config.json is missing or unreadable; run train again" in error_line(capsys)
+
+    def test_eval_stopped_at_a_roc_file_leaves_no_report(self, tmp_path, configs_dir, monkeypatch):
+        config = chain_config(tmp_path, configs_dir)
+        run = ["--config", str(config), "--out", str(tmp_path / "run")]
+        for command in ("gen", "train", "eval"):
+            assert main([command, *run]) == 0
+        assert list((tmp_path / "run").glob("report.*"))
+        raw = json.loads(config.read_text())
+        config.write_text(json.dumps({**raw, "eval_subset": ["leaf"]}))
+        Replaces(monkeypatch, lambda path, index: path.name.startswith("roc_"))
+        with pytest.raises(Interrupted):
+            main(["eval", *run])
+        assert not list((tmp_path / "run").glob("report.*"))
+
+    def test_clean_run_write_counts(self, chain_runs):
+        _, _, clean = chain_runs
+        assert [writes for _, writes in clean.values()] == [[GEN_WRITES, TRAIN_WRITES]] * 2
+
+    @pytest.mark.parametrize("index", range(GEN_WRITES + TRAIN_WRITES))
+    def test_stopped_at_any_write(self, tmp_path, monkeypatch, chain_runs, index):
+        """gen then train under seed 1, over seed 0's run directory, stopped
+        at the index-th file write: the file keeps its old bytes or is gone,
+        no partial file is left, and each later command under either seed
+        exits 1 having written nothing, or writes a clean run's bytes."""
+        config, earlier, clean = chain_runs
+        out = tmp_path / "run"
+        shutil.copytree(earlier, out)
+        run = ["--config", config, "--out", str(out)]
+        replaces = Replaces(monkeypatch, lambda path, i: i == index)
+        for command in ("gen", "train"):
+            before = file_bytes(out)
+            try:
+                assert main([command, *run, "--seed", "1"]) == 0
+            except Interrupted:
+                break
+        stopped = replaces.stopped.relative_to(out).as_posix()
+        assert file_bytes(out).get(stopped) in (None, before.get(stopped))
+        assert not list(out.rglob("*.tmp"))
+        for seed in (0, 1):
+            for command in ("predict", "eval", "train", "predict", "eval"):
+                replaces.targets.clear()
+                code = main([command, *run, "--seed", str(seed)])
+                written = {p.relative_to(out).as_posix() for p in replaces.targets}
+                if code:
+                    assert (code, written) == (1, set())
+                now, files = file_bytes(out), clean[seed][0]
+                assert {name: now[name] for name in written} == {
+                    name: files[name] for name in written
+                }

@@ -687,8 +687,12 @@ class TestSidecar:
         ]
 
     def test_failed_sidecar_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        def full(*args):
-            raise OSError("no space left")
+        replace = csvio.os.replace
+
+        def full(partial, path):
+            if str(path).endswith(".npy"):
+                raise OSError("no space left")
+            replace(partial, path)
 
         monkeypatch.setattr(csvio.os, "replace", full)
         with pytest.raises(OSError, match="no space left"):
@@ -1041,3 +1045,41 @@ class TestWriteTable:
         with csvio.reader(path) as (header, rows):
             assert header == ["label", "auc", "readers_below"]
             assert [cells for _, cells in rows] == [["a\rb", "0.5", "1"]]
+
+
+class TestReplacing:
+    """``replacing`` puts a whole file in place of its target, or leaves
+    the target's old bytes and no partial file."""
+
+    def test_replaces_the_old_bytes(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"old\n")
+        with csvio.replacing(path) as fh:
+            fh.write(b"new\n")
+            assert path.read_bytes() == b"old\n"
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    @pytest.mark.parametrize("failing", ["block", "replace"])
+    def test_failure_keeps_the_old_bytes(self, tmp_path, monkeypatch, failing):
+        def full(*args):
+            raise OSError("no space left")
+
+        if failing == "replace":
+            monkeypatch.setattr(csvio.os, "replace", full)
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"old\n")
+        with pytest.raises(OSError, match="no space left"):
+            with csvio.replacing(path) as fh:
+                fh.write(b"new\n")
+                if failing == "block":
+                    full()
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_left_partial_file_is_overwritten(self, tmp_path):
+        path = tmp_path / "f.txt"
+        (tmp_path / "f.txt.tmp").write_bytes(b"partial from a killed process" * 10)
+        csvio.replace_text(path, "é\n")
+        assert path.read_bytes() == "é\n".encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]

@@ -1,11 +1,12 @@
 """Layering guards: ``csvio`` is the package's one CSV layer and the one
-module that saves or loads ``.npy`` files or hashes files,
+module that writes files, saves or loads ``.npy`` files or hashes files,
 ``pipeline.synthetic_split`` its one synthetic-data path, which only
 ``cli.cmd_gen`` and ``pipeline.hierarchical_ablation`` call, and every public
 name of the package is reached by the package or the benchmark, not by
 tests alone."""
 
 import ast
+import re
 from pathlib import Path
 
 import hiermlc
@@ -126,6 +127,80 @@ def test_hashing_guard_sees_each_form():
     assert hashing_uses("from .csvio import read_sidecar, sha256_file") == ["sha256_file"]
     assert hashing_uses("from . import csvio\ncsvio.sha256_file(p)") == ["sha256_file"]
     assert hashing_uses("import hashlibs\nsha256 = digest = 1") == []
+
+
+RENAMES = {"replace", "rename"}
+WRITE_METHODS = {"write_text", "write_bytes", "rename"}
+WRITE_MODE = re.compile(r"[rbt+]*[wax][rwaxbt+]*").fullmatch
+
+
+def write_uses(source: str) -> list[str]:
+    """Each call by which a module writes a file: ``os.replace`` or
+    ``os.rename`` by any alias or import, ``Path.replace`` (one argument,
+    where ``str.replace`` takes two), ``.rename``, ``.write_text``,
+    ``.write_bytes``, and ``open`` with a ``w``, ``a`` or ``x`` mode among
+    its first two arguments or as ``mode``."""
+    tree = ast.parse(source)
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.name == "os"
+    }
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "os":
+            uses += [f"from os import {a.name}" for a in node.names if a.name in RENAMES]
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        on_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in aliases
+        if name == "open":
+            args = node.args[:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            modes = [getattr(arg, "value", None) for arg in args]
+            uses += [f"open {mode}" for mode in modes if isinstance(mode, str) and WRITE_MODE(mode)]
+        elif on_os and name in RENAMES:
+            uses.append(f"{func.value.id}.{name}")
+        elif isinstance(func, ast.Attribute) and (
+            name in WRITE_METHODS or name == "replace" and len(node.args) == 1 and not node.keywords
+        ):
+            uses.append(f".{name}")
+    return uses
+
+
+def test_only_csvio_writes_files():
+    offenders = {
+        name: uses
+        for name, source in modules().items()
+        if name != "csvio.py" and (uses := write_uses(source))
+    }
+    assert offenders == {}
+    assert sorted(write_uses(modules()["csvio.py"])) == ["open wb", "os.replace"]
+
+
+def test_write_guard_sees_each_form():
+    assert write_uses("import os\nos.replace(a, b)") == ["os.replace"]
+    assert write_uses("import os as o\no.rename(a, b)") == ["o.rename"]
+    assert write_uses("from os import replace, rename") == [
+        "from os import replace", "from os import rename"
+    ]
+    assert write_uses("tmp.replace(path)") == [".replace"]
+    assert write_uses("tmp.rename(path)") == [".rename"]
+    assert write_uses("path.write_text(s)\nPath(p).write_bytes(b)") == [
+        ".write_text", ".write_bytes"
+    ]
+    assert write_uses("open(p, 'w')\nopen(p, mode='ab')\nio.open(p, 'x')") == [
+        "open w", "open ab", "open x"
+    ]
+    assert write_uses("path.open('w', newline='')") == ["open w"]
+    assert write_uses(
+        "from dataclasses import replace\n"
+        "replace(config, seed=1)\n"
+        "text.replace('a', 'b')\n"
+        "open(p)\nopen(p, 'rb')\npath.open()\nread_text(p)\nos.path.join(a, b)"
+    ) == []
 
 
 SYNTHETIC = {"generate_synthetic", "inject_uncertainty", "synthetic_split"}

@@ -612,7 +612,7 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["weights", "biases", "frozen"])
+    @pytest.mark.parametrize("key", ["weights", "biases", "frozen", "layer_sizes"])
     def test_missing_key_named(self, tmp_path, key):
         path = tmp_path / "m.json"
         save_checkpoint(path, small_model())
@@ -653,9 +653,15 @@ class TestCheckpoints:
             (lambda p: p["biases"][0].pop(), "layer 0: weight/bias shapes disagree"),
             (lambda p: p["frozen"].pop(), "2 weight matrices, 2 bias vectors and 1 frozen flags"),
             (lambda p: p["frozen"].__setitem__(0, 1), "frozen flags must be true or false"),
+            (lambda p: p.update(layer_sizes=[99]), r"layer_sizes \[99\] disagree with the "
+             r"weights' layout \[4, 5, 3\]"),
+            (lambda p: p.update(layer_sizes=[True, 5, 3]), r"layer_sizes \[True, 5, 3\]"),
+            (lambda p: p["weights"][0][1].__setitem__(2, True), r"weights\[0\] is not a 2-D"),
+            (lambda p: p["biases"][1].__setitem__(0, False), r"biases\[1\] is not a 1-D"),
         ],
         ids=["weights", "frozen", "no-layers", "ragged", "string", "null-bias",
-             "short-bias", "flags", "flag-type"],
+             "short-bias", "flags", "flag-type", "layer-sizes", "layer-size-bool",
+             "true-cell", "false-bias"],
     )
     def test_malformed_layout_named(self, tmp_path, edit, message):
         path, payload = checkpoint_payload(tmp_path)
