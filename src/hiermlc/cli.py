@@ -42,7 +42,7 @@ from .config import (
 )
 from .csvio import column_indices, read_id_matrix, replace_text, write_table
 # unused here: the benchmark's perfbench/tracer.py wraps the last two names in cli
-from .data import Dataset, SyntheticSpec, generate_synthetic, inject_uncertainty
+from .data import SyntheticSpec, generate_synthetic, inject_uncertainty
 from .errors import ConfigError, DataFormatError, NumericError
 from .hierarchy import LabelTree, propagate, safe_name
 from .model import load_checkpoint, save_checkpoint
@@ -231,16 +231,18 @@ def _recorded(path: Path, remedy: str) -> dict:
     return recorded
 
 
-def _gen_csvs(config: RunConfig, split: str) -> tuple[Path, Path]:
-    """gen's (features, labels) CSVs of a split.
+_KINDS = ("features", "labels")
+
+
+def _gen_csvs(config: RunConfig, split: str, kinds) -> tuple[Path, ...]:
+    """gen's CSV of each of ``kinds`` of a split.
 
     No CSVs, CSVs written under another config, or CSVs without a
     ``provenance.json`` raise ``ConfigError``: a run must not mix data
     and config.
     """
     data_dir = _out_dir(config, create=False) / "data"
-    paths = (data_dir / f"{split}_features.csv", data_dir / f"{split}_labels.csv")
-    if not any(path.exists() for path in paths):
+    if not any((data_dir / f"{split}_{kind}.csv").exists() for kind in _KINDS):
         raise ConfigError(f"no {split} data under {data_dir}; run gen first")
     recorded = _recorded(data_dir / "provenance.json", "run gen again")
     expected = _data_identity(config)
@@ -250,52 +252,37 @@ def _gen_csvs(config: RunConfig, split: str) -> tuple[Path, Path]:
             f"{data_dir} was generated with different {', '.join(differing)} "
             "than the config; run gen again"
         )
-    return paths
+    return tuple(data_dir / f"{split}_{kind}.csv" for kind in kinds)
 
 
-def _split_files(config: RunConfig, split: str) -> tuple[str | Path | None, str | Path]:
-    """The "train" or "eval" split's (features file or None, labels file):
-    gen's CSVs, or the config's."""
+def _split_files(config: RunConfig, split: str, kinds=_KINDS) -> tuple[str | Path, ...]:
+    """The "train" or "eval" split's file of each of ``kinds``, gen's CSV
+    or the config's, each of which must exist."""
     if config.synthetic is not None:
-        return _gen_csvs(config, split)
-    csv_cfg = config.csv_data
-    assert csv_cfg is not None
-    labels = getattr(csv_cfg, f"{split}_labels")
-    if not Path(labels).exists():
-        what = "training" if split == "train" else "eval"
-        raise ConfigError(f"{what} labels file not found: {labels}")
-    return getattr(csv_cfg, f"{split}_features"), labels
-
-
-def _load_split(config: RunConfig, tree: LabelTree, files: tuple) -> Dataset:
-    """The dataset of a split's ``_split_files``, its blank label cells
-    read as negatives under ``missing_as_negative``."""
-    features, labels = files
-    if features is not None:
-        dataset = data_mod.load_dataset(features, labels, tree)
+        files = _gen_csvs(config, split, kinds)
     else:
-        dataset = data_mod.load_csv(labels, tree)
+        files = tuple(getattr(config.csv_data, f"{split}_{kind}") for kind in kinds)
+    for kind, path in zip(kinds, files):
+        if not Path(path).exists():
+            what = "training" if split == "train" else "eval"
+            raise ConfigError(f"{what} {kind} file not found: {path}")
+    return files
+
+
+def _scored(config: RunConfig, labels: np.ndarray) -> np.ndarray:
+    """A split's labels, its blank cells read as negatives under
+    ``missing_as_negative``."""
     if not config.missing_as_negative:
-        return dataset
-    scored = np.where(dataset.labels == data_mod.MISSING, data_mod.NEG, dataset.labels)
-    return replace(dataset, labels=scored)
-
-
-def _eval_features(tree: LabelTree, files: tuple) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Features and row ids of the eval split from its ``_split_files``:
-    read without the labels where a features file holds them."""
-    if files[0] is None:
-        dataset = data_mod.load_csv(files[1], tree)
-        return dataset.features, dataset.ids
-    _, ids, features = read_id_matrix(files[0], "feature")
-    return features, ids
+        return labels
+    return np.where(labels == data_mod.MISSING, data_mod.NEG, labels)
 
 
 def cmd_train(args) -> int:
     """Train the ensemble (two-stage conditional or flat) and write checkpoints."""
     config = _effective_config(args)
     tree = config.load_tree()  # validate inputs before any writes
-    dataset = _load_split(config, tree, _split_files(config, "train"))
+    dataset = data_mod.load_dataset(*_split_files(config, "train"), tree)
+    dataset = replace(dataset, labels=_scored(config, dataset.labels))
     plan = TrainPlan(
         policy=config.policy(),
         optimizer=config.optimizer,
@@ -383,13 +370,9 @@ def cmd_predict(args) -> int:
     """Write ensemble predictions for the eval rows."""
     config = _effective_config(args)
     tree = config.load_tree()
-    csv_cfg = config.csv_data
-    if csv_cfg is not None and csv_cfg.eval_features is not None:  # reads no labels
-        files = csv_cfg.eval_features, csv_cfg.eval_labels
-    else:
-        files = _split_files(config, "eval")
+    (features_path,) = _split_files(config, "eval", ("features",))  # reads no labels
     checkpoints = _final_checkpoints(config)  # before the features are read
-    features, ids = _eval_features(tree, files)
+    _, ids, features = read_id_matrix(features_path, "feature")
     probs = _ensemble_probs(config, tree, checkpoints, features)
     path = _out_dir(config) / "predictions.csv"
     eval_mod.write_predictions_csv(path, ids, probs, tree.names)
@@ -422,13 +405,17 @@ def cmd_eval(args) -> int:
         raise DataFormatError(
             f"{config.reader_points}: reader points for unknown label(s) {unknown}"
         )
-    files = _split_files(config, "eval")
-    # a supplied predictions file runs no checkpoints; else they are
-    # checked before any eval file is read
-    checkpoints = None if args.predictions else _final_checkpoints(config)
-    dataset = _load_split(config, tree, files)
-    ids = dataset.ids
-    truth = _binary_ground_truth(dataset.labels, ids, tree)
+    # a supplied predictions file is scored against the labels alone and
+    # runs no checkpoints; else they are checked before any eval file is read
+    if args.predictions:
+        (labels_path,) = _split_files(config, "eval", ("labels",))
+        labels, ids = data_mod.load_labels_csv(labels_path, tree)
+    else:
+        files = _split_files(config, "eval")
+        checkpoints = _final_checkpoints(config)
+        dataset = data_mod.load_dataset(*files, tree)
+        labels, ids = dataset.labels, dataset.ids
+    truth = _binary_ground_truth(_scored(config, labels), ids, tree)
 
     if args.predictions:
         names, written_ids, probs = read_id_matrix(args.predictions, "prediction")

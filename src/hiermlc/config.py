@@ -67,12 +67,13 @@ class SyntheticDataConfig:
 
 @dataclass
 class CsvDataConfig:
-    """On-disk dataset: label CSVs with optional feature CSVs."""
+    """On-disk dataset: a features CSV and a labels CSV per split, all four
+    required."""
 
     train_labels: str
     eval_labels: str
-    train_features: str | None = None
-    eval_features: str | None = None
+    train_features: str
+    eval_features: str
 
 
 @dataclass
@@ -251,10 +252,7 @@ def config_to_dict(config: RunConfig) -> dict:
     del out["out"]
     out["policy"] = {key: out.pop(name) for key, name in _POLICY.items()}
     synthetic, csv_data = out.pop("synthetic"), out.pop("csv_data")
-    if synthetic is not None:
-        out["data"] = {"synthetic": synthetic}
-    else:
-        out["data"] = {k: v for k, v in csv_data.items() if v is not None}
+    out["data"] = {"synthetic": synthetic} if synthetic is not None else csv_data
     return out
 
 

@@ -1,13 +1,12 @@
-"""Datasets: label CSV ingestion, synthetic generation, conditional masks.
+"""Datasets: label and feature CSV ingestion, synthetic generation,
+conditional masks.
 
 Label matrices hold one of four codes per cell.  CSV cells map as
 "1.0" -> POS, "0.0" -> NEG, "-1.0" -> UNC, empty -> MISSING; label
 columns are named exactly as the hierarchy's node names.  Of any other
-column, ``Path`` or ``id`` gives the row ids, and the rest feed the
-featurizer stub.  Feature vectors replace images: synthetic datasets
-carry generated features, and label-only CSVs get a small deterministic
-featurizer stub over their other columns so evaluation-only flows still
-work.
+column, ``Path`` or ``id`` gives the row ids, and the rest are ignored.
+Feature vectors replace images: a split's features come from its
+features file, or from the generator for synthetic datasets.
 """
 
 from __future__ import annotations
@@ -128,14 +127,12 @@ def row_ids(n: int) -> tuple[str, ...]:
     return tuple(f"row{i:05d}" for i in range(n))
 
 
-def load_labels_csv(
-    path: str | Path, tree: LabelTree
-) -> tuple[np.ndarray, tuple[str, ...], dict[str, tuple[str, ...]]]:
-    """Parse a label CSV into (labels, ids, metadata).
+def load_labels_csv(path: str | Path, tree: LabelTree) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Parse a label CSV into (labels, ids).
 
-    Every tree label must appear as a column; all other columns are kept
-    as metadata.  Row ids come from a ``Path`` or ``id`` column when
-    present, else are positional.
+    Every tree label must appear as a column.  Row ids come from a
+    ``Path`` column, else an ``id`` column, else are positional; any other
+    column is ignored.
 
     A file ``write_labels_csv`` wrote is read from its int8 sidecar while
     the file's sha256 still matches it, its header is ``id`` and then the
@@ -146,31 +143,23 @@ def load_labels_csv(
     sidecar = read_sidecar(path, np.int8)
     if sidecar and sidecar[0] == tree.names and np.isin(sidecar[2], CODES).all():
         _, ids, labels = sidecar
-        return labels, ids, {"id": ids}
-    labels, metadata = _read_label_rows(path, tree)
-    if "Path" in metadata:
-        ids = metadata["Path"]
-    elif "id" in metadata:
-        ids = metadata["id"]
-    else:
-        ids = row_ids(labels.shape[0])
-    return labels, ids, metadata
+        return labels, ids
+    return _read_label_rows(path, tree)
 
 
-def _read_label_rows(
-    path: str | Path, tree: LabelTree
-) -> tuple[np.ndarray, dict[str, tuple[str, ...]]]:
-    """The int8 label codes of a file's rows in tree order, and the cells
-    of each other column by name (a repeated name keeps its first column),
-    through the checked row loop of ``reader``."""
+def _read_label_rows(path: str | Path, tree: LabelTree) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The int8 label codes of a file's rows in tree order, and the rows'
+    ids (a repeated id column keeps its first), through the checked row
+    loop of ``reader``."""
     with reader(path) as (header, rows):
         label_idx = column_indices(path, header, tree.names, "label")
-        meta_idx = {c: header.index(c) for c in header if c not in tree.names}
+        id_cols = [c for c in ("Path", "id") if c in header and c not in tree.names]
+        id_idx = header.index(id_cols[0]) if id_cols else None
 
         canonical = _CANONICAL_CELLS
         codes = array("b")  # one byte per cell, row after row
         n_rows = 0
-        meta_values: dict[str, list[str]] = {c: [] for c in meta_idx}
+        ids = []
         for line, row in rows:
             cells = [row[i] for i in label_idx]
             try:
@@ -178,12 +167,12 @@ def _read_label_rows(
             except KeyError:
                 codes.extend([_parse_cell(cell, f"{path}:{line}") for cell in cells])
             n_rows += 1
-            for c, idx in meta_idx.items():
-                meta_values[c].append(row[idx])
+            if id_idx is not None:
+                ids.append(row[id_idx])
     if not n_rows:
         raise DataFormatError(f"{path}: no data rows")
     labels = np.array(codes, dtype=np.int8).reshape(n_rows, tree.K)
-    return labels, {c: tuple(v) for c, v in meta_values.items()}
+    return labels, row_ids(n_rows) if id_idx is None else tuple(ids)
 
 
 def write_labels_csv(
@@ -198,44 +187,6 @@ def write_labels_csv(
     write_id_matrix(path, ["id", *tree.names], ids, labels, _CODE_ZONES.__getitem__)
 
 
-# Featurizer stub for label-only CSVs: a fixed 7-dim encoding of the
-# standard metadata columns (one-hot Sex over Male/Female, one-hot
-# Frontal/Lateral, one-hot AP/PA over AP/PA, Age/100).  Unknown or absent
-# values contribute zeros, so files without these columns still load.
-_STUB_ONE_HOT = [
-    ("Sex", ("Male", "Female")),
-    ("Frontal/Lateral", ("Frontal", "Lateral")),
-    ("AP/PA", ("AP", "PA")),
-]
-STUB_FEATURE_DIM = sum(len(vals) for _, vals in _STUB_ONE_HOT) + 1
-
-
-def featurize_metadata(metadata: dict[str, tuple[str, ...]], n: int) -> np.ndarray:
-    features = np.zeros((n, STUB_FEATURE_DIM), dtype=np.float64)
-    col = 0
-    for name, values in _STUB_ONE_HOT:
-        present = metadata.get(name)
-        for j, value in enumerate(values):
-            if present is not None:
-                features[:, col + j] = [1.0 if v == value else 0.0 for v in present]
-        col += len(values)
-    ages = metadata.get("Age")
-    if ages is not None:
-        for i, raw in enumerate(ages):
-            try:
-                features[i, col] = float(raw) / 100.0
-            except ValueError:
-                pass
-    return features
-
-
-def load_csv(path: str | Path, tree: LabelTree) -> Dataset:
-    """Load a label-only CSV, stubbing features from metadata columns."""
-    labels, ids, metadata = load_labels_csv(path, tree)
-    features = featurize_metadata(metadata, labels.shape[0])
-    return Dataset(features=features, labels=labels, ids=ids)
-
-
 def write_features_csv(path: str | Path, features: np.ndarray, ids: Sequence[str]) -> None:
     features = np.asarray(features, dtype=np.float64)
     header = ["id"] + [f"f{j}" for j in range(features.shape[1])]
@@ -246,7 +197,7 @@ def load_dataset(features_path: str | Path, labels_path: str | Path, tree: Label
     """Load a features/labels CSV pair whose rows must carry the same ids
     in the same order."""
     # labels first: the larger features read last keeps the peak memory lower
-    labels, ids, _ = load_labels_csv(labels_path, tree)
+    labels, ids = load_labels_csv(labels_path, tree)
     _, feat_ids, features = read_id_matrix(features_path, "feature")
     if feat_ids != ids:
         raise DataFormatError(f"row ids disagree between {features_path} and {labels_path}")

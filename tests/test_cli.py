@@ -443,6 +443,22 @@ class TestGenFirst:
         assert error_line(capsys) == f"error: no {split} data under {data_dir}; run gen first"
         assert not (workspace / "run").exists()
 
+    @pytest.mark.parametrize(
+        "command, split, kind",
+        [("train", "train", "labels"), ("predict", "eval", "features"), ("eval", "eval", "features")],
+    )
+    def test_with_one_gen_csv_absent(self, workspace, capsys, command, split, kind):
+        config = write_config(workspace)
+        assert main(["gen", "--config", str(config)]) == 0
+        absent = workspace / "run" / "data" / f"{split}_{kind}.csv"
+        absent.unlink()
+        before = checksums(workspace)
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 1
+        what = "training" if split == "train" else "eval"
+        assert error_line(capsys) == f"error: {what} {kind} file not found: {absent}"
+        assert checksums(workspace) == before
+
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_checkpoints_without_gen_data(self, workspace, capsys, command):
         config = write_config(workspace, ensemble_size=1)
@@ -935,8 +951,9 @@ class TestPredictionsReuse:
 
 
 class TestEvalReadsFeatures:
-    """Every eval reads the eval features file and checks its row ids
-    against the labels'."""
+    """Every eval that runs the ensemble reads the eval features file and
+    checks its row ids against the labels'; one that scores a supplied
+    predictions file reads the labels alone."""
 
     def renamed_row(self, workspace):
         path = workspace / "run" / "data" / "eval_features.csv"
@@ -964,16 +981,18 @@ class TestEvalReadsFeatures:
         assert main(["eval", "--config", str(config)]) == 2
         assert "row ids disagree between" in capsys.readouterr().err
 
-    def test_with_supplied_predictions(self, workspace, capsys):
+    def test_with_supplied_predictions(self, workspace):
         config = write_config(workspace, ensemble_size=1)
         for command in ("gen", "train", "predict"):
             assert main([command, "--config", str(config)]) == 0
         scored = workspace / "scored.csv"
         shutil.copy(workspace / "run" / "predictions.csv", scored)
+        command = ["eval", "--config", str(config), "--predictions", str(scored)]
+        assert main(command) == 0
+        reports = [(workspace / "run" / name).read_bytes() for name in cli._REPORTS]
         (workspace / "run" / "data" / "eval_features.csv").write_text("id,f0\nr1,x\n")
-        capsys.readouterr()
-        assert main(["eval", "--config", str(config), "--predictions", str(scored)]) == 2
-        assert "eval_features.csv:2" in capsys.readouterr().err
+        assert main(command) == 0
+        assert [(workspace / "run" / name).read_bytes() for name in cli._REPORTS] == reports
 
 
 class TestEvalSplitResolvedOnce:
@@ -1028,24 +1047,78 @@ def write_label_files(workspace, blank):
 
 class TestMissingAsNegative:
     """``missing_as_negative`` reads blank label cells as negatives in every
-    split, whether or not the config names features files."""
+    split, and in the labels that ``eval --predictions`` scores against."""
 
-    @pytest.mark.parametrize("with_features", [False, True], ids=["labels-only", "features"])
-    def test_blank_cells_train_and_score_as_zeros(self, workspace, with_features):
+    @pytest.mark.parametrize("scored", ["features", "predictions"])
+    def test_blank_cells_train_and_score_as_zeros(self, workspace, scored):
         runs = {}
         for blank, flag in (("", True), ("0.0", False)):
             data = write_label_files(workspace, blank)
-            if not with_features:
-                data = {k: v for k, v in data.items() if k.endswith("labels")}
             out = workspace / f"run_{flag}"
             config = write_config(
                 workspace, name=f"{flag}.json", out=str(out), ensemble_size=1,
                 policy={"name": "ones"}, missing_as_negative=flag, data=data,
             )
-            for command in ("train", "eval"):
-                assert main([command, "--config", str(config)]) == 0
+            commands = [["train"], ["eval"]]
+            if scored == "predictions":
+                scored_file = str(out / "predictions.csv")
+                commands[1:] = [["predict"], ["eval", "--predictions", scored_file]]
+            for command in commands:
+                assert main([*command, "--config", str(config)]) == 0
             runs[flag] = {k: v for k, v in checksums(out).items() if k != "config.json"}
         assert "report.csv" in runs[True] and runs[True] == runs[False]
+
+
+class TestCsvDataFiles:
+    """A CSV ``data`` section names a features file and a labels file for
+    each split: a config without one of the four keys, or naming a file
+    that the command reads and that does not exist, exits 1 before
+    anything is written."""
+
+    def test_labels_only_config_exits_one(self, workspace, capsys):
+        data = write_label_files(workspace, "0.0")
+        config = write_config(workspace, data={k: v for k, v in data.items() if "labels" in k})
+        before = sorted(workspace.rglob("*"))
+        for command in ("train", "predict", "eval"):
+            assert main([command, "--config", str(config)]) == 1
+            assert "'train_features' and 'eval_features'" in capsys.readouterr().err
+        assert sorted(workspace.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("train", "train_features"),
+            ("predict", "eval_features"),
+            ("eval", "eval_features"),
+            ("eval", "eval_labels"),
+        ],
+    )
+    def test_absent_file_exits_one(self, workspace, capsys, command, key):
+        nope = workspace / "nope.csv"
+        data = {**write_label_files(workspace, "0.0"), key: str(nope)}
+        config = write_config(workspace, data=data)
+        before = sorted(workspace.rglob("*"))
+        assert main([command, "--config", str(config)]) == 1
+        split, kind = key.split("_")
+        what = "training" if split == "train" else "eval"
+        assert capsys.readouterr().err == f"error: {what} {kind} file not found: {nope}\n"
+        assert sorted(workspace.rglob("*")) == before
+
+    def test_scoring_reads_only_the_eval_file_it_needs(self, workspace):
+        data = write_label_files(workspace, "0.0")
+        config = write_config(workspace, ensemble_size=1, data=data)
+        for command in ("train", "predict", "eval"):
+            assert main([command, "--config", str(config)]) == 0
+        run = workspace / "run"
+        reports = [(run / name).read_bytes() for name in cli._REPORTS]
+        shutil.copy(run / "predictions.csv", workspace / "scored.csv")
+        eval_labels = Path(data["eval_labels"]).rename(workspace / "held.csv")
+        assert main(["predict", "--config", str(config)]) == 0
+        eval_labels.rename(data["eval_labels"])
+        Path(data["eval_features"]).unlink()
+        scored = ["--predictions", str(workspace / "scored.csv")]
+        assert main(["eval", "--config", str(config), *scored]) == 0
+        assert [(run / name).read_bytes() for name in cli._REPORTS] == reports
 
 
 class TestConsoleScript:

@@ -87,11 +87,20 @@ class TestParsing:
 
     def test_csv_data_section(self):
         config = config_from_dict(
-            minimal(data={"train_labels": "tr.csv", "eval_labels": "ev.csv"})
+            minimal(data={"train_labels": "tr.csv", "eval_labels": "ev.csv",
+                          "train_features": "tf.csv", "eval_features": "ef.csv"})
         )
         assert config.synthetic is None
         assert config.csv_data.train_labels == "tr.csv"
-        assert config.csv_data.train_features is None
+        assert config.csv_data.train_features == "tf.csv"
+
+    @pytest.mark.parametrize("missing", ["train_features", "eval_features"])
+    def test_csv_data_needs_both_features_files(self, missing):
+        data = {"train_labels": "tr.csv", "eval_labels": "ev.csv",
+                "train_features": "tf.csv", "eval_features": "ef.csv"}
+        del data[missing]
+        with pytest.raises(ConfigError, match=f"data: .*missing 1 required .*'{missing}'"):
+            config_from_dict(minimal(data=data))
 
     def test_missing_seed(self):
         with pytest.raises(ConfigError, match="seed"):

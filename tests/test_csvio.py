@@ -147,9 +147,9 @@ class TestTextRoundTrip:
         tree = build_tree([("A", None, 0), ("B\rb", "A", 1)])
         labels = np.resize(np.array([POS, NEG, UNC, MISSING], dtype=np.int8), (len(ODD_TEXT), 2))
         write_labels_csv(path, labels, tree, ODD_TEXT)
-        got, ids, meta = load_labels_csv(path, tree)
+        got, ids = load_labels_csv(path, tree)
         np.testing.assert_array_equal(got, labels)
-        assert ids == tuple(ODD_TEXT) and meta == {"id": ids}
+        assert ids == tuple(ODD_TEXT)
         assert b'"B\rb"' in path.read_bytes()
 
 
@@ -735,11 +735,11 @@ def label_outcome(path, tree, sidecar=True):
     read = csvio.read_sidecar if sidecar else no_sidecar
     with mock.patch.object(data_mod, "read_sidecar", read):
         try:
-            labels, ids, metadata = data_mod.load_labels_csv(path, tree)
+            labels, ids = data_mod.load_labels_csv(path, tree)
         except DataFormatError as exc:
             return str(exc)
     assert labels.flags.c_contiguous
-    return labels.dtype, labels.shape, labels.tobytes(), ids, metadata
+    return labels.dtype, labels.shape, labels.tobytes(), ids
 
 
 def no_sidecar(*args):
@@ -754,8 +754,8 @@ META_TEXT = st.text("abcXYZ019 ._-#'\\\u00e9", max_size=6)
 @st.composite
 def canonical_label_files(draw):
     """A label file of canonical cells: the tree's labels in any column
-    order among metadata columns (an id, a Path, others, a repeated
-    name), blank lines and a missing last newline."""
+    order among other columns (an id, a Path, others the reader ignores,
+    a repeated name), blank lines and a missing last newline."""
     k = draw(st.integers(1, 4))
     tree = random_forest(np.random.default_rng(draw(st.integers(0, 99))), k)
     meta = draw(st.lists(st.sampled_from(["id", "Path", "Sex", "note", "id"]), max_size=3))
@@ -782,12 +782,11 @@ class TestLabelBlockReader:
     def test_canonical_files_read_cell_by_cell(self, tmp_path_factory, file):
         tree, text, header, rows = file
         path = write_text(tmp_path_factory.mktemp("l"), text)
-        _, shape, codes, ids, metadata = label_outcome(path, tree)
+        _, shape, codes, ids = label_outcome(path, tree)
         columns = {c: tuple(row[header.index(c)] for row in rows) for c in header}
         expected = [[CELL_CODES[cell] for cell in columns[name]] for name in tree.names]
         assert shape == (len(rows), tree.K)
         assert codes == np.array(expected, dtype=np.int8).T.tobytes()
-        assert metadata == {c: columns[c] for c in header if c not in tree.names}
         assert ids == columns.get("Path", columns.get("id", data_mod.row_ids(len(rows))))
 
     @pytest.mark.parametrize(
@@ -847,7 +846,6 @@ class TestLabelBlockReader:
         with mock.patch.object(data_mod, "_read_label_rows", forbidden):
             got = label_outcome(path, CHAIN)
         assert got == expected and got[2] == labels.tobytes() and got[3] == tuple(ids)
-        assert got[4] == {"id": tuple(ids)}
         csvio.sidecar_path(path).unlink()
         assert label_outcome(path, CHAIN) == expected
 
@@ -924,9 +922,9 @@ class TestLabelSidecar:
         labels = np.asfortranarray(np.resize(np.array([1, 0, -1, -2]), (4, 3)))
         write_labels_csv(path, labels, CHAIN, ["a", "b", "c", "d"])
         monkeypatch.setattr(data_mod, "_read_label_rows", forbidden_parse)
-        got, ids, metadata = load_labels_csv(path, CHAIN)
+        got, ids = load_labels_csv(path, CHAIN)
         assert got.dtype == np.int8 and got.tobytes() == labels.astype(np.int8).tobytes()
-        assert ids == ("a", "b", "c", "d") and metadata == {"id": ids}
+        assert ids == ("a", "b", "c", "d")
 
 
 class TestHeldFile:

@@ -7,15 +7,12 @@ from hiermlc.data import (
     MISSING,
     NEG,
     POS,
-    STUB_FEATURE_DIM,
     UNC,
     Dataset,
     SyntheticSpec,
     conditional_mask,
-    featurize_metadata,
     generate_synthetic,
     inject_uncertainty,
-    load_csv,
     load_dataset,
     load_labels_csv,
     write_features_csv,
@@ -42,34 +39,33 @@ class TestLabelCsv:
             "l.csv",
             "A,B,C\n1.0,0.0,-1.0\n,1.0,0.0\n",
         )
-        labels, ids, metadata = load_labels_csv(path, CHAIN)
+        labels, ids = load_labels_csv(path, CHAIN)
         np.testing.assert_array_equal(
             labels, [[POS, NEG, UNC], [MISSING, POS, NEG]]
         )
         assert ids == ("row00000", "row00001")
-        assert metadata == {}
 
     def test_missing_as_negative(self, tmp_path):
         # the reader keeps blank cells MISSING; the CLI applies
         # missing_as_negative to every split it loads
         path = write(tmp_path, "l.csv", "A,B,C\n,1.0,\n")
-        labels, _, _ = load_labels_csv(path, CHAIN)
+        labels, _ = load_labels_csv(path, CHAIN)
         np.testing.assert_array_equal(labels, [[MISSING, POS, MISSING]])
 
     def test_metadata_and_path_ids(self, tmp_path):
+        # Path gives the ids over id; other columns, such as Sex, are ignored
         path = write(
             tmp_path,
             "l.csv",
-            "Path,Sex,A,B,C\np1.jpg,Male,1.0,0.0,1.0\np2.jpg,Female,0.0,0.0,0.0\n",
+            "id,Path,Sex,A,B,C\nr1,p1.jpg,Male,1.0,0.0,1.0\nr2,p2.jpg,Female,0.0,0.0,0.0\n",
         )
-        labels, ids, metadata = load_labels_csv(path, CHAIN)
+        labels, ids = load_labels_csv(path, CHAIN)
         assert ids == ("p1.jpg", "p2.jpg")
-        assert metadata["Sex"] == ("Male", "Female")
-        assert labels.shape == (2, 3)
+        np.testing.assert_array_equal(labels, [[POS, NEG, POS], [NEG, NEG, NEG]])
 
     def test_column_order_free(self, tmp_path):
         path = write(tmp_path, "l.csv", "C,A,B\n1.0,0.0,-1.0\n")
-        labels, _, _ = load_labels_csv(path, CHAIN)
+        labels, _ = load_labels_csv(path, CHAIN)
         # columns are matched by name and stored in index order
         np.testing.assert_array_equal(labels, [[NEG, UNC, POS]])
 
@@ -96,7 +92,7 @@ class TestLabelCsv:
     )
     def test_non_canonical_cells_parse(self, tmp_path, cell, code):
         path = write(tmp_path, "l.csv", f"A,B,C\n1.0,0.0,-1.0\n1.0,{cell},\n")
-        labels, _, _ = load_labels_csv(path, CHAIN)
+        labels, _ = load_labels_csv(path, CHAIN)
         np.testing.assert_array_equal(
             labels, [[POS, NEG, UNC], [POS, code, MISSING]]
         )
@@ -118,7 +114,7 @@ class TestLabelCsv:
         ids = tuple(f"r{i}" for i in range(20))
         path = tmp_path / "out.csv"
         write_labels_csv(path, labels, CHAIN, ids)
-        back, back_ids, _ = load_labels_csv(path, CHAIN)
+        back, back_ids = load_labels_csv(path, CHAIN)
         np.testing.assert_array_equal(back, labels)
         assert back_ids == ids
 
@@ -161,33 +157,6 @@ class TestFeatureCsv:
         write(tmp_path, "l.csv", "id,A,B,C\nb,1.0,0.0,0.0\n")
         with pytest.raises(DataFormatError, match="ids disagree"):
             load_dataset(tmp_path / "f.csv", tmp_path / "l.csv", CHAIN)
-
-
-class TestFeaturizerStub:
-    def test_known_columns(self):
-        metadata = {
-            "Sex": ("Male", "Female", "Unknown"),
-            "Frontal/Lateral": ("Frontal", "Lateral", "Frontal"),
-            "AP/PA": ("AP", "PA", ""),
-            "Age": ("50", "80", "x"),
-        }
-        f = featurize_metadata(metadata, 3)
-        assert f.shape == (3, STUB_FEATURE_DIM)
-        np.testing.assert_array_equal(f[0], [1, 0, 1, 0, 1, 0, 0.5])
-        np.testing.assert_array_equal(f[1], [0, 1, 0, 1, 0, 1, 0.8])
-        np.testing.assert_array_equal(f[2], [0, 0, 1, 0, 0, 0, 0.0])
-
-    def test_absent_columns_zero(self):
-        f = featurize_metadata({}, 2)
-        np.testing.assert_array_equal(f, np.zeros((2, STUB_FEATURE_DIM)))
-
-    def test_load_csv_uses_stub(self, tmp_path):
-        path = write(
-            tmp_path, "l.csv", "Sex,A,B,C\nMale,1.0,0.0,0.0\n"
-        )
-        ds = load_csv(path, CHAIN)
-        assert ds.features.shape == (1, STUB_FEATURE_DIM)
-        assert ds.features[0, 0] == 1.0
 
 
 class TestDataset:

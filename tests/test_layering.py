@@ -1,7 +1,8 @@
 """Layering guards: ``csvio`` is the package's one CSV layer and the one
 module that writes files, saves or loads ``.npy`` files or hashes files,
 ``pipeline.synthetic_split`` its one synthetic-data path, which only
-``cli.cmd_gen`` and ``pipeline.hierarchical_ablation`` call, and every public
+``cli.cmd_gen`` and ``pipeline.hierarchical_ablation`` call, a dataset's
+features come only from a features file or the generator, and every public
 name of the package is reached by the package or the benchmark, not by
 tests alone."""
 
@@ -256,6 +257,51 @@ def test_synthetic_guard_sees_each_use():
         ("<module>", "generate_synthetic"),
         ("named_split", "synthetic_split"),
     }
+
+
+def dataset_calls(source: str) -> set[str]:
+    """The top-level functions and classes of a module that call
+    ``Dataset``, by name or as an attribute; "<module>" for calls outside
+    any function or class."""
+    owners = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Dataset":
+                    owners.add(getattr(top, "name", "<module>"))
+    return owners
+
+
+def test_features_come_from_a_file_or_the_generator():
+    found = {
+        name: owners for name, source in modules().items() if (owners := dataset_calls(source))
+    }
+    assert found == {
+        "data.py": {"load_dataset", "generate_synthetic"},
+        "pipeline.py": {"synthetic_split"},
+    }
+
+
+def test_dataset_guard_sees_each_form():
+    source = (
+        "from .data import Dataset\n"
+        "def load_dataset(f, l, tree):\n"
+        "    return Dataset(features=f, labels=l, ids=None)\n"
+        "def stub(labels):\n"
+        "    def inner():\n"
+        "        return data_mod.Dataset(np.zeros((3, 7)), labels, None)\n"
+        "    return inner()\n"
+        "class Loader:\n"
+        "    def load(self):\n"
+        "        return Dataset(*self.parts)\n"
+        "EMPTY = Dataset(X, Y, None)\n"
+        "def relabel(dataset: Dataset, labels) -> Dataset:\n"
+        "    assert isinstance(dataset, Dataset)\n"
+        "    return replace(dataset, labels=labels)\n"
+    )
+    assert dataset_calls(source) == {"load_dataset", "stub", "Loader", "<module>"}
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
