@@ -12,6 +12,10 @@ and ``train`` each delete their record (``data/provenance.json``,
 ``eval`` its reports, so an interrupted command leaves no record and the
 commands after it ask for it to be run again.
 
+``predict`` and ``eval`` load their ensemble in ``_final_checkpoints``
+alone, before any eval file is read, and refuse a member whose outputs
+do not match the hierarchy's labels.
+
 ``ablate`` trains conditional ``ones-lsr`` against flat ``ones`` on
 fresh synthetic data for ``--seeds`` seeds from ``--seed`` on, and
 writes their leaf AUCs with the effective config to ``ablation.json``;
@@ -45,9 +49,8 @@ from .csvio import column_indices, read_id_matrix, replace_text, write_table
 from .data import SyntheticSpec, generate_synthetic, inject_uncertainty
 from .errors import ConfigError, DataFormatError, NumericError
 from .hierarchy import LabelTree, propagate, safe_name
-from .model import load_checkpoint, save_checkpoint
+from .model import Mlp, load_checkpoint, save_checkpoint
 from .pipeline import (
-    EnsembleModel,
     TrainPlan,
     hierarchical_ablation,
     predict_flat,
@@ -328,9 +331,10 @@ _EVAL_ONLY = ("eval_subset", "reader_points", "data.eval_labels", "data.eval_fea
 _FLAGS = {"seed": "--seed", "mode": "--mode", "policy.name": "--policy"}
 
 
-def _final_checkpoints(config: RunConfig) -> list[Path]:
-    """The config's ``ensemble_size`` final checkpoints, if ``train`` wrote
-    them under the same config but for the eval-only keys."""
+def _final_checkpoints(config: RunConfig, tree: LabelTree) -> list[Mlp]:
+    """The ensemble: the config's ``ensemble_size`` final members, if
+    ``train`` wrote them under the same config but for the eval-only keys,
+    each with one output per label of ``tree``."""
     out = _out_dir(config, create=False)
     ckpt_dir = out / "checkpoints"
     paths = [ckpt_dir / f"member{i:02d}_final.json" for i in range(config.ensemble_size)]
@@ -351,19 +355,25 @@ def _final_checkpoints(config: RunConfig) -> list[Path]:
         flags = " ".join(f"{_FLAGS[k]} {was.get(k)}" for k in differing if k in _FLAGS)
         remedy = f"pass {flags} or run train again" if flags else "run train again"
         raise ConfigError(f"{ckpt_dir} was trained under another config: {values}; {remedy}")
-    return paths
+    members = [load_checkpoint(path) for path in paths]
+    for path, member in zip(paths, members):
+        if member.output_dim != tree.K:
+            raise ConfigError(
+                f"{path} has {member.output_dim} outputs but the hierarchy has "
+                f"{tree.K} labels; run train again"
+            )
+    return members
 
 
 def _ensemble_probs(
-    config: RunConfig, tree: LabelTree, checkpoints: list[Path], features: np.ndarray
+    config: RunConfig, tree: LabelTree, members: list[Mlp], features: np.ndarray
 ) -> np.ndarray:
-    """The probabilities the ensemble of ``checkpoints`` gives the eval
-    rows' ``features``, propagated if conditional and raw if flat:
-    predict's and eval's one path to them."""
-    ensemble = EnsembleModel([load_checkpoint(path)[0] for path in checkpoints])
+    """The probabilities ``members`` give the eval rows' ``features``,
+    propagated if conditional and raw if flat: predict's and eval's one
+    path to them."""
     if config.mode == "flat":
-        return predict_flat(ensemble, features)
-    return predict_unconditional(ensemble, tree, features)
+        return predict_flat(members, features)
+    return predict_unconditional(members, tree, features)
 
 
 def cmd_predict(args) -> int:
@@ -371,9 +381,9 @@ def cmd_predict(args) -> int:
     config = _effective_config(args)
     tree = config.load_tree()
     (features_path,) = _split_files(config, "eval", ("features",))  # reads no labels
-    checkpoints = _final_checkpoints(config)  # before the features are read
+    members = _final_checkpoints(config, tree)  # before the features are read
     _, ids, features = read_id_matrix(features_path, "feature")
-    probs = _ensemble_probs(config, tree, checkpoints, features)
+    probs = _ensemble_probs(config, tree, members, features)
     path = _out_dir(config) / "predictions.csv"
     eval_mod.write_predictions_csv(path, ids, probs, tree.names)
     print(f"wrote predictions for {len(ids)} rows to {path}")
@@ -395,11 +405,11 @@ def cmd_eval(args) -> int:
     """ROC/AUC report with optional reader operating-point comparison."""
     config = _effective_config(args)
     tree = config.load_tree()
-    points = (
-        eval_mod.load_operating_points(config.reader_points)
-        if config.reader_points
-        else {}
-    )
+    points = {}
+    if config.reader_points:
+        if not Path(config.reader_points).exists():
+            raise ConfigError(f"reader_points file not found: {config.reader_points}")
+        points = eval_mod.load_operating_points(config.reader_points)
     unknown = sorted(set(points) - set(tree.names))
     if unknown:
         raise DataFormatError(
@@ -412,7 +422,7 @@ def cmd_eval(args) -> int:
         labels, ids = data_mod.load_labels_csv(labels_path, tree)
     else:
         files = _split_files(config, "eval")
-        checkpoints = _final_checkpoints(config)
+        members = _final_checkpoints(config, tree)
         dataset = data_mod.load_dataset(*files, tree)
         labels, ids = dataset.labels, dataset.ids
     truth = _binary_ground_truth(_scored(config, labels), ids, tree)
@@ -424,7 +434,7 @@ def cmd_eval(args) -> int:
             raise DataFormatError("predictions row ids do not match the eval dataset")
         probs = probs[:, cols]
     else:
-        probs = _ensemble_probs(config, tree, checkpoints, dataset.features)
+        probs = _ensemble_probs(config, tree, members, dataset.features)
 
     scores_by_label = {name: probs[:, tree.index_of(name)] for name in tree.names}
     truth_by_label = {name: truth[:, tree.index_of(name)] for name in tree.names}

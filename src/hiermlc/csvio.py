@@ -410,12 +410,16 @@ def write_rows(
     bytes per cell, NUL where unused and in the zone's last byte, which
     takes the separator; the bytes must need no quoting.  ``cells`` has at
     least one column, and a row without an id must not be one empty cell,
-    which would read as a blank line.  ``quoted`` tells whether any id
-    needs quoting, as the caller found by one search of the ids; if so,
+    which would read as a blank line; a header that does not name every
+    column is refused before any file opens.  ``quoted`` tells whether any
+    id needs quoting, as the caller found by one search of the ids; if so,
     they are quoted as ``_text_field`` quotes them.  The ids' leads are
     built a chunk of rows at a time.
     """
     n_rows, width = cells.shape
+    columns = width + (ids is not None)
+    if len(header) != columns:
+        raise ValueError(f"{path}: {len(header)} header names for {columns} columns")
     step = max(1, CHUNK_CELLS // width)
     digest = hashlib.sha256()
     with replacing(path) as fh:

@@ -411,7 +411,7 @@ def save_checkpoint(path: str | Path, model: Mlp, extra: dict | None = None) -> 
     replace_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def load_checkpoint(path: str | Path) -> tuple[Mlp, dict]:
+def load_checkpoint(path: str | Path) -> Mlp:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -454,7 +454,7 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, dict]:
         raise DataFormatError(
             f"{path}: layer_sizes {recorded!r} disagree with the weights' layout {layer_sizes}"
         )
-    return Mlp(params, layer_sizes, frozen), payload.get("extra", {})
+    return Mlp(params, layer_sizes, frozen)
 
 
 def _numbers(path: Path, what: str, value, ndim: int) -> np.ndarray:

@@ -5,8 +5,8 @@ Stage 1 trains every label only on rows where all its ancestor labels
 are positive (per-label loss masking), so sigmoid heads estimate
 conditional probabilities.  Stage 2 freezes everything but the last
 layer and retrains on the full dataset to recover unconditional parent
-behaviour.  Inference multiplies conditionals down the hierarchy and
-ensembles average the propagated outputs.
+behaviour.  An ensemble is a plain list of members: inference multiplies
+each one's conditionals down the hierarchy and averages the outputs.
 
 One engine, ``_train_stack``, runs every training step over a member
 stack: an ``Mlp`` whose parameters are one (M, P) float64 buffer, with
@@ -107,20 +107,6 @@ class TrainPlan:
     def __post_init__(self):
         if self.stage1_iterations < 0 or self.stage2_iterations < 0:
             raise ValueError("iteration counts must be >= 0")
-
-
-@dataclass
-class EnsembleModel:
-    """Trained members sharing one output dimension."""
-
-    members: list[Mlp]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("ensemble needs at least one member")
-        k = self.members[0].output_dim
-        if any(m.output_dim != k for m in self.members):
-            raise ValueError("ensemble members disagree on output dimension")
 
 
 class _Phase(NamedTuple):
@@ -384,16 +370,14 @@ def train_ensemble(
     return train_members(dataset, tree, plan, hidden_sizes, seeds)
 
 
-def predict_unconditional(
-    ensemble: EnsembleModel, tree: LabelTree, x: np.ndarray
-) -> np.ndarray:
-    """Mean over members of the propagated (unconditional) probabilities."""
-    return _member_mean(propagate(tree, member.forward(x)) for member in ensemble.members)
+def predict_unconditional(members: Sequence[Mlp], tree: LabelTree, x: np.ndarray) -> np.ndarray:
+    """Mean over one or more members of the propagated probabilities."""
+    return _member_mean(propagate(tree, member.forward(x)) for member in members)
 
 
-def predict_flat(ensemble: EnsembleModel, x: np.ndarray) -> np.ndarray:
-    """Mean over members of the raw outputs, as flat training means them."""
-    return _member_mean(member.forward(x) for member in ensemble.members)
+def predict_flat(members: Sequence[Mlp], x: np.ndarray) -> np.ndarray:
+    """Mean over one or more members of the raw outputs, as flat training means them."""
+    return _member_mean(member.forward(x) for member in members)
 
 
 def _member_mean(outputs: Iterator[np.ndarray]) -> np.ndarray:
@@ -494,9 +478,9 @@ def hierarchical_ablation(
     flat_scores: list[float] = []
     for (_, held_out), cond, flat in zip(splits, results[::2], results[1::2]):
         x, truth = held_out.features, held_out.labels == POS
-        cond_out = predict_unconditional(EnsembleModel([cond.final]), tree, x)
+        cond_out = predict_unconditional([cond.final], tree, x)
         cond_scores.append(_mean_leaf_auc(cond_out, truth, leaf_indices))
-        flat_out = predict_flat(EnsembleModel([flat.final]), x)
+        flat_out = predict_flat([flat.final], x)
         flat_scores.append(_mean_leaf_auc(flat_out, truth, leaf_indices))
     return AblationResult(
         leaf_names=tree.leaves,

@@ -32,7 +32,6 @@ from hiermlc.model import (
     masked_bce,
 )
 from hiermlc.pipeline import (
-    EnsembleModel,
     TrainPlan,
     hierarchical_ablation,
     predict_unconditional,
@@ -177,8 +176,8 @@ def test_criterion_05_stage2_freezes_hidden_layers(configs_dir, tmp_path):
         stage1_path = final_path.with_name(
             final_path.name.replace("_final", "_stage1")
         )
-        final, _ = load_checkpoint(final_path)
-        stage1, _ = load_checkpoint(stage1_path)
+        final = load_checkpoint(final_path)
+        stage1 = load_checkpoint(stage1_path)
         for i in range(final.n_layers - 1):
             np.testing.assert_array_equal(final.weights[i], stage1.weights[i])
             np.testing.assert_array_equal(final.biases[i], stage1.biases[i])
@@ -215,7 +214,7 @@ def test_criterion_06_chain_marginal_recovery(configs_dir):
     members = train_ensemble(
         train, tree, plan, config.hidden_sizes, config.seed, config.ensemble_size
     )
-    ensemble = EnsembleModel([m.final for m in members])
+    ensemble = [m.final for m in members]
     estimated = predict_unconditional(ensemble, tree, held_out.features).mean(axis=0)
     exact = propagate(tree, theta)
     elapsed = time.perf_counter() - start
@@ -340,17 +339,15 @@ def test_criterion_10_ensemble_identity():
     a = Mlp.init([8, 16, 3], 1)
     b = Mlp.init([8, 16, 3], 2)
 
-    single = predict_unconditional(EnsembleModel([a]), tree, x)
+    single = predict_unconditional([a], tree, x)
     for m in (2, 4):
-        multi = predict_unconditional(
-            EnsembleModel([a.copy() for _ in range(m)]), tree, x
-        )
+        multi = predict_unconditional([a.copy() for _ in range(m)], tree, x)
         np.testing.assert_array_equal(multi, single)
     # an odd member count rounds once in the mean: stay within 1 ulp
-    triple = predict_unconditional(EnsembleModel([a.copy() for _ in range(3)]), tree, x)
+    triple = predict_unconditional([a.copy() for _ in range(3)], tree, x)
     assert np.all(np.abs(triple - single) <= np.spacing(single))
 
-    pair = predict_unconditional(EnsembleModel([a, b]), tree, x)
+    pair = predict_unconditional([a, b], tree, x)
     pa = propagate(tree, a.forward(x))
     pb = propagate(tree, b.forward(x))
     reference = 0.5 * pa + 0.5 * pb

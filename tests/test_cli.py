@@ -17,7 +17,7 @@ from hiermlc.cli import main
 from hiermlc.config import config_to_dict, load_config, synthetic_spec_theta
 from hiermlc.csvio import read_id_matrix
 from hiermlc.model import load_checkpoint
-from hiermlc.pipeline import EnsembleModel, hierarchical_ablation, predict_unconditional
+from hiermlc.pipeline import hierarchical_ablation, predict_unconditional
 from hiermlc.policy import make_policy
 
 CHAIN_CSV = "name,parent,index\nA,,0\nB,A,1\n"
@@ -692,15 +692,14 @@ class TestEnsembleCheckpoints:
             assert main([command, *args, "--mode", "flat"]) == 0
         _, _, features = read_id_matrix(tmp_path / "data" / "eval_features.csv", "feature")
         members = [
-            load_checkpoint(tmp_path / "checkpoints" / f"member{i:02d}_final.json")[0]
+            load_checkpoint(tmp_path / "checkpoints" / f"member{i:02d}_final.json")
             for i in range(6)
         ]
-        raw_mean = EnsembleModel(members)
-        expected = np.mean([m.forward(features) for m in raw_mean.members], axis=0)
+        expected = np.mean([m.forward(features) for m in members], axis=0)
         _, _, probs = read_id_matrix(tmp_path / "predictions.csv", "prediction")
         np.testing.assert_array_equal(probs, expected)
         tree = load_config(configs_dir / "benchmark.json").load_tree()
-        propagated = predict_unconditional(raw_mean, tree, features)
+        propagated = predict_unconditional(members, tree, features)
         assert np.abs(probs - propagated).max() > 0.05
 
     def test_retrain_smaller_ensemble_drops_stale_members(self, workspace):
@@ -1226,6 +1225,16 @@ class TestMalformedInput:
         assert main(["eval", "--config", str(config)]) == 2
         assert "readers.csv:2: expected 4 cells, got 3" in capsys.readouterr().err
 
+    def test_absent_reader_points_file_exits_one_before_any_read(self, workspace, capsys):
+        config = write_config(workspace)
+        raw = json.loads(config.read_text())
+        raw["reader_points"] = str(workspace / "nope.csv")
+        config.write_text(json.dumps(raw))
+        # no gen data either: the reader points are checked first
+        assert main(["eval", "--config", str(config)]) == 1
+        assert error_line(capsys) == f"error: reader_points file not found: {workspace / 'nope.csv'}"
+        assert not (workspace / "run").exists()
+
     def test_reader_points_for_unknown_label_exit_two(self, workspace, capsys):
         config = write_config(workspace)
         readers = workspace / "readers.csv"
@@ -1265,6 +1274,39 @@ class TestMalformedInput:
             assert main([command, "--config", str(config)]) == 2
             err = capsys.readouterr().err
             assert "member00_final.json" in err and f"['{key}']" in err
+
+
+class TestHierarchyEditedAfterTrain:
+    """predict and eval refuse checkpoints whose outputs do not match the
+    hierarchy's labels, before any eval file is read, and leave the
+    predictions an earlier run wrote."""
+
+    def lose_leaf(self, path):
+        path.write_text(path.read_text().replace("leaf,mid,2\n", ""))
+
+    def gain_label(self, path):
+        path.write_text(path.read_text() + "twig,leaf,3\n")
+
+    @pytest.mark.parametrize(
+        "command, mode",
+        [("predict", "flat"), ("eval", "flat"), ("predict", "conditional")],
+    )
+    @pytest.mark.parametrize("edit, labels", [("lose_leaf", 2), ("gain_label", 4)])
+    def test_exits_one_naming_the_checkpoint(
+        self, tmp_path, configs_dir, capsys, command, mode, edit, labels
+    ):
+        config = str(chain_config(tmp_path, configs_dir, mode=mode, out=str(tmp_path / "run")))
+        for step in ("gen", "train", "predict"):
+            assert main([step, "--config", config]) == 0
+        run = tmp_path / "run"
+        before = checksums(run)
+        getattr(self, edit)(tmp_path / "chain_hierarchy.csv")
+        capsys.readouterr()
+        assert main([command, "--config", config]) == 1
+        line = error_line(capsys)
+        assert "member00_final.json has 3 outputs" in line
+        assert f"hierarchy has {labels} labels; run train again" in line
+        assert checksums(run) == before
 
 
 class TestMalformedCheckpoints:

@@ -1045,6 +1045,27 @@ class TestWriteTable:
             assert [cells for _, cells in rows] == [["a\rb", "0.5", "1"]]
 
 
+class TestWriteRowsHeader:
+    """``write_rows`` refuses a header that does not name every column,
+    the id column included, before it opens any file."""
+
+    @pytest.mark.parametrize(
+        "header, ids",
+        [
+            (["id", "a", "b"], ["r0", "r1"]),
+            (["id", "a", "b", "c", "d"], ["r0", "r1"]),
+            (["a", "b"], None),
+            (["id", "a", "b", "c"], None),
+        ],
+        ids=["short", "long", "short-without-ids", "long-without-ids"],
+    )
+    def test_refused_before_any_file_opens(self, tmp_path, header, ids):
+        cells = np.zeros((2, 3))
+        with pytest.raises(ValueError, match=f"{len(header)} header names for "):
+            csvio.write_rows(tmp_path / "f.csv", header, ids, cells)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReplacing:
     """``replacing`` puts a whole file in place of its target, or leaves
     the target's old bytes and no partial file."""

@@ -591,8 +591,8 @@ class TestCheckpoints:
             adam_step(state, OptimizerConfig(), lr=0.01)
         path = tmp_path / "model.json"
         save_checkpoint(path, model, extra={"stage": "final"})
-        back, extra = load_checkpoint(path)
-        assert extra == {"stage": "final"}
+        back = load_checkpoint(path)
+        assert json.loads(path.read_text())["extra"] == {"stage": "final"}
         assert back.frozen == model.frozen
         assert back.layer_sizes == model.layer_sizes
         np.testing.assert_array_equal(back.params, model.params)
@@ -698,7 +698,7 @@ class TestCheckpointProperties:
         parent[where[-1]] = value
         path.write_text(json.dumps(payload))
         try:
-            model, _ = load_checkpoint(path)
+            model = load_checkpoint(path)
         except DataFormatError as exc:
             assert str(path) in str(exc)
         else:

@@ -25,7 +25,6 @@ from hiermlc.evaluation import auc
 from hiermlc.hierarchy import build_tree, propagate
 from hiermlc.model import Mlp, OptimizerConfig, freeze_all_but_last
 from hiermlc.pipeline import (
-    EnsembleModel,
     TrainPlan,
     hierarchical_ablation,
     member_seed,
@@ -117,12 +116,6 @@ class TestPlanValidation:
             fast_plan(stage1_iterations=-1)
         with pytest.raises(ValueError):
             fast_plan(stage2_iterations=-5)
-
-    def test_ensemble_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            EnsembleModel([])
-        with pytest.raises(ValueError, match="output dimension"):
-            EnsembleModel([fresh_model(), Mlp.init([8, 3], 0)])
 
 
 def stage1_model(dataset, plan):
@@ -432,24 +425,22 @@ class TestPredictUnconditional:
         rng = np.random.default_rng(0)
         model = fresh_model(seed=4)
         x = rng.standard_normal((10, 8))
-        out = predict_unconditional(EnsembleModel([model]), PAIR, x)
+        out = predict_unconditional([model], PAIR, x)
         np.testing.assert_array_equal(out, propagate(PAIR, model.forward(x)))
 
     def test_identical_members_average_to_themselves(self):
         rng = np.random.default_rng(1)
         model = fresh_model(seed=4)
         x = rng.standard_normal((6, 8))
-        single = predict_unconditional(EnsembleModel([model]), PAIR, x)
-        triple = predict_unconditional(
-            EnsembleModel([model.copy(), model.copy(), model.copy()]), PAIR, x
-        )
+        single = predict_unconditional([model], PAIR, x)
+        triple = predict_unconditional([model.copy(), model.copy(), model.copy()], PAIR, x)
         np.testing.assert_allclose(triple, single, rtol=0, atol=1e-15)
 
     def test_two_member_mean(self):
         rng = np.random.default_rng(2)
         a, b = fresh_model(seed=1), fresh_model(seed=2)
         x = rng.standard_normal((5, 8))
-        out = predict_unconditional(EnsembleModel([a, b]), PAIR, x)
+        out = predict_unconditional([a, b], PAIR, x)
         expected = np.mean(
             [propagate(PAIR, a.forward(x)), propagate(PAIR, b.forward(x))], axis=0
         )
@@ -457,7 +448,7 @@ class TestPredictUnconditional:
 
     def test_child_never_exceeds_parent(self):
         rng = np.random.default_rng(3)
-        ensemble = EnsembleModel([fresh_model(seed=s) for s in range(3)])
+        ensemble = [fresh_model(seed=s) for s in range(3)]
         out = predict_unconditional(ensemble, PAIR, rng.standard_normal((50, 8)))
         assert ((out > 0) & (out < 1)).all()
         assert (out[:, 1] <= out[:, 0]).all()
