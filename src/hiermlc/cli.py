@@ -197,22 +197,17 @@ def _data_identity(config: RunConfig) -> dict:
     return {"seed": config.seed, "hierarchy": config.hierarchy, **asdict(config.synthetic)}
 
 
-def _flat(record: dict, prefix: str = "") -> dict:
-    """``record`` with its nested objects spelled as dotted keys."""
+def _flat(record: dict, ignore=(), prefix: str = "") -> dict:
+    """``record`` with its nested objects spelled as dotted keys, less ``ignore``."""
     out = {}
     for key, value in record.items():
+        if prefix + key in ignore:
+            continue
         if isinstance(value, dict):
-            out.update(_flat(value, f"{prefix}{key}."))
+            out.update(_flat(value, ignore, f"{prefix}{key}."))
         else:
             out[prefix + key] = value
     return out
-
-
-def _differing(recorded: dict, expected: dict, ignore=()) -> list[str]:
-    """The dotted keys, other than ``ignore``, whose values differ."""
-    a, b = _flat(recorded), _flat(expected)
-    keys = (a.keys() | b.keys()) - set(ignore)
-    return sorted(k for k in keys if _compared(k, a.get(k)) != _compared(k, b.get(k)))
 
 
 def _compared(key: str, value):
@@ -234,6 +229,26 @@ def _recorded(path: Path, remedy: str) -> dict:
     return recorded
 
 
+# The flag that overrides a key, for the hint on a mismatch.
+_FLAGS = {"seed": "--seed", "mode": "--mode", "policy.name": "--policy"}
+
+
+def _check_record(path: Path, expected: dict, ignore, made: str, command: str) -> None:
+    """Refuse the run record in ``path`` where it differs from ``expected``
+    at a dotted key not in ``ignore``, naming each such key, both values
+    and the flags that restore them, or else asking to run ``command``."""
+    remedy = f"run {command} again"
+    was, now = _flat(_recorded(path, remedy), ignore), _flat(expected, ignore)
+    differing = sorted(
+        k for k in was.keys() | now.keys() if _compared(k, was.get(k)) != _compared(k, now.get(k))
+    )
+    if differing:
+        values = "; ".join(f"{k} {was.get(k)!r}, not {now.get(k)!r}" for k in differing)
+        flags = " ".join(f"{_FLAGS[k]} {was.get(k)}" for k in differing if k in _FLAGS)
+        remedy = f"pass {flags} or {remedy}" if flags else remedy
+        raise ConfigError(f"{made} under another config: {values}; {remedy}")
+
+
 _KINDS = ("features", "labels")
 
 
@@ -247,14 +262,8 @@ def _gen_csvs(config: RunConfig, split: str, kinds) -> tuple[Path, ...]:
     data_dir = _out_dir(config, create=False) / "data"
     if not any((data_dir / f"{split}_{kind}.csv").exists() for kind in _KINDS):
         raise ConfigError(f"no {split} data under {data_dir}; run gen first")
-    recorded = _recorded(data_dir / "provenance.json", "run gen again")
-    expected = _data_identity(config)
-    differing = _differing({key: recorded.get(key) for key in expected}, expected)
-    if differing:
-        raise ConfigError(
-            f"{data_dir} was generated with different {', '.join(differing)} "
-            "than the config; run gen again"
-        )
+    identity, made = _data_identity(config), f"{data_dir} was generated"
+    _check_record(data_dir / "provenance.json", identity, ("true_marginals",), made, "gen")
     return tuple(data_dir / f"{split}_{kind}.csv" for kind in kinds)
 
 
@@ -327,8 +336,6 @@ def cmd_train(args) -> int:
 
 # Keys that steer only eval, so checkpoints serve any value of them.
 _EVAL_ONLY = ("eval_subset", "reader_points", "data.eval_labels", "data.eval_features")
-# The flag that overrides a key, for the hint on a mismatch.
-_FLAGS = {"seed": "--seed", "mode": "--mode", "policy.name": "--policy"}
 
 
 def _final_checkpoints(config: RunConfig, tree: LabelTree) -> list[Mlp]:
@@ -346,15 +353,9 @@ def _final_checkpoints(config: RunConfig, tree: LabelTree) -> list[Mlp]:
             f"ensemble_size is {config.ensemble_size} but {ckpt_dir} lacks "
             f"{', '.join(missing)}; run train again"
         )
-    trained = _recorded(out / "config.json", "run train again")
-    expected = config_to_dict(config)
-    differing = _differing(trained, expected, _EVAL_ONLY)
-    if differing:
-        was, now = _flat(trained), _flat(expected)
-        values = "; ".join(f"{k} {was.get(k)!r}, not {now.get(k)!r}" for k in differing)
-        flags = " ".join(f"{_FLAGS[k]} {was.get(k)}" for k in differing if k in _FLAGS)
-        remedy = f"pass {flags} or run train again" if flags else "run train again"
-        raise ConfigError(f"{ckpt_dir} was trained under another config: {values}; {remedy}")
+    _check_record(
+        out / "config.json", config_to_dict(config), _EVAL_ONLY, f"{ckpt_dir} was trained", "train"
+    )
     members = [load_checkpoint(path) for path in paths]
     for path, member in zip(paths, members):
         if member.output_dim != tree.K:
@@ -418,6 +419,8 @@ def cmd_eval(args) -> int:
     # a supplied predictions file is scored against the labels alone and
     # runs no checkpoints; else they are checked before any eval file is read
     if args.predictions:
+        if not Path(args.predictions).exists():
+            raise DataFormatError(f"predictions file not found: {args.predictions}")
         (labels_path,) = _split_files(config, "eval", ("labels",))
         labels, ids = data_mod.load_labels_csv(labels_path, tree)
     else:

@@ -174,6 +174,8 @@ def _value(tp, value, path: str):
             return float(value)
         if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):
             raise ConfigError(f"{path} must be {_KIND[tp]}, got {value!r}")
+        if tp is float and not np.isfinite(value):  # JSON has no NaN or Infinity
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
         return value
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # X | None
@@ -230,7 +232,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -5,9 +5,10 @@ the bytes go to ``<file>.tmp`` beside the target, which ``os.replace``
 then puts in its place, so a file on disk is always a whole write, the
 old one or the new.  ``replace_text`` writes a string that way.
 
-``reader`` yields a file's header and its numbered data rows; it raises
-``DataFormatError`` for an empty file or a row whose cell count differs
-from the header's, and skips blank lines.  ``read_sidecar`` reads an
+``reader`` yields a file's header and its numbered data rows, read as
+UTF-8 with or without a byte-order mark; it raises ``DataFormatError``
+for an empty file or a row whose cell count differs from the header's,
+and skips blank lines.  ``read_sidecar`` reads an
 ``id,<name>...`` file (features and predictions of float64, labels of
 int8 codes) from the ``<file>.npy`` sidecar that ``write_id_matrix``
 left beside it, while its sha256 of the file, its dtype and its shape
@@ -65,7 +66,7 @@ def _text_field(text: str) -> str:
 @contextmanager
 def reader(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]]]:
     """Yield ``(header, rows)``; ``rows`` gives each data row as ``(line, cells)``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
         try:
             header = next(rows, None)

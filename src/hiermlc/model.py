@@ -412,10 +412,12 @@ def save_checkpoint(path: str | Path, model: Mlp, extra: dict | None = None) -> 
 
 
 def load_checkpoint(path: str | Path) -> Mlp:
+    """The model a checkpoint holds, read by the layout it records; any
+    departure from that layout is a ``DataFormatError`` naming the file."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise DataFormatError(f"{path}: not a valid checkpoint: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataFormatError(f"{path}: not a valid checkpoint: not a JSON object")
@@ -429,36 +431,26 @@ def load_checkpoint(path: str | Path) -> Mlp:
     ]
     if missing:
         raise DataFormatError(f"{path}: checkpoint lacks key(s) {missing}")
-    weights, biases, frozen = payload["weights"], payload["biases"], payload["frozen"]
-    if not all(isinstance(v, list) for v in (weights, biases, frozen)) or not weights:
-        raise DataFormatError(f"{path}: weights, biases and frozen must be non-empty arrays")
-    if not len(weights) == len(biases) == len(frozen):
-        raise DataFormatError(
-            f"{path}: {len(weights)} weight matrices, {len(biases)} bias vectors and "
-            f"{len(frozen)} frozen flags; need one of each per layer"
-        )
-    if not all(isinstance(f, bool) for f in frozen):
+    sizes = payload["layer_sizes"]
+    # by type: a JSON true equals 1, and 4.0 equals 4
+    if not isinstance(sizes, list) or len(sizes) < 2 or any(
+        type(size) is not int or size < 1 for size in sizes
+    ):
+        raise DataFormatError(f"{path}: layer_sizes must be two or more integers >= 1")
+    for key in ("frozen", "weights", "biases"):
+        if not isinstance(payload[key], list) or len(payload[key]) != len(sizes) - 1:
+            raise DataFormatError(f"{path}: {key} must hold one entry per layer of {sizes}")
+    if not all(isinstance(f, bool) for f in payload["frozen"]):
         raise DataFormatError(f"{path}: frozen flags must be true or false")
-    weights = [_numbers(path, f"weights[{i}]", w, 2) for i, w in enumerate(weights)]
-    biases = [_numbers(path, f"biases[{i}]", b, 1) for i, b in enumerate(biases)]
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if b.shape != w.shape[1:]:
-            raise DataFormatError(f"{path}: layer {i}: weight/bias shapes disagree")
-        if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
-            raise DataFormatError(f"{path}: layer {i}: input dim does not chain")
-    params = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
-    layer_sizes = [weights[0].shape[0], *(w.shape[1] for w in weights)]
-    recorded = payload["layer_sizes"]
-    # by type too: a JSON true or 4.0 equals 1 or 4
-    if recorded != layer_sizes or any(type(size) is not int for size in recorded):
-        raise DataFormatError(
-            f"{path}: layer_sizes {recorded!r} disagree with the weights' layout {layer_sizes}"
-        )
-    return Mlp(params, layer_sizes, frozen)
+    params = []
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        params.append(_numbers(path, f"weights[{i}]", payload["weights"][i], (fan_in, fan_out)))
+        params.append(_numbers(path, f"biases[{i}]", payload["biases"][i], (fan_out,)))
+    return Mlp(np.concatenate(params), sizes, payload["frozen"])
 
 
-def _numbers(path: Path, what: str, value, ndim: int) -> np.ndarray:
-    """A checkpoint field that must be an ``ndim``-D array of numbers, as float64.
+def _numbers(path: Path, what: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """A checkpoint field that must be a ``shape`` array of finite numbers, as flat float64.
 
     A JSON ``true`` or ``false`` is not a number, though ``np.array`` takes
     it for one beside numbers.
@@ -469,9 +461,10 @@ def _numbers(path: Path, what: str, value, ndim: int) -> np.ndarray:
         array = None
     if (
         array is None
-        or array.ndim != ndim
+        or array.shape != shape
         or array.dtype.kind not in "iuf"
-        or any(bool in set(map(type, row)) for row in (value if ndim == 2 else [value]))
+        or any(bool in set(map(type, row)) for row in (value if len(shape) == 2 else [value]))
+        or not np.isfinite(array).all()
     ):
-        raise DataFormatError(f"{path}: {what} is not a {ndim}-D array of numbers")
-    return array.astype(np.float64, copy=False)
+        raise DataFormatError(f"{path}: {what} must be a {shape} array of finite numbers")
+    return array.astype(np.float64, copy=False).ravel()

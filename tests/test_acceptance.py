@@ -353,3 +353,30 @@ def test_criterion_10_ensemble_identity():
     reference = 0.5 * pa + 0.5 * pb
     assert np.all(np.abs(pair - reference) <= np.spacing(reference))
     print("\nensemble identity: identical members exact, 2-member mean within 1 ulp")
+
+
+def test_criterion_11_protocol14_runs_end_to_end(configs_dir, tmp_path):
+    # configs/protocol14.json on the bundled 14-label forest, at a small
+    # size: the report's mean is over the five pathologies, and reruns
+    # are byte-identical
+    raw = json.loads((configs_dir / "protocol14.json").read_text())
+    raw.update(stage1_iterations=300, stage2_iterations=100, ensemble_size=2)
+    raw["data"]["synthetic"].update(n_train=1000, n_eval=500)
+    config = tmp_path / "protocol14.json"
+    config.write_text(json.dumps(raw))
+    sums = []
+    for out in ("out_a", "out_b"):
+        out_dir = tmp_path / out
+        for command in ("gen", "train", "eval"):
+            assert main([command, "--config", str(config), "--out", str(out_dir)]) == 0
+        sums.append(
+            {
+                p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(out_dir.rglob("*"))
+                if p.is_file()
+            }
+        )
+    report = (tmp_path / "out_a" / "report.txt").read_text()
+    assert f"mean_auc_selected ({', '.join(DEFAULT_AUC_SUBSET)}): " in report
+    assert sums[0] == sums[1]
+    print(f"\nprotocol14: {report.splitlines()[-2]}")

@@ -2,6 +2,7 @@ import csv
 import fnmatch
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -347,6 +348,16 @@ class TestEvalAndPredict:
         assert main(["eval", "--config", str(config), "--predictions", str(preds)]) == 2
         assert "'B'" in capsys.readouterr().err
 
+    def test_missing_predictions_file_named(self, workspace, capsys):
+        config = write_config(workspace)
+        assert main(["gen", "--config", str(config)]) == 0
+        # named before the eval labels are read
+        (workspace / "run" / "data" / "eval_labels.csv").write_text("not,a,labels,file\n")
+        missing = workspace / "nope.csv"
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--predictions", str(missing)]) == 2
+        assert error_line(capsys) == f"error: predictions file not found: {missing}"
+
     def test_predictions_id_mismatch(self, workspace, capsys):
         config = write_config(workspace)
         assert main(["gen", "--config", str(config)]) == 0
@@ -483,7 +494,10 @@ class TestStaleData:
         capsys.readouterr()
         assert main(["train", "--config", config, "--out", out, "--seed", "7"]) == 1
         err = capsys.readouterr().err
-        assert "different seed than the config; run gen again" in err
+        assert (
+            f"{tmp_path / 'run' / 'data'} was generated under another config: seed 0, not 7; "
+            "pass --seed 0 or run gen again"
+        ) in err
         assert not (tmp_path / "run" / "checkpoints").exists()
 
     @pytest.mark.parametrize("command", ["train", "predict", "eval"])
@@ -496,7 +510,10 @@ class TestStaleData:
         config.write_text(json.dumps(raw))
         capsys.readouterr()
         assert main([command, "--config", str(config)]) == 1
-        assert "different feature_noise, n_eval than the config" in capsys.readouterr().err
+        assert (
+            "generated under another config: feature_noise 0.5, not 0.9; n_eval 80, not 81; "
+            "run gen again"
+        ) in capsys.readouterr().err
         assert main(["gen", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config)]) == 0
         assert main([command, "--config", str(config)]) == 0
@@ -567,7 +584,7 @@ class TestStaleData:
         monkeypatch.chdir(elsewhere)
         capsys.readouterr()
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
-        assert "different hierarchy than the config" in capsys.readouterr().err
+        assert "generated under another config: hierarchy" in capsys.readouterr().err
 
     def test_another_hierarchy_file_is_another_hierarchy(
         self, tmp_path, configs_dir, monkeypatch, capsys
@@ -580,7 +597,7 @@ class TestStaleData:
         capsys.readouterr()
         for command in ("train", "eval"):
             assert main([command, "--config", str(other)]) == 1
-            assert "different hierarchy than the config" in capsys.readouterr().err
+            assert "generated under another config: hierarchy" in capsys.readouterr().err
         # CSV data has no provenance check, so eval reaches the trained-config check
         data = gen_files(tmp_path / "runs" / "chain" / "data")
         for name, source in (("csv.json", config), ("csv_other.json", other)):
@@ -1170,6 +1187,13 @@ class TestMalformedInput:
             ("gen", set_synthetic(feature_noise=-1.0), "data.synthetic.feature_noise must be >= 0"),
             ("gen", set_synthetic(uncertainty_rate=1.5), "data.synthetic.uncertainty_rate"),
             ("train", set_optimizer(decay_factor=0.0), "decay_factor must be positive"),
+            ("gen", set_synthetic(feature_noise=math.nan), "data.synthetic.feature_noise must be a finite number, got nan"),
+            ("gen", set_synthetic(feature_noise=math.inf), "data.synthetic.feature_noise must be a finite number, got inf"),
+            ("gen", set_synthetic(theta={"A": -math.inf, "B": 0.7}), "data.synthetic.theta.A must be a finite number, got -inf"),
+            ("train", set_optimizer(lr0=math.nan), "optimizer.lr0 must be a finite number, got nan"),
+            ("train", set_optimizer(decay_factor=math.inf), "optimizer.decay_factor must be a finite number, got inf"),
+            ("train", set_optimizer(epsilon=math.inf), "optimizer.epsilon must be a finite number, got inf"),
+            ("train", lambda raw: raw["policy"].update(lsr_ones=[0.5, math.nan]), "policy.lsr_ones[1] must be a finite number"),
             ("gen", lambda raw: raw.update(eval_subset=["lef"]), "eval_subset names unknown label(s): ['lef']"),
             ("eval", lambda raw: raw.update(eval_subset=["A", "lef"]), "eval_subset names unknown label(s): ['lef']"),
         ],
@@ -1181,6 +1205,13 @@ class TestMalformedInput:
         config.write_text(json.dumps(raw))
         assert main([command, "--config", str(config)]) == 1
         assert message in capsys.readouterr().err
+        assert not (workspace / "run").exists()
+
+    def test_config_not_utf8_exits_one(self, workspace, capsys):
+        config = write_config(workspace)
+        config.write_bytes(b"\xff" + config.read_bytes())
+        assert main(["gen", "--config", str(config)]) == 1
+        assert f"error: {config}: invalid JSON" in error_line(capsys)
         assert not (workspace / "run").exists()
 
     def test_learning_rate_underflow_exits_three(self, workspace, capsys):
@@ -1340,6 +1371,33 @@ class TestMalformedCheckpoints:
         capsys.readouterr()
         assert main(["eval", "--config", str(config)]) == 2
         assert str(path) in error_line(capsys)
+
+    @pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_cell_leaves_predictions_alone(self, workspace, capsys, cell):
+        config = str(write_config(workspace, ensemble_size=1, mode="flat"))
+        for command in ("gen", "train", "predict"):
+            assert main([command, "--config", config]) == 0
+        predictions = workspace / "run" / "predictions.csv"
+        before = predictions.read_bytes()
+        path = workspace / "run" / "checkpoints" / "member00_final.json"
+        payload = json.loads(path.read_text())
+        payload["weights"][0][1][2] = float(cell)  # written as the bare literal
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for command in ("predict", "eval"):
+            assert main([command, "--config", config]) == 2
+            assert str(path) in error_line(capsys)
+        assert predictions.read_bytes() == before
+
+    def test_checkpoint_not_utf8_exits_two_naming_it(self, workspace, capsys):
+        config = str(write_config(workspace, ensemble_size=1))
+        for command in ("gen", "train"):
+            assert main([command, "--config", config]) == 0
+        path = workspace / "run" / "checkpoints" / "member00_final.json"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        capsys.readouterr()
+        assert main(["eval", "--config", config]) == 2
+        assert f"error: {path}: not a valid checkpoint" in error_line(capsys)
 
 
 class TestPolicyCheckedOnLoad:

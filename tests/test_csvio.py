@@ -982,7 +982,8 @@ def forest(tree) -> tuple:
 
 
 class TestLoadersShareTheReader:
-    """Blank lines, short rows and empty files behave alike in every loader."""
+    """Blank lines, a byte-order mark, short rows and empty files behave
+    alike in every loader."""
 
     LOADERS = {
         "labels": ("id,A,B,C\n", "r1,1.0,0.0,\n", lambda p: load_labels_csv(p, CHAIN)),
@@ -1000,6 +1001,14 @@ class TestLoadersShareTheReader:
         plain = load(write_text(tmp_path, header + row, "plain.csv"))
         blank = load(write_text(tmp_path, header + "\n" + row + "\n\n", "blank.csv"))
         assert repr(blank) == repr(plain)
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_byte_order_mark_skipped(self, tmp_path, kind):
+        header, row, load = self.LOADERS[kind]
+        plain = load(write_text(tmp_path, header + row, "plain.csv"))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (header + row).encode())  # as Excel saves "CSV UTF-8"
+        assert repr(load(path)) == repr(plain)
 
     @pytest.mark.parametrize("kind", LOADERS)
     def test_short_row_names_file_and_line(self, tmp_path, kind):

@@ -638,26 +638,53 @@ class TestCheckpoints:
         path, payload = checkpoint_payload(tmp_path)
         payload["weights"][1] = np.zeros((6, 3)).tolist()  # layer 0 has 5 outputs
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataFormatError, match=r"m\.json: layer 1: input dim does not chain"):
+        with pytest.raises(
+            DataFormatError, match=r"m\.json: weights\[1\] must be a \(5, 3\) array of finite"
+        ):
+            load_checkpoint(path)
+
+    def test_recorded_layout_gives_the_expected_shapes(self, tmp_path):
+        path, payload = checkpoint_payload(tmp_path)
+        payload["layer_sizes"] = [4, 6, 3]  # over [4, 5, 3] weights
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=r"m\.json: weights\[0\] must be a \(4, 6\) array"):
+            load_checkpoint(path)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"format_version":\xff1}')
+        with pytest.raises(DataFormatError, match=r"m\.json: not a valid checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cell", [("weights", 1, 4, 2), ("biases", 0, 3)])
+    def test_non_finite_cell_named(self, tmp_path, value, cell):
+        path, payload = checkpoint_payload(tmp_path)
+        *where, last = cell
+        parent = payload
+        for key in where:
+            parent = parent[key]
+        parent[last] = value
+        path.write_text(json.dumps(payload))  # NaN, Infinity or -Infinity
+        with pytest.raises(DataFormatError, match=rf"m\.json: {cell[0]}\[{cell[1]}\] must be"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p.update(weights=5), "must be non-empty arrays"),
-            (lambda p: p.update(frozen=3), "must be non-empty arrays"),
-            (lambda p: p.update(weights=[], biases=[], frozen=[]), "must be non-empty arrays"),
-            (lambda p: p["weights"][0][1].pop(), r"weights\[0\] is not a 2-D array of numbers"),
-            (lambda p: p["weights"][1][0].__setitem__(0, "0.5"), r"weights\[1\] is not a 2-D"),
-            (lambda p: p["biases"].__setitem__(1, None), r"biases\[1\] is not a 1-D"),
-            (lambda p: p["biases"][0].pop(), "layer 0: weight/bias shapes disagree"),
-            (lambda p: p["frozen"].pop(), "2 weight matrices, 2 bias vectors and 1 frozen flags"),
+            (lambda p: p.update(weights=5), r"weights must hold one entry per layer of \[4, 5, 3\]"),
+            (lambda p: p.update(frozen=3), "frozen must hold one entry per layer"),
+            (lambda p: p.update(weights=[], biases=[], frozen=[]), "frozen must hold one entry"),
+            (lambda p: p["weights"][0][1].pop(), r"weights\[0\] must be a \(4, 5\) array of finite"),
+            (lambda p: p["weights"][1][0].__setitem__(0, "0.5"), r"weights\[1\] must be a \(5, 3\)"),
+            (lambda p: p["biases"].__setitem__(1, None), r"biases\[1\] must be a \(3,\) array"),
+            (lambda p: p["biases"][0].pop(), r"biases\[0\] must be a \(5,\) array"),
+            (lambda p: p["frozen"].pop(), r"frozen must hold one entry per layer of \[4, 5, 3\]"),
             (lambda p: p["frozen"].__setitem__(0, 1), "frozen flags must be true or false"),
-            (lambda p: p.update(layer_sizes=[99]), r"layer_sizes \[99\] disagree with the "
-             r"weights' layout \[4, 5, 3\]"),
-            (lambda p: p.update(layer_sizes=[True, 5, 3]), r"layer_sizes \[True, 5, 3\]"),
-            (lambda p: p["weights"][0][1].__setitem__(2, True), r"weights\[0\] is not a 2-D"),
-            (lambda p: p["biases"][1].__setitem__(0, False), r"biases\[1\] is not a 1-D"),
+            (lambda p: p.update(layer_sizes=[99]), "layer_sizes must be two or more integers >= 1"),
+            (lambda p: p.update(layer_sizes=[True, 5, 3]), "layer_sizes must be two or more"),
+            (lambda p: p["weights"][0][1].__setitem__(2, True), r"weights\[0\] must be a \(4, 5\)"),
+            (lambda p: p["biases"][1].__setitem__(0, False), r"biases\[1\] must be a \(3,\)"),
         ],
         ids=["weights", "frozen", "no-layers", "ragged", "string", "null-bias",
              "short-bias", "flags", "flag-type", "layer-sizes", "layer-size-bool",
