@@ -21,8 +21,8 @@ fresh synthetic data for ``--seeds`` seeds from ``--seed`` on, and
 writes their leaf AUCs with the effective config to ``ablation.json``;
 its two arms are fixed, so it takes no ``--mode`` or ``--policy``.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure during training.
+Exit codes: 0 success, 1 ``ConfigError``, 2 ``DataFormatError``, 3
+``NumericError``, 4 any other exception, printed with its traceback.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -64,6 +65,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -275,7 +277,7 @@ def _split_files(config: RunConfig, split: str, kinds=_KINDS) -> tuple[str | Pat
     else:
         files = tuple(getattr(config.csv_data, f"{split}_{kind}") for kind in kinds)
     for kind, path in zip(kinds, files):
-        if not Path(path).exists():
+        if not Path(path).is_file():
             what = "training" if split == "train" else "eval"
             raise ConfigError(f"{what} {kind} file not found: {path}")
     return files
@@ -345,7 +347,7 @@ def _final_checkpoints(config: RunConfig, tree: LabelTree) -> list[Mlp]:
     out = _out_dir(config, create=False)
     ckpt_dir = out / "checkpoints"
     paths = [ckpt_dir / f"member{i:02d}_final.json" for i in range(config.ensemble_size)]
-    missing = [path.name for path in paths if not path.exists()]
+    missing = [path.name for path in paths if not path.is_file()]
     if len(missing) == len(paths):
         raise ConfigError(f"no final checkpoints under {ckpt_dir}; run train first")
     if missing:
@@ -367,14 +369,22 @@ def _final_checkpoints(config: RunConfig, tree: LabelTree) -> list[Mlp]:
 
 
 def _ensemble_probs(
-    config: RunConfig, tree: LabelTree, members: list[Mlp], features: np.ndarray
+    config: RunConfig, tree: LabelTree, members: list[Mlp], path, features: np.ndarray
 ) -> np.ndarray:
-    """The probabilities ``members`` give the eval rows' ``features``,
-    propagated if conditional and raw if flat: predict's and eval's one
-    path to them."""
+    """The probabilities ``members`` give the eval rows' ``features``, read
+    from ``path``, propagated if conditional and raw if flat: predict's
+    and eval's one path to them."""
+    for member in members:
+        if member.input_dim != features.shape[1]:
+            what = f"{features.shape[1]} feature columns; the checkpoints take {member.input_dim}"
+            raise DataFormatError(f"{path} has {what}")
     if config.mode == "flat":
-        return predict_flat(members, features)
-    return predict_unconditional(members, tree, features)
+        probs = predict_flat(members, features)
+    else:
+        probs = predict_unconditional(members, tree, features)
+    if np.isnan(probs).any():  # finite inputs that overflow the model
+        raise NumericError(f"the ensemble's outputs on {path} overflow to NaN")
+    return probs
 
 
 def cmd_predict(args) -> int:
@@ -384,7 +394,7 @@ def cmd_predict(args) -> int:
     (features_path,) = _split_files(config, "eval", ("features",))  # reads no labels
     members = _final_checkpoints(config, tree)  # before the features are read
     _, ids, features = read_id_matrix(features_path, "feature")
-    probs = _ensemble_probs(config, tree, members, features)
+    probs = _ensemble_probs(config, tree, members, features_path, features)
     path = _out_dir(config) / "predictions.csv"
     eval_mod.write_predictions_csv(path, ids, probs, tree.names)
     print(f"wrote predictions for {len(ids)} rows to {path}")
@@ -408,7 +418,7 @@ def cmd_eval(args) -> int:
     tree = config.load_tree()
     points = {}
     if config.reader_points:
-        if not Path(config.reader_points).exists():
+        if not Path(config.reader_points).is_file():
             raise ConfigError(f"reader_points file not found: {config.reader_points}")
         points = eval_mod.load_operating_points(config.reader_points)
     unknown = sorted(set(points) - set(tree.names))
@@ -419,7 +429,7 @@ def cmd_eval(args) -> int:
     # a supplied predictions file is scored against the labels alone and
     # runs no checkpoints; else they are checked before any eval file is read
     if args.predictions:
-        if not Path(args.predictions).exists():
+        if not Path(args.predictions).is_file():
             raise DataFormatError(f"predictions file not found: {args.predictions}")
         (labels_path,) = _split_files(config, "eval", ("labels",))
         labels, ids = data_mod.load_labels_csv(labels_path, tree)
@@ -437,16 +447,11 @@ def cmd_eval(args) -> int:
             raise DataFormatError("predictions row ids do not match the eval dataset")
         probs = probs[:, cols]
     else:
-        probs = _ensemble_probs(config, tree, members, dataset.features)
+        probs = _ensemble_probs(config, tree, members, files[0], dataset.features)
 
     scores_by_label = {name: probs[:, tree.index_of(name)] for name in tree.names}
     truth_by_label = {name: truth[:, tree.index_of(name)] for name in tree.names}
-    try:
-        report = eval_mod.reader_study(
-            scores_by_label, truth_by_label, points, config.eval_subset
-        )
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from exc
+    report = eval_mod.reader_study(scores_by_label, truth_by_label, points, config.eval_subset)
 
     out = _out_dir(config)
     _remove_stale(out, _REPORTS)
@@ -530,12 +535,15 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFormatError, FileNotFoundError, ValueError) as exc:
+    except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception:  # a bug or an OS failure, never the input's fault
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -137,7 +137,7 @@ class RunConfig:
 
     def load_tree(self) -> LabelTree:
         path = self.hierarchy_path()
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"hierarchy file not found: {path}")
         tree = load_tree(path)
         unknown = [n for n in self.eval_subset or () if n not in tree.names]
@@ -171,7 +171,10 @@ def _value(tp, value, path: str):
     """``value`` checked against the annotation ``tp``; arrays become tuples."""
     if tp in _KIND:
         if tp is float and type(value) is int:
-            return float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # beyond float64's range, as JSON's 1e400 is
+                value = np.inf if value > 0 else -np.inf
         if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):
             raise ConfigError(f"{path} must be {_KIND[tp]}, got {value!r}")
         if tp is float and not np.isfinite(value):  # JSON has no NaN or Infinity
@@ -228,7 +231,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))

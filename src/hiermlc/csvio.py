@@ -8,13 +8,14 @@ old one or the new.  ``replace_text`` writes a string that way.
 ``reader`` yields a file's header and its numbered data rows, read as
 UTF-8 with or without a byte-order mark; it raises ``DataFormatError``
 for an empty file or a row whose cell count differs from the header's,
-and skips blank lines.  ``read_sidecar`` reads an
-``id,<name>...`` file (features and predictions of float64, labels of
-int8 codes) from the ``<file>.npy`` sidecar that ``write_id_matrix``
-left beside it, while its sha256 of the file, its dtype and its shape
-still match.  ``read_id_matrix`` reads float files by it, and otherwise
-by the checked row loop ``read_id_rows``.  A sidecar gives what the
-checked reader would, so a deleted sidecar costs only time.
+and skips blank lines.  ``read_sidecar`` reads an ``id,<name>...`` file
+(features and predictions of float64, labels of int8 codes) from the
+``<file>.npy`` sidecar that ``write_id_matrix`` left beside it, while
+its sha256 of the file, its dtype and its shape still match.
+``read_id_matrix`` reads float files by it, and otherwise by the checked
+row loop ``read_id_rows``, which refuses a file without a value column
+or with a non-finite cell.  A sidecar gives what the checked reader
+would, so a deleted sidecar costs only time.
 ``write_id_matrix`` leaves alone a file whose sidecar already holds what
 it would write.  This module alone saves and loads ``.npy`` files and
 hashes files.
@@ -129,10 +130,11 @@ def read_sidecar(path, dtype) -> tuple[tuple, tuple, np.ndarray] | None:
 
     The sidecar must hold three arrays and nothing more: the sha256 of
     the file, which is checked last and only if the rest holds, a 1-D
-    array of ids, and a C-order ``dtype`` matrix of one row per id and
-    one column per header name after ``id``.  No field may exceed
-    ``csv.field_size_limit()``, which the checked loop would reject; 24
-    characters is the longest ``repr`` of a float64.
+    array of ids, and a C-order ``dtype`` matrix of finite values, one
+    row per id and one column per header name after ``id`` (one at
+    least).  No field may exceed ``csv.field_size_limit()``, which the
+    checked loop would reject; 24 characters is the longest ``repr`` of
+    a float64.
     """
     try:
         with open(sidecar_path(path), "rb") as fh:
@@ -155,6 +157,7 @@ def read_sidecar(path, dtype) -> tuple[tuple, tuple, np.ndarray] | None:
         and matrix.dtype == dtype
         and matrix.flags.c_contiguous
         and matrix.shape == (ids.size, len(header) - 1)
+        and matrix.size and np.isfinite(matrix).all()
         and header[:1] == ["id"]
         and max(ids.dtype.itemsize // 4, 24) <= csv.field_size_limit()
         and digest.item() == sha256_file(path)
@@ -164,14 +167,16 @@ def read_sidecar(path, dtype) -> tuple[tuple, tuple, np.ndarray] | None:
 
 
 def read_id_rows(path, what: str) -> tuple[tuple, tuple, np.ndarray]:
-    """``read_id_matrix`` through the checked row loop of ``reader``."""
+    """``read_id_matrix`` through the checked row loop of ``reader``, which
+    refuses a file without a value column or with a non-finite cell."""
     with reader(path) as (header, rows):
-        if header[:1] != ["id"]:
-            raise DataFormatError(f"{path}: {what} file must start with an id column")
-        ids = []
+        if header[:1] != ["id"] or len(header) < 2:
+            raise DataFormatError(f"{path}: {what} file needs an id column, then value columns")
+        ids, lines = [], array("q")
         values = array("d")  # row after row, without a float object per cell
         for line, cells in rows:
             ids.append(cells[0])
+            lines.append(line)
             try:
                 values.extend(map(float, cells[1:]))
             except ValueError:
@@ -180,6 +185,9 @@ def read_id_rows(path, what: str) -> tuple[tuple, tuple, np.ndarray]:
     if not ids:
         raise DataFormatError(f"{path}: no data rows")
     matrix = np.array(values).reshape(len(ids), len(header) - 1)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DataFormatError(f"{path}:{lines[np.argmin(finite)]}: non-finite {what} value")
     return tuple(header[1:]), tuple(ids), matrix
 
 
@@ -449,15 +457,14 @@ def write_id_matrix(
     path, header: Sequence[str], ids: Sequence[str], matrix: np.ndarray, cell_zones=float_cells
 ) -> None:
     """Write an ``id,<name>...`` file of ``matrix`` rows as ``write_rows``
-    does, then its sidecar: the file's sha256, the ids and the
-    matrix as its reader returns it (every NaN as ``float("nan")``).
+    does, then its sidecar: the file's sha256, the ids and the matrix.
 
     A file whose sidecar, checked by ``read_sidecar``, holds this header,
     these ids and this matrix bit for bit (``0.0`` and ``-0.0`` differ)
-    is left alone, with its sidecar.  A file without rows, or with an id
-    or a column name that needs quoting or holds a NUL, gets no sidecar,
-    and loses any it had: the checked loop reads such files.  A matrix
-    without columns is refused.
+    is left alone, with its sidecar.  A file without rows, with a
+    non-finite cell, or with an id or a column name that needs quoting or
+    holds a NUL, gets no sidecar, and loses any it had: the checked loop
+    reads such files.  A matrix without columns is refused.
     """
     if matrix.shape[1] == 0:
         raise ValueError(f"{path}: a matrix without columns has no cells to write")
@@ -473,12 +480,9 @@ def write_id_matrix(
     quoted, nul = _scan("".join(ids))  # the joined ids are freed before the write
     digest = write_rows(path, header, ids, matrix, cell_zones, quoted)
     sidecar = sidecar_path(path)
-    if not len(ids) or quoted or nul or any(_scan("".join(header))):
+    if not (len(ids) and np.isfinite(matrix).all()) or quoted or nul or any(_scan("".join(header))):
         sidecar.unlink(missing_ok=True)
         return
-    nan = np.isnan(matrix)
-    # C order: ``read_sidecar`` accepts no other
-    parsed = np.ascontiguousarray(np.where(nan, np.nan, matrix) if nan.any() else matrix)
-    with replacing(sidecar) as fh:
-        for array in (np.array(digest), np.array(ids, dtype=str), parsed):
+    with replacing(sidecar) as fh:  # the matrix in C order: ``read_sidecar`` takes no other
+        for array in (np.array(digest), np.array(ids, dtype=str), np.ascontiguousarray(matrix)):
             np.save(fh, array, allow_pickle=False)

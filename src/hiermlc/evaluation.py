@@ -84,14 +84,12 @@ def _binary_counts(
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be matching 1-D arrays")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
     if not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be binary 0/1")
+        raise DataFormatError("labels must be binary 0/1")
     n_pos = int((labels == 1).sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError(
+        raise DataFormatError(
             f"need both classes to sweep a curve, got {n_pos} positives and "
             f"{n_neg} negatives"
         )

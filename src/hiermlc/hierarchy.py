@@ -91,14 +91,14 @@ def propagate(tree: LabelTree, cond: np.ndarray) -> np.ndarray:
     positive (for roots, the marginal).  The output at k is the product of
     cond over the root path ending at k; processing nodes parents-first
     makes that a single multiply per node.  Accepts a (K,) vector or an
-    (N, K) batch.
+    (N, K) batch; a NaN passes down its path, for the caller to check.
     """
     cond = np.asarray(cond, dtype=np.float64)
     if cond.shape[-1] != tree.K:
         raise ValueError(
             f"conditional vector has {cond.shape[-1]} entries, tree has {tree.K}"
         )
-    if np.any((cond < 0.0) | (cond > 1.0)) or not np.all(np.isfinite(cond)):
+    if np.any((cond < 0.0) | (cond > 1.0)):
         raise ValueError("conditional probabilities must lie in [0, 1]")
     out = cond.copy()
     for k in tree.topo_order:

@@ -162,9 +162,7 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Probabilities in (0, 1) for an (N, F) batch."""
-        x = np.asarray(x, dtype=np.float64)
-        check_finite(x)
-        return forward_trace(self, x)[0]
+        return forward_trace(self, np.asarray(x, dtype=np.float64))[0]
 
 
 def layer_views(
@@ -208,12 +206,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / d, e / d)
 
 
-def check_finite(x: np.ndarray) -> None:
-    """Reject inputs holding NaN or infinity."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
-
-
 def forward_trace(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sigmoid outputs plus per-layer post-activation values for backprop.
 
@@ -221,7 +213,7 @@ def forward_trace(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     stack, where member k's rows meet only member k's layers.  A stacked
     ``@`` computes each slice exactly as the 2-D product does, so every
     member's slice is bit-equal to its own single-model pass.  Inputs are
-    not checked for finiteness: callers check once, before their loops.
+    not checked: features come from the checked reader or the generator.
     """
     if x.ndim != model.params.ndim + 1 or x.shape[-1] != model.input_dim:
         raise ValueError(

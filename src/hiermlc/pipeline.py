@@ -51,7 +51,7 @@ from .data import (
     generate_synthetic,
     inject_uncertainty,
 )
-from .errors import NumericError
+from .errors import DataFormatError, NumericError
 from .hierarchy import LabelTree, propagate
 from .model import (
     AdamState,
@@ -59,7 +59,6 @@ from .model import (
     OptimizerConfig,
     adam_step,
     backward,
-    check_finite,
     forward_trace,
     freeze_all_but_last,
     layer_views,
@@ -179,7 +178,7 @@ def _train_stack(
             # the stack's layer counts as frozen only once every member's is
             stack.frozen = [all(f) for f in zip(*(m.frozen for m in members))]
         if not phase.mask.any():
-            raise ValueError(
+            raise DataFormatError(
                 f"{phase.stage}: empty effective training signal (all cells masked out)"
             )
         mask[k] = phase.mask
@@ -317,8 +316,6 @@ def train_members(
         raise ValueError("stacked members must share the step budget")
     sources = list({id(d): d for d in datasets}.values())  # distinct, by identity
     source_of = np.array([[id(s) for s in sources].index(id(d)) for d in datasets])
-    for source in sources:
-        check_finite(source.features)
 
     stack = Mlp.stack([Mlp.init([shape[1], *hidden_sizes, tree.K], s) for s in seeds])
     targets = np.empty((n_members, shape[0], tree.K))

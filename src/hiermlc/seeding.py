@@ -13,11 +13,13 @@ one uniform per column, so the value at cell (row, col) depends only on
 ``rows_uniforms`` computes these draws for many rows at once: it
 reimplements ``SeedSequence`` entropy mixing and ``generate_state``,
 PCG64 seeding and ``next_double`` as vectorized numpy over the rows, the
-128-bit LCG on 32-bit limbs.  Its output is bit-equal to building
+128-bit LCG on two uint64 words.  Its output is bit-equal to building
 ``stream(purpose, seed, row)`` and calling ``.random(n_cols)`` per row.
 """
 
 import numpy as np
+
+from .csvio import _mulhi
 
 # Stream purposes.  Values are arbitrary but frozen; changing them
 # changes every derived draw.
@@ -47,11 +49,11 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
-# PCG64's 128-bit LCG multiplier as 32-bit limbs, least significant first.
+# PCG64's 128-bit LCG multiplier as high and low uint64 words, and the
+# low word's 32-bit halves, as ``_mulhi`` takes them.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_LIMBS = np.array(
-    [[(_PCG_MULT >> (32 * i)) & _MASK32] for i in range(4)], dtype=np.uint64
-)
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & ((1 << 64) - 1))
+_MULT_LO_HALVES = (_MULT_LO >> 32, _MULT_LO & _MASK32)
 # Rows per vectorized pass, which bounds the temporaries at any height.
 _BLOCK_ROWS = 2048
 
@@ -110,51 +112,36 @@ def _generate_state(pool: list[np.ndarray], n_words: int) -> np.ndarray:
     return state
 
 
-def _carry(cols: np.ndarray) -> np.ndarray:
-    """(4, N) limb column sums reduced to 32-bit limbs, mod 2**128."""
-    for k in range(3):
-        cols[k + 1] += cols[k] >> 32
-    return cols & _MASK32
+def _add(a, b):
+    """a + b mod 2**128, on (high, low) uint64 words."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
 
 
-def _lcg_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """state * multiplier + inc mod 2**128, on (4, N) 32-bit limbs.
-
-    Each 32x32-bit partial product adds its low half to its own limb
-    column and its high half to the next; a column sum stays below
-    2**35, so uint64 holds it exactly.
-    """
-    cols = inc.copy()
-    for i in range(4):
-        products = state[i] * _PCG_MULT_LIMBS[: 4 - i]
-        cols[i:] += products & _MASK32
-        cols[i + 1 :] += products[:-1] >> 32
-    return _carry(cols)
-
-
-def _next_doubles(state: np.ndarray) -> np.ndarray:
-    """PCG64's XSL-RR output of a state, as next_double's 53-bit uniform."""
-    x = (state[0] | (state[1] << 32)) ^ (state[2] | (state[3] << 32))
-    rot = state[3] >> 26
-    x = (x >> rot) | (x << ((64 - rot) & 63))
-    return (x >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+def _lcg_step(state, inc):
+    """state * multiplier + inc mod 2**128, on (high, low) uint64 words;
+    numpy's uint64 multiply keeps the low 64 bits of each product."""
+    high, low = state
+    cross = _mulhi(low >> 32, low & _MASK32, *_MULT_LO_HALVES) + low * _MULT_HI
+    return _add((cross + high * _MULT_LO, low * _MULT_LO), inc)
 
 
 def _pcg64_uniforms(entropy: list[np.ndarray], n_cols: int) -> np.ndarray:
     """``default_rng(SeedSequence(entropy)).random(n_cols)`` for each key."""
     words = _generate_state(_seed_pool(entropy), 8)
-    # generate_state(4, uint64) is (initstate, initseq), each high 64-bit
-    # word first; PCG64 sets inc = initseq << 1 | 1, then state = inc
-    # (one step from 0), adds initstate and steps once more.
-    initstate, initseq = words[[2, 3, 0, 1]], words[[6, 7, 4, 5]]
-    inc = (initseq << 1) & _MASK32
-    inc[1:] |= initseq[:-1] >> 31
-    inc[0] |= 1
-    state = _lcg_step(_carry(inc + initstate), inc)
-    out = np.empty((inc.shape[1], n_cols), dtype=np.float64)
+    # generate_state(4, uint64) is (initstate, initseq), each high word
+    # first; PCG64 sets inc = initseq << 1 | 1, then state = inc (one step
+    # from 0), adds initstate and steps once more.
+    initstate_hi, initstate_lo, initseq_hi, initseq_lo = words[0::2] | (words[1::2] << 32)
+    inc = (initseq_hi << 1) | (initseq_lo >> 63), (initseq_lo << 1) | 1
+    state = _lcg_step(_add(inc, (initstate_hi, initstate_lo)), inc)
+    out = np.empty((words.shape[1], n_cols), dtype=np.float64)
     for k in range(n_cols):
-        state = _lcg_step(state, inc)
-        out[:, k] = _next_doubles(state)
+        high, low = state = _lcg_step(state, inc)
+        # the XSL-RR output, as next_double's 53-bit uniform
+        x, rot = high ^ low, high >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[:, k] = (x >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
     return out
 
 

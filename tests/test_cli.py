@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -17,6 +18,7 @@ from hiermlc import evaluation as eval_mod
 from hiermlc.cli import main
 from hiermlc.config import config_to_dict, load_config, synthetic_spec_theta
 from hiermlc.csvio import read_id_matrix
+from hiermlc.errors import DataFormatError
 from hiermlc.model import load_checkpoint
 from hiermlc.pipeline import hierarchical_ablation, predict_unconditional
 from hiermlc.policy import make_policy
@@ -1554,7 +1556,175 @@ class TestAblate:
         assert "seed  conditional      flat" in capsys.readouterr().out
 
 
-class Interrupted(Exception):
+def rewrite_rows(path, edit):
+    """Rewrite a CSV the package wrote, each line's cells by ``edit(index, cells)``
+    (the header is line 0)."""
+    lines = path.read_text().splitlines()
+    path.write_text("".join(",".join(edit(i, line.split(","))) + "\n" for i, line in enumerate(lines)))
+
+
+class TestExitCodeContract:
+    """Each exit code comes from one exception type: 1 ``ConfigError``, 2
+    ``DataFormatError``, 3 ``NumericError``, and 4 any other exception,
+    printed with its traceback.  A features or predictions file is checked
+    where it is read, and its faults name it."""
+
+    def csv_config(self, tmp_path, configs_dir):
+        """``(config, data dir, run dir)``: ``configs/chain.json`` at a small
+        size as a CSV-data config over the files gen wrote."""
+        config = chain_config(tmp_path, configs_dir)
+        gen = tmp_path / "gen"
+        assert main(["gen", "--config", str(config), "--out", str(gen)]) == 0
+        raw = json.loads(config.read_text())
+        raw["data"] = gen_files(gen / "data")
+        config.write_text(json.dumps(raw))
+        return str(config), gen / "data", tmp_path / "run"
+
+    def run(self, command, config, out, *flags):
+        return main([command, "--config", config, "--out", str(out), *flags])
+
+    @pytest.mark.parametrize(
+        "mutate, key, shown",
+        [
+            (lambda syn: syn.update(feature_noise=10**400), "feature_noise", "inf"),
+            (lambda syn: syn["theta"].update(mid=-(10**400)), "theta.mid", "-inf"),
+        ],
+        ids=["feature_noise", "theta"],
+    )
+    def test_integer_beyond_float_range_exits_one(
+        self, tmp_path, configs_dir, capsys, mutate, key, shown
+    ):
+        config = chain_config(tmp_path, configs_dir)
+        raw = json.loads(config.read_text())
+        mutate(raw["data"]["synthetic"])
+        config.write_text(json.dumps(raw))
+        assert self.run("gen", str(config), tmp_path / "run") == 1
+        message = f"error: data.synthetic.{key} must be a finite number, got {shown}"
+        assert error_line(capsys) == message
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
+    def test_train_features_with_a_non_finite_cell_exit_two(
+        self, tmp_path, configs_dir, capsys, cell
+    ):
+        config, data, out = self.csv_config(tmp_path, configs_dir)
+        features = data / "train_features.csv"
+        rewrite_rows(features, lambda i, cells: cells[:3] + [cell] + cells[4:] if i == 7 else cells)
+        capsys.readouterr()
+        assert self.run("train", config, out) == 2
+        assert error_line(capsys) == f"error: {features}:8: non-finite feature value"
+        assert not out.exists()
+
+    def test_eval_features_of_the_wrong_width_exit_two(self, tmp_path, configs_dir, capsys):
+        config, data, out = self.csv_config(tmp_path, configs_dir)
+        assert self.run("train", config, out) == 0
+        features = data / "eval_features.csv"
+        rewrite_rows(features, lambda i, cells: cells[:6])
+        capsys.readouterr()
+        for command in ("predict", "eval"):
+            assert self.run(command, config, out) == 2
+            message = f"error: {features} has 5 feature columns; the checkpoints take 16"
+            assert error_line(capsys) == message
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoints", "config.json", "loss_log.csv"]
+
+    @pytest.mark.parametrize("command, split", [("train", "train"), ("predict", "eval")])
+    def test_features_file_of_ids_alone_exits_two(
+        self, tmp_path, configs_dir, capsys, command, split
+    ):
+        config, data, out = self.csv_config(tmp_path, configs_dir)
+        if command == "predict":
+            assert self.run("train", config, out) == 0
+        features = data / f"{split}_features.csv"
+        rewrite_rows(features, lambda i, cells: cells[:1])
+        capsys.readouterr()
+        assert self.run(command, config, out) == 2
+        message = f"error: {features}: feature file needs an id column, then value columns"
+        assert error_line(capsys) == message
+
+    def test_scored_predictions_with_a_nan_cell_exit_two(self, tmp_path, configs_dir, capsys):
+        config, _, out = self.csv_config(tmp_path, configs_dir)
+        for command in ("train", "predict"):
+            assert self.run(command, config, out) == 0
+        scored = tmp_path / "scored.csv"
+        shutil.copy(out / "predictions.csv", scored)
+        rewrite_rows(scored, lambda i, cells: cells[:2] + ["nan"] + cells[3:] if i == 4 else cells)
+        capsys.readouterr()
+        assert self.run("eval", config, out, "--predictions", str(scored)) == 2
+        assert error_line(capsys) == f"error: {scored}:5: non-finite prediction value"
+        assert not list(out.glob("report.*"))
+
+    def test_train_labels_all_blank_are_a_data_error(self, tmp_path, configs_dir, capsys):
+        config, data, out = self.csv_config(tmp_path, configs_dir)
+        rewrite_rows(data / "train_labels.csv", lambda i, cells: cells[:1] + [""] * 3 if i else cells)
+        message = "stage1: empty effective training signal (all cells masked out)"
+        args = cli._build_parser().parse_args(["train", "--config", config, "--out", str(out)])
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            cli.cmd_train(args)
+        capsys.readouterr()
+        assert self.run("train", config, out) == 2
+        assert error_line(capsys) == f"error: {message}"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["conditional", "flat"])
+    def test_inputs_that_overflow_the_model_exit_three(
+        self, tmp_path, configs_dir, capsys, mode
+    ):
+        config, data, out = self.csv_config(tmp_path, configs_dir)
+        assert self.run("train", config, out, "--mode", mode) == 0
+        # finite cells and weights whose sums overflow every hidden unit to
+        # inf, so the output layer's mixed-sign weights sum inf - inf
+        features = data / "eval_features.csv"
+        rewrite_rows(features, lambda i, cells: cells[:1] + ["1e308"] * 16 if i else cells)
+        path = out / "checkpoints" / "member00_final.json"
+        payload = json.loads(path.read_text())
+        payload["weights"][0] = [[1.0] * 32] * 16
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for command in ("predict", "eval"):
+            assert self.run(command, config, out, "--mode", mode) == 3
+            message = f"error: the ensemble's outputs on {features} overflow to NaN"
+            assert error_line(capsys) == message
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("where", ["config", "train_features", "predictions"])
+    def test_directory_in_place_of_an_input_file(self, tmp_path, configs_dir, capsys, where):
+        config, data, out = self.csv_config(tmp_path, configs_dir)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        if where == "config":
+            command, flags, code = "train", [], 1
+            config, message = str(folder), f"error: config file not found: {folder}"
+        elif where == "train_features":
+            raw = json.loads(Path(config).read_text())
+            raw["data"]["train_features"] = str(folder)
+            Path(config).write_text(json.dumps(raw))
+            command, flags, code = "train", [], 1
+            message = f"error: training features file not found: {folder}"
+        else:
+            command, flags, code = "eval", ["--predictions", str(folder)], 2
+            message = f"error: predictions file not found: {folder}"
+        capsys.readouterr()
+        assert self.run(command, config, out, *flags) == code
+        assert error_line(capsys) == message
+
+    def test_internal_value_error_exits_four_with_its_traceback(
+        self, tmp_path, configs_dir, capsys, monkeypatch
+    ):
+        config, _, out = self.csv_config(tmp_path, configs_dir)
+
+        def broken(*args, **kwargs):
+            raise ValueError("an internal invariant failed")
+
+        monkeypatch.setattr(cli, "train_ensemble", broken)
+        capsys.readouterr()
+        assert self.run("train", config, out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("ValueError: an internal invariant failed\n")
+        assert not out.exists()
+
+
+class Interrupted(BaseException):
     """Stands in for a kill: raised from ``os.replace``."""
 
 

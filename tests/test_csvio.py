@@ -513,6 +513,20 @@ class TestIdMatrixReader:
         with pytest.raises(DataFormatError, match=r"t\.csv: unreadable near line 2: field larger"):
             csvio.read_id_matrix(path, "feature")
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e999", "-1e400"])
+    def test_non_finite_cell_refused_at_its_line(self, tmp_path, cell):
+        # the blank line puts the third data row on line 5
+        path = write_text(tmp_path, f"id,a,b\nr0,1.0,2.0\n\nr1,0.5,0.25\nr2,3.0,{cell}\n")
+        with pytest.raises(DataFormatError, match=r"t\.csv:5: non-finite feature value$"):
+            csvio.read_id_matrix(path, "feature")
+
+    @pytest.mark.parametrize("text", ["id\nr0\nr1\n", "id\n"])
+    def test_file_without_a_value_column_refused(self, tmp_path, text):
+        path = write_text(tmp_path, text)
+        message = r"t\.csv: prediction file needs an id column, then value columns$"
+        with pytest.raises(DataFormatError, match=message):
+            csvio.read_id_matrix(path, "prediction")
+
 
 FLOAT_BITS = st.integers(0, 2**64 - 1) | st.sampled_from(
     [
@@ -560,7 +574,7 @@ class TestSidecar:
                 write_features_csv(path, matrix, ids)
         sidecar = csvio.sidecar_path(path)
         plain = not any(set(field) & set(',"\r\n\0') for field in [*ids, *names])
-        assert sidecar.exists() == (n > 0 and plain)
+        assert sidecar.exists() == (n > 0 and plain and np.isfinite(matrix).all())
         if sidecar.exists():
             with mock.patch.object(csvio, "read_id_rows", forbidden_parse):
                 got = id_matrix_outcome(csvio.read_id_matrix, path)
@@ -569,7 +583,7 @@ class TestSidecar:
         sidecar.unlink(missing_ok=True)
         assert got == id_matrix_outcome(csvio.read_id_matrix, path)
 
-    def written(self, tmp_path, name="m.csv", values=((0.5, -1.25), (3.0, np.nan))):
+    def written(self, tmp_path, name="m.csv", values=((0.5, -1.25), (3.0, -0.0))):
         path = tmp_path / name
         write_features_csv(path, np.array(values), [f"r{i}" for i in range(len(values))])
         return path
@@ -593,7 +607,7 @@ class TestSidecar:
         path = self.written(tmp_path)
         sidecar = csvio.sidecar_path(path)
         digest, ids = np.array(csvio.sha256_file(path)), np.array(["r0", "r1"])
-        matrix = np.array([[0.5, -1.25], [3.0, np.nan]])
+        matrix = np.array([[0.5, -1.25], [3.0, -0.0]])
         edits = {
             "edited cell": (b"0.5", b"0.7"),
             "unparsable cell": (b"0.5", b"0.x"),
@@ -706,12 +720,43 @@ class TestSidecar:
         features, predictions = tmp_path / "f.csv", tmp_path / "p.csv"
         write_features_csv(features, values, list("abcd"))
         write_predictions_csv(predictions, list("abcd"), values, "XYZ")
+        if nan:  # no sidecar, and the checked loop refuses the row
+            for path in (features, predictions):
+                assert not csvio.sidecar_path(path).exists()
+                with pytest.raises(DataFormatError, match=rf"{path.name}:4: non-finite feature"):
+                    csvio.read_id_matrix(path, "feature")
+            return
         monkeypatch.setattr(csvio, "read_id_rows", forbidden_parse)
         for path in (features, predictions):
             _, ids, matrix = csvio.read_id_matrix(path, "feature")
             assert ids == tuple("abcd")
             assert matrix.flags.c_contiguous
             np.testing.assert_array_equal(matrix, values)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_gets_no_sidecar(self, tmp_path, value):
+        path = self.written(tmp_path)
+        assert csvio.sidecar_path(path).exists()
+        write_features_csv(path, np.array([[0.5, 1.0], [3.0, value]]), ["r0", "r1"])
+        assert not csvio.sidecar_path(path).exists()
+        with pytest.raises(DataFormatError, match=r"m\.csv:3: non-finite feature value$"):
+            csvio.read_id_matrix(path, "feature")
+
+    @pytest.mark.parametrize(
+        "text, matrix",
+        [
+            ("id,f0,f1\nr0,0.5,nan\nr1,3.0,4.0\n", np.array([[0.5, np.nan], [3.0, 4.0]])),
+            ("id\nr0\nr1\n", np.zeros((2, 0))),
+        ],
+        ids=["non-finite", "no value column"],
+    )
+    def test_sidecar_of_what_the_loop_refuses_is_passed_over(self, tmp_path, text, matrix):
+        path = write_text(tmp_path, text)
+        digest = np.array(csvio.sha256_file(path))
+        self.save(csvio.sidecar_path(path), digest, np.array(["r0", "r1"]), matrix)
+        assert csvio.read_sidecar(path, np.float64) is None
+        with pytest.raises(DataFormatError, match=r"t\.csv"):
+            csvio.read_id_matrix(path, "feature")
 
     def test_long_id_past_the_field_limit(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -88,12 +88,13 @@ class TestRocCurve:
             (np.array([0.1, 0.2]), np.array([1, 1])),
             (np.array([0.1, 0.2]), np.array([0, 0])),
             (np.array([0.1, 0.2]), np.array([1, 2])),
-            (np.array([0.1, np.nan]), np.array([1, 0])),
+            (np.array([0.1, 0.2]), np.array([1, -1])),
             (np.array([[0.1, 0.2]]), np.array([[1, 0]])),
         ],
     )
     def test_rejects_bad_inputs(self, scores, labels):
-        with pytest.raises(ValueError):
+        # one class or a non-binary label is the data's fault; a shape mismatch the caller's
+        with pytest.raises(ValueError if scores.ndim > 1 else DataFormatError):
             roc_curve(scores, labels)
 
     def test_curve_type_rejects_non_monotone(self):

@@ -2,9 +2,10 @@
 module that writes files, saves or loads ``.npy`` files or hashes files,
 ``pipeline.synthetic_split`` its one synthetic-data path, which only
 ``cli.cmd_gen`` and ``pipeline.hierarchical_ablation`` call, a dataset's
-features come only from a features file or the generator, and every public
+features come only from a features file or the generator, every public
 name of the package is reached by the package or the benchmark, not by
-tests alone."""
+tests alone, and ``cli.main`` maps each exit code from one exception
+type."""
 
 import ast
 import re
@@ -394,3 +395,43 @@ def test_reach_guard_sees_each_form():
     assert unreached(package, {}) == ["a.Tree.roots"]
     assert unreached({"a.py": package["a.py"]}, {}) == ["a.Tree.roots", "a.Tree.names", "a.load"]
     assert unreached(package, {"bench.py": 'TARGETS = [("a:Tree", "roots")]'}) == []
+
+
+def main_handlers(source: str) -> list[str]:
+    """The exception types that the handlers of a module's top-level
+    ``main`` name, in order, as source text ("" for a bare ``except``)."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == "main":
+            return [
+                ast.unparse(handler.type) if handler.type else ""
+                for node in ast.walk(top)
+                if isinstance(node, ast.Try)
+                for handler in node.handlers
+            ]
+    return []
+
+
+def test_each_exit_code_has_one_exception_type():
+    """1 ``ConfigError``, 2 ``DataFormatError``, 3 ``NumericError``, and 4
+    any other exception: no handler maps a builtin type onto 1 to 3."""
+    assert main_handlers(modules()["cli.py"]) == [
+        "ConfigError", "DataFormatError", "NumericError", "Exception"
+    ]
+
+
+def test_handler_guard_sees_an_added_arm():
+    source = modules()["cli.py"]
+    arm = "    except NumericError as exc:"
+    assert source.count(arm) == 1
+    widened = source.replace(arm, "    except ValueError:\n        return EXIT_DATA\n" + arm)
+    assert main_handlers(widened) == [
+        "ConfigError", "DataFormatError", "ValueError", "NumericError", "Exception"
+    ]
+    assert main_handlers(
+        "def main():\n"
+        "    try:\n        pass\n"
+        "    except (DataFormatError, FileNotFoundError, ValueError) as exc:\n        pass\n"
+        "    except:\n        pass\n"
+        "def helper():\n"
+        "    try:\n        pass\n    except KeyError:\n        pass\n"
+    ) == ["(DataFormatError, FileNotFoundError, ValueError)", ""]

@@ -20,7 +20,7 @@ from hiermlc.data import (
     generate_synthetic,
     inject_uncertainty,
 )
-from hiermlc.errors import NumericError
+from hiermlc.errors import DataFormatError, NumericError
 from hiermlc.evaluation import auc
 from hiermlc.hierarchy import build_tree, propagate
 from hiermlc.model import Mlp, OptimizerConfig, freeze_all_but_last
@@ -149,7 +149,7 @@ class TestStage1:
         train, _ = pair_datasets(n_train=50, n_eval=1)
         empty = replace(train, labels=train.labels.copy())
         empty.labels[:] = -2  # everything missing
-        with pytest.raises(ValueError, match="stage1: empty effective training signal"):
+        with pytest.raises(DataFormatError, match="stage1: empty effective training signal"):
             stage1_model(empty, fast_plan())
 
     def test_learning_rate_underflow_is_numeric(self):
@@ -565,9 +565,9 @@ class TestMixedStacks:
         datasets, plans, seeds = self.mixed(**budget)
         empty = replace(datasets[3], labels=datasets[3].labels.copy())
         empty.labels[:] = -2  # everything missing
-        with pytest.raises(ValueError, match="stage1: empty effective training signal"):
+        with pytest.raises(DataFormatError, match="stage1: empty effective training signal"):
             train_members(datasets[:3] + [empty], PAIR, plans, (16,), seeds)
-        with pytest.raises(ValueError, match="flat: empty effective training signal"):
+        with pytest.raises(DataFormatError, match="flat: empty effective training signal"):
             train_members([datasets[0], empty], PAIR, plans[:2], (16,), seeds[:2])
 
     def test_stack_must_share_rows_optimizer_and_budget(self):
