@@ -7,8 +7,8 @@ outputs are deterministic given config plus seed: reruns produce
 byte-identical files.
 
 Every file goes through ``csvio``, which replaces each whole.  ``gen``
-and ``train`` each delete their record (``data/provenance.json``,
-``config.json``) before their first write and write it last, and
+and ``train`` each delete their section of the run record,
+``manifest.json``, before their first write and write it last, and
 ``eval`` its reports, so an interrupted command leaves no record and the
 commands after it ask for it to be run again.
 
@@ -121,10 +121,9 @@ def _check_out(out: str) -> None:
             return
 
 
-def _out_dir(config: RunConfig, create: bool = True) -> Path:
+def _out_dir(config: RunConfig) -> Path:
     out = Path(config.out)
-    if create:
-        out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -165,24 +164,21 @@ def cmd_gen(args) -> int:
     ids = data_mod.row_ids(syn.n_train + syn.n_eval)
     splits = (("train", train, ids[: syn.n_train]), ("eval", held_out, ids[syn.n_train :]))
     del ids
-    marginals = propagate(tree, spec.theta)
+    marginals = dict(zip(tree.names, propagate(tree, spec.theta).tolist()))
 
     out = _out_dir(config)
     # the record goes first and is written last
-    _remove_stale(out, ("data/provenance.json", *_DERIVED_FROM_DATA))
+    _remove_stale(out, (_MANIFEST, *_DERIVED_FROM_DATA))
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
     for split, dataset, ids in splits:
         data_mod.write_features_csv(data_dir / f"{split}_features.csv", dataset.features, ids)
         data_mod.write_labels_csv(data_dir / f"{split}_labels.csv", dataset.labels, tree, ids)
     snapshot_config(config, out)
-    provenance = {
-        **_data_identity(config),
-        "true_marginals": {
-            name: float(marginals[tree.index_of(name)]) for name in tree.names
-        },
-    }
+    data = _manifest(config, tree)["data"]
+    provenance = {**data, "hierarchy": config.hierarchy, "true_marginals": marginals}
     _write_json(data_dir / "provenance.json", provenance)
+    _write_json(out / _MANIFEST, {"data": data})
     print(f"wrote {syn.n_train} train / {syn.n_eval} eval rows to {data_dir}")
     return EXIT_OK
 
@@ -192,11 +188,21 @@ def _write_json(path: Path, record: dict) -> None:
     replace_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
-def _data_identity(config: RunConfig) -> dict:
-    """The config keys that decide gen's data, as ``provenance.json`` holds
-    them: the seed, the hierarchy and the ``data.synthetic`` section."""
-    assert config.synthetic is not None
-    return {"seed": config.seed, "hierarchy": config.hierarchy, **asdict(config.synthetic)}
+# The run record: gen's data section and train's train section.
+_MANIFEST = "manifest.json"
+
+
+def _manifest(config: RunConfig, tree: LabelTree) -> dict:
+    """The run record of ``config``: the effective config as ``train``
+    section and, for synthetic data, the keys that decide gen's data as
+    ``data`` section.  Both name the hierarchy by its forest, each label's
+    index and parent, so one forest reached by any path is one hierarchy."""
+    parents = [tree.names[p] if p >= 0 else None for p in tree.parent_index.tolist()]
+    forest = {name: [k, parent] for k, (name, parent) in enumerate(zip(tree.names, parents))}
+    manifest = {"train": {**config_to_dict(config), "hierarchy": forest}}
+    if config.synthetic is not None:
+        manifest["data"] = dict(seed=config.seed, hierarchy=forest, **asdict(config.synthetic))
+    return manifest
 
 
 def _flat(record: dict, ignore=(), prefix: str = "") -> dict:
@@ -212,22 +218,16 @@ def _flat(record: dict, ignore=(), prefix: str = "") -> dict:
     return out
 
 
-def _compared(key: str, value):
-    """A recorded value as compared: a hierarchy file by its resolved path,
-    so one file reached by two paths is one hierarchy."""
-    if key == "hierarchy" and isinstance(value, str) and value != "default":
-        return Path(value).resolve()
-    return value
-
-
-def _recorded(path: Path, remedy: str) -> dict:
-    """The JSON object a run recorded in ``path``."""
+def _recorded(out: Path, section: str, remedy: str) -> dict:
+    """The ``section`` of the run record in ``out``."""
+    path = out / _MANIFEST
     try:
         recorded = json.loads(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, ValueError):
         recorded = None
+    recorded = recorded.get(section) if isinstance(recorded, dict) else None
     if not isinstance(recorded, dict):
-        raise ConfigError(f"{path} is missing or unreadable; {remedy}")
+        raise ConfigError(f"{path}: {section} section is missing or unreadable; {remedy}")
     return recorded
 
 
@@ -235,15 +235,16 @@ def _recorded(path: Path, remedy: str) -> dict:
 _FLAGS = {"seed": "--seed", "mode": "--mode", "policy.name": "--policy"}
 
 
-def _check_record(path: Path, expected: dict, ignore, made: str, command: str) -> None:
-    """Refuse the run record in ``path`` where it differs from ``expected``
-    at a dotted key not in ``ignore``, naming each such key, both values
-    and the flags that restore them, or else asking to run ``command``."""
+def _check_record(
+    out: Path, section: str, manifest: dict, ignore, made: str, command: str
+) -> None:
+    """Refuse the ``section`` of ``out``'s run record where it differs from
+    ``manifest``'s at a dotted key not in ``ignore``, naming each such key,
+    both values and the flags that restore them, or else asking to run
+    ``command``."""
     remedy = f"run {command} again"
-    was, now = _flat(_recorded(path, remedy), ignore), _flat(expected, ignore)
-    differing = sorted(
-        k for k in was.keys() | now.keys() if _compared(k, was.get(k)) != _compared(k, now.get(k))
-    )
+    was, now = _flat(_recorded(out, section, remedy), ignore), _flat(manifest[section], ignore)
+    differing = sorted(k for k in was.keys() | now.keys() if was.get(k) != now.get(k))
     if differing:
         values = "; ".join(f"{k} {was.get(k)!r}, not {now.get(k)!r}" for k in differing)
         flags = " ".join(f"{_FLAGS[k]} {was.get(k)}" for k in differing if k in _FLAGS)
@@ -254,28 +255,21 @@ def _check_record(path: Path, expected: dict, ignore, made: str, command: str) -
 _KINDS = ("features", "labels")
 
 
-def _gen_csvs(config: RunConfig, split: str, kinds) -> tuple[Path, ...]:
-    """gen's CSV of each of ``kinds`` of a split.
-
-    No CSVs, CSVs written under another config, or CSVs without a
-    ``provenance.json`` raise ``ConfigError``: a run must not mix data
-    and config.
-    """
-    data_dir = _out_dir(config, create=False) / "data"
-    if not any((data_dir / f"{split}_{kind}.csv").exists() for kind in _KINDS):
-        raise ConfigError(f"no {split} data under {data_dir}; run gen first")
-    identity, made = _data_identity(config), f"{data_dir} was generated"
-    _check_record(data_dir / "provenance.json", identity, ("true_marginals",), made, "gen")
-    return tuple(data_dir / f"{split}_{kind}.csv" for kind in kinds)
-
-
-def _split_files(config: RunConfig, split: str, kinds=_KINDS) -> tuple[str | Path, ...]:
-    """The "train" or "eval" split's file of each of ``kinds``, gen's CSV
-    or the config's, each of which must exist."""
-    if config.synthetic is not None:
-        files = _gen_csvs(config, split, kinds)
-    else:
+def _split_files(
+    config: RunConfig, tree: LabelTree, split: str, kinds=_KINDS
+) -> tuple[str | Path, ...]:
+    """The "train" or "eval" split's file of each of ``kinds``, the
+    config's or gen's CSV; each must exist, and gen's only as written
+    under the same config, so no run mixes data and config."""
+    if config.synthetic is None:
         files = tuple(getattr(config.csv_data, f"{split}_{kind}") for kind in kinds)
+    else:
+        data_dir = Path(config.out) / "data"
+        if not any((data_dir / f"{split}_{kind}.csv").exists() for kind in _KINDS):
+            raise ConfigError(f"no {split} data under {data_dir}; run gen first")
+        made = f"{data_dir} was generated"
+        _check_record(data_dir.parent, "data", _manifest(config, tree), (), made, "gen")
+        files = tuple(data_dir / f"{split}_{kind}.csv" for kind in kinds)
     for kind, path in zip(kinds, files):
         if not Path(path).is_file():
             what = "training" if split == "train" else "eval"
@@ -295,7 +289,7 @@ def cmd_train(args) -> int:
     """Train the ensemble (two-stage conditional or flat) and write checkpoints."""
     config = _effective_config(args)
     tree = config.load_tree()  # validate inputs before any writes
-    dataset = data_mod.load_dataset(*_split_files(config, "train"), tree)
+    dataset = data_mod.load_dataset(*_split_files(config, tree, "train"), tree)
     dataset = replace(dataset, labels=_scored(config, dataset.labels))
     plan = TrainPlan(
         policy=config.policy(),
@@ -315,8 +309,13 @@ def cmd_train(args) -> int:
 
     out = _out_dir(config)
     ckpt_dir = out / "checkpoints"
-    # the record goes first and is written last, with what an earlier run left
-    _remove_stale(out, ("config.json", *_DERIVED_FROM_MODELS))
+    # the train section goes first and is written last, with what an earlier run left
+    manifest = _manifest(config, tree)
+    if "data" in manifest:
+        _write_json(out / _MANIFEST, {"data": manifest["data"]})
+    else:
+        (out / _MANIFEST).unlink(missing_ok=True)
+    _remove_stale(out, _DERIVED_FROM_MODELS)
     ckpt_dir.mkdir(exist_ok=True)
     for i, member in enumerate(members):
         meta = {"member": i, "seed": member.seed, "mode": config.mode}
@@ -332,6 +331,7 @@ def cmd_train(args) -> int:
     header = ["member", "stage", "epoch", "mean_loss"]
     write_table(out / "loss_log.csv", header, losses)
     snapshot_config(config, out)
+    _write_json(out / _MANIFEST, manifest)
     print(f"trained {len(members)} member(s); checkpoints in {ckpt_dir}")
     return EXIT_OK
 
@@ -344,7 +344,7 @@ def _final_checkpoints(config: RunConfig, tree: LabelTree) -> list[Mlp]:
     """The ensemble: the config's ``ensemble_size`` final members, if
     ``train`` wrote them under the same config but for the eval-only keys,
     each with one output per label of ``tree``."""
-    out = _out_dir(config, create=False)
+    out = Path(config.out)
     ckpt_dir = out / "checkpoints"
     paths = [ckpt_dir / f"member{i:02d}_final.json" for i in range(config.ensemble_size)]
     missing = [path.name for path in paths if not path.is_file()]
@@ -355,9 +355,8 @@ def _final_checkpoints(config: RunConfig, tree: LabelTree) -> list[Mlp]:
             f"ensemble_size is {config.ensemble_size} but {ckpt_dir} lacks "
             f"{', '.join(missing)}; run train again"
         )
-    _check_record(
-        out / "config.json", config_to_dict(config), _EVAL_ONLY, f"{ckpt_dir} was trained", "train"
-    )
+    made = f"{ckpt_dir} was trained"
+    _check_record(out, "train", _manifest(config, tree), _EVAL_ONLY, made, "train")
     members = [load_checkpoint(path) for path in paths]
     for path, member in zip(paths, members):
         if member.output_dim != tree.K:
@@ -391,7 +390,7 @@ def cmd_predict(args) -> int:
     """Write ensemble predictions for the eval rows."""
     config = _effective_config(args)
     tree = config.load_tree()
-    (features_path,) = _split_files(config, "eval", ("features",))  # reads no labels
+    (features_path,) = _split_files(config, tree, "eval", ("features",))  # reads no labels
     members = _final_checkpoints(config, tree)  # before the features are read
     _, ids, features = read_id_matrix(features_path, "feature")
     probs = _ensemble_probs(config, tree, members, features_path, features)
@@ -401,15 +400,24 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _binary_ground_truth(labels: np.ndarray, ids, tree: LabelTree) -> np.ndarray:
+def _binary_ground_truth(labels: np.ndarray, ids, tree: LabelTree, path) -> np.ndarray:
+    """The eval labels read from ``path`` as booleans; every label must be
+    1.0 or 0.0 in each row, and take both values, for its ROC curve."""
     bad = ~np.isin(labels, (data_mod.POS, data_mod.NEG))
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise DataFormatError(
-            f"ground truth must be binary; row {ids[row]!r} label "
+            f"{path}: ground truth must be binary; row {ids[row]!r} label "
             f"{tree.names[col]!r} is not 1.0/0.0"
         )
-    return labels == data_mod.POS
+    truth = labels == data_mod.POS
+    for name, positives in zip(tree.names, truth.sum(axis=0).tolist()):
+        if positives in (0, len(truth)):
+            raise DataFormatError(
+                f"{path}: label {name!r} has {positives} positives and "
+                f"{len(truth) - positives} negatives; a ROC curve needs both"
+            )
+    return truth
 
 
 def cmd_eval(args) -> int:
@@ -431,14 +439,14 @@ def cmd_eval(args) -> int:
     if args.predictions:
         if not Path(args.predictions).is_file():
             raise DataFormatError(f"predictions file not found: {args.predictions}")
-        (labels_path,) = _split_files(config, "eval", ("labels",))
+        (labels_path,) = _split_files(config, tree, "eval", ("labels",))
         labels, ids = data_mod.load_labels_csv(labels_path, tree)
     else:
-        files = _split_files(config, "eval")
+        features_path, labels_path = _split_files(config, tree, "eval")
         members = _final_checkpoints(config, tree)
-        dataset = data_mod.load_dataset(*files, tree)
+        dataset = data_mod.load_dataset(features_path, labels_path, tree)
         labels, ids = dataset.labels, dataset.ids
-    truth = _binary_ground_truth(_scored(config, labels), ids, tree)
+    truth = _binary_ground_truth(_scored(config, labels), ids, tree, labels_path)
 
     if args.predictions:
         names, written_ids, probs = read_id_matrix(args.predictions, "prediction")
@@ -447,7 +455,7 @@ def cmd_eval(args) -> int:
             raise DataFormatError("predictions row ids do not match the eval dataset")
         probs = probs[:, cols]
     else:
-        probs = _ensemble_probs(config, tree, members, files[0], dataset.features)
+        probs = _ensemble_probs(config, tree, members, features_path, dataset.features)
 
     scores_by_label = {name: probs[:, tree.index_of(name)] for name in tree.names}
     truth_by_label = {name: truth[:, tree.index_of(name)] for name in tree.names}
@@ -531,7 +539,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # every numeric fault that matters raises NumericError; numpy's
+        # warnings would only print ahead of its one error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

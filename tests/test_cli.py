@@ -1,12 +1,15 @@
+import contextlib
 import csv
 import fnmatch
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,6 @@ import pytest
 from hiermlc import cli, csvio
 from hiermlc import data as data_mod
 from hiermlc import evaluation as eval_mod
-from hiermlc.cli import main
 from hiermlc.config import config_to_dict, load_config, synthetic_spec_theta
 from hiermlc.csvio import read_id_matrix
 from hiermlc.errors import DataFormatError
@@ -25,6 +27,24 @@ from hiermlc.policy import make_policy
 
 CHAIN_CSV = "name,parent,index\nA,,0\nB,A,1\n"
 ROOTS_CSV = "name,parent,index\nA,,0\nB,,1\n"
+
+
+def main(argv):
+    """``cli.main(argv)``, held to the exit-code contract: a failed command
+    prints exactly one ``error:`` line to stderr (exit 1-3), or a traceback
+    (exit 4).  stderr is passed on, so ``capsys`` still sees it."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stderr.write(err.getvalue())
+    lines = err.getvalue().splitlines()
+    if code in (1, 2, 3):
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    elif code == 4:
+        assert lines[:1] == ["Traceback (most recent call last):"], lines
+    return code
 
 
 def base_config(out):
@@ -246,7 +266,7 @@ class TestTrain:
         assert main(["eval", "--config", str(config2)]) == 0
         assert (workspace / "run2" / "report.txt").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_blowup_exits_three(self, workspace, capsys):
         config = write_config(workspace)
         raw = json.loads(config.read_text())
@@ -483,12 +503,12 @@ class TestGenFirst:
         data_dir = workspace / "run" / "data"
         assert error_line(capsys) == f"error: no eval data under {data_dir}; run gen first"
         run = sorted(p.name for p in (workspace / "run").iterdir())
-        assert run == ["checkpoints", "config.json", "loss_log.csv"]
+        assert run == ["checkpoints", "config.json", "loss_log.csv", "manifest.json"]
 
 
 class TestStaleData:
     """train, predict and eval use gen's CSVs only under the config that
-    wrote them, as ``data/provenance.json`` records it."""
+    wrote them, as the ``data`` section of ``manifest.json`` records it."""
 
     def test_train_refuses_data_of_another_seed(self, tmp_path, configs_dir, capsys):
         config, out = str(configs_dir / "chain.json"), str(tmp_path / "run")
@@ -520,18 +540,20 @@ class TestStaleData:
         assert main(["train", "--config", str(config)]) == 0
         assert main([command, "--config", str(config)]) == 0
 
-    @pytest.mark.parametrize("text", [None, "", "[1, 2]\n"])
+    @pytest.mark.parametrize("text", [None, "", "[1, 2]\n", '{"train": {}}\n', '{"data": 1}\n'])
     def test_csvs_without_readable_provenance_are_refused(self, workspace, capsys, text):
         config = write_config(workspace)
         assert main(["gen", "--config", str(config)]) == 0
-        provenance = workspace / "run" / "data" / "provenance.json"
+        manifest = workspace / "run" / "manifest.json"
         if text is None:
-            provenance.unlink()
+            manifest.unlink()
         else:
-            provenance.write_text(text)
+            manifest.write_text(text)
         capsys.readouterr()
         assert main(["train", "--config", str(config)]) == 1
-        assert "provenance.json is missing or unreadable; run gen again" in capsys.readouterr().err
+        assert error_line(capsys) == (
+            f"error: {manifest}: data section is missing or unreadable; run gen again"
+        )
 
     def test_gen_drops_outputs_of_earlier_data(self, tmp_path, configs_dir, capsys):
         config, out = str(configs_dir / "chain.json"), tmp_path / "run"
@@ -572,35 +594,37 @@ class TestStaleData:
             "chain_hierarchy.csv"
         )
 
-    def test_relative_hierarchy_is_taken_from_the_working_directory(
-        self, tmp_path, configs_dir, monkeypatch, capsys
+    def test_relative_hierarchy_from_another_working_directory_is_one_hierarchy(
+        self, tmp_path, configs_dir, monkeypatch
     ):
-        """A config reached by a relative path records its hierarchy path
-        relative to the directory the command ran from: a later command
-        run from elsewhere cannot tell it is the same file."""
+        """A config reached by a relative path holds its hierarchy path
+        relative to the directory the command ran from; the run records the
+        forest, so a later command run from elsewhere reads the same one."""
         config = chain_config(tmp_path, configs_dir)
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "--config", "chain.json", "--out", str(tmp_path / "run")]) == 0
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         monkeypatch.chdir(elsewhere)
-        capsys.readouterr()
-        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
-        assert "generated under another config: hierarchy" in capsys.readouterr().err
+        for command in ("train", "predict", "eval"):
+            assert main([command, "--config", str(config), "--out", str(tmp_path / "run")]) == 0
 
     def test_another_hierarchy_file_is_another_hierarchy(
         self, tmp_path, configs_dir, monkeypatch, capsys
     ):
         config = chain_config(tmp_path, configs_dir)
-        shutil.copy(tmp_path / "chain_hierarchy.csv", tmp_path / "copy.csv")
+        text = (tmp_path / "chain_hierarchy.csv").read_text()
+        (tmp_path / "copy.csv").write_text(text.replace("leaf,mid,2", "leaf,root,2"))
         other = chain_config(tmp_path, configs_dir, "other.json", hierarchy="copy.csv")
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "--config", str(config)]) == 0
         capsys.readouterr()
+        differs = "hierarchy.leaf [2, 'mid'], not [2, 'root']"
         for command in ("train", "eval"):
             assert main([command, "--config", str(other)]) == 1
-            assert "generated under another config: hierarchy" in capsys.readouterr().err
-        # CSV data has no provenance check, so eval reaches the trained-config check
+            line = error_line(capsys)
+            assert f"generated under another config: {differs}; run gen again" in line
+        # CSV data has no data record, so eval reaches the train record check
         data = gen_files(tmp_path / "runs" / "chain" / "data")
         for name, source in (("csv.json", config), ("csv_other.json", other)):
             raw = json.loads(source.read_text())
@@ -608,7 +632,7 @@ class TestStaleData:
         assert main(["train", "--config", "csv.json", "--out", "csv"]) == 0
         capsys.readouterr()
         assert main(["eval", "--config", "csv_other.json", "--out", "csv"]) == 1
-        assert "trained under another config: hierarchy" in capsys.readouterr().err
+        assert f"trained under another config: {differs}; run train again" in error_line(capsys)
 
     def test_predict_reads_no_eval_labels(self, workspace):
         config = write_config(workspace, ensemble_size=1)
@@ -780,7 +804,8 @@ class TestEnsembleCheckpoints:
 
 class TestTrainedConfig:
     """predict and eval run checkpoints only under the config that trained
-    them, as train records it in ``config.json``; eval-only keys may differ."""
+    them, as train records it in the ``train`` section of ``manifest.json``;
+    eval-only keys may differ."""
 
     def test_eval_refuses_checkpoints_of_another_seed(self, workspace, capsys):
         assert main(["gen", "--config", str(write_config(workspace))]) == 0
@@ -848,10 +873,15 @@ class TestTrainedConfig:
         config = write_config(workspace, ensemble_size=1)
         assert main(["gen", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config)]) == 0
-        (workspace / "run" / "config.json").unlink()
+        manifest = workspace / "run" / "manifest.json"
+        recorded = json.loads(manifest.read_text())
         capsys.readouterr()
-        assert main(["eval", "--config", str(config)]) == 1
-        assert "config.json is missing or unreadable; run train again" in capsys.readouterr().err
+        for train in (None, [1]):
+            manifest.write_text(json.dumps({"data": recorded["data"], "train": train}))
+            assert main(["eval", "--config", str(config)]) == 1
+            assert error_line(capsys) == (
+                f"error: {manifest}: train section is missing or unreadable; run train again"
+            )
 
 
 class TestPredictionsReuse:
@@ -919,7 +949,7 @@ class TestPredictionsReuse:
         path.write_text("\n".join(lines))
 
     def swap_hierarchy(self, workspace, configs):
-        (workspace / "h.csv").write_text(ROOTS_CSV)
+        (workspace / "h.csv").write_text("name,parent,index\nB,A,1\nA,,0\n")  # same forest
 
     @pytest.mark.parametrize("edit", ["edit_checkpoint", "edit_probability", "swap_hierarchy"])
     def test_a_changed_input_runs_the_ensemble(self, workspace, monkeypatch, edit):
@@ -1014,8 +1044,8 @@ class TestEvalReadsFeatures:
 
 
 class TestEvalSplitResolvedOnce:
-    """Each command reads a run's records once: ``provenance.json`` for
-    gen's data, and ``config.json`` for the checkpoints unless ``eval``
+    """Each command reads each section of a run's record once: ``data``
+    for gen's data, and ``train`` for the checkpoints unless ``eval``
     scores a supplied predictions file."""
 
     def test_recorded_files_read_per_command(self, workspace, monkeypatch):
@@ -1024,13 +1054,16 @@ class TestEvalSplitResolvedOnce:
             assert main([command, "--config", str(config)]) == 0
         scored = workspace / "scored.csv"
         read, recorded = [], cli._recorded
-        monkeypatch.setattr(
-            cli, "_recorded", lambda path, remedy: read.append(path.name) or recorded(path, remedy)
-        )
+
+        def reading(out, section, remedy):
+            read.append(section)
+            return recorded(out, section, remedy)
+
+        monkeypatch.setattr(cli, "_recorded", reading)
         for command, expected in [
-            (["predict"], ["provenance.json", "config.json"]),
-            (["eval"], ["provenance.json", "config.json"]),
-            (["eval", "--predictions", str(scored)], ["provenance.json"]),
+            (["predict"], ["data", "train"]),
+            (["eval"], ["data", "train"]),
+            (["eval", "--predictions", str(scored)], ["data"]),
         ]:
             if str(scored) in command:
                 shutil.copy(workspace / "run" / "predictions.csv", scored)
@@ -1083,7 +1116,8 @@ class TestMissingAsNegative:
                 commands[1:] = [["predict"], ["eval", "--predictions", scored_file]]
             for command in commands:
                 assert main([*command, "--config", str(config)]) == 0
-            runs[flag] = {k: v for k, v in checksums(out).items() if k != "config.json"}
+            records = ("config.json", "manifest.json")  # these name the flag
+            runs[flag] = {k: v for k, v in checksums(out).items() if k not in records}
         assert "report.csv" in runs[True] and runs[True] == runs[False]
 
 
@@ -1312,34 +1346,164 @@ class TestMalformedInput:
 class TestHierarchyEditedAfterTrain:
     """predict and eval refuse checkpoints whose outputs do not match the
     hierarchy's labels, before any eval file is read, and leave the
-    predictions an earlier run wrote."""
+    predictions an earlier run wrote.  An edited hierarchy fails the run
+    record's check first (``TestRecordedForest``), so only a checkpoint
+    replaced by hand reaches this one."""
 
-    def lose_leaf(self, path):
-        path.write_text(path.read_text().replace("leaf,mid,2\n", ""))
+    def lose_leaf(self, outputs):
+        return outputs[:2]
 
-    def gain_label(self, path):
-        path.write_text(path.read_text() + "twig,leaf,3\n")
+    def gain_label(self, outputs):
+        return outputs + outputs[-1:]
 
     @pytest.mark.parametrize(
         "command, mode",
         [("predict", "flat"), ("eval", "flat"), ("predict", "conditional")],
     )
-    @pytest.mark.parametrize("edit, labels", [("lose_leaf", 2), ("gain_label", 4)])
+    @pytest.mark.parametrize("edit, outputs", [("lose_leaf", 2), ("gain_label", 4)])
     def test_exits_one_naming_the_checkpoint(
-        self, tmp_path, configs_dir, capsys, command, mode, edit, labels
+        self, tmp_path, configs_dir, capsys, command, mode, edit, outputs
     ):
         config = str(chain_config(tmp_path, configs_dir, mode=mode, out=str(tmp_path / "run")))
         for step in ("gen", "train", "predict"):
             assert main([step, "--config", config]) == 0
         run = tmp_path / "run"
+        # the final layer of a member with another output count
+        path = run / "checkpoints" / "member00_final.json"
+        payload, edit = json.loads(path.read_text()), getattr(self, edit)
+        payload["layer_sizes"][-1] = outputs
+        payload["weights"][-1] = [edit(row) for row in payload["weights"][-1]]
+        payload["biases"][-1] = edit(payload["biases"][-1])
+        path.write_text(json.dumps(payload))
         before = checksums(run)
-        getattr(self, edit)(tmp_path / "chain_hierarchy.csv")
         capsys.readouterr()
         assert main([command, "--config", config]) == 1
-        line = error_line(capsys)
-        assert "member00_final.json has 3 outputs" in line
-        assert f"hierarchy has {labels} labels; run train again" in line
+        assert error_line(capsys) == (
+            f"error: {path} has {outputs} outputs but the hierarchy has 3 labels; "
+            "run train again"
+        )
         assert checksums(run) == before
+
+
+class TestRecordedForest:
+    """The run record names the hierarchy by its forest, each label's index
+    and parent: a renamed, reparented, reordered, added or removed label is
+    another hierarchy, and the same forest reached by any path is one."""
+
+    EDITS = {
+        "rename": (
+            lambda text: text.replace("leaf", "twig"),
+            "hierarchy.leaf [2, 'mid'], not None; hierarchy.twig None, not [2, 'mid']",
+        ),
+        "reparent": (
+            lambda text: text.replace("mid,root,1", "mid,,1"),
+            "hierarchy.mid [1, 'root'], not [1, None]",
+        ),
+        "reorder": (
+            lambda text: text.replace("root,1", "root,2").replace("mid,2", "mid,1"),
+            "hierarchy.leaf [2, 'mid'], not [1, 'mid']; "
+            "hierarchy.mid [1, 'root'], not [2, 'root']",
+        ),
+        "add": (lambda text: text + "twig,leaf,3\n", "hierarchy.twig None, not [3, 'leaf']"),
+        "remove": (
+            lambda text: text.replace("leaf,mid,2\n", ""), "hierarchy.leaf [2, 'mid'], not None"
+        ),
+    }
+
+    def edit_hierarchy(self, tmp_path, edit):
+        """Apply ``edit`` to the chain hierarchy; return the keys it changes."""
+        change, differs = self.EDITS[edit]
+        path = tmp_path / "chain_hierarchy.csv"
+        path.write_text(change(path.read_text()))
+        return differs
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_an_edit_after_gen_is_refused(self, tmp_path, configs_dir, capsys, edit):
+        config = str(chain_config(tmp_path, configs_dir, out=str(tmp_path / "run")))
+        assert main(["gen", "--config", config]) == 0
+        differs = self.edit_hierarchy(tmp_path, edit)
+        before = checksums(tmp_path)
+        capsys.readouterr()
+        for command in ("train", "predict", "eval"):
+            assert main([command, "--config", config]) == 1
+            assert error_line(capsys) == (
+                f"error: {tmp_path / 'run' / 'data'} was generated under another config: "
+                f"{differs}; run gen again"
+            )
+        assert checksums(tmp_path) == before
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_an_edit_after_train_is_refused(self, tmp_path, configs_dir, capsys, edit):
+        config = chain_config(tmp_path, configs_dir, out=str(tmp_path / "run"))
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "gen")]) == 0
+        raw = json.loads(config.read_text())
+        config.write_text(json.dumps({**raw, "data": gen_files(tmp_path / "gen" / "data")}))
+        for command in ("train", "predict"):
+            assert main([command, "--config", str(config)]) == 0
+        differs = self.edit_hierarchy(tmp_path, edit)
+        before = checksums(tmp_path)
+        capsys.readouterr()
+        for command in ("predict", "eval"):
+            assert main([command, "--config", str(config)]) == 1
+            assert error_line(capsys) == (
+                f"error: {tmp_path / 'run' / 'checkpoints'} was trained under another config: "
+                f"{differs}; run train again"
+            )
+        assert checksums(tmp_path) == before
+
+    def test_one_forest_by_any_path_is_one_hierarchy(self, tmp_path, configs_dir, monkeypatch):
+        """By an absolute path, from another working directory, and as a
+        byte-identical copy at another path."""
+        config = chain_config(tmp_path, configs_dir)
+        shutil.copy(tmp_path / "chain_hierarchy.csv", tmp_path / "copy.csv")
+        absolute = chain_config(
+            tmp_path, configs_dir, "absolute.json", hierarchy=str(tmp_path / "chain_hierarchy.csv")
+        )
+        copy = chain_config(tmp_path, configs_dir, "copy.json", hierarchy="copy.csv")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(tmp_path)
+        out = ["--out", str(tmp_path / "run")]
+        assert main(["gen", "--config", "chain.json", *out]) == 0
+        for cwd, config_path in ((tmp_path, absolute), (elsewhere, config), (tmp_path, copy)):
+            monkeypatch.chdir(cwd)
+            for command in ("train", "predict", "eval"):
+                assert main([command, "--config", str(config_path), *out]) == 0
+        # CSV data: the train record alone
+        monkeypatch.chdir(tmp_path)
+        data = gen_files(tmp_path / "run" / "data")
+        for name, source in (("csv.json", config), ("csv_copy.json", copy)):
+            raw = json.loads(source.read_text())
+            (tmp_path / name).write_text(json.dumps({**raw, "data": data}))
+        assert main(["train", "--config", "csv.json", "--out", "csv"]) == 0
+        assert main(["eval", "--config", "csv_copy.json", "--out", "csv"]) == 0
+
+    def test_no_command_reads_provenance_or_config_json(self, tmp_path, configs_dir, capsys):
+        """Deleting both after train changes no later command's exit code,
+        message or output bytes."""
+        config = str(chain_config(tmp_path, configs_dir))
+        runs = {}
+        for name in ("kept", "deleted"):
+            out = tmp_path / name
+            run = ["--config", config, "--out", str(out)]
+            for command in ("gen", "train"):
+                assert main([command, *run]) == 0
+            if name == "deleted":
+                (out / "data" / "provenance.json").unlink()
+                (out / "config.json").unlink()
+            capsys.readouterr()
+            outcomes = []
+            for command in (
+                ["predict"], ["eval"], ["eval", "--predictions", str(out / "predictions.csv")],
+                ["predict", "--seed", "7"], ["eval", "--mode", "flat"], ["train"], ["eval"],
+            ):
+                code = main([*command, *run])
+                outcomes.append((code, capsys.readouterr().err.replace(name, "<out>")))
+            files = checksums(out)
+            files.pop("data/provenance.json", None)
+            runs[name] = outcomes, files
+        assert [code for code, _ in runs["kept"][0]] == [0, 0, 0, 1, 1, 0, 0]
+        assert runs["deleted"] == runs["kept"]
 
 
 class TestMalformedCheckpoints:
@@ -1625,7 +1789,8 @@ class TestExitCodeContract:
             assert self.run(command, config, out) == 2
             message = f"error: {features} has 5 feature columns; the checkpoints take 16"
             assert error_line(capsys) == message
-        assert sorted(p.name for p in out.iterdir()) == ["checkpoints", "config.json", "loss_log.csv"]
+        run = sorted(p.name for p in out.iterdir())
+        assert run == ["checkpoints", "config.json", "loss_log.csv", "manifest.json"]
 
     @pytest.mark.parametrize("command, split", [("train", "train"), ("predict", "eval")])
     def test_features_file_of_ids_alone_exits_two(
@@ -1664,7 +1829,7 @@ class TestExitCodeContract:
         assert self.run("train", config, out) == 2
         assert error_line(capsys) == f"error: {message}"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["conditional", "flat"])
     def test_inputs_that_overflow_the_model_exit_three(
         self, tmp_path, configs_dir, capsys, mode
@@ -1685,6 +1850,40 @@ class TestExitCodeContract:
             message = f"error: the ensemble's outputs on {features} overflow to NaN"
             assert error_line(capsys) == message
         assert not (out / "predictions.csv").exists()
+
+    def test_eval_label_of_one_class_names_it_and_the_file(
+        self, tmp_path, configs_dir, capsys
+    ):
+        config = chain_config(tmp_path, configs_dir, out=str(tmp_path / "run"))
+        raw = json.loads(config.read_text())
+        raw["data"]["synthetic"]["theta"]["leaf"] = 0.0
+        config.write_text(json.dumps(raw))
+        for command in ("gen", "train", "predict"):
+            assert main([command, "--config", str(config)]) == 0
+        run = tmp_path / "run"
+        scored = tmp_path / "scored.csv"
+        shutil.copy(run / "predictions.csv", scored)
+        message = (
+            f"error: {run / 'data' / 'eval_labels.csv'}: label 'leaf' has 0 positives and "
+            "50 negatives; a ROC curve needs both"
+        )
+        capsys.readouterr()
+        for flags in ([], ["--predictions", str(scored)]):
+            assert main(["eval", "--config", str(config), *flags]) == 2
+            assert error_line(capsys) == message
+        assert not list(run.glob("report.*")) + list(run.glob("roc_*.csv"))
+
+    def test_eval_label_not_binary_names_it_and_the_file(self, tmp_path, configs_dir, capsys):
+        config, data, out = self.csv_config(tmp_path, configs_dir)
+        assert self.run("train", config, out) == 0
+        labels = data / "eval_labels.csv"
+        rewrite_rows(labels, lambda i, cells: cells[:2] + [""] + cells[3:] if i == 3 else cells)
+        capsys.readouterr()
+        assert self.run("eval", config, out) == 2
+        assert error_line(capsys) == (
+            f"error: {labels}: ground truth must be binary; row 'row00102' label 'mid' "
+            "is not 1.0/0.0"
+        )
 
     @pytest.mark.parametrize("where", ["config", "train_features", "predictions"])
     def test_directory_in_place_of_an_input_file(self, tmp_path, configs_dir, capsys, where):
@@ -1758,9 +1957,10 @@ def file_bytes(root):
 
 
 # os.replace calls of a clean gen and train on chain_config: four CSVs,
-# their sidecars, config.json and provenance.json; then a stage-1 and a
-# final checkpoint, loss_log.csv and config.json.
-GEN_WRITES, TRAIN_WRITES = 10, 4
+# their sidecars, config.json, provenance.json and manifest.json; then
+# manifest.json cut to its data section, a stage-1 and a final checkpoint,
+# loss_log.csv, config.json and manifest.json.
+GEN_WRITES, TRAIN_WRITES = 11, 6
 
 
 @pytest.fixture(scope="module")
@@ -1802,7 +2002,7 @@ class TestInterrupted:
             main(["gen", *run, "--seed", "1"])
         capsys.readouterr()
         assert main(["train", *run]) == 1
-        assert "provenance.json is missing or unreadable; run gen again" in error_line(capsys)
+        assert "data section is missing or unreadable; run gen again" in error_line(capsys)
 
     def test_train_stopped_before_the_loss_log(self, tmp_path, configs_dir, monkeypatch, capsys):
         config = chain_config(tmp_path, configs_dir, ensemble_size=2)
@@ -1815,7 +2015,7 @@ class TestInterrupted:
             main(["train", *run, "--policy", "zeros", "--mode", "flat"])
         capsys.readouterr()
         assert main(["eval", *run, "--policy", "ones"]) == 1
-        assert "config.json is missing or unreadable; run train again" in error_line(capsys)
+        assert "train section is missing or unreadable; run train again" in error_line(capsys)
 
     def test_eval_stopped_at_a_roc_file_leaves_no_report(self, tmp_path, configs_dir, monkeypatch):
         config = chain_config(tmp_path, configs_dir)

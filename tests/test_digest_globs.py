@@ -8,7 +8,8 @@ is a sidecar, since a ``.npy`` sidecar in the digest would tie the
 references to ``np.save``'s bytes, and that each sidecar left sits beside
 the CSV it describes.  The other hashes the matched files as the runner
 does and compares the digest with a recorded constant, so a change that
-alters any artifact byte fails here first.
+alters any artifact byte fails here first.  A third keeps the run record,
+``manifest.json``, out of the digest and byte-stable across reruns.
 """
 
 import ast
@@ -109,3 +110,17 @@ def test_artifacts_match_the_recorded_digest(tmp_path, configs_dir, monkeypatch)
     names = digested(run)
     assert len(names) == GOLDEN_FILES
     assert artifact_digest(run, names) == GOLDEN_DIGEST
+
+
+def test_the_manifest_stays_out_of_the_digest(tmp_path, configs_dir, monkeypatch):
+    globs = digest_globs(RUNNER.read_text(encoding="utf-8"))
+    assert [glob for glob in globs if fnmatch.fnmatch("manifest.json", glob)] == []
+    manifests = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        run = golden_run(tmp_path / name, configs_dir, monkeypatch)
+        assert "manifest.json" not in digested(run)
+        manifests.append((run / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert str(tmp_path).encode() not in manifests[0]
+    assert sorted(json.loads(manifests[0])) == ["data", "train"]
