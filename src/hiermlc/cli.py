@@ -38,14 +38,8 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .config import (
-    RunConfig,
-    config_to_dict,
-    load_config,
-    snapshot_config,
-    synthetic_spec_theta,
-)
-from .csvio import column_indices, read_id_matrix, replace_text, write_table
+from .config import RunConfig, config_to_dict, load_config, synthetic_spec_theta
+from .csvio import column_indices, file_digests, read_id_matrix, write_json, write_table
 # unused here: the benchmark's perfbench/tracer.py wraps the last two names in cli
 from .data import SyntheticSpec, generate_synthetic, inject_uncertainty
 from .errors import ConfigError, DataFormatError, NumericError
@@ -174,18 +168,13 @@ def cmd_gen(args) -> int:
     for split, dataset, ids in splits:
         data_mod.write_features_csv(data_dir / f"{split}_features.csv", dataset.features, ids)
         data_mod.write_labels_csv(data_dir / f"{split}_labels.csv", dataset.labels, tree, ids)
-    snapshot_config(config, out)
+    write_json(out / "config.json", config_to_dict(config))
     data = _manifest(config, tree)["data"]
     provenance = {**data, "hierarchy": config.hierarchy, "true_marginals": marginals}
-    _write_json(data_dir / "provenance.json", provenance)
-    _write_json(out / _MANIFEST, {"data": data})
+    write_json(data_dir / "provenance.json", provenance)
+    write_json(out / _MANIFEST, {"data": data})
     print(f"wrote {syn.n_train} train / {syn.n_eval} eval rows to {data_dir}")
     return EXIT_OK
-
-
-def _write_json(path: Path, record: dict) -> None:
-    """Write ``record`` as sorted, indented JSON."""
-    replace_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 # The run record: gen's data section and train's train section.
@@ -193,26 +182,33 @@ _MANIFEST = "manifest.json"
 
 
 def _manifest(config: RunConfig, tree: LabelTree) -> dict:
-    """The run record of ``config``: the effective config as ``train``
-    section and, for synthetic data, the keys that decide gen's data as
-    ``data`` section.  Both name the hierarchy by its forest, each label's
-    index and parent, so one forest reached by any path is one hierarchy."""
+    """The run record of ``config``.  ``train`` holds what made the
+    checkpoints: the effective config less the keys that steer only eval
+    (``eval_subset``, ``reader_points``, the eval files) or nothing
+    (``workers``, ``optimizer.iterations`` and ``optimizer.seed``), with
+    a CSV config's training files by their sha256.  ``data`` holds, for
+    synthetic data, the keys that decide gen's data.  Both name the
+    hierarchy by its forest, each label's index and parent, so one forest
+    reached by any path is one hierarchy."""
     parents = [tree.names[p] if p >= 0 else None for p in tree.parent_index.tolist()]
     forest = {name: [k, parent] for k, (name, parent) in enumerate(zip(tree.names, parents))}
-    manifest = {"train": {**config_to_dict(config), "hierarchy": forest}}
-    if config.synthetic is not None:
-        manifest["data"] = dict(seed=config.seed, hierarchy=forest, **asdict(config.synthetic))
-    return manifest
+    train = {**config_to_dict(config), "hierarchy": forest}
+    del train["eval_subset"], train["reader_points"], train["workers"]
+    del train["optimizer"]["iterations"], train["optimizer"]["seed"]
+    if config.synthetic is None:
+        digests = file_digests(_split_files(config, tree, "train"))
+        train["data"] = {f"train_{kind}": digest for kind, digest in zip(_KINDS, digests)}
+        return {"train": train}
+    data = dict(seed=config.seed, hierarchy=forest, **asdict(config.synthetic))
+    return {"train": train, "data": data}
 
 
-def _flat(record: dict, ignore=(), prefix: str = "") -> dict:
-    """``record`` with its nested objects spelled as dotted keys, less ``ignore``."""
+def _flat(record: dict, prefix: str = "") -> dict:
+    """``record`` with its nested objects spelled as dotted keys."""
     out = {}
     for key, value in record.items():
-        if prefix + key in ignore:
-            continue
         if isinstance(value, dict):
-            out.update(_flat(value, ignore, f"{prefix}{key}."))
+            out.update(_flat(value, f"{prefix}{key}."))
         else:
             out[prefix + key] = value
     return out
@@ -235,15 +231,12 @@ def _recorded(out: Path, section: str, remedy: str) -> dict:
 _FLAGS = {"seed": "--seed", "mode": "--mode", "policy.name": "--policy"}
 
 
-def _check_record(
-    out: Path, section: str, manifest: dict, ignore, made: str, command: str
-) -> None:
+def _check_record(out: Path, section: str, manifest: dict, made: str, command: str) -> None:
     """Refuse the ``section`` of ``out``'s run record where it differs from
-    ``manifest``'s at a dotted key not in ``ignore``, naming each such key,
-    both values and the flags that restore them, or else asking to run
-    ``command``."""
+    ``manifest``'s at any dotted key, naming each such key, both values and
+    the flags that restore them, or else asking to run ``command``."""
     remedy = f"run {command} again"
-    was, now = _flat(_recorded(out, section, remedy), ignore), _flat(manifest[section], ignore)
+    was, now = _flat(_recorded(out, section, remedy)), _flat(manifest[section])
     differing = sorted(k for k in was.keys() | now.keys() if was.get(k) != now.get(k))
     if differing:
         values = "; ".join(f"{k} {was.get(k)!r}, not {now.get(k)!r}" for k in differing)
@@ -268,7 +261,7 @@ def _split_files(
         if not any((data_dir / f"{split}_{kind}.csv").exists() for kind in _KINDS):
             raise ConfigError(f"no {split} data under {data_dir}; run gen first")
         made = f"{data_dir} was generated"
-        _check_record(data_dir.parent, "data", _manifest(config, tree), (), made, "gen")
+        _check_record(data_dir.parent, "data", _manifest(config, tree), made, "gen")
         files = tuple(data_dir / f"{split}_{kind}.csv" for kind in kinds)
     for kind, path in zip(kinds, files):
         if not Path(path).is_file():
@@ -290,6 +283,7 @@ def cmd_train(args) -> int:
     config = _effective_config(args)
     tree = config.load_tree()  # validate inputs before any writes
     dataset = data_mod.load_dataset(*_split_files(config, tree, "train"), tree)
+    manifest = _manifest(config, tree)  # a CSV config's files hashed as they were read
     dataset = replace(dataset, labels=_scored(config, dataset.labels))
     plan = TrainPlan(
         policy=config.policy(),
@@ -310,11 +304,7 @@ def cmd_train(args) -> int:
     out = _out_dir(config)
     ckpt_dir = out / "checkpoints"
     # the train section goes first and is written last, with what an earlier run left
-    manifest = _manifest(config, tree)
-    if "data" in manifest:
-        _write_json(out / _MANIFEST, {"data": manifest["data"]})
-    else:
-        (out / _MANIFEST).unlink(missing_ok=True)
+    write_json(out / _MANIFEST, {k: v for k, v in manifest.items() if k != "train"})
     _remove_stale(out, _DERIVED_FROM_MODELS)
     ckpt_dir.mkdir(exist_ok=True)
     for i, member in enumerate(members):
@@ -330,33 +320,23 @@ def cmd_train(args) -> int:
     ]
     header = ["member", "stage", "epoch", "mean_loss"]
     write_table(out / "loss_log.csv", header, losses)
-    snapshot_config(config, out)
-    _write_json(out / _MANIFEST, manifest)
+    write_json(out / "config.json", config_to_dict(config))
+    write_json(out / _MANIFEST, manifest)
     print(f"trained {len(members)} member(s); checkpoints in {ckpt_dir}")
     return EXIT_OK
 
 
-# Keys that steer only eval, so checkpoints serve any value of them.
-_EVAL_ONLY = ("eval_subset", "reader_points", "data.eval_labels", "data.eval_features")
-
-
 def _final_checkpoints(config: RunConfig, tree: LabelTree) -> list[Mlp]:
     """The ensemble: the config's ``ensemble_size`` final members, if
-    ``train`` wrote them under the same config but for the eval-only keys,
-    each with one output per label of ``tree``."""
+    ``train`` recorded what made them as ``config`` would make them, each
+    with one output per label of ``tree``."""
     out = Path(config.out)
     ckpt_dir = out / "checkpoints"
+    _check_record(out, "train", _manifest(config, tree), f"{ckpt_dir} was trained", "train")
     paths = [ckpt_dir / f"member{i:02d}_final.json" for i in range(config.ensemble_size)]
     missing = [path.name for path in paths if not path.is_file()]
-    if len(missing) == len(paths):
-        raise ConfigError(f"no final checkpoints under {ckpt_dir}; run train first")
     if missing:
-        raise ConfigError(
-            f"ensemble_size is {config.ensemble_size} but {ckpt_dir} lacks "
-            f"{', '.join(missing)}; run train again"
-        )
-    made = f"{ckpt_dir} was trained"
-    _check_record(out, "train", _manifest(config, tree), _EVAL_ONLY, made, "train")
+        raise ConfigError(f"{ckpt_dir} lacks {', '.join(missing)}; run train again")
     members = [load_checkpoint(path) for path in paths]
     for path, member in zip(paths, members):
         if member.output_dim != tree.K:
@@ -467,7 +447,7 @@ def cmd_eval(args) -> int:
     for name, curve in report.curves.items():
         eval_mod.write_roc_points_csv(out / f"roc_{safe_name(name)}.csv", curve)
     if not args.predictions:  # a scored file skips the config check: keep config.json
-        snapshot_config(config, out)
+        write_json(out / "config.json", config_to_dict(config))
     eval_mod.write_report(report, out / "report.txt", out / "report.csv")
     print(
         f"mean_auc_selected={report.mean_auc_selected:.6f} "
@@ -521,7 +501,7 @@ def cmd_ablate(args) -> int:
         "delta": result.delta,
     }
     path = _out_dir(config) / "ablation.json"
-    _write_json(path, payload)
+    write_json(path, payload)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import replace_text
 from .errors import ConfigError
 from .hierarchy import LabelTree, default_hierarchy_path, load_tree
 from .model import OptimizerConfig
@@ -259,12 +258,6 @@ def config_to_dict(config: RunConfig) -> dict:
     synthetic, csv_data = out.pop("synthetic"), out.pop("csv_data")
     out["data"] = {"synthetic": synthetic} if synthetic is not None else csv_data
     return out
-
-
-def snapshot_config(config: RunConfig, out_dir: Path) -> None:
-    """Write the effective config into the run directory, canonically."""
-    payload = json.dumps(config_to_dict(config), sort_keys=True, indent=2)
-    replace_text(out_dir / "config.json", payload + "\n")
 
 
 def synthetic_spec_theta(config: SyntheticDataConfig, tree: LabelTree) -> np.ndarray:

@@ -3,7 +3,8 @@
 Every file the package writes, CSV or not, goes through ``replacing``:
 the bytes go to ``<file>.tmp`` beside the target, which ``os.replace``
 then puts in its place, so a file on disk is always a whole write, the
-old one or the new.  ``replace_text`` writes a string that way.
+old one or the new.  ``replace_text`` writes a string that way, and
+``write_json`` a record as sorted, indented JSON.
 
 ``reader`` yields a file's header and its numbered data rows, read as
 UTF-8 with or without a byte-order mark; it raises ``DataFormatError``
@@ -37,6 +38,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import json
 import os
 import re
 from array import array
@@ -121,6 +123,12 @@ def sha256_file(path) -> str:
         while chunk := fh.read(1 << 16):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def file_digests(paths) -> list[str]:
+    """The hex sha256 of each file in ``paths``, for a record that names
+    files by their content."""
+    return [sha256_file(path) for path in paths]
 
 
 def read_sidecar(path, dtype) -> tuple[tuple, tuple, np.ndarray] | None:
@@ -379,6 +387,12 @@ def replace_text(path, text: str) -> None:
     """Replace the file at ``path`` with ``text`` in UTF-8, through ``replacing``."""
     with replacing(path) as fh:
         fh.write(text.encode("utf-8"))
+
+
+def write_json(path, record: dict) -> None:
+    """Replace the file at ``path`` with ``record`` as JSON: sorted keys,
+    a 2-space indent and a trailing newline."""
+    replace_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

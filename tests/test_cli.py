@@ -266,7 +266,6 @@ class TestTrain:
         assert main(["eval", "--config", str(config2)]) == 0
         assert (workspace / "run2" / "report.txt").exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_blowup_exits_three(self, workspace, capsys):
         config = write_config(workspace)
         raw = json.loads(config.read_text())
@@ -292,7 +291,8 @@ class TestEvalAndPredict:
         assert (run / "roc_A.csv").exists() and (run / "roc_B.csv").exists()
         report = (run / "report.txt").read_text()
         assert "mean_auc_selected" in report and "mean_readers_below" in report
-        rows = list(csv.reader((run / "report.csv").open()))
+        with (run / "report.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["label", "auc", "readers_below"]
         assert {r[0] for r in rows[1:]} >= {"A", "B"}
         assert "mean_auc_selected=" in capsys.readouterr().out
@@ -330,16 +330,20 @@ class TestEvalAndPredict:
         assert all(float(r[2]) <= float(r[1]) for r in rows[1:])
 
     def test_predict_without_checkpoints(self, workspace, capsys):
-        """predict and eval check the checkpoints before they read any
-        eval file."""
+        """predict and eval check the checkpoints' record before they read
+        any eval file."""
         config = write_config(workspace)
+        manifest = workspace / "run" / "manifest.json"
         for garbled in ("eval_features.csv", "eval_labels.csv"):
             assert main(["gen", "--config", str(config)]) == 0
             (workspace / "run" / "data" / garbled).write_text("id,f0\nr1,x\n")
             capsys.readouterr()
             for command in ("predict", "eval"):
                 assert main([command, "--config", str(config)]) == 1
-                assert "run train first" in capsys.readouterr().err
+                assert error_line(capsys) == (
+                    f"error: {manifest}: train section is missing or unreadable; "
+                    "run train again"
+                )
 
     def perfect_predictions(self, workspace, columns=("A", "B")):
         """Copy the true eval labels into a predictions file."""
@@ -359,7 +363,8 @@ class TestEvalAndPredict:
         # column order in the file deliberately differs from tree order
         preds = self.perfect_predictions(workspace, columns=("B", "A"))
         assert main(["eval", "--config", str(config), "--predictions", str(preds)]) == 0
-        rows = list(csv.reader((workspace / "run" / "report.csv").open()))
+        with (workspace / "run" / "report.csv").open() as fh:
+            rows = list(csv.reader(fh))
         by_name = {r[0]: float(r[1]) for r in rows[1:]}
         assert by_name["A"] == 1.0 and by_name["B"] == 1.0
 
@@ -414,7 +419,8 @@ class TestEvalAndPredict:
         raw["reader_points"] = str(readers)
         config.write_text(json.dumps(raw))
         self.run_pipeline(workspace, config)
-        rows = list(csv.reader((workspace / "run" / "report.csv").open()))
+        with (workspace / "run" / "report.csv").open() as fh:
+            rows = list(csv.reader(fh))
         below = {r[0]: r[2] for r in rows[1:] if r[0] in ("A", "B")}
         # far-below-curve points should be counted for both labels
         assert below["A"] == "2" and below["B"] == "1"
@@ -573,7 +579,10 @@ class TestStaleData:
         capsys.readouterr()
         for command in ("predict", "eval"):
             assert main([command, *args]) == 1
-            assert "run train first" in capsys.readouterr().err
+            assert error_line(capsys) == (
+                f"error: {out / 'manifest.json'}: train section is missing or unreadable; "
+                "run train again"
+            )
 
     def test_train_drops_predictions_and_their_sidecar(self, workspace):
         config = str(write_config(workspace, ensemble_size=1))
@@ -780,12 +789,24 @@ class TestEnsembleCheckpoints:
         assert main(["eval", "--config", str(config), "--mode", "flat"]) == 0
 
     def test_missing_member_checkpoint_exits_one(self, workspace, capsys):
+        """A larger ensemble_size fails the train record check; a member
+        file deleted by hand is named."""
         small = write_config(workspace, name="small.json", ensemble_size=2)
         big = write_config(workspace, name="big.json", ensemble_size=3)
         assert main(["gen", "--config", str(small)]) == 0
         assert main(["train", "--config", str(small)]) == 0
+        capsys.readouterr()
+        ckpt_dir = workspace / "run" / "checkpoints"
         assert main(["eval", "--config", str(big)]) == 1
-        assert "lacks member02_final.json" in capsys.readouterr().err
+        assert error_line(capsys) == (
+            f"error: {ckpt_dir} was trained under another config: "
+            "ensemble_size 2, not 3; run train again"
+        )
+        (ckpt_dir / "member01_final.json").unlink()
+        assert main(["eval", "--config", str(small)]) == 1
+        assert error_line(capsys) == (
+            f"error: {ckpt_dir} lacks member01_final.json; run train again"
+        )
 
     def test_train_drops_outputs_of_earlier_members(self, workspace):
         config = write_config(workspace, ensemble_size=1)
@@ -805,7 +826,7 @@ class TestEnsembleCheckpoints:
 class TestTrainedConfig:
     """predict and eval run checkpoints only under the config that trained
     them, as train records it in the ``train`` section of ``manifest.json``;
-    eval-only keys may differ."""
+    keys that steer only eval, or nothing, may differ."""
 
     def test_eval_refuses_checkpoints_of_another_seed(self, workspace, capsys):
         assert main(["gen", "--config", str(write_config(workspace))]) == 0
@@ -882,6 +903,135 @@ class TestTrainedConfig:
             assert error_line(capsys) == (
                 f"error: {manifest}: train section is missing or unreadable; run train again"
             )
+
+
+class TestTrainRecord:
+    """The ``train`` section holds what made the checkpoints: a CSV
+    config's training files by their sha256, and no key that steers only
+    eval or nothing.  predict and eval check it whole, before they look
+    for a member file.  Each run is the chain config at a small size."""
+
+    @pytest.fixture
+    def csv_raw(self, tmp_path, configs_dir, monkeypatch):
+        """The chain config with a data section naming gen's CSVs under
+        ``gen/data`` by relative path, run from their directory."""
+        monkeypatch.chdir(tmp_path)
+        chain = chain_config(tmp_path, configs_dir)
+        assert main(["gen", "--config", str(chain), "--out", "gen"]) == 0
+        raw = json.loads(chain.read_text())
+        return {**raw, "out": "run", "data": gen_files(Path("gen") / "data")}
+
+    @staticmethod
+    def write(tmp_path, raw, name="csv.json"):
+        (tmp_path / name).write_text(json.dumps(raw))
+        return str(tmp_path / name)
+
+    def test_training_files_named_by_another_path(self, tmp_path, csv_raw):
+        assert main(["train", "--config", self.write(tmp_path, csv_raw)]) == 0
+        absolute = {key: str(tmp_path / path) for key, path in csv_raw["data"].items()}
+        other = self.write(tmp_path, {**csv_raw, "data": absolute}, "absolute.json")
+        assert main(["eval", "--config", other]) == 0
+
+    def test_training_labels_edited_in_place(self, tmp_path, csv_raw, capsys):
+        config = self.write(tmp_path, csv_raw)
+        assert main(["train", "--config", config]) == 0
+        labels = tmp_path / "gen" / "data" / "train_labels.csv"
+        was = hashlib.sha256(labels.read_bytes()).hexdigest()
+        lines = labels.read_text().split("\n")
+        cells = lines[1].split(",")
+        cells[1] = "0.0" if cells[1] == "1.0" else "1.0"
+        lines[1] = ",".join(cells)
+        labels.write_text("\n".join(lines))
+        now = hashlib.sha256(labels.read_bytes()).hexdigest()
+        before = file_bytes(tmp_path / "run")
+        capsys.readouterr()
+        assert main(["eval", "--config", config]) == 1
+        assert error_line(capsys) == (
+            f"error: {Path('run') / 'checkpoints'} was trained under another config: "
+            f"data.train_labels {was!r}, not {now!r}; run train again"
+        )
+        assert file_bytes(tmp_path / "run") == before
+
+    @pytest.mark.parametrize(
+        "key, value", [("workers", 2), ("iterations", 7), ("seed", 5)]
+    )
+    def test_inert_keys_may_differ(self, tmp_path, configs_dir, key, value):
+        config = chain_config(tmp_path, configs_dir)
+        run = ["--config", str(config), "--out", str(tmp_path / "run")]
+        for command in ("gen", "train", "eval"):
+            assert main([command, *run]) == 0
+        outputs = ("predictions.csv", "report.txt", "report.csv", "roc_*.csv")
+        scored = {}
+        for _ in range(2):
+            files = [p for glob in outputs for p in sorted((tmp_path / "run").glob(glob))]
+            scored[len(scored)] = {p.name: p.read_bytes() for p in files}
+            for path in files:
+                path.unlink()
+            raw = json.loads(config.read_text())
+            if key == "workers":
+                raw[key] = value
+            else:
+                raw.setdefault("optimizer", {})[key] = value
+            config.write_text(json.dumps(raw))
+            assert main(["eval", *run]) == 0
+        assert len(scored[0]) == 6 and scored[1] == scored[0]
+
+    def test_training_labels_deleted(self, tmp_path, csv_raw, capsys):
+        config = self.write(tmp_path, csv_raw)
+        assert main(["train", "--config", config]) == 0
+        (tmp_path / csv_raw["data"]["train_labels"]).unlink()
+        capsys.readouterr()
+        assert main(["predict", "--config", config]) == 1
+        assert error_line(capsys) == (
+            f"error: training labels file not found: {csv_raw['data']['train_labels']}"
+        )
+
+    def test_predict_before_train(self, tmp_path, configs_dir, capsys):
+        run = ["--config", str(chain_config(tmp_path, configs_dir))]
+        run += ["--out", str(tmp_path / "run")]
+        assert main(["gen", *run]) == 0
+        capsys.readouterr()
+        assert main(["predict", *run]) == 1
+        assert error_line(capsys) == (
+            f"error: {tmp_path / 'run' / 'manifest.json'}: train section is missing "
+            "or unreadable; run train again"
+        )
+
+    def test_larger_ensemble_than_trained(self, tmp_path, configs_dir, capsys):
+        run = ["--config", str(chain_config(tmp_path, configs_dir, ensemble_size=1))]
+        run += ["--out", str(tmp_path / "run")]
+        for command in ("gen", "train"):
+            assert main([command, *run]) == 0
+        larger = chain_config(tmp_path, configs_dir, "larger.json", ensemble_size=3)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(larger), *run[2:]]) == 1
+        assert error_line(capsys) == (
+            f"error: {tmp_path / 'run' / 'checkpoints'} was trained under another "
+            "config: ensemble_size 1, not 3; run train again"
+        )
+
+    def test_member_deleted_by_hand(self, tmp_path, configs_dir, capsys):
+        run = ["--config", str(chain_config(tmp_path, configs_dir))]
+        run += ["--out", str(tmp_path / "run")]
+        for command in ("gen", "train"):
+            assert main([command, *run]) == 0
+        ckpt_dir = tmp_path / "run" / "checkpoints"
+        (ckpt_dir / "member00_final.json").unlink()
+        capsys.readouterr()
+        assert main(["eval", *run]) == 1
+        assert error_line(capsys) == (
+            f"error: {ckpt_dir} lacks member00_final.json; run train again"
+        )
+
+    def test_no_recorded_value_is_a_path_of_the_config(self, tmp_path, csv_raw):
+        config = self.write(tmp_path, csv_raw)
+        assert main(["train", "--config", config]) == 0
+        paths = {*csv_raw["data"].values(), csv_raw["hierarchy"], csv_raw["out"]}
+        paths.add(load_config(config).hierarchy)
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        recorded = [v for section in manifest.values() for v in cli._flat(section).values()]
+        assert "train" in manifest and recorded
+        assert [value for value in recorded if isinstance(value, str) and value in paths] == []
 
 
 class TestPredictionsReuse:
@@ -1829,7 +1979,6 @@ class TestExitCodeContract:
         assert self.run("train", config, out) == 2
         assert error_line(capsys) == f"error: {message}"
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["conditional", "flat"])
     def test_inputs_that_overflow_the_model_exit_three(
         self, tmp_path, configs_dir, capsys, mode

@@ -9,9 +9,9 @@ from hiermlc.config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    snapshot_config,
     synthetic_spec_theta,
 )
+from hiermlc.csvio import write_json
 from hiermlc.errors import ConfigError
 from hiermlc.hierarchy import build_tree, default_hierarchy_path
 
@@ -212,11 +212,11 @@ class TestLoadConfig:
 class TestSnapshot:
     def test_snapshot_written_canonically(self, tmp_path):
         config = config_from_dict(FULL)
-        snapshot_config(config, tmp_path)
+        write_json(tmp_path / "config.json", config_to_dict(config))
         text = (tmp_path / "config.json").read_text()
         assert json.loads(text) == config_to_dict(config)
         assert '"out"' not in text
-        snapshot_config(config, tmp_path)
+        write_json(tmp_path / "config.json", config_to_dict(config))
         assert (tmp_path / "config.json").read_text() == text
 
 
@@ -362,7 +362,7 @@ class TestFieldRoundTrip:
     )
     def test_round_trip(self, tmp_path, raw_update, read):
         config = config_from_dict(minimal(**raw_update))
-        snapshot_config(config, tmp_path)
+        write_json(tmp_path / "config.json", config_to_dict(config))
         back = config_from_dict(json.loads((tmp_path / "config.json").read_text()))
         back.out = config.out
         assert back == config
