@@ -121,8 +121,10 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-# eval's record, deleted before its first write and written last.
+# eval's record, written last, and its ROC files, which may name labels
+# of an earlier hierarchy: eval deletes both before its first write.
 _REPORTS = ("report.txt", "report.csv")
+_EVAL_OUTPUTS = (*_REPORTS, "roc_*.csv")
 # What predict and eval derive from the checkpoints, and what train,
 # predict and eval derive from gen's data.  train and gen delete them with
 # what they came from, so no run directory mixes the two.
@@ -130,8 +132,7 @@ _DERIVED_FROM_MODELS = (
     "checkpoints/member*.json",
     "predictions.csv",
     "predictions.csv.npy",
-    *_REPORTS,
-    "roc_*.csv",
+    *_EVAL_OUTPUTS,
 )
 _DERIVED_FROM_DATA = (*_DERIVED_FROM_MODELS, "loss_log.csv")
 
@@ -442,7 +443,7 @@ def cmd_eval(args) -> int:
     report = eval_mod.reader_study(scores_by_label, truth_by_label, points, config.eval_subset)
 
     out = _out_dir(config)
-    _remove_stale(out, _REPORTS)
+    _remove_stale(out, _EVAL_OUTPUTS)
     eval_mod.write_predictions_csv(out / "predictions.csv", ids, probs, tree.names)
     for name, curve in report.curves.items():
         eval_mod.write_roc_points_csv(out / f"roc_{safe_name(name)}.csv", curve)

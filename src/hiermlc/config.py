@@ -239,10 +239,17 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     config = config_from_dict(raw)
-    # a relative hierarchy path is taken relative to the config file, so
-    # shipped configs work from any working directory
-    if config.hierarchy != "default" and not Path(config.hierarchy).is_absolute():
-        config.hierarchy = str(path.parent / config.hierarchy)
+    # a relative input path is taken relative to the config file, so a
+    # config names the same files from any working directory; ``out``
+    # names an output, relative to the working directory
+    base = path.parent
+    if config.hierarchy != "default":
+        config.hierarchy = str(base / config.hierarchy)
+    if config.reader_points:
+        config.reader_points = str(base / config.reader_points)
+    if config.csv_data is not None:
+        files = asdict(config.csv_data).items()
+        config.csv_data = CsvDataConfig(**{k: str(base / v) for k, v in files})
     return config
 
 

@@ -79,27 +79,9 @@ class SyntheticSpec:
     """
 
     tree: LabelTree
-    theta: np.ndarray  # (K,) floats in [0, 1]
+    theta: np.ndarray  # (K,) float64 in [0, 1], from config.synthetic_spec_theta
     feature_noise: float = 0.5
     feature_dim: int = 16
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        object.__setattr__(self, "theta", theta)
-        if theta.shape != (self.tree.K,):
-            raise ValueError(
-                f"theta has shape {theta.shape}, expected ({self.tree.K},)"
-            )
-        if np.any((theta < 0.0) | (theta > 1.0)):
-            bad = int(np.flatnonzero((theta < 0.0) | (theta > 1.0))[0])
-            raise ValueError(
-                f"theta for node {self.tree.names[bad]!r} is "
-                f"{theta[bad]}, outside [0, 1]"
-            )
-        if self.feature_noise < 0:
-            raise ValueError("feature_noise must be >= 0")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +223,6 @@ def generate_synthetic(spec: SyntheticSpec, n: int, seed: int) -> Dataset:
     with one seed share feature semantics and row i's content depends
     only on (seed, i).  The rows carry no ids.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     tree = spec.tree
     pos = np.zeros((n, tree.K), dtype=bool)
     for k in tree.topo_order:
@@ -268,8 +248,6 @@ def inject_uncertainty(dataset: Dataset, rate: float, seed: int) -> Dataset:
     Each cell's coin depends only on (seed, row, column), so the outcome
     is stable under row subsetting and iteration order.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"uncertainty rate must be in [0, 1], got {rate}")
     labels = dataset.labels.copy()
     if rate > 0.0:
         n, k = labels.shape

@@ -128,18 +128,6 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return _count_auc(tp, fp)
 
 
-def mean_auc(
-    per_label_auc: Mapping[str, float], subset: Sequence[str] = DEFAULT_AUC_SUBSET
-) -> float:
-    """Unweighted mean AUC over a label subset."""
-    if not subset:
-        raise ValueError("label subset must be non-empty")
-    missing = [name for name in subset if name not in per_label_auc]
-    if missing:
-        raise ValueError(f"no AUC for label(s) {missing}")
-    return float(np.mean([per_label_auc[name] for name in subset]))
-
-
 def curve_tpr_at(curve: RocCurve, fpr: float) -> float:
     """Upper envelope of the curve at an fpr, linearly interpolated.
 
@@ -186,7 +174,7 @@ def reader_study(
         )
     return EvalReport(
         per_label_auc=per_label_auc,
-        mean_auc_selected=mean_auc(per_label_auc, subset),
+        mean_auc_selected=float(np.mean([per_label_auc[name] for name in subset])),
         subset=tuple(subset),
         readers_below=below,
         mean_readers_below=float(np.mean([below[name] for name in names])),

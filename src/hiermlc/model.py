@@ -130,13 +130,9 @@ class Mlp:
     def init(cls, layer_sizes: Sequence[int], seed: int) -> "Mlp":
         """Seed-deterministic uniform fan-in-scaled initialization.
 
-        ``layer_sizes`` runs input dim, hidden dims..., output dim K.
+        ``layer_sizes`` runs input dim, hidden dims..., output dim K, each
+        at least 1: the config and the data readers check them.
         """
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        for i, size in enumerate(layer_sizes):
-            if size < 1:
-                raise ValueError(f"layer_sizes[{i}] must be >= 1, got {size}")
         rng = seeding.stream(seeding.PURPOSE_INIT, seed)
         sizes = zip(layer_sizes, layer_sizes[1:])
         model = cls(np.zeros(sum((a + 1) * b for a, b in sizes)), layer_sizes)
@@ -353,8 +349,6 @@ def adam_step(state: AdamState, config: OptimizerConfig, lr: float) -> None:
     m_hat = m / (1 - beta1**t), v_hat = v / (1 - beta2**t),
     params -= lr * m_hat / (sqrt(v_hat) + epsilon).
     """
-    if lr <= 0.0:
-        raise ValueError("lr must be positive")
     if state.views is None:
         raise ValueError("Adam state is not bound to a gradient array")
     state.t += 1

@@ -103,10 +103,6 @@ class TrainPlan:
     stage2_iterations: int = 500
     conditional: bool = True
 
-    def __post_init__(self):
-        if self.stage1_iterations < 0 or self.stage2_iterations < 0:
-            raise ValueError("iteration counts must be >= 0")
-
 
 class _Phase(NamedTuple):
     """Part of one member's run: stage name, first global step, (N, K)
@@ -449,8 +445,6 @@ def hierarchical_ablation(
     arm by ``predict_unconditional``, the flat arm by ``predict_flat``.
     Both arms of every seed train together as one member stack.
     """
-    if not seeds:
-        raise ValueError("the ablation needs at least one seed")
     spec = SyntheticSpec(tree, theta, feature_noise, feature_dim)
     leaf_indices = [tree.index_of(name) for name in tree.leaves]
     cond_plan = TrainPlan(

@@ -44,19 +44,11 @@ def check_lsr(lsr: tuple[float, float]) -> None:
 @dataclass(frozen=True)
 class UncertaintyPolicy:
     """A policy name, with the (lower, upper) bounds of the uniform draw
-    that the two ``-lsr`` policies take and the others do not."""
+    that the two ``-lsr`` policies take and the others do not; the config
+    checks both, and ``make_policy`` attaches the bounds."""
 
     name: str
     lsr: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.name not in POLICIES:
-            raise ValueError(f"unknown policy {self.name!r}, not one of {list(POLICIES)}")
-        if self.name.endswith("-lsr") != (self.lsr is not None):
-            needs = "requires" if self.lsr is None else "takes no"
-            raise ValueError(f"policy {self.name} {needs} LSR bounds")
-        if self.lsr is not None:
-            check_lsr(self.lsr)
 
 
 def make_policy(

@@ -983,7 +983,7 @@ class TestTrainRecord:
         capsys.readouterr()
         assert main(["predict", "--config", config]) == 1
         assert error_line(capsys) == (
-            f"error: training labels file not found: {csv_raw['data']['train_labels']}"
+            f"error: training labels file not found: {tmp_path / csv_raw['data']['train_labels']}"
         )
 
     def test_predict_before_train(self, tmp_path, configs_dir, capsys):
@@ -1321,6 +1321,53 @@ class TestCsvDataFiles:
         scored = ["--predictions", str(workspace / "scored.csv")]
         assert main(["eval", "--config", str(config), *scored]) == 0
         assert [(run / name).read_bytes() for name in cli._REPORTS] == reports
+
+
+class TestConfigPaths:
+    """A config's relative input paths, ``hierarchy``, ``reader_points`` and
+    the CSV ``data`` files, are taken from the config file's directory;
+    ``out`` names an output and is taken from the working directory."""
+
+    def test_csv_config_runs_from_another_directory(self, tmp_path, configs_dir, monkeypatch):
+        cfgdir = tmp_path / "cfgdir"
+        cfgdir.mkdir()
+        chain = chain_config(cfgdir, configs_dir)
+        (cfgdir / "points.csv").write_text("label,reader,fpr,tpr\nleaf,r1,0.5,0.1\n")
+        monkeypatch.chdir(cfgdir)
+        assert main(["gen", "--config", "chain.json", "--out", "gen"]) == 0
+        data = gen_files(Path("gen") / "data")
+        raw = {**json.loads(chain.read_text()), "data": data, "reader_points": "points.csv"}
+        (cfgdir / "csv.json").write_text(json.dumps(raw))
+        runs = {}
+        for where, config in ((cfgdir, "csv.json"), (tmp_path, "cfgdir/csv.json")):
+            monkeypatch.chdir(where)
+            for command in ("train", "predict", "eval"):
+                assert main([command, "--config", config, "--out", "run"]) == 0
+            runs[where] = checksums(where / "run")
+            # config.json names each input by the path it was read from
+            recorded = json.loads((where / "run" / "config.json").read_text())
+            assert recorded["data"] == {k: str(Path(config).parent / v) for k, v in data.items()}
+        del runs[cfgdir]["config.json"], runs[tmp_path]["config.json"]
+        assert runs[tmp_path] == runs[cfgdir]
+        with (tmp_path / "run" / "report.csv").open() as fh:
+            assert {row[0]: row[2] for row in csv.reader(fh)}["leaf"] == "1"
+
+
+class TestEvalOutputs:
+    def test_no_roc_file_of_an_earlier_label_set(self, workspace):
+        data = write_label_files(workspace, "0.0")
+        config = write_config(workspace, data=data)
+        scored = workspace / "scored.csv"
+        probs = np.random.default_rng(0).random((40, 2)).tolist()
+        scored.write_text("id,A,B\n" + "".join(f"eval{i},{a},{b}\n" for i, (a, b) in enumerate(probs)))
+        run = ["eval", "--config", str(config), "--predictions", str(scored)]
+        assert main(run) == 0
+        for path in (workspace / "h.csv", scored, *map(Path, data.values())):
+            path.write_text(path.read_text().replace("B", "Z", 1))  # the first B is the name
+        assert main(run) == 0
+        assert sorted(p.name for p in (workspace / "run").glob("roc_*.csv")) == [
+            "roc_A.csv", "roc_Z.csv"
+        ]
 
 
 class TestConsoleScript:

@@ -321,6 +321,7 @@ class TestTypedSchema:
             ({"hidden_sizes": [8, -3]}, r"hidden_sizes\[1\] must be >= 1, got -3"),
             ({"optimizer": {"epsilon": 0.0}}, "epsilon must be positive"),
             ({"optimizer": {"epsilon": -1.0}}, "epsilon must be positive"),
+            ({"optimizer": {"lr0": 0.0}}, "lr0 must be positive"),
         ],
     )
     def test_out_of_range_values_rejected(self, raw_update, match):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermlc.config import SyntheticDataConfig
 from hiermlc.data import (
     MISSING,
     NEG,
@@ -19,7 +22,7 @@ from hiermlc.data import (
     write_labels_csv,
 )
 from hiermlc.csvio import read_id_matrix
-from hiermlc.errors import DataFormatError
+from hiermlc.errors import ConfigError, DataFormatError
 from hiermlc.hierarchy import build_tree, propagate
 from oracles import random_forest
 
@@ -261,12 +264,6 @@ class TestGenerateSynthetic:
         sigma = np.sqrt(marginals * (1 - marginals) / n)
         assert (np.abs(freq - marginals) < 4 * sigma + 1e-9).all()
 
-    def test_theta_validation(self):
-        with pytest.raises(ValueError, match="outside"):
-            SyntheticSpec(tree=CHAIN, theta=np.array([0.5, 1.5, 0.5]))
-        with pytest.raises(ValueError, match="shape"):
-            SyntheticSpec(tree=CHAIN, theta=np.array([0.5, 0.5]))
-
 
 class TestInjectUncertainty:
     def base(self, n=400):
@@ -281,8 +278,10 @@ class TestInjectUncertainty:
         np.testing.assert_array_equal(out.labels, ds.labels)
 
     def test_rate_validation(self):
-        with pytest.raises(ValueError, match="rate"):
-            inject_uncertainty(self.base(), 1.5, seed=0)
+        # the config checks the rate, also under a replace() override
+        syn = SyntheticDataConfig(theta={"A": 0.5})
+        with pytest.raises(ConfigError, match="uncertainty_rate"):
+            replace(syn, uncertainty_rate=1.5)
 
     def test_hit_rate_binomial(self):
         ds = self.base(7000)

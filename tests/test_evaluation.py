@@ -13,7 +13,6 @@ from hiermlc.evaluation import (
     auc,
     curve_tpr_at,
     load_operating_points,
-    mean_auc,
     reader_study,
     readers_below,
     roc_curve,
@@ -156,16 +155,24 @@ class TestAuc:
 
 
 class TestMeanAuc:
+    """``reader_study``'s ``mean_auc_selected``: the unweighted mean AUC
+    over the report's subset."""
+
     def test_arithmetic(self):
-        aucs = {"a": 0.8, "b": 0.6, "c": 1.0}
-        assert mean_auc(aucs, ("a", "b")) == pytest.approx(0.7)
-        assert mean_auc(aucs, ("c",)) == 1.0
+        s, y = perfect_case()
+        scores = {"a": s, "b": -s, "c": np.zeros_like(s)}  # AUC 1, 0 and 0.5
+        labels = dict.fromkeys(scores, y)
+        for subset, mean in [(("a", "b"), 0.5), (("a", "c"), 0.75), (("c",), 0.5)]:
+            assert reader_study(scores, labels, subset=subset).mean_auc_selected == mean
 
     def test_missing_label(self):
-        with pytest.raises(ValueError, match="no AUC"):
-            mean_auc({"a": 0.8}, ("a", "zzz"))
-        with pytest.raises(ValueError, match="non-empty"):
-            mean_auc({"a": 0.8}, ())
+        # the default subset counts only when every label in it is present
+        s, y = perfect_case()
+        names = (*DEFAULT_AUC_SUBSET[1:], "zzz")
+        scores = {name: s for name in names} | {"zzz": -s}
+        report = reader_study(scores, dict.fromkeys(names, y))
+        assert report.subset == names
+        assert report.mean_auc_selected == pytest.approx(4 / 5)
 
 
 class TestReadersBelow:

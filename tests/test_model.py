@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermlc.errors import DataFormatError
+from hiermlc.config import config_from_dict
+from hiermlc.errors import ConfigError, DataFormatError
 from hiermlc.model import (
     PROB_CLAMP,
     _sigmoid,
@@ -119,15 +120,15 @@ class TestMlp:
         assert all((b == 0).all() for b in model.biases)
         assert model.frozen == [False, False]
 
-    def test_init_needs_two_sizes(self):
-        with pytest.raises(ValueError, match="at least"):
-            Mlp.init([4], seed=0)
-
     @pytest.mark.parametrize("sizes, layer", [([3, 0, 2], 1), ([3, -2, 2], 1), ([0, 2], 0)])
     def test_init_rejects_empty_layers(self, sizes, layer):
-        message = rf"layer_sizes\[{layer}\] must be >= 1, got {sizes[layer]}$"
-        with pytest.raises(ValueError, match=message):
-            Mlp.init(sizes, seed=0)
+        # init trusts its sizes: the config refuses an empty input layer
+        # (feature_dim) or hidden layer where it reads them
+        synthetic = {"theta": {}, "feature_dim": sizes[0]}
+        raw = {"seed": 0, "hidden_sizes": sizes[1:-1], "data": {"synthetic": synthetic}}
+        key = "data.synthetic.feature_dim" if layer == 0 else f"hidden_sizes\\[{layer - 1}\\]"
+        with pytest.raises(ConfigError, match=rf"{key} must be >= 1, got {sizes[layer]}$"):
+            config_from_dict(raw)
 
     def test_init_deterministic(self):
         a, b = small_model(seed=3), small_model(seed=3)
@@ -322,10 +323,11 @@ class TestAdam:
         np.testing.assert_array_equal(model.biases[0], frozen[1])
 
     def test_lr_and_binding_validation(self):
+        # the step trusts its lr, which lr_schedule draws from a checked
+        # OptimizerConfig
+        with pytest.raises(ValueError, match="lr0 must be positive"):
+            self.config(lr0=0.0)
         model = small_model()
-        state, _ = bound_adam(model)
-        with pytest.raises(ValueError, match="positive"):
-            adam_step(state, self.config(), lr=0.0)
         # an unbound state has no views to update: it must not count a step
         unbound = fresh_adam(model)
         with pytest.raises(ValueError, match="not bound"):

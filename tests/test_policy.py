@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hiermlc.config import config_from_dict
 from hiermlc.data import MISSING, NEG, POS, UNC
+from hiermlc.errors import ConfigError
 from hiermlc.policy import (
     DEFAULT_LSR_ONES,
     DEFAULT_LSR_ZEROS,
     POLICIES,
-    UncertaintyPolicy,
     apply_policy,
     check_lsr,
     make_policy,
@@ -37,8 +40,10 @@ class TestPolicyConstruction:
         assert make_policy(name).name == name
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown policy 'maybe'"):
-            make_policy("maybe")
+        # the config refuses the name, also under the --policy override
+        config = config_from_dict({"seed": 0, "data": {"synthetic": {"theta": {}}}})
+        with pytest.raises(ConfigError, match="policy.name must be one of .*'maybe'"):
+            replace(config, policy_name="maybe")
 
     def test_lsr_bounds_attached(self):
         assert make_policy("ones-lsr").lsr == DEFAULT_LSR_ONES
@@ -50,14 +55,14 @@ class TestPolicyConstruction:
     def test_bad_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="bounds"):
             check_lsr(bounds)
-        with pytest.raises(ValueError, match="bounds"):
-            UncertaintyPolicy("ones-lsr", bounds)
 
     def test_lsr_kind_requires_bounds(self):
-        with pytest.raises(ValueError, match="requires"):
-            UncertaintyPolicy("ones-lsr")
-        with pytest.raises(ValueError, match="takes no"):
-            UncertaintyPolicy("ones", (0.1, 0.2))
+        # a config's policy carries its bands exactly on the -lsr names
+        raw = {"seed": 0, "data": {"synthetic": {"theta": {}}},
+               "policy": {"lsr_ones": [0.6, 0.7], "lsr_zeros": [0.1, 0.2]}}
+        config = config_from_dict(raw)
+        policies = [replace(config, policy_name=name).policy() for name in POLICIES]
+        assert [p.lsr for p in policies] == [None, None, None, (0.6, 0.7), (0.1, 0.2)]
 
 
 class TestHardPolicies:
