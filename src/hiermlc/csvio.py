@@ -23,9 +23,10 @@ hashes files.
 
 Files are written with the excel dialect and ``"\\n"`` line endings:
 small tables by ``write_table``, and matrices (features, labels,
-predictions, ROC points) by ``write_rows``, hashed as they are written
-for the sidecar: each cell a zone of bytes in a numpy array, float64s
-laid out by ``float_cells`` as ``repr`` writes them, and the NULs dropped.
+predictions, ROC points) by ``write_rows``: each cell a zone of bytes
+in a numpy array, float64s laid out by ``float_cells`` as ``repr``
+writes them, and the NULs dropped.  The bytes are hashed as they are
+written only for a file that gets a sidecar.
 Text fields are quoted as ``csv.writer`` quotes them, and also where they
 hold a carriage return, which ``csv.reader`` would take for a line end.
 ``write_rows`` searches the id column once, and where no id needs
@@ -425,9 +426,11 @@ def write_rows(
     cells: np.ndarray,
     cell_zones: Callable[[np.ndarray], np.ndarray] = float_cells,
     quoted: bool = False,
-) -> str:
+    digest=None,
+) -> None:
     """Write ``header`` and one line per row of ``cells``, each led by its
-    id where there are ``ids``; return the hex sha256 of the bytes written.
+    id where there are ``ids``; feed the bytes written to ``digest``, a
+    ``hashlib`` object, where the caller passes one.
 
     ``cell_zones`` lays out a block of rows of ``cells`` as one zone of
     bytes per cell, NUL where unused and in the zone's last byte, which
@@ -444,10 +447,10 @@ def write_rows(
     if len(header) != columns:
         raise ValueError(f"{path}: {len(header)} header names for {columns} columns")
     step = max(1, CHUNK_CELLS // width)
-    digest = hashlib.sha256()
     with replacing(path) as fh:
         lines = ",".join(map(_text_field, header)).encode() + b"\n"
-        digest.update(lines)
+        if digest is not None:
+            digest.update(lines)
         fh.write(lines)
         for start in range(0, n_rows, step):
             zones = cell_zones(cells[start : start + step])
@@ -457,9 +460,9 @@ def write_rows(
             if ids is not None:
                 leads = _leads(ids[start : start + step], quoted)
                 lines = b"".join(chain.from_iterable(zip(leads, lines.splitlines(keepends=True))))
-            digest.update(lines)
+            if digest is not None:
+                digest.update(lines)
             fh.write(lines)
-    return digest.hexdigest()
 
 
 def _scan(text: str) -> tuple[bool, bool]:
@@ -492,11 +495,14 @@ def write_id_matrix(
         return
     del held  # not kept alive through the write
     quoted, nul = _scan("".join(ids))  # the joined ids are freed before the write
-    digest = write_rows(path, header, ids, matrix, cell_zones, quoted)
+    digest = hashlib.sha256()
+    write_rows(path, header, ids, matrix, cell_zones, quoted, digest)
     sidecar = sidecar_path(path)
     if not (len(ids) and np.isfinite(matrix).all()) or quoted or nul or any(_scan("".join(header))):
         sidecar.unlink(missing_ok=True)
         return
     with replacing(sidecar) as fh:  # the matrix in C order: ``read_sidecar`` takes no other
-        for array in (np.array(digest), np.array(ids, dtype=str), np.ascontiguousarray(matrix)):
+        for array in (
+            np.array(digest.hexdigest()), np.array(ids, dtype=str), np.ascontiguousarray(matrix)
+        ):
             np.save(fh, array, allow_pickle=False)

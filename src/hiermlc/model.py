@@ -11,11 +11,12 @@ pass, the loss and backprop accept with a leading member axis; Adam
 updates one member's trainable tail at a time, the slice of its flat
 row after the frozen prefix of its layers.  Each kernel has the one
 calling form the training engine uses: ``masked_bce`` writes the output
-delta, ``backward`` propagates it from the forward trace into a gradient
-buffer, and ``adam_step`` updates on the views ``AdamState.bind`` built
-over the member's gradient row when the member entered its phase.  The
-engine checks the whole (M, P) gradient buffer for finite values once a
-pass, so the kernels check none.
+delta, ``backward`` propagates it from the forward trace into the
+gradient buffer's slots of the layers after the frozen prefix, which it
+alone computes, and ``adam_step`` updates on the views ``AdamState.bind``
+built over the member's gradient row when the member entered its phase.
+The engine checks the whole (M, P) gradient buffer for finite values
+once a pass, so the kernels check none.
 
 Training runs thousands of steps on arrays of a few thousand cells, so
 numpy's cost per call, not arithmetic, sets the step time.  The step
@@ -190,16 +191,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow or branches.
 
     With e = exp(-|z|) and d = 1 + e it is 1/d where z >= 0 and e/d
-    elsewhere: the operations of 1/(1 + exp(-z)) for z >= 0 and
-    exp(z)/(1 + exp(z)) below, so the result is bit-equal to that split
-    by sign.  -|z| is taken as min(z, -z), which keeps a NaN's sign bit
-    as the split's exp(z) does.
+    elsewhere, one division of d into a numerator of 1.0 or e: the
+    operations of 1/(1 + exp(-z)) for z >= 0 and exp(z)/(1 + exp(z))
+    below, so the result is bit-equal to that split by sign.  -|z| is
+    taken as min(z, -z), which keeps a NaN's sign bit as the split's
+    exp(z) does.
     """
     e = np.negative(z)
     np.minimum(z, e, out=e)
     np.exp(e, out=e)
     d = e + 1.0
-    return np.where(z >= 0.0, 1.0 / d, e / d)
+    np.putmask(e, z >= 0.0, 1.0)  # the numerator
+    e /= d
+    return e
 
 
 def forward_trace(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -224,6 +228,14 @@ def forward_trace(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
         h = _sigmoid(z) if i == last else np.maximum(z, 0.0, out=z)
         activations.append(h)
     return h, activations
+
+
+@functools.cache
+def _ones(n: int) -> np.ndarray:
+    """A read-only vector of n ones, shared by every call that asks for it."""
+    ones = np.ones(n)
+    ones.setflags(write=False)
+    return ones
 
 
 def masked_bce(
@@ -259,7 +271,7 @@ def masked_bce(
     p *= 1.0 - targets
     terms += p
     np.putmask(terms, ~mask, 0.0)
-    counts = mask @ np.ones(mask.shape[-1])  # exact float64 integers
+    counts = mask @ _ones(mask.shape[-1])  # exact float64 integers
     safe_counts = np.maximum(counts, 1.0)
     per_example = np.add.reduce(terms, axis=-1)
     np.negative(per_example, out=per_example)
@@ -273,7 +285,7 @@ def masked_bce(
     kept = probs > PROB_CLAMP
     kept &= probs < 1.0 - PROB_CLAMP
     kept &= mask
-    np.putmask(delta, ~kept, 0.0)
+    np.putmask(delta, np.logical_not(kept, out=kept), 0.0)
     # an empty row's delta is all zeros, so its scale only has to be finite
     delta *= (1.0 / (safe_counts * probs.shape[-2]))[..., None]
     return loss
@@ -284,27 +296,31 @@ def backward(
     trace: tuple[np.ndarray, list[np.ndarray]],
     delta: np.ndarray,
     out: list[tuple[np.ndarray, np.ndarray]],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact gradients of masked_bce w.r.t. every parameter, into ``out``.
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Exact gradients of masked_bce w.r.t. the trainable parameters, into ``out``.
 
     ``trace`` is the ``forward_trace`` result whose probabilities
     ``masked_bce`` scored, and ``delta`` the output delta it wrote; backward
     propagates that delta and leaves it unchanged.  ``out`` holds one
     (dW, db) pair of arrays per layer, such as ``layer_views`` of a
-    gradient buffer, and is returned filled.  A member stack takes (M, N, *)
-    traces and (M, in, out) and (M, out) arrays.  Frozen layers still get
-    gradients; freezing acts at the update.
+    gradient buffer.  A member stack takes (M, N, *) traces and
+    (M, in, out) and (M, out) arrays.  Only the layers after the model's
+    frozen prefix get gradients: the frozen layers' arrays are left as
+    they are, no delta is propagated below the first trainable layer, and
+    the returned list holds None in the frozen layers' places.  A model
+    without frozen layers gets ``out`` itself back, filled.
     """
     activations = trace[1]
-    for i in range(model.n_layers - 1, -1, -1):
+    first = model.frozen.index(False) if False in model.frozen else model.n_layers
+    for i in range(model.n_layers - 1, first - 1, -1):
         dw, db = out[i]
         np.matmul(activations[i].swapaxes(-1, -2), delta, out=dw)
         np.add.reduce(delta, axis=-2, out=db)
-        if i > 0:
+        if i > first:
             delta = delta @ model.weights[i].swapaxes(-1, -2)
             # the ReLU gate as 1.0/0.0: a float factor skips a cast per call
             delta *= np.greater(activations[i], 0.0, out=np.empty_like(delta))
-    return out
+    return out if first == 0 else [None] * first + out[first:]
 
 
 @dataclass

@@ -23,7 +23,11 @@ forward pass, one ``masked_bce`` that also writes the output delta, one
 ``backward`` that propagates it, one finiteness check of the pass's
 whole gradient buffer, and one ``adam_step`` per member row on the views
 bound at the member's phase entry.  A non-finite loss or gradient stops
-the run before any member of the pass moves.
+the run before any member of the pass moves.  Once every member is in
+stage 2, the stack's hidden layers count as frozen, and ``backward``
+computes only the last layer's gradients, which are all that Adam
+reads: a gradient overflow that would be confined to a frozen layer no
+longer stops stage 2, because that gradient is not computed.
 An epoch's last batch is short when the batch size does not divide N, so
 at a ragged step, where members' batch lengths differ, one pass runs per
 length: padding would change the loss divisor and the reduction lengths.
@@ -197,7 +201,10 @@ def _train_stack(
         model, g, views = stack, grads, grad_views
         if len(group) < n_members:
             model = Mlp(stack.params[group], stack.layer_sizes, stack.frozen)
-            g = np.empty_like(model.params)
+            # zeroed: backward leaves frozen layers' slots unwritten, and
+            # the finiteness check below reads the whole buffer (``grads``
+            # keeps there values that an earlier check passed, or zeros)
+            g = np.zeros_like(model.params)
             views = layer_views(g, model.layer_sizes)
         x = flat_features.take(feature_rows[idx, cols], axis=0)
         t = flat_targets.take(rows, axis=0)

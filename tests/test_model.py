@@ -547,6 +547,32 @@ class TestKernelsBitEqual:
             expected = check(np.zeros((*lead, 11, 3)), np.ones_like(mask))
         assert np.isnan(expected[1][1][..., 0]).all()
 
+    @pytest.mark.parametrize("n_frozen", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_backward_frozen_prefix(self, lead, n_frozen):
+        rng = np.random.default_rng(6)
+        models = [small_model(seed=s, sizes=(4, 6, 5, 3)) for s in range(3)]
+        model = Mlp.stack(models) if lead else models[0]
+        model.frozen = [True] * n_frozen + [False] * (3 - n_frozen)
+        x = rng.standard_normal((*lead, 11, 4)) * 2.0
+        targets = rng.random((*lead, 11, 3))
+        mask = rng.random((*lead, 11, 3)) < 0.6
+        trace = forward_trace(model, x)
+        expected = where_backward(model, targets, mask, trace)
+        delta = np.empty_like(trace[0])
+        masked_bce(trace[0], targets, mask, delta)
+        sentinel = -7.25
+        out = layer_views(np.full_like(model.params, sentinel), model.layer_sizes)
+        grads = backward(model, trace, delta, out)
+        assert grads is not out and len(grads) == 3
+        for i in range(n_frozen):  # no gradient computed, no byte written
+            assert grads[i] is None
+            assert (out[i][0] == sentinel).all() and (out[i][1] == sentinel).all()
+        for i in range(n_frozen, 3):
+            assert grads[i] is out[i]
+            assert_bits_equal(grads[i][0], expected[i][0])
+            assert_bits_equal(grads[i][1], expected[i][1])
+
     def test_adam_with_frozen_layers(self):
         rng = np.random.default_rng(4)
         cfg = OptimizerConfig()

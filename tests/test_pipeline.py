@@ -408,9 +408,9 @@ class TestTracedRun:
         assert missing == []
         assert metrics["model.step.count"] == 3 * (40 + 20)
         # the tracer reads backward's model and returned gradients: the
-        # 8x16 hidden layer is frozen for the 20 stage-2 steps of 60
-        n_params = (8 * 16 + 16) + (16 * PAIR.K + PAIR.K)
-        assert metrics["model.frozen_grad_frac"] == 20 * (8 * 16 + 16) / (60 * n_params)
+        # 8x16 hidden layer is frozen for the 20 stage-2 steps of 60, and
+        # backward computes nothing for it there
+        assert metrics["model.frozen_grad_frac"] == 0.0
 
     def test_ragged_ablation(self):
         # two seeds, both arms: 4 members whose epochs fall out of step
@@ -581,6 +581,77 @@ class TestMixedStacks:
         for data, plan, message in cases:
             with pytest.raises(ValueError, match=message):
                 train_members(data, PAIR, plan, (16,), seeds)
+
+
+def nan_filled(alloc):
+    """``alloc`` whose float arrays start as NaN, the worst that
+    uninitialized memory can hold."""
+
+    def allocate(*args, **kwargs):
+        out = alloc(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    return allocate
+
+
+class TestRaggedFrozenStacks:
+    # All conditional, one 60-step budget split 43+17 and 30+30, on 300
+    # rows in batches of 32: epochs of 10 steps, the last one 12 rows.
+    # From step 43 every member is in stage 2, so the stack's hidden layer
+    # is frozen and backward writes only the last layer's gradients; the
+    # short batches fall on steps 49 and 59 for the 30-step stage 1 and on
+    # 52 for the 43-step one, so each of those steps runs one pass per
+    # batch length, on a group's own gradient buffer.
+    def stack(self):
+        data, _ = pair_datasets(n_train=300, n_eval=1)
+        early = fast_plan(policy=make_policy("ones-lsr"), stage1_iterations=30, stage2_iterations=30)
+        late = replace(early, stage1_iterations=43, stage2_iterations=17)
+        return data, [late, early, late], [5, 6, 7]
+
+    def frozen_passes(self, monkeypatch, edit=None):
+        """Members in each backward pass of a frozen stack; ``edit`` sees
+        each such pass's model and gradient arrays after backward."""
+        sizes = []
+        backward = pipeline_mod.backward
+
+        def spy(model, trace, delta, out):
+            grads = backward(model, trace, delta, out)
+            if model.frozen == [True, False]:
+                sizes.append(len(model.params))
+                if edit is not None:
+                    edit(model, out)
+            return grads
+
+        monkeypatch.setattr(pipeline_mod, "backward", spy)
+        return sizes
+
+    def test_member_equals_itself_trained_alone(self, monkeypatch):
+        data, plans, seeds = self.stack()
+        sizes = self.frozen_passes(monkeypatch)
+        # the engine must read no slot of a buffer that nothing wrote
+        monkeypatch.setattr(np, "empty", nan_filled(np.empty))
+        monkeypatch.setattr(np, "empty_like", nan_filled(np.empty_like))
+        stacked = train_members(data, PAIR, plans, (16,), seeds)
+        monkeypatch.undo()
+        # one pass a step, and at each ragged step one of member 1 and one
+        # of members 0 and 2 in place of the whole stack's
+        assert sorted(Counter(sizes).items()) == [(1, 3), (2, 3), (3, 14)]
+        for result, plan, seed in zip(stacked, plans, seeds):
+            assert_same_member(result, train_member(data, PAIR, plan, (16,), seed))
+
+    def test_non_finite_gradient_in_a_ragged_group_stops_stage2(self, monkeypatch):
+        def poison(model, out):
+            if len(model.params) == 2:  # step 49: members 0 and 2, in full batches
+                out[-1][0][1, 0, 0] = np.nan  # member 2's trainable dW
+
+        data, plans, seeds = self.stack()
+        sizes = self.frozen_passes(monkeypatch, poison)
+        # member 2's stage 2 began at step 43
+        with pytest.raises(NumericError, match="^stage2: non-finite gradient at step 6$"):
+            train_members(data, PAIR, plans, (16,), seeds)
+        assert sizes == [3] * 6 + [1, 2]
 
 
 ABLATION_ARGS = dict(
