@@ -52,20 +52,14 @@ class Dataset:
     ``ids`` is None for rows that are never written or matched by id, such
     as fresh synthetic rows.  The matrices may be views of a larger
     dataset's, as ``synthetic_split``'s are; nothing writes into them.
+    Only ``load_dataset``, which matches the two files' row ids, the
+    generator and ``synthetic_split``'s row slices of one generator pass
+    make one, so the three share a row count unchecked.
     """
 
     features: np.ndarray  # (N, F) float64
     labels: np.ndarray  # (N, K) int8
     ids: tuple[str, ...] | None
-
-    def __post_init__(self):
-        n = self.labels.shape[0]
-        n_ids = n if self.ids is None else len(self.ids)
-        if self.features.shape[0] != n or n_ids != n:
-            raise ValueError(
-                f"row counts disagree: features {self.features.shape[0]}, "
-                f"labels {n}, ids {n_ids}"
-            )
 
 
 @dataclass(frozen=True)
@@ -195,12 +189,9 @@ def conditional_mask(labels: np.ndarray, tree: LabelTree) -> np.ndarray:
 
     Uncertain or missing parents do not count as positive: conditioning
     on unconfirmed evidence would contaminate the conditional estimate.
+    ``labels`` is a dataset's (N, K) matrix over ``tree``, one column per
+    label, as the label reader and the generator make it.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 2 or labels.shape[1] != tree.K:
-        raise ValueError(
-            f"label matrix shape {labels.shape} does not match tree K={tree.K}"
-        )
     pos = labels == POS
     mask = np.ones(labels.shape, dtype=bool)
     for k in tree.topo_order:

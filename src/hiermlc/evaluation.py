@@ -33,7 +33,7 @@ DEFAULT_AUC_SUBSET = (
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Threshold-sweep curve, anchored at (0,0) and (1,1)."""
+    """Threshold-sweep curve from ``roc_curve``, anchored at (0,0) and (1,1)."""
 
     fpr: np.ndarray
     tpr: np.ndarray
@@ -41,12 +41,6 @@ class RocCurve:
     # Integer (tp, fp) counts behind each point.
     tp: np.ndarray
     fp: np.ndarray
-
-    def __post_init__(self):
-        if not len(self.fpr) == len(self.tpr) == len(self.thresholds):
-            raise ValueError("ROC fpr, tpr and thresholds must be of one length")
-        if np.any(np.diff(self.fpr) < 0) or np.any(np.diff(self.tpr) < 0):
-            raise ValueError("ROC points must be non-decreasing in both axes")
 
 
 @dataclass(frozen=True)
@@ -79,20 +73,10 @@ class EvalReport:
 def _binary_counts(
     scores: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative (tp, fp) from (0, 0) over descending tie groups, and their scores."""
+    """Cumulative (tp, fp) from (0, 0) over descending tie groups, and their
+    scores; ``labels`` holds both classes, as each caller checks first."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise ValueError("scores and labels must be matching 1-D arrays")
-    if not np.isin(labels, (0, 1)).all():
-        raise DataFormatError("labels must be binary 0/1")
-    n_pos = int((labels == 1).sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DataFormatError(
-            f"need both classes to sweep a curve, got {n_pos} positives and "
-            f"{n_neg} negatives"
-        )
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order] == 1
@@ -153,12 +137,12 @@ def reader_study(
     ``mean_readers_below`` averages the below-curve counts over all
     evaluated labels (labels without supplied points count 0).  The
     summary ``mean_auc_selected`` uses ``subset`` when given, the default
-    pathology subset when fully present, and all labels otherwise.
+    pathology subset when fully present, and all labels otherwise.  Both
+    mappings hold one entry per label of the hierarchy, as ``cli`` builds
+    them, with the scores and the checked ground truth of the eval rows.
     """
     points_by_label = points_by_label or {}
     names = list(scores_by_label)
-    if set(names) != set(labels_by_label):
-        raise ValueError("scores and ground-truth label sets disagree")
     per_label_auc: dict[str, float] = {}
     below: dict[str, int] = {}
     curves: dict[str, RocCurve] = {}

@@ -84,9 +84,7 @@ class OptimizerConfig:
 
 
 def lr_schedule(config: OptimizerConfig, epoch: int) -> float:
-    """Learning rate for an epoch: lr0 * decay_factor ** epoch."""
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
+    """Learning rate for an epoch (counted from 0): lr0 * decay_factor ** epoch."""
     return config.lr0 * config.decay_factor**epoch
 
 
@@ -117,11 +115,8 @@ class Mlp:
 
     @classmethod
     def stack(cls, models: Sequence["Mlp"]) -> "Mlp":
-        """Member stack holding a copy of each model's parameters as one row."""
-        sizes = models[0].layer_sizes
-        if any(m.layer_sizes != sizes for m in models):
-            raise ValueError("stacked members must share layer sizes")
-        return cls(np.stack([m.params for m in models]), sizes, models[0].frozen)
+        """Member stack of copies of same-shaped models' parameters, one row each."""
+        return cls(np.stack([m.params for m in models]), models[0].layer_sizes, models[0].frozen)
 
     def member(self, k: int) -> "Mlp":
         """Row k of a member stack, as a model sharing the stack's memory."""
@@ -180,10 +175,8 @@ def layer_views(
 
 @functools.cache
 def _trainable_tail(layer_sizes: tuple[int, ...], frozen: tuple[bool, ...]) -> slice:
-    """The slice of ``params`` after the frozen layers, which must be a prefix."""
+    """The slice of ``params`` after the frozen prefix ``freeze_all_but_last`` makes."""
     n = sum(frozen)
-    if frozen != (True,) * n + (False,) * (len(frozen) - n):
-        raise ValueError(f"frozen layers {list(frozen)} are not a prefix of the model")
     return slice(sum((a + 1) * b for a, b in zip(layer_sizes, layer_sizes[1:n + 1])), None)
 
 
@@ -213,12 +206,9 @@ def forward_trace(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     stack, where member k's rows meet only member k's layers.  A stacked
     ``@`` computes each slice exactly as the 2-D product does, so every
     member's slice is bit-equal to its own single-model pass.  Inputs are
-    not checked: features come from the checked reader or the generator.
+    not checked: features come from the checked reader or the generator,
+    as wide as the model, which ``cli`` checks against loaded checkpoints.
     """
-    if x.ndim != model.params.ndim + 1 or x.shape[-1] != model.input_dim:
-        raise ValueError(
-            f"input has shape {x.shape}, model expects (*, {model.input_dim})"
-        )
     activations = [x]
     h = x
     last = model.n_layers - 1
@@ -252,16 +242,12 @@ def masked_bce(
     over examples; an (M, N, K) member-stacked batch returns the (M,)
     per-member means.  ``delta``, an array of ``probs``' shape, receives
     the gradient of the returned loss with respect to the output logits,
-    which ``backward`` propagates.
+    which ``backward`` propagates.  The training engine gathers all four
+    as one batch of its member stack, so their shapes match unchecked.
     """
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    if probs.ndim < 2 or not probs.shape == targets.shape == mask.shape == delta.shape:
-        raise ValueError(
-            f"shape mismatch: probs {probs.shape}, targets {targets.shape}, "
-            f"mask {mask.shape}, delta {delta.shape}; need (N, K) or (M, N, K)"
-        )
     p = np.maximum(probs, PROB_CLAMP)
     np.minimum(p, 1.0 - PROB_CLAMP, out=p)
     terms = np.log(p)
@@ -344,8 +330,7 @@ class AdamState:
         scratch vectors of the tail's length.  ``grads`` is a flat gradient
         vector in the layout of ``model.params``, which the caller refills
         before each step and checks for finite values itself.  Bind again
-        after the model's frozen flags change; frozen flags that are not a
-        prefix raise ``ValueError``.
+        after the model's frozen flags change.
         """
         tail = _trainable_tail(model.layer_sizes, tuple(model.frozen))
         params = model.params[tail]
@@ -365,8 +350,6 @@ def adam_step(state: AdamState, config: OptimizerConfig, lr: float) -> None:
     m_hat = m / (1 - beta1**t), v_hat = v / (1 - beta2**t),
     params -= lr * m_hat / (sqrt(v_hat) + epsilon).
     """
-    if state.views is None:
-        raise ValueError("Adam state is not bound to a gradient array")
     state.t += 1
     beta1, beta2 = config.beta1, config.beta2
     bc1 = 1.0 - beta1**state.t

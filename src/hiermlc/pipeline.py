@@ -450,7 +450,8 @@ def hierarchical_ablation(
     Each seed draws its split from ``synthetic_split``, as ``gen`` does,
     and scores held-out leaves as a one-member ensemble: the conditional
     arm by ``predict_unconditional``, the flat arm by ``predict_flat``.
-    Both arms of every seed train together as one member stack.
+    Both arms of every seed train together as one member stack, once
+    every seed's held-out rows give each leaf both classes.
     """
     spec = SyntheticSpec(tree, theta, feature_noise, feature_dim)
     leaf_indices = [tree.index_of(name) for name in tree.leaves]
@@ -465,6 +466,14 @@ def hierarchical_ablation(
     splits = [
         synthetic_split(spec, n_train, n_eval, uncertainty_rate, seed) for seed in seeds
     ]
+    truths = [held_out.labels == POS for _, held_out in splits]
+    for seed, truth in zip(seeds, truths):
+        for name, positives in zip(tree.leaves, truth[:, leaf_indices].sum(axis=0).tolist()):
+            if positives in (0, n_eval):
+                raise DataFormatError(
+                    f"seed {seed}: held-out leaf {name!r} has {positives} positives "
+                    f"and {n_eval - positives} negatives; a ROC curve needs both"
+                )
     results = train_members(
         [train for train, _ in splits for _ in range(2)],
         tree,
@@ -474,8 +483,8 @@ def hierarchical_ablation(
     )
     cond_scores: list[float] = []
     flat_scores: list[float] = []
-    for (_, held_out), cond, flat in zip(splits, results[::2], results[1::2]):
-        x, truth = held_out.features, held_out.labels == POS
+    for (_, held_out), truth, cond, flat in zip(splits, truths, results[::2], results[1::2]):
+        x = held_out.features
         cond_out = predict_unconditional([cond.final], tree, x)
         cond_scores.append(_mean_leaf_auc(cond_out, truth, leaf_indices))
         flat_out = predict_flat([flat.final], x)

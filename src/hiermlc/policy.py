@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .data import MISSING, NEG, POS, UNC
+from .data import MISSING, POS, UNC
 
 POLICIES = ("ignore", "ones", "zeros", "ones-lsr", "zeros-lsr")
 
@@ -69,16 +69,10 @@ def apply_policy(
     Targets are float64 in [0, 1]; the boolean mask marks cells that
     contribute to the loss.  Masked-out cells carry target 0.0 by
     convention.  Identical (labels, policy, seed) give identical output;
-    uncertain-cell draws depend only on (seed, row, column).
+    uncertain-cell draws depend only on (seed, row, column).  ``labels``
+    is a dataset's int8 code matrix, which the label reader or the
+    generator made, so it is not checked here.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ValueError(f"label matrix must be 2-D, got shape {labels.shape}")
-    known = np.isin(labels, (POS, NEG, UNC, MISSING))
-    if not known.all():
-        bad = labels[~known].ravel()[0]
-        raise ValueError(f"label matrix contains invalid code {bad}")
-
     targets = np.zeros(labels.shape, dtype=np.float64)
     targets[labels == POS] = 1.0
     mask = labels != MISSING

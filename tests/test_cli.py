@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiermlc import cli, csvio
+from hiermlc import cli, csvio, pipeline
 from hiermlc import data as data_mod
 from hiermlc import evaluation as eval_mod
 from hiermlc.config import config_to_dict, load_config, synthetic_spec_theta
@@ -1881,11 +1881,19 @@ class TestAblate:
         assert "h.csv: label 'id' is the name of" in error_line(capsys)
         assert not (workspace / "run").exists()
 
-    def test_single_class_eval_split_exits_two(self, workspace, capsys):
+    def test_single_class_eval_split_exits_two(self, workspace, capsys, monkeypatch):
+        """A held-out leaf of one class is named, with its seed, before any
+        member trains."""
+        trained = []
+        monkeypatch.setattr(pipeline, "train_members", lambda *args: trained.append(args))
         synthetic = base_config("")["data"]["synthetic"]
         data = {"synthetic": {**synthetic, "theta": {"A": 0.6, "B": 0.0}}}
-        assert self.ablate(workspace, "--seeds", "1", data=data) == 2
-        assert "need both classes to sweep a curve, got 0 positives" in error_line(capsys)
+        assert self.ablate(workspace, "--seed", "3", "--seeds", "2", data=data) == 2
+        assert error_line(capsys) == (
+            "error: seed 3: held-out leaf 'B' has 0 positives and 80 negatives; "
+            "a ROC curve needs both"
+        )
+        assert trained == []
         assert not (workspace / "run").exists()
 
     def test_learning_rate_underflow_exits_three(self, workspace, capsys):

@@ -162,17 +162,6 @@ class TestFeatureCsv:
             load_dataset(tmp_path / "f.csv", tmp_path / "l.csv", CHAIN)
 
 
-class TestDataset:
-    def test_row_count_validation(self):
-        with pytest.raises(ValueError, match="row counts"):
-            Dataset(np.zeros((2, 1)), np.zeros((3, 2), dtype=np.int8), ("a",) * 3)
-
-    def test_rows_without_ids(self):
-        Dataset(np.zeros((3, 1)), np.zeros((3, 2), dtype=np.int8), None)
-        with pytest.raises(ValueError, match="ids 3"):
-            Dataset(np.zeros((2, 1)), np.zeros((2, 2), dtype=np.int8), ("a",) * 3)
-
-
 class TestConditionalMask:
     def test_chain_cases(self):
         labels = np.array(
@@ -203,10 +192,6 @@ class TestConditionalMask:
         np.testing.assert_array_equal(
             conditional_mask(labels, forest), [[True, True]]
         )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            conditional_mask(np.zeros((2, 2), dtype=np.int8), CHAIN)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)

@@ -4,8 +4,9 @@ module that writes files, saves or loads ``.npy`` files or hashes files,
 ``cli.cmd_gen`` and ``pipeline.hierarchical_ablation`` call, a dataset's
 features come only from a features file or the generator, every public
 name of the package is reached by the package or the benchmark, not by
-tests alone, and ``cli.main`` maps each exit code from one exception
-type."""
+tests alone, ``cli.main`` maps each exit code from one exception type,
+and only the code that reads a file or draws a split raises
+``DataFormatError``."""
 
 import ast
 import re
@@ -435,3 +436,72 @@ def test_handler_guard_sees_an_added_arm():
         "def helper():\n"
         "    try:\n        pass\n    except KeyError:\n        pass\n"
     ) == ["(DataFormatError, FileNotFoundError, ValueError)", ""]
+
+
+def format_error_raisers(source: str) -> set[str]:
+    """The top-level functions and classes of a module that raise or build
+    ``DataFormatError``, by name or as an attribute; "<module>" for code
+    outside any function or class."""
+    owners = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise):
+                target = node.exc
+            elif isinstance(node, ast.Call):
+                target = node.func
+            else:
+                continue
+            name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+            if name == "DataFormatError":
+                owners.add(getattr(top, "name", "<module>"))
+    return owners
+
+
+# Exit 2 is raised where the data is read: the file readers, the hierarchy
+# and checkpoint loaders, ``cli``'s checks of the eval files it read, and
+# ``pipeline``'s checks of each member's training signal and of each
+# ablation seed's held-out leaves.  Every other internal value is checked
+# where it is made, not again by the kernels that take it.
+FORMAT_ERROR_RAISERS = {
+    "cli.py": {"_binary_ground_truth", "_ensemble_probs", "cmd_eval"},
+    "csvio.py": {"_checked_rows", "column_indices", "read_id_rows", "reader"},
+    "data.py": {"_parse_cell", "_read_label_rows", "load_dataset"},
+    "evaluation.py": {"load_operating_points"},
+    "hierarchy.py": {"load_tree"},
+    "model.py": {"_numbers", "load_checkpoint"},
+    "pipeline.py": {"_train_stack", "hierarchical_ablation"},
+}
+
+
+def test_only_readers_raise_format_errors():
+    found = {
+        name: owners
+        for name, source in modules().items()
+        if (owners := format_error_raisers(source))
+    }
+    assert found == FORMAT_ERROR_RAISERS
+
+
+def test_format_error_guard_sees_each_form():
+    source = (
+        "from .errors import DataFormatError\n"
+        "def read(path):\n"
+        "    raise DataFormatError(f'{path}: empty file')\n"
+        "def parse(cell):\n"
+        "    try:\n        return float(cell)\n"
+        "    except ValueError as exc:\n"
+        "        raise errors.DataFormatError(cell) from exc\n"
+        "def train(stack):\n"
+        "    def enter(k):\n        raise DataFormatError\n"
+        "    return enter\n"
+        "class Curve:\n"
+        "    def check(self):\n"
+        "        error = DataFormatError('one class')\n"
+        "        raise error\n"
+        "FAIL = DataFormatError('at import')\n"
+        "def kernel(x):\n"
+        "    try:\n        return x\n"
+        "    except DataFormatError:\n        raise\n"
+        "    raise ValueError('shape')\n"
+    )
+    assert format_error_raisers(source) == {"read", "parse", "train", "Curve", "<module>"}

@@ -91,16 +91,6 @@ class TestHardPolicies:
         targets, mask = apply_policy(LABELS, make_policy("zeros"), seed=0)
         assert targets[0, 2] == 0.0 and mask[0, 2]
 
-    def test_invalid_code_rejected(self):
-        bad = LABELS.copy()
-        bad[0, 0] = 5
-        with pytest.raises(ValueError, match="invalid code"):
-            apply_policy(bad, make_policy("ones"), seed=0)
-
-    def test_one_dim_rejected(self):
-        with pytest.raises(ValueError, match="2-D"):
-            apply_policy(np.array([POS, NEG]), make_policy("ones"), seed=0)
-
 
 class TestLsrPolicies:
     def test_draws_inside_bounds(self):
